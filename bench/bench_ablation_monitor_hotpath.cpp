@@ -1,32 +1,30 @@
 // Ablation — zero-allocation monitoring hot path.
 //
 // "It is important that the measurement processes themselves intrude as
-// little as possible on the application being measured" (§3.2). The
-// string-keyed MonitorPort surface pays for that bookkeeping on every
-// invocation: a ParamMap (two heap nodes) is built, the method key is
-// re-interned, and the counter snapshot allocates. The handle surface
-// moves all naming to registration time — proxies resolve a MethodHandle
-// once and report each call with a stack-resident ParamSpan, and the
-// Mastermind's pooled Open stack plus columnar Record append make the
-// steady-state start/stop allocation-free.
+// little as possible on the application being measured" (§3.2). A
+// string-keyed monitor pays for that bookkeeping on every invocation: a
+// parameter map (two heap nodes) is built, the method key is re-interned,
+// and the counter snapshot allocates. MonitorPort moves all naming to
+// registration time — proxies resolve a MethodHandle once and report each
+// call with a stack-resident ParamSpan, and the Mastermind's pooled Open
+// stack plus columnar Record append make the steady-state start/stop
+// allocation-free.
 //
-// This bench measures three configurations on the Fig. 4 States workload
+// This bench measures two configurations on the Fig. 4 States workload
 // shape (method sc_proxy::compute(), params {Q, mode}, Q ~ 1e5, two
 // hardware counters registered) with an empty monitored body, so the
 // numbers are pure per-invocation monitoring overhead:
 //   scalar  — the pre-interning recipe re-enacted against the registry:
-//             per-call ParamMap, string-keyed timer lookup and group
+//             per-call parameter map, string-keyed timer lookup and group
 //             query, allocating read_all() snapshots, row-struct append
-//             (what Mastermind::start/stop did before this optimization);
-//   shim    — today's string-keyed MonitorPort surface (compatibility
-//             path: still builds a ParamMap and re-interns the key, but
-//             shares the pooled/columnar internals);
+//             (what Mastermind::start/stop did before handles);
 //   handle  — register_method once, then MethodHandle + ParamSpan.
 // Results are recorded in bench_out/monitor_hotpath.json so later PRs can
 // track the trajectory.
 
 #include <chrono>
 #include <fstream>
+#include <map>
 
 #include "bench_common.hpp"
 
@@ -77,17 +75,17 @@ double time_invocations(F&& invoke, int blocks, int reps) {
 
 /// The seed's monitoring bookkeeping, re-enacted: every structure the
 /// pre-interning Mastermind built per invocation, against the same
-/// registry. (The string path stays available as a shim, but it now shares
-/// the pooled internals — this reproduces the original cost honestly.)
+/// registry.
 struct ScalarMonitor {
+  using ParamMap = std::map<std::string, double>;
   struct Invocation {
-    core::ParamMap params;
+    ParamMap params;
     double wall_us = 0.0, mpi_us = 0.0, compute_us = 0.0;
     std::vector<std::pair<std::string, double>> counters;
   };
   struct Open {
     std::string key;
-    core::ParamMap params;
+    ParamMap params;
     tau::Clock::time_point wall_start{};
     double mpi_us_start = 0.0;
     std::vector<std::pair<std::string, std::uint64_t>> counters_start;
@@ -95,7 +93,7 @@ struct ScalarMonitor {
 
   explicit ScalarMonitor(tau::Registry& reg) : reg_(reg) {}
 
-  void start(const std::string& key, const core::ParamMap& params) {
+  void start(const std::string& key, const ParamMap& params) {
     Open open;
     open.key = key;
     open.params = params;
@@ -175,19 +173,8 @@ int main() {
   ScalarMonitor scalar(scalar_rig.tau->registry());
   const double scalar_ns = time_invocations(
       [&] {
-        scalar.start("sc_proxy::compute()", core::ParamMap{{"Q", q}, {"mode", 0.0}});
+        scalar.start("sc_proxy::compute()", {{"Q", q}, {"mode", 0.0}});
         scalar.stop("sc_proxy::compute()");
-      },
-      blocks, reps);
-
-  // String shim: the ParamMap is built per call and the key re-interned,
-  // but the pooled/columnar internals are shared with the handle path.
-  Rig string_rig;
-  const double string_ns = time_invocations(
-      [&] {
-        string_rig.mm->start("sc_proxy::compute()",
-                             core::ParamMap{{"Q", q}, {"mode", 0.0}});
-        string_rig.mm->stop("sc_proxy::compute()");
       },
       blocks, reps);
 
@@ -204,23 +191,18 @@ int main() {
       },
       blocks, reps);
 
-  // Both surfaces must have produced equivalent records.
-  const core::Record* srec = string_rig.mm->record("sc_proxy::compute()");
+  // Both monitors must have seen every invocation.
   const core::Record* hrec = handle_rig.mm->record("sc_proxy::compute()");
-  CCAPERF_REQUIRE(srec != nullptr && hrec != nullptr &&
-                      srec->count() == hrec->count(),
-                  "surfaces recorded different invocation counts");
-  CCAPERF_REQUIRE(srec->param_at(0, "Q") == q && hrec->param_at(0, "Q") == q,
-                  "parameter capture diverged between surfaces");
+  CCAPERF_REQUIRE(hrec != nullptr && hrec->count() == scalar.rows_.size(),
+                  "monitors recorded different invocation counts");
+  CCAPERF_REQUIRE(hrec->param_at(0, "Q") == q && scalar.rows_[0].params.at("Q") == q,
+                  "parameter capture diverged between monitors");
 
   const double speedup_scalar = scalar_ns / handle_ns;
-  const double speedup_shim = string_ns / handle_ns;
 
   ccaperf::TextTable t;
   t.set_header({"configuration", "ns/invocation", "relative"});
   t.add_row({"scalar (seed recipe)", ccaperf::fmt_double(scalar_ns, 6), "1.00"});
-  t.add_row({"string shim (today)", ccaperf::fmt_double(string_ns, 6),
-             ccaperf::fmt_double(string_ns / scalar_ns, 4)});
   t.add_row({"handle + ParamSpan", ccaperf::fmt_double(handle_ns, 6),
              ccaperf::fmt_double(handle_ns / scalar_ns, 4)});
   t.render(std::cout);
@@ -228,8 +210,6 @@ int main() {
             << ccaperf::fmt_double(speedup_scalar, 4) << "x ("
             << (speedup_scalar >= 2.0 ? "meets" : "MISSES")
             << " the >= 2x target)\n";
-  std::cout << "shim/handle overhead ratio:   "
-            << ccaperf::fmt_double(speedup_shim, 4) << "x\n";
 
   bench::print_comparison(
       "monitoring overhead",
@@ -240,9 +220,7 @@ int main() {
   write_json("bench_out/monitor_hotpath.json",
              {{"monitor_hotpath", "q", q},
               {"monitor_hotpath", "scalar_ns_per_invocation", scalar_ns},
-              {"monitor_hotpath", "string_shim_ns_per_invocation", string_ns},
               {"monitor_hotpath", "handle_ns_per_invocation", handle_ns},
-              {"monitor_hotpath", "scalar_vs_handle_speedup", speedup_scalar},
-              {"monitor_hotpath", "shim_vs_handle_speedup", speedup_shim}});
+              {"monitor_hotpath", "scalar_vs_handle_speedup", speedup_scalar}});
   return 0;
 }

@@ -88,14 +88,15 @@ void BM_TauTimerStartStop(benchmark::State& state) {
 BENCHMARK(BM_TauTimerStartStop);
 
 void BM_MastermindStartStop(benchmark::State& state) {
-  // The full per-invocation monitoring cost: params map + two TAU group
-  // queries + counter snapshots + record append.
+  // The full per-invocation monitoring cost: two TAU group queries +
+  // counter snapshots + record append.
   bench::KernelRig rig{euler::GasModel{}};
-  const core::ParamMap params{{"Q", 1024.0}, {"mode", 0.0}};
+  const double params[2] = {1024.0, 0.0};
   auto* monitor = rig.fw.services("mm").provided_as<core::MonitorPort>("monitor");
+  const core::MethodHandle h = monitor->register_method("bench::m()", {"Q", "mode"});
   for (auto _ : state) {
-    monitor->start("bench::m()", params);
-    monitor->stop("bench::m()");
+    monitor->start(h, core::ParamSpan(params, 2));
+    monitor->stop(h);
   }
 }
 BENCHMARK(BM_MastermindStartStop);

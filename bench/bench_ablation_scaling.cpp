@@ -51,7 +51,7 @@ ScalePoint run_at(int nranks) {
     for (const char* key : {"sc_proxy::compute()", "g_proxy::compute()"}) {
       const core::Record* rec = app.mastermind->record(key);
       if (rec == nullptr) continue;
-      for (const auto& inv : rec->invocations()) compute[me] += inv.compute_us;
+      for (std::size_t i = 0; i < rec->count(); ++i) compute[me] += rec->compute_us(i);
     }
   });
   for (int r = 0; r < nranks; ++r) {

@@ -21,6 +21,7 @@
 // Environment: CCAPERF_BENCH_THREADS (default 8), CCAPERF_STEPS (default 8).
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -87,10 +88,10 @@ RunResult run_fig01(int threads, int steps) {
           "icc_proxy::ghost_update()", "icc_proxy::regrid()"}) {
       const core::Record* rec = app.mastermind->record(key);
       if (rec == nullptr) continue;
-      for (const core::Invocation& inv : rec->invocations()) {
+      for (std::size_t i = 0; i < rec->count(); ++i) {
         ++res.record_rows;
-        auto it = inv.params.find("Q");
-        if (it != inv.params.end()) res.q_sum += it->second;
+        const double q = rec->param_at(i, "Q");
+        if (!std::isnan(q)) res.q_sum += q;
       }
     }
   });

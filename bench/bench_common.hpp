@@ -207,11 +207,11 @@ inline SweepResult sweep_component(const std::string& which, int nprocs, int rep
     }
     const core::Record* rec = rig.mm->record(record_key);
     CCAPERF_REQUIRE(rec != nullptr, "sweep: record missing");
-    for (const core::Invocation& inv : rec->invocations()) {
-      const core::Sample s{inv.params.at("Q"), inv.wall_us};
+    for (std::size_t i = 0; i < rec->count(); ++i) {
+      const core::Sample s{rec->param_at(i, "Q"), rec->wall_us(i)};
       result.by_proc[static_cast<std::size_t>(proc)].push_back(s);
       result.all.push_back(s);
-      result.by_mode[inv.params.at("mode") > 0.5 ? 1 : 0].push_back(s);
+      result.by_mode[rec->param_at(i, "mode") > 0.5 ? 1 : 0].push_back(s);
     }
   }
   return result;

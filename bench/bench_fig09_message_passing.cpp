@@ -36,9 +36,9 @@ int main() {
     CCAPERF_REQUIRE(rec != nullptr, "no ghost_update record");
     auto& mine = observations[static_cast<std::size_t>(world.rank())];
     std::size_t seq = 0;
-    for (const core::Invocation& inv : rec->invocations())
-      mine.push_back(Obs{static_cast<int>(inv.params.at("level")), seq++,
-                         inv.mpi_us});
+    for (std::size_t i = 0; i < rec->count(); ++i)
+      mine.push_back(Obs{static_cast<int>(rec->param_at(i, "level")), seq++,
+                         rec->mpi_us(i)});
   });
 
   std::cout << "Fig. 9: per-ghost-update MPI time by hierarchy level "

@@ -67,10 +67,10 @@ int main() {
       const core::Record* rec = app.mastermind->record(key);
       if (rec == nullptr) continue;
       double compute = 0.0, comm = 0.0;
-      for (const auto& inv : rec->invocations()) {
-        compute += inv.compute_us;
-        comm += inv.mpi_us;
-        if (inst == "flux_proxy") flux_workload[inv.params.at("Q")] += 1.0;
+      for (std::size_t i = 0; i < rec->count(); ++i) {
+        compute += rec->compute_us(i);
+        comm += rec->mpi_us(i);
+        if (inst == "flux_proxy") flux_workload[rec->param_at(i, "Q")] += 1.0;
       }
       measured[inst] = {compute, comm};
       invocation_counts[key] = static_cast<double>(rec->count());

@@ -1,6 +1,6 @@
 // Writing your own monitored component: the full PMM workflow for a
 // user-defined port type, mirroring §4.2's recipe — define the port,
-// implement the component, write the (mechanical) proxy from the header,
+// implement the component, write the (mechanical) proxy on core::ProxyOf,
 // wire TAU + Mastermind, extract the performance parameter, and fit a
 // model.
 //
@@ -48,30 +48,20 @@ class MatVecComponent final : public cca::Component, public MatVecPort {
 
 // --- 3. the proxy: same interface, monitored forward -------------------------
 // Mechanical given the header; "it is not difficult to envision proxy
-// creation being fully automated" (§4.2). The performance parameter here
-// is N (the matrix dimension) — chosen by "someone with a knowledge of
-// the algorithm": cost is O(N^2).
+// creation being fully automated" (§4.2). core::ProxyOf does the wiring;
+// the proxy names its port, the monitored method and its performance
+// parameter — here N (the matrix dimension), chosen by "someone with a
+// knowledge of the algorithm": cost is O(N^2).
 
-class MatVecProxy final : public cca::Component, public MatVecPort {
+class MatVecProxy final : public core::ProxyOf<MatVecPort> {
  public:
-  void setServices(cca::Services& svc) override {
-    svc_ = &svc;
-    svc.add_provides_port(cca::non_owning(static_cast<MatVecPort*>(this)),
-                          "matvec", "demo.MatVecPort");
-    svc.register_uses_port("matvec_real", "demo.MatVecPort");
-    svc.register_uses_port("monitor", "pmm.MonitorPort");
-  }
+  MatVecProxy() : ProxyOf("matvec", "demo.MatVecPort", {{"mv_proxy::apply()", {"N"}}}) {}
+
   void apply(const std::vector<double>& a, const std::vector<double>& x,
              std::vector<double>& y) override {
-    auto* monitor = svc_->get_port_as<core::MonitorPort>("monitor");
-    auto* real = svc_->get_port_as<MatVecPort>("matvec_real");
-    core::MonitoredScope scope(*monitor, "mv_proxy::apply()",
-                               {{"N", static_cast<double>(x.size())}});
-    real->apply(a, x, y);
+    monitored(0, {static_cast<double>(x.size())},
+              [&](MatVecPort& real) { real.apply(a, x, y); });
   }
-
- private:
-  cca::Services* svc_ = nullptr;
 };
 
 }  // namespace

@@ -335,7 +335,8 @@ if want tsan; then
   # queues, dedupe windows under the mailbox lock), the tree collectives
   # (per-rank hop slots at 64/129 ranks), the sharded load balancer, the
   # threaded-rank layer (work-stealing pool, sharded registries,
-  # lane-dispatched monitor, multi-threaded kernels), and the telemetry
+  # lane-dispatched monitor, proxies resolving their monitor once from
+  # pool lanes, multi-threaded kernels), and the telemetry
   # hub (shard rings under concurrent publishers racing the drainer
   # ServiceThread).
   cmake -B "${TSAN_DIR}" -S . -DCCAPERF_SANITIZE=thread >/dev/null
@@ -349,7 +350,7 @@ if want tsan; then
   "${TSAN_DIR}/tests/support/test_support" \
     --gtest_filter='ThreadPool.*:ServiceThread.*'
   "${TSAN_DIR}/tests/core/test_core" \
-    --gtest_filter='ThreadedMonitor.*:ThreadedGovernor.*'
+    --gtest_filter='ThreadedMonitor.*:ThreadedGovernor.*:ProxyContract.*'
   "${TSAN_DIR}/tests/core/test_telemetry_hub"
   "${TSAN_DIR}/tests/euler/test_euler" \
     --gtest_filter='KernelsMt.*:SimdDispatch.*:SimdKernels.*'

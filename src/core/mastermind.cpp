@@ -110,21 +110,6 @@ void Record::finish_row() {
   }
 }
 
-void Record::add(const Invocation& inv) {
-  // Resolve columns before opening the row so backfill targets completed
-  // rows only.
-  std::vector<std::pair<std::size_t, double>> pcols, ccols;
-  pcols.reserve(inv.params.size());
-  ccols.reserve(inv.counters.size());
-  for (const auto& [name, v] : inv.params) pcols.emplace_back(ensure_param_column(name), v);
-  for (const auto& [name, v] : inv.counters)
-    ccols.emplace_back(ensure_counter_column(name), v);
-  add_times(inv.wall_us, inv.mpi_us, inv.compute_us);
-  for (const auto& [col, v] : pcols) set_param(col, v);
-  for (const auto& [col, v] : ccols) set_counter(col, v);
-  finish_row();
-}
-
 // --- Record: consumption -----------------------------------------------------
 
 void Record::dump_csv(std::ostream& os) const {
@@ -208,21 +193,6 @@ StreamingFitSet& Record::attach_stream(const std::string& param, Metric metric,
   return *streams_.back().fit;
 }
 
-const std::vector<Invocation>& Record::invocations() const {
-  for (std::size_t i = rows_cache_.size(); i < count(); ++i) {
-    Invocation inv;
-    inv.wall_us = wall_[i];
-    inv.mpi_us = mpi_[i];
-    inv.compute_us = compute_[i];
-    for (const NamedColumn& c : params_)
-      if (!std::isnan(c.data[i])) inv.params[c.name] = c.data[i];
-    for (const NamedColumn& c : counters_)
-      if (!std::isnan(c.data[i])) inv.counters.emplace_back(c.name, c.data[i]);
-    rows_cache_.push_back(std::move(inv));
-  }
-  return rows_cache_;
-}
-
 // --- MastermindComponent -----------------------------------------------------
 
 tau::Registry& MastermindComponent::registry() {
@@ -270,15 +240,8 @@ MastermindComponent::Method& MastermindComponent::method_ref(MethodHandle h) {
   return methods_[h];
 }
 
+// Called with mu_ held on threaded ranks.
 MethodHandle MastermindComponent::intern_method(std::string_view key) {
-  if (threaded_) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return intern_method_unlocked(key);
-  }
-  return intern_method_unlocked(key);
-}
-
-MethodHandle MastermindComponent::intern_method_unlocked(std::string_view key) {
   const std::size_t n = methods_count_.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i)
     if (methods_[i].key == key) return static_cast<MethodHandle>(i);
@@ -296,9 +259,9 @@ MethodHandle MastermindComponent::register_method(
   CCAPERF_REQUIRE(param_names.size() <= kMaxMethodParams,
                   "Mastermind::register_method: too many parameters for '" +
                       method_key + "'");
-  const MethodHandle h = intern_method(method_key);
   std::unique_lock<std::mutex> lk;
   if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
+  const MethodHandle h = intern_method(method_key);
   Method& m = methods_[h];
   if (m.param_names.empty() && !param_names.empty()) {
     m.param_names = param_names;
@@ -319,14 +282,13 @@ MastermindComponent::Open& MastermindComponent::push_open(LaneState& lane,
   Open& o = lane.open[lane.depth++];
   o.method = h;
   o.n_params = 0;
-  o.extra_params.clear();  // keeps capacity: steady state allocates nothing
   return o;
 }
 
 void MastermindComponent::start(MethodHandle method, ParamSpan params) {
   const int lane = ccaperf::ThreadPool::current_lane();
   if (lane != 0) {
-    start_on_lane(method, params, nullptr, lane);
+    start_on_lane(method, params, lane);
     return;
   }
   // Self-overhead clock reads only when telemetry or the governor wants
@@ -362,7 +324,6 @@ void MastermindComponent::start(MethodHandle method, ParamSpan params) {
   if (o.sampled) {
     o.mpi_us_start = reg.group_inclusive_us(mpi_group_);
     reg.counters().read_values(o.counters_start);
-    o.gen_start = reg.generation();
   }
   if (!m.timer_resolved) {
     m.timer = reg.timer(m.key, "PROXY");
@@ -412,7 +373,6 @@ void MastermindComponent::stop(MethodHandle method) {
     rec.add_times(wall_us, mpi_us, wall_us - mpi_us);
     for (std::size_t i = 0; i < o.n_params; ++i)
       rec.set_param(m.param_cols[i], o.param_vals[i]);
-    for (const auto& [col, v] : o.extra_params) rec.set_param(col, v);
     if (threaded_) rec.set_param(m.thread_col, 0.0);
 
     reg.counters().read_values(counters_scratch_);
@@ -461,7 +421,7 @@ void MastermindComponent::stop(MethodHandle method) {
 }
 
 void MastermindComponent::start_on_lane(MethodHandle method, ParamSpan params,
-                                        const ParamMap* extra, int lane) {
+                                        int lane) {
   // Worker lanes never resolve ports or grow the lane table themselves:
   // the rank thread must have monitored (or at least resolved) once before
   // any in-region monitoring, so everything here is sized and immutable.
@@ -473,7 +433,7 @@ void MastermindComponent::start_on_lane(MethodHandle method, ParamSpan params,
   CCAPERF_REQUIRE(static_cast<std::size_t>(lane) < lanes_.size(),
                   "Mastermind::start: pool lane outside the measurement shard set");
   Method& m = method_ref(method);
-  CCAPERF_REQUIRE(extra != nullptr || params.size == m.param_names.size(),
+  CCAPERF_REQUIRE(params.size == m.param_names.size(),
                   "Mastermind::start: wrong parameter count for '" + m.key + "'");
   tau::Registry& sreg = shards_->shard(lane);
   LaneState& L = lanes_[lane];
@@ -483,9 +443,6 @@ void MastermindComponent::start_on_lane(MethodHandle method, ParamSpan params,
   o.mpi_us_start = 0.0;  // no MPI happens on worker lanes
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (extra != nullptr)
-      for (const auto& [name, v] : *extra)
-        o.extra_params.emplace_back(m.record->ensure_param_column(name), v);
     count_edge(L.depth >= 2 ? L.open[L.depth - 2].method : kInvalidMethodHandle,
                method);
   }
@@ -521,7 +478,6 @@ void MastermindComponent::stop_on_lane(MethodHandle method, int lane) {
   rec.add_times(wall_us, 0.0, wall_us);  // compute == wall off the rank thread
   for (std::size_t i = 0; i < o.n_params; ++i)
     rec.set_param(m.param_cols[i], o.param_vals[i]);
-  for (const auto& [col, v] : o.extra_params) rec.set_param(col, v);
   rec.set_param(m.thread_col, static_cast<double>(lane));
   // Hardware counters are rank-level state read on the rank thread only;
   // worker rows leave the counter columns NaN.
@@ -534,52 +490,6 @@ void MastermindComponent::stop_on_lane(MethodHandle method, int lane) {
   // Telemetry emission and generation retirement stay on lane 0; worker
   // rows still count toward the emission interval.
   if (telem_sink_ != nullptr) ++telem_records_;
-}
-
-void MastermindComponent::start(const std::string& method_key, const ParamMap& params) {
-  const int lane = ccaperf::ThreadPool::current_lane();
-  if (lane != 0) {
-    start_on_lane(intern_method(method_key), ParamSpan{}, &params, lane);
-    return;
-  }
-  const bool acct = telem_sink_ != nullptr || gov_ != nullptr;
-  const tau::Clock::time_point t0 = acct ? tau::Clock::now() : tau::Clock::time_point{};
-  tau::Registry& reg = registry();
-  const MethodHandle h = intern_method(method_key);
-  Method& m = method_ref(h);
-  LaneState& L = lanes_[0];
-  Open& o = push_open(L, h);
-  const MethodHandle caller =
-      L.depth >= 2 ? L.open[L.depth - 2].method : kInvalidMethodHandle;
-  if (threaded_) {
-    std::lock_guard<std::mutex> lk(mu_);
-    count_edge(caller, h);
-    o.sampled = sample_decision(++m.calls_seen);
-    if (o.sampled)
-      for (const auto& [name, v] : params)
-        o.extra_params.emplace_back(m.record->ensure_param_column(name), v);
-  } else {
-    count_edge(caller, h);
-    o.sampled = sample_decision(++m.calls_seen);
-    if (o.sampled)
-      for (const auto& [name, v] : params)
-        o.extra_params.emplace_back(m.record->ensure_param_column(name), v);
-  }
-  if (o.sampled) {
-    o.mpi_us_start = reg.group_inclusive_us(mpi_group_);
-    reg.counters().read_values(o.counters_start);
-    o.gen_start = reg.generation();
-  }
-  if (!m.timer_resolved) {
-    m.timer = reg.timer(m.key, "PROXY");
-    m.timer_resolved = true;
-  }
-  reg.start(m.timer);
-  if (acct) telem_self_us_ += us_between(t0, tau::Clock::now());
-}
-
-void MastermindComponent::stop(const std::string& method_key) {
-  stop(intern_method(method_key));
 }
 
 // --- telemetry ---------------------------------------------------------------
@@ -755,10 +665,9 @@ void MastermindComponent::set_counter_stride_actuator(
 
 void MastermindComponent::set_boundary_hook(const std::string& method_key,
                                             std::function<void()> fn) {
-  const MethodHandle h = intern_method(method_key);
   std::unique_lock<std::mutex> lk;
   if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
-  boundary_method_ = h;
+  boundary_method_ = intern_method(method_key);
   boundary_hook_ = std::move(fn);
 }
 

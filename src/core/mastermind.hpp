@@ -15,8 +15,8 @@
 // counter lives in its own chunked append-only column, so the per-call
 // append is a handful of doubles pushed into pre-grown chunks — no
 // per-invocation structs, maps or strings — and dump_csv/samples stream a
-// column instead of walking heap-heavy rows. The row-oriented Invocation
-// view survives as a materialized compatibility cache.
+// column instead of walking heap-heavy rows. Readers index rows through
+// the columnar accessors (wall_us(i), param_at(i, name), ...).
 
 #include <cmath>
 #include <atomic>
@@ -65,18 +65,9 @@ class ChunkedColumn {
   std::size_t size_ = 0;
 };
 
-/// One monitored method call — the row-oriented *view* of a Record, kept
-/// for compatibility with pre-columnar callers (see Record::invocations).
-struct Invocation {
-  ParamMap params;
-  double wall_us = 0.0;
-  double mpi_us = 0.0;
-  double compute_us = 0.0;  ///< wall - mpi (requirement 3 of §3.2)
-  std::vector<std::pair<std::string, double>> counters;  ///< hw metric deltas
-};
-
-/// All invocations of one monitored method, stored column-wise. Absent
-/// values (a parameter or counter that did not apply to a row) are NaN.
+/// All invocations of one monitored method, stored column-wise: one row
+/// per call. compute = wall - mpi (requirement 3 of §3.2). Absent values
+/// (a parameter or counter that did not apply to a row) are NaN.
 class Record {
  public:
   explicit Record(std::string method) : method_(std::move(method)) {}
@@ -113,9 +104,6 @@ class Record {
   void set_counter(std::size_t column, double value);
   void finish_row();
 
-  /// Row-oriented convenience append (the pre-columnar API).
-  void add(const Invocation& inv);
-
   // --- consumption -----------------------------------------------------------
 
   /// CSV: one row per invocation; params and counters become columns.
@@ -138,10 +126,6 @@ class Record {
   /// time). Returns a reference stable for the Record's lifetime.
   StreamingFitSet& attach_stream(const std::string& param, Metric metric,
                                  int max_poly_degree = 2);
-
-  /// Row-oriented view, materialized lazily and extended incrementally.
-  /// Prefer the columnar accessors on hot paths.
-  const std::vector<Invocation>& invocations() const;
 
  private:
   struct NamedColumn {
@@ -167,7 +151,6 @@ class Record {
   std::vector<NamedColumn> counters_;
   std::vector<Stream> streams_;
   bool in_row_ = false;
-  mutable std::vector<Invocation> rows_cache_;  // invocations() shim
 };
 
 class MastermindComponent final : public cca::Component,
@@ -183,15 +166,11 @@ class MastermindComponent final : public cca::Component,
     svc.register_uses_port("measurement", "pmm.MeasurementPort");
   }
 
-  // Handle fast path (allocation-free in steady state).
+  // pmm.MonitorPort (allocation-free in steady state).
   MethodHandle register_method(const std::string& method_key,
                                const std::vector<std::string>& param_names) override;
   void start(MethodHandle method, ParamSpan params) override;
   void stop(MethodHandle method) override;
-
-  // String-keyed compatibility shim over the same records.
-  void start(const std::string& method_key, const ParamMap& params) override;
-  void stop(const std::string& method_key) override;
 
   // Live telemetry (pmm.TelemetryPort).
   void start_telemetry(std::ostream& sink, std::uint64_t interval_records) override;
@@ -285,7 +264,7 @@ class MastermindComponent final : public cca::Component,
  private:
   struct Method {
     std::string key;
-    std::vector<std::string> param_names;   ///< handle-path positional names
+    std::vector<std::string> param_names;   ///< positional parameter names
     std::vector<std::size_t> param_cols;    ///< record columns, same order
     std::unique_ptr<Record> record;
     tau::TimerId timer = 0;
@@ -318,10 +297,7 @@ class MastermindComponent final : public cca::Component,
     MethodHandle method = kInvalidMethodHandle;
     double param_vals[kMaxMethodParams] = {};
     std::uint32_t n_params = 0;
-    /// Shim-path parameters (arbitrary names): (record column, value).
-    std::vector<std::pair<std::size_t, double>> extra_params;
     double mpi_us_start = 0.0;
-    tau::Generation gen_start = 0;
     std::vector<std::uint64_t> counters_start;
     /// False when monitor sampling elides this activation's row (the timer
     /// still runs; snapshots and the record append are skipped).
@@ -332,7 +308,7 @@ class MastermindComponent final : public cca::Component,
   /// lanes get their own stacks so monitored calls inside a parallel
   /// region nest independently (each lane only touches its own state).
   struct LaneState {
-    std::vector<Open> open;  // pooled, like the old open_
+    std::vector<Open> open;  // pooled
     std::size_t depth = 0;
   };
 
@@ -340,13 +316,11 @@ class MastermindComponent final : public cca::Component,
   tau::Registry& resolve_measurement();
   void init_method_lane_state(Method& m);
   MethodHandle intern_method(std::string_view key);
-  MethodHandle intern_method_unlocked(std::string_view key);
   Method& method_ref(MethodHandle h);
   Open& push_open(LaneState& lane, MethodHandle h);
   void refresh_counter_columns(Method& m);
   void count_edge(MethodHandle caller, MethodHandle callee);
-  void start_on_lane(MethodHandle method, ParamSpan params, const ParamMap* extra,
-                     int lane);
+  void start_on_lane(MethodHandle method, ParamSpan params, int lane);
   void stop_on_lane(MethodHandle method, int lane);
   void emit_telemetry_unlocked();
   /// Deterministic 1-in-N monitor sampling decision for the n-th seen call.

@@ -9,18 +9,15 @@
 //  * the Mastermind provides MonitorPort, owns the per-method Records and
 //    builds models (§4.3).
 //
-// MonitorPort has two call surfaces. The original string-keyed start/stop
-// builds a ParamMap per invocation — simple, but it allocates map nodes and
-// hashes names on the very path whose cost must stay invisible (§3.2
-// requirement 2). The handle surface fixes that: a proxy registers each
-// monitored method once (register_method interns the key and its parameter
-// names), then reports invocations by MethodHandle with the parameter
-// values in a stack-resident ParamSpan — no allocation, no string hashing.
-// The string surface remains as a compatibility shim over the same records.
+// Monitoring must stay invisible on the very path it measures (§3.2
+// requirement 2), so MonitorPort moves all naming to registration time: a
+// proxy registers each monitored method once (register_method interns the
+// key and its parameter names), then reports invocations by MethodHandle
+// with the parameter values in a stack-resident ParamSpan — no allocation,
+// no string hashing per call.
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -33,12 +30,6 @@ class RegistryShards;
 
 namespace core {
 
-/// Performance-relevant parameters extracted by a proxy before forwarding
-/// an invocation (e.g. {"Q": array size, "mode": 0/1 for seq/strided}).
-/// "These parameters must be selected by someone with a knowledge of the
-/// algorithm implemented in the component."
-using ParamMap = std::map<std::string, double>;
-
 /// Interned identity of a monitored method (dense index, valid for the
 /// lifetime of the MonitorPort provider that issued it).
 using MethodHandle = std::uint32_t;
@@ -48,9 +39,13 @@ inline constexpr MethodHandle kInvalidMethodHandle = 0xffffffffu;
 /// The paper's proxies extract at most two (Q and mode / level and cells).
 inline constexpr std::size_t kMaxMethodParams = 4;
 
-/// Non-owning view of the parameter values for one invocation, positionally
-/// keyed by the names passed to register_method. Values are copied during
-/// start(), so a stack array is the intended storage ({} for no params).
+/// Non-owning view of the performance-relevant parameter values a proxy
+/// extracts before forwarding one invocation (e.g. Q = array size, mode =
+/// 0/1 for sequential/strided) — "these parameters must be selected by
+/// someone with a knowledge of the algorithm implemented in the component."
+/// Positionally keyed by the names passed to register_method. Values are
+/// copied during start(), so a stack array is the intended storage ({} for
+/// no params).
 struct ParamSpan {
   const double* data = nullptr;
   std::size_t size = 0;
@@ -77,11 +72,9 @@ class MeasurementPort : public cca::Port {
 /// is forwarded; stop() after it returns. Nesting is allowed (LIFO).
 class MonitorPort : public cca::Port {
  public:
-  // --- handle fast path ------------------------------------------------------
-
-  /// Interns `method_key` (which doubles as the method's TAU timer name)
-  /// and its parameter names; idempotent for a given key. Resolve once at
-  /// wiring time, then report invocations through the handle overloads.
+  /// Interns `method_key` (which doubles as the method's TAU timer name,
+  /// e.g. "sc_proxy::compute()") and its parameter names; idempotent for a
+  /// given key. Resolve once, then report invocations by handle.
   virtual MethodHandle register_method(const std::string& method_key,
                                        const std::vector<std::string>& param_names) = 0;
 
@@ -89,13 +82,6 @@ class MonitorPort : public cca::Port {
   /// parameter name, in registration order.
   virtual void start(MethodHandle method, ParamSpan params) = 0;
   virtual void stop(MethodHandle method) = 0;
-
-  // --- string-keyed compatibility shim ---------------------------------------
-
-  /// `method_key` identifies the monitored method and doubles as its TAU
-  /// timer name (e.g. "sc_proxy::compute()").
-  virtual void start(const std::string& method_key, const ParamMap& params) = 0;
-  virtual void stop(const std::string& method_key) = 0;
 };
 
 /// Live telemetry out of the Mastermind: while active, one JSON object per

@@ -13,14 +13,12 @@
 // Each proxy extracts its component's performance parameters (array size
 // Q, access mode, hierarchy level) before forwarding — §3.2 requirement 4.
 //
-// The proxies are mechanical: same ports, one monitored forward per
-// method — "it is not difficult to envision proxy creation being fully
-// automated." Each proxy resolves the monitor port and registers its
-// method keys ONCE (lazily, on first invocation — wiring completes after
-// setServices), then reports every call through the allocation-free
-// MethodHandle/ParamSpan surface; the monitored component itself is still
-// fetched per call so reconnection (candidate swapping, §6) keeps working.
+// The proxies are mechanical — "it is not difficult to envision proxy
+// creation being fully automated" — so the wiring lives once, in ProxyOf:
+// a concrete proxy only lists its monitored methods and, per method, the
+// parameter values it extracts before forwarding.
 
+#include <initializer_list>
 #include <mutex>
 
 #include "components/lu_workload.hpp"
@@ -29,26 +27,8 @@
 
 namespace core {
 
-/// RAII monitor bracket over the string-keyed MonitorPort surface. Kept
-/// for hand-written/out-of-tree proxies; the generated proxies below use
-/// the handle fast path.
-class MonitoredScope {
- public:
-  MonitoredScope(MonitorPort& monitor, const char* key, const ParamMap& params)
-      : monitor_(monitor), key_(key) {
-    monitor_.start(key_, params);
-  }
-  ~MonitoredScope() { monitor_.stop(key_); }
-  MonitoredScope(const MonitoredScope&) = delete;
-  MonitoredScope& operator=(const MonitoredScope&) = delete;
-
- private:
-  MonitorPort& monitor_;
-  const char* key_;
-};
-
-/// RAII monitor bracket over the handle fast path: parameter values live
-/// in a caller-owned stack array; start/stop never allocate.
+/// RAII monitor bracket: parameter values live in a caller-owned stack
+/// array; start/stop never allocate.
 class MonitoredHandleScope {
  public:
   MonitoredHandleScope(MonitorPort& monitor, MethodHandle method, ParamSpan params)
@@ -64,200 +44,158 @@ class MonitoredHandleScope {
   MethodHandle method_;
 };
 
-/// Proxy for the States component ("sc_proxy"). Performance parameters:
-/// Q = input array size (cells incl. ghosts), mode = 0 sequential / 1 strided.
-class StatesProxy final : public cca::Component, public components::StatesPort {
+/// One monitored method of a proxied port: its timer key and the names of
+/// the performance parameters the proxy extracts, in reporting order.
+struct ProxiedMethod {
+  std::string key;
+  std::vector<std::string> params;
+};
+
+/// The generic proxy for `Port`: provides `Port` as `port_name`, uses the
+/// real provider as "<port_name>_real" and the Mastermind as "monitor".
+/// The monitor is resolved and every method registered once, on the first
+/// invocation (wiring completes after setServices, and that first call may
+/// land inside a parallel region where several lanes race). The real
+/// provider is fetched per call, so Framework::reconnect keeps working
+/// (candidate swapping, §6).
+template <class Port>
+class ProxyOf : public cca::Component, public Port {
  public:
-  void setServices(cca::Services& svc) override {
+  ProxyOf(std::string port_name, std::string port_type,
+          std::vector<ProxiedMethod> methods)
+      : port_name_(std::move(port_name)),
+        real_name_(port_name_ + "_real"),
+        port_type_(std::move(port_type)),
+        methods_(std::move(methods)) {}
+
+  void setServices(cca::Services& svc) final {
     svc_ = &svc;
-    svc.add_provides_port(cca::non_owning(static_cast<StatesPort*>(this)),
-                          "states", "euler.StatesPort");
-    svc.register_uses_port("states_real", "euler.StatesPort");
+    svc.add_provides_port(cca::non_owning(static_cast<Port*>(this)), port_name_,
+                          port_type_);
+    svc.register_uses_port(real_name_, port_type_);
     svc.register_uses_port("monitor", "pmm.MonitorPort");
   }
+
+ protected:
+  Port& real() const { return *svc_->get_port_as<Port>(real_name_); }
+
+  /// Returns `call(real())`, monitored as methods[method] with one value
+  /// per registered parameter name.
+  template <class Call>
+  decltype(auto) monitored(std::size_t method, std::initializer_list<double> params,
+                           Call&& call) {
+    std::call_once(once_, [this] {
+      monitor_ = svc_->get_port_as<MonitorPort>("monitor");
+      for (const ProxiedMethod& m : methods_)
+        handles_.push_back(monitor_->register_method(m.key, m.params));
+    });
+    Port& target = real();
+    MonitoredHandleScope scope(*monitor_, handles_[method],
+                               ParamSpan(params.begin(), params.size()));
+    return call(target);
+  }
+
+ private:
+  std::string port_name_, real_name_, port_type_;
+  std::vector<ProxiedMethod> methods_;
+  cca::Services* svc_ = nullptr;
+  std::once_flag once_;
+  MonitorPort* monitor_ = nullptr;
+  std::vector<MethodHandle> handles_;  ///< parallel to methods_
+};
+
+/// Proxy for the States component ("sc_proxy"). Performance parameters:
+/// Q = input array size (cells incl. ghosts), mode = 0 sequential / 1 strided.
+class StatesProxy final : public ProxyOf<components::StatesPort> {
+ public:
+  StatesProxy()
+      : ProxyOf("states", "euler.StatesPort", {{"sc_proxy::compute()", {"Q", "mode"}}}) {}
 
   euler::KernelCounts compute(const amr::PatchData<double>& u,
                               const amr::Box& interior, euler::Dir dir,
                               euler::Array2& left, euler::Array2& right) override {
-    // call_once: the first compute() may land inside a parallel region,
-    // where several lanes race to resolve the monitor.
-    std::call_once(once_, [this] {
-      monitor_ = svc_->get_port_as<MonitorPort>("monitor");
-      method_ = monitor_->register_method("sc_proxy::compute()", {"Q", "mode"});
-    });
-    auto* real = svc_->get_port_as<StatesPort>("states_real");
-    const double params[2] = {static_cast<double>(u.pts_per_comp()),
-                              dir == euler::Dir::x ? 0.0 : 1.0};
-    MonitoredHandleScope scope(*monitor_, method_, ParamSpan(params, 2));
-    return real->compute(u, interior, dir, left, right);
+    return monitored(0,
+                     {static_cast<double>(u.pts_per_comp()),
+                      dir == euler::Dir::x ? 0.0 : 1.0},
+                     [&](StatesPort& s) { return s.compute(u, interior, dir, left, right); });
   }
-
- private:
-  cca::Services* svc_ = nullptr;
-  std::once_flag once_;
-  MonitorPort* monitor_ = nullptr;
-  MethodHandle method_ = kInvalidMethodHandle;
 };
 
 /// Proxy for a FluxPort implementation. The timer key is chosen at
 /// construction ("g_proxy::compute()" for GodunovFlux,
 /// "efm_proxy::compute()" for EFMFlux). Q = faces * ncomp of the input
 /// state arrays (the "array size" handed to the flux component).
-class FluxProxy final : public cca::Component, public components::FluxPort {
+class FluxProxy final : public ProxyOf<components::FluxPort> {
  public:
-  explicit FluxProxy(std::string timer_key) : key_(std::move(timer_key)) {}
-
-  void setServices(cca::Services& svc) override {
-    svc_ = &svc;
-    svc.add_provides_port(cca::non_owning(static_cast<FluxPort*>(this)), "flux",
-                          "euler.FluxPort");
-    svc.register_uses_port("flux_real", "euler.FluxPort");
-    svc.register_uses_port("monitor", "pmm.MonitorPort");
-  }
+  explicit FluxProxy(std::string timer_key)
+      : ProxyOf("flux", "euler.FluxPort", {{std::move(timer_key), {"Q", "mode"}}}) {}
 
   euler::KernelCounts compute(const euler::Array2& left, const euler::Array2& right,
                               euler::Dir dir, euler::Array2& flux) override {
-    std::call_once(once_, [this] {
-      monitor_ = svc_->get_port_as<MonitorPort>("monitor");
-      method_ = monitor_->register_method(key_, {"Q", "mode"});
-    });
-    auto* real = svc_->get_port_as<FluxPort>("flux_real");
-    const double params[2] = {
-        static_cast<double>(static_cast<std::size_t>(left.nx()) * left.ny()),
-        dir == euler::Dir::x ? 0.0 : 1.0};
-    MonitoredHandleScope scope(*monitor_, method_, ParamSpan(params, 2));
-    return real->compute(left, right, dir, flux);
+    return monitored(
+        0,
+        {static_cast<double>(static_cast<std::size_t>(left.nx()) * left.ny()),
+         dir == euler::Dir::x ? 0.0 : 1.0},
+        [&](FluxPort& f) { return f.compute(left, right, dir, flux); });
   }
 
-  std::string method_name() const override {
-    return svc_->get_port_as<FluxPort>("flux_real")->method_name();
-  }
-  double accuracy() const override {
-    return svc_->get_port_as<FluxPort>("flux_real")->accuracy();
-  }
-
- private:
-  std::string key_;
-  cca::Services* svc_ = nullptr;
-  std::once_flag once_;
-  MonitorPort* monitor_ = nullptr;
-  MethodHandle method_ = kInvalidMethodHandle;
+  std::string method_name() const override { return real().method_name(); }
+  double accuracy() const override { return real().accuracy(); }
 };
 
 /// Proxy for AMRMesh ("icc_proxy"), capturing the message-passing costs:
 /// each monitored invocation's MPI time is the Fig. 9 data. Parameters:
 /// level, and the level's total cells.
-class AMRMeshProxy final : public cca::Component, public components::MeshPort {
+class AMRMeshProxy final : public ProxyOf<components::MeshPort> {
  public:
-  void setServices(cca::Services& svc) override {
-    svc_ = &svc;
-    svc.add_provides_port(cca::non_owning(static_cast<MeshPort*>(this)), "mesh",
-                          "amr.MeshPort");
-    svc.register_uses_port("mesh_real", "amr.MeshPort");
-    svc.register_uses_port("monitor", "pmm.MonitorPort");
-  }
+  AMRMeshProxy()
+      : ProxyOf("mesh", "amr.MeshPort",
+                {{"icc_proxy::initialize()", {}},
+                 {"icc_proxy::ghost_update()", {"level", "cells"}},
+                 {"icc_proxy::prolong()", {"level", "cells"}},
+                 {"icc_proxy::restrict()", {"level", "cells"}},
+                 {"icc_proxy::regrid()", {}}}) {}
 
-  amr::Hierarchy& hierarchy() override { return real()->hierarchy(); }
+  amr::Hierarchy& hierarchy() override { return real().hierarchy(); }
 
   void initialize() override {
-    MonitorPort& m = *monitor();  // resolves handles on first use
-    MonitoredHandleScope scope(m, h_initialize_, {});
-    real()->initialize();
+    monitored(kInitialize, {}, [](MeshPort& m) { m.initialize(); });
   }
-
   amr::ExchangeStats ghost_update(int level) override {
-    MonitorPort& m = *monitor();
-    double params[2];
-    level_params(level, params);
-    MonitoredHandleScope scope(m, h_ghost_update_, ParamSpan(params, 2));
-    return real()->ghost_update(level);
+    return monitored(kGhostUpdate, {static_cast<double>(level), cells(level)},
+                     [&](MeshPort& m) { return m.ghost_update(level); });
   }
-
   void prolong(int level) override {
-    MonitorPort& m = *monitor();
-    double params[2];
-    level_params(level, params);
-    MonitoredHandleScope scope(m, h_prolong_, ParamSpan(params, 2));
-    real()->prolong(level);
+    monitored(kProlong, {static_cast<double>(level), cells(level)},
+              [&](MeshPort& m) { m.prolong(level); });
   }
-
   void restrict_level(int fine_level) override {
-    MonitorPort& m = *monitor();
-    double params[2];
-    level_params(fine_level, params);
-    MonitoredHandleScope scope(m, h_restrict_, ParamSpan(params, 2));
-    real()->restrict_level(fine_level);
+    monitored(kRestrict, {static_cast<double>(fine_level), cells(fine_level)},
+              [&](MeshPort& m) { m.restrict_level(fine_level); });
   }
-
   void regrid() override {
-    MonitorPort& m = *monitor();
-    MonitoredHandleScope scope(m, h_regrid_, {});
-    real()->regrid();
+    monitored(kRegrid, {}, [](MeshPort& m) { m.regrid(); });
   }
 
  private:
-  components::MeshPort* real() {
-    return svc_->get_port_as<components::MeshPort>("mesh_real");
-  }
-  MonitorPort* monitor() {
-    std::call_once(once_, [this] {
-      monitor_ = svc_->get_port_as<MonitorPort>("monitor");
-      h_initialize_ = monitor_->register_method("icc_proxy::initialize()", {});
-      h_ghost_update_ =
-          monitor_->register_method("icc_proxy::ghost_update()", {"level", "cells"});
-      h_prolong_ =
-          monitor_->register_method("icc_proxy::prolong()", {"level", "cells"});
-      h_restrict_ =
-          monitor_->register_method("icc_proxy::restrict()", {"level", "cells"});
-      h_regrid_ = monitor_->register_method("icc_proxy::regrid()", {});
-    });
-    return monitor_;
-  }
-  void level_params(int level, double out[2]) {
-    amr::Hierarchy& h = real()->hierarchy();
-    out[0] = static_cast<double>(level);
-    out[1] = static_cast<double>(h.level(level).total_cells());
-  }
+  enum : std::size_t { kInitialize, kGhostUpdate, kProlong, kRestrict, kRegrid };
 
-  cca::Services* svc_ = nullptr;
-  std::once_flag once_;
-  MonitorPort* monitor_ = nullptr;
-  MethodHandle h_initialize_ = kInvalidMethodHandle;
-  MethodHandle h_ghost_update_ = kInvalidMethodHandle;
-  MethodHandle h_prolong_ = kInvalidMethodHandle;
-  MethodHandle h_restrict_ = kInvalidMethodHandle;
-  MethodHandle h_regrid_ = kInvalidMethodHandle;
+  double cells(int level) const {
+    return static_cast<double>(real().hierarchy().level(level).total_cells());
+  }
 };
 
 /// Proxy for the dense-LU workload ("lu_proxy") — the HPL-style scenario
 /// the TelemetryHub soaks alongside AMR sessions. Performance parameters:
 /// N (matrix order) and the panel block width.
-class LuProxy final : public cca::Component, public components::LuPort {
+class LuProxy final : public ProxyOf<components::LuPort> {
  public:
-  void setServices(cca::Services& svc) override {
-    svc_ = &svc;
-    svc.add_provides_port(cca::non_owning(static_cast<LuPort*>(this)), "lu",
-                          "hpl.LuPort");
-    svc.register_uses_port("lu_real", "hpl.LuPort");
-    svc.register_uses_port("monitor", "pmm.MonitorPort");
-  }
+  LuProxy() : ProxyOf("lu", "hpl.LuPort", {{"lu_proxy::factor()", {"N", "block"}}}) {}
 
   components::LuResult factor(int n, int block, std::uint64_t seed) override {
-    std::call_once(once_, [this] {
-      monitor_ = svc_->get_port_as<MonitorPort>("monitor");
-      method_ = monitor_->register_method("lu_proxy::factor()", {"N", "block"});
-    });
-    auto* real = svc_->get_port_as<components::LuPort>("lu_real");
-    const double params[2] = {static_cast<double>(n), static_cast<double>(block)};
-    MonitoredHandleScope scope(*monitor_, method_, ParamSpan(params, 2));
-    return real->factor(n, block, seed);
+    return monitored(0, {static_cast<double>(n), static_cast<double>(block)},
+                     [&](LuPort& lu) { return lu.factor(n, block, seed); });
   }
-
- private:
-  cca::Services* svc_ = nullptr;
-  std::once_flag once_;
-  MonitorPort* monitor_ = nullptr;
-  MethodHandle method_ = kInvalidMethodHandle;
 };
 
 }  // namespace core

@@ -96,11 +96,10 @@ TEST(LuWorkload, ProxyReportsMonitoredRecords) {
   ASSERT_NE(mm, nullptr);
   const core::Record* rec = mm->record("lu_proxy::factor()");
   ASSERT_NE(rec, nullptr);
-  const auto rows = rec->invocations();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].params.at("N"), 48.0);
-  EXPECT_EQ(rows[0].params.at("block"), 12.0);
-  EXPECT_GT(rows[0].wall_us, 0.0);
+  ASSERT_EQ(rec->count(), 1u);
+  EXPECT_EQ(rec->param_at(0, "N"), 48.0);
+  EXPECT_EQ(rec->param_at(0, "block"), 12.0);
+  EXPECT_GT(rec->wall_us(0), 0.0);
 }
 
 }  // namespace

@@ -120,8 +120,7 @@ TEST(InstrumentedApp, RecursiveSequenceMatchesPaper) {
                   rec->count(),
               rec->count() * 2u - 2u);  // prolong on l>0 visits only
     std::map<double, int> per_level;
-    for (const auto& inv : rec->invocations())
-      ++per_level[inv.params.at("level")];
+    for (std::size_t i = 0; i < rec->count(); ++i) ++per_level[rec->param_at(i, "level")];
     ASSERT_EQ(per_level.size(), 3u);
     EXPECT_EQ(per_level[0.0], 2);
     EXPECT_EQ(per_level[1.0], 4);
@@ -149,8 +148,7 @@ TEST(InstrumentedApp, StatesRecordSupportsModelFitting) {
     const double q_lo = ms.bins.front().q, q_hi = ms.bins.back().q;
     EXPECT_GT(ms.mean->predict(q_hi), ms.mean->predict(q_lo));
     // States does no message passing (paper §5).
-    for (const auto& inv : rec->invocations())
-      EXPECT_NEAR(inv.mpi_us, 0.0, 50.0);
+    for (std::size_t i = 0; i < rec->count(); ++i) EXPECT_NEAR(rec->mpi_us(i), 0.0, 50.0);
   });
 }
 
@@ -171,9 +169,9 @@ TEST(InstrumentedApp, DualGraphFromRealRun) {
       if (it == keys.end()) return {0.0, 0.0};
       const core::Record* rec = mm->record(it->second);
       double compute = 0.0, comm = 0.0;
-      for (const auto& inv : rec->invocations()) {
-        compute += inv.compute_us;
-        comm += inv.mpi_us;
+      for (std::size_t i = 0; i < rec->count(); ++i) {
+        compute += rec->compute_us(i);
+        comm += rec->mpi_us(i);
       }
       return {compute, comm};
     };
@@ -203,8 +201,7 @@ TEST(InstrumentedApp, MpiGroupDisableZerosRecordedMpiTime) {
     app.fw().services("driver").provided_as<components::GoPort>("go")->go();
     const core::Record* rec = app.mastermind->record("icc_proxy::ghost_update()");
     ASSERT_NE(rec, nullptr);
-    for (const auto& inv : rec->invocations())
-      EXPECT_DOUBLE_EQ(inv.mpi_us, 0.0);
+    for (std::size_t i = 0; i < rec->count(); ++i) EXPECT_DOUBLE_EQ(rec->mpi_us(i), 0.0);
   });
 }
 

@@ -1,7 +1,7 @@
 // Handle-based monitoring fast path: register_method/ParamSpan reporting,
-// equivalence with the string-keyed shim, columnar Record accessors,
-// counter-named samples(), attached streaming fits, and the streaming
-// accumulators matching batch re-fits to 1e-9 relative.
+// columnar Record accessors, counter-named samples(), attached streaming
+// fits, and the streaming accumulators matching batch re-fits to 1e-9
+// relative.
 
 #include <gtest/gtest.h>
 
@@ -57,7 +57,7 @@ TEST(MonitorHotpath, HandlePathRecordsParamsAndTimes) {
     EXPECT_GE(rec->wall_us(i), 0.0);
     EXPECT_NEAR(rec->compute_us(i), rec->wall_us(i) - rec->mpi_us(i), 1e-9);
   }
-  // The handle path creates the same PROXY timer the string path would.
+  // The method key doubles as its PROXY-group TAU timer.
   tau::Registry& reg = rig.tau->registry();
   ASSERT_TRUE(reg.has_timer("hp::f()"));
   EXPECT_EQ(reg.calls(reg.timer("hp::f()")), 3u);
@@ -96,35 +96,25 @@ TEST(MonitorHotpath, MismatchedHandleStopThrows) {
   EXPECT_THROW(mon->stop(b), ccaperf::Error);
 }
 
-// Regression: the string-keyed surface still works and shares the record
-// with the handle surface — mixing the two on one method key is legal.
-TEST(MonitorHotpath, StringShimSharesRecordWithHandlePath) {
+// A method first registered without parameters may name them later: the
+// new columns read NaN on the earlier rows, and samples() skips those.
+TEST(MonitorHotpath, LateParamColumnIsNaNOnEarlierRows) {
   Rig rig;
   core::MonitorPort* mon = rig.mm;
-  const core::MethodHandle h = mon->register_method("hp::mix()", {"Q"});
-
-  const double q1 = 10.0;
-  mon->start(h, core::ParamSpan(&q1, 1));
+  const core::MethodHandle h = mon->register_method("hp::late()", {});
+  mon->start(h, {});
   mon->stop(h);
-  mon->start("hp::mix()", {{"Q", 20.0}, {"extra", 5.0}});
-  mon->stop("hp::mix()");
+  ASSERT_EQ(mon->register_method("hp::late()", {"Q"}), h);
+  const double q = 20.0;
+  mon->start(h, core::ParamSpan(&q, 1));
+  mon->stop(h);
 
-  const core::Record* rec = rig.mm->record("hp::mix()");
+  const core::Record* rec = rig.mm->record("hp::late()");
   ASSERT_NE(rec, nullptr);
   ASSERT_EQ(rec->count(), 2u);
-  EXPECT_DOUBLE_EQ(rec->param_at(0, "Q"), 10.0);
+  EXPECT_TRUE(std::isnan(rec->param_at(0, "Q")));
   EXPECT_DOUBLE_EQ(rec->param_at(1, "Q"), 20.0);
-  // "extra" only exists on the shim row; the handle row reads NaN.
-  EXPECT_TRUE(std::isnan(rec->param_at(0, "extra")));
-  EXPECT_DOUBLE_EQ(rec->param_at(1, "extra"), 5.0);
-  // The row-oriented view agrees.
-  const auto& invs = rec->invocations();
-  ASSERT_EQ(invs.size(), 2u);
-  EXPECT_EQ(invs[0].params.count("extra"), 0u);
-  EXPECT_DOUBLE_EQ(invs[1].params.at("extra"), 5.0);
-  // samples() skips the row lacking the parameter.
-  EXPECT_EQ(rec->samples("extra").size(), 1u);
-  EXPECT_EQ(rec->samples("Q").size(), 2u);
+  EXPECT_EQ(rec->samples("Q").size(), 1u);
 }
 
 TEST(MonitorHotpath, NestedHandleCallsCountEdges) {

@@ -1,14 +1,22 @@
 // Proxies: identical-interface interception, parameter extraction,
-// forwarding fidelity (bit-identical results), and the AMRMesh proxy's
-// per-level communication records.
+// forwarding fidelity (bit-identical results), the AMRMesh proxy's
+// per-level communication records, and the proxy contract — the exact
+// method keys, parameter names, TAU group, call edges and CSV headers
+// that Fig. 3, the CSV dumps and the session workloads key off.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <sstream>
+#include <tuple>
 
 #include "components/amrmesh_component.hpp"
 #include "components/flux_components.hpp"
 #include "components/states_component.hpp"
 #include "core/instrumented_app.hpp"
 #include "mpp/runtime.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -113,9 +121,9 @@ TEST(StatesProxy, ExtractsArraySizeAndMode) {
   ASSERT_NE(rec, nullptr);
   ASSERT_EQ(rec->count(), 2u);
   // Q = input array cells including ghosts: (16+4)*(8+4).
-  EXPECT_DOUBLE_EQ(rec->invocations()[0].params.at("Q"), 20.0 * 12.0);
-  EXPECT_DOUBLE_EQ(rec->invocations()[0].params.at("mode"), 0.0);
-  EXPECT_DOUBLE_EQ(rec->invocations()[1].params.at("mode"), 1.0);
+  EXPECT_DOUBLE_EQ(rec->param_at(0, "Q"), 20.0 * 12.0);
+  EXPECT_DOUBLE_EQ(rec->param_at(0, "mode"), 0.0);
+  EXPECT_DOUBLE_EQ(rec->param_at(1, "mode"), 1.0);
   // Timer appears under the paper's name.
   EXPECT_TRUE(rig.tau->registry().has_timer("sc_proxy::compute()"));
 }
@@ -145,8 +153,7 @@ TEST(FluxProxy, ForwardsAndRecords) {
 
   const core::Record* rec = rig.mm->record("g_proxy::compute()");
   ASSERT_NE(rec, nullptr);
-  EXPECT_DOUBLE_EQ(rec->invocations()[0].params.at("Q"),
-                   static_cast<double>(nx) * ny);
+  EXPECT_DOUBLE_EQ(rec->param_at(0, "Q"), static_cast<double>(nx) * ny);
 }
 
 TEST(AMRMeshProxy, RecordsPerLevelCommunication) {
@@ -180,12 +187,167 @@ TEST(AMRMeshProxy, RecordsPerLevelCommunication) {
     // initialize() also issues ghost updates internally? No — those run on
     // the real component, below the proxy. Exactly our 3 calls are seen.
     ASSERT_EQ(rec->count(), 3u);
-    EXPECT_DOUBLE_EQ(rec->invocations()[0].params.at("level"), 0.0);
-    EXPECT_DOUBLE_EQ(rec->invocations()[1].params.at("level"), 1.0);
-    EXPECT_GT(rec->invocations()[0].params.at("cells"), 0.0);
+    EXPECT_DOUBLE_EQ(rec->param_at(0, "level"), 0.0);
+    EXPECT_DOUBLE_EQ(rec->param_at(1, "level"), 1.0);
+    EXPECT_GT(rec->param_at(0, "cells"), 0.0);
     // initialize was monitored too.
     EXPECT_NE(mm->record("icc_proxy::initialize()"), nullptr);
   });
+}
+
+// --- proxy contract ----------------------------------------------------------
+
+/// (caller, callee, count) of one call edge.
+using Edge = std::tuple<std::string, std::string, std::uint64_t>;
+
+/// Everything a proxy run exposes by name, read back from the Mastermind
+/// and the TAU registry after the run.
+struct ProxyContract {
+  std::vector<std::string> keys;
+  std::map<std::string, std::vector<std::string>> params;  ///< key -> names
+  std::map<std::string, std::string> groups;               ///< key -> TAU group
+  std::vector<Edge> edges;                                 ///< sorted
+  std::map<std::string, std::string> csv_headers;          ///< key -> header
+};
+
+ProxyContract read_contract(const core::MastermindComponent& mm,
+                            tau::Registry& reg) {
+  ProxyContract c;
+  c.keys = mm.method_keys();
+  for (const std::string& key : c.keys) {
+    const core::Record* rec = mm.record(key);
+    c.params[key] = rec->param_names();
+    c.groups[key] = reg.has_timer(key) ? reg.stats_at(reg.timer(key)).group : "";
+    std::ostringstream os;
+    rec->dump_csv(os);
+    c.csv_headers[key] = os.str().substr(0, os.str().find('\n'));
+  }
+  for (const auto& e : mm.call_edges()) c.edges.emplace_back(e.caller, e.callee, e.count);
+  std::sort(c.edges.begin(), c.edges.end());
+  return c;
+}
+
+/// Two coarse steps, regridding after each, of the tiny 3-level case study
+/// on one rank with `lanes` pool lanes, through the full instrumented
+/// assembly.
+ProxyContract amr_contract(const std::string& flux_impl, int lanes) {
+  components::AppConfig cfg;
+  cfg.mesh.domain = amr::Box{0, 0, 47, 23};
+  cfg.mesh.max_levels = 3;
+  cfg.mesh.ncomp = kNcomp;
+  cfg.mesh.level0_patch_size = 12;
+  cfg.mesh.cluster = amr::ClusterParams{0.75, 4, 0};
+  cfg.mesh.geom = amr::Geometry{0.0, 0.0, 2.0 / 48.0, 1.0 / 24.0};
+  cfg.driver = components::DriverConfig{2, 0.4, 1};
+  cfg.flux_impl = flux_impl;
+  ProxyContract c;
+  mpp::Runtime::run(1, [&](mpp::Comm& world) {
+    ccaperf::set_rank_pool_threads(lanes);
+    {
+      auto app = core::assemble_instrumented_app(world, cfg);
+      app.fw().services("driver").provided_as<components::GoPort>("go")->go();
+      c = read_contract(*app.mastermind, app.registry());
+    }
+    ccaperf::set_rank_pool_threads(1);
+  });
+  return c;
+}
+
+/// The full AMR proxy contract for one run. `flux_key` names the flux
+/// proxy's timer; `patch_calls` is the number of States / flux invocations
+/// (the two flux schemes regrid differently); with pool lanes every record
+/// carries the per-row "thread" column — after the parameters of methods
+/// registered before the Mastermind resolved its measurement port (the
+/// mesh proxy's, on the first initialize()), before them otherwise.
+void expect_amr_contract(const ProxyContract& c, const std::string& flux_key,
+                         std::uint64_t patch_calls, bool lanes) {
+  const std::vector<std::string> keys{
+      "icc_proxy::initialize()", "icc_proxy::ghost_update()", "icc_proxy::prolong()",
+      "icc_proxy::restrict()",   "icc_proxy::regrid()",       "sc_proxy::compute()",
+      flux_key};
+  EXPECT_EQ(c.keys, keys);
+
+  using Names = std::vector<std::string>;
+  const Names mesh_params = lanes ? Names{"level", "cells", "thread"}
+                                  : Names{"level", "cells"};
+  const Names mesh_bare = lanes ? Names{"thread"} : Names{};
+  const Names patch_params = lanes ? Names{"thread", "Q", "mode"} : Names{"Q", "mode"};
+  const std::map<std::string, Names> params{
+      {"icc_proxy::initialize()", mesh_bare},    {"icc_proxy::ghost_update()", mesh_params},
+      {"icc_proxy::prolong()", mesh_params},     {"icc_proxy::restrict()", mesh_params},
+      {"icc_proxy::regrid()", mesh_bare},        {"sc_proxy::compute()", patch_params},
+      {flux_key, patch_params}};
+  EXPECT_EQ(c.params, params);
+
+  for (const std::string& key : keys) EXPECT_EQ(c.groups.at(key), "PROXY") << key;
+
+  const std::vector<Edge> edges{{"", flux_key, patch_calls},
+                                {"", "icc_proxy::ghost_update()", 28},
+                                {"", "icc_proxy::initialize()", 1},
+                                {"", "icc_proxy::prolong()", 24},
+                                {"", "icc_proxy::regrid()", 1},
+                                {"", "icc_proxy::restrict()", 6},
+                                {"", "sc_proxy::compute()", patch_calls}};
+  EXPECT_EQ(c.edges, edges);
+
+  const std::string base = "method,wall_us,mpi_us,compute_us";
+  const std::string thread = lanes ? ",param:thread" : "";
+  const std::string mesh_csv = base + ",param:cells,param:level" + thread;
+  const std::string patch_csv = base + ",param:Q,param:mode" + thread;
+  const std::map<std::string, std::string> headers{
+      {"icc_proxy::initialize()", base + thread}, {"icc_proxy::ghost_update()", mesh_csv},
+      {"icc_proxy::prolong()", mesh_csv},         {"icc_proxy::restrict()", mesh_csv},
+      {"icc_proxy::regrid()", base + thread},     {"sc_proxy::compute()", patch_csv},
+      {flux_key, patch_csv}};
+  EXPECT_EQ(c.csv_headers, headers);
+}
+
+TEST(ProxyContract, GodunovRun) {
+  expect_amr_contract(amr_contract("GodunovFlux", 1), "g_proxy::compute()", 296, false);
+}
+
+TEST(ProxyContract, EfmRun) {
+  expect_amr_contract(amr_contract("EFMFlux", 1), "efm_proxy::compute()", 264, false);
+}
+
+// The proxies resolve their monitor once per instance; with two pool lanes
+// the States / flux proxies first resolve from inside a parallel region.
+TEST(ProxyContract, GodunovRunTwoLanes) {
+  expect_amr_contract(amr_contract("GodunovFlux", 2), "g_proxy::compute()", 296, true);
+}
+
+TEST(ProxyContract, EfmRunTwoLanes) {
+  expect_amr_contract(amr_contract("EFMFlux", 2), "efm_proxy::compute()", 264, true);
+}
+
+TEST(ProxyContract, LuFactor) {
+  cca::ComponentRepository repo;
+  repo.register_class("TauMeasurement",
+                      [] { return std::make_unique<core::TauMeasurementComponent>(); });
+  repo.register_class("Mastermind",
+                      [] { return std::make_unique<core::MastermindComponent>(); });
+  repo.register_class("LuFactor",
+                      [] { return std::make_unique<components::LuFactorComponent>(); });
+  repo.register_class("LuProxy", [] { return std::make_unique<core::LuProxy>(); });
+  cca::Framework fw(std::move(repo));
+  fw.instantiate("tau", "TauMeasurement");
+  fw.instantiate("mm", "Mastermind");
+  fw.instantiate("lu", "LuFactor");
+  fw.instantiate("lu_proxy", "LuProxy");
+  fw.connect("mm", "measurement", "tau", "measurement");
+  fw.connect("lu_proxy", "monitor", "mm", "monitor");
+  fw.connect("lu_proxy", "lu_real", "lu", "lu");
+  fw.services("lu_proxy").provided_as<components::LuPort>("lu")->factor(16, 4, 1);
+
+  auto* mm = dynamic_cast<core::MastermindComponent*>(&fw.component("mm"));
+  auto* tau = dynamic_cast<core::TauMeasurementComponent*>(&fw.component("tau"));
+  const ProxyContract c = read_contract(*mm, tau->registry());
+  const std::string key = "lu_proxy::factor()";
+  EXPECT_EQ(c.keys, std::vector<std::string>{key});
+  EXPECT_EQ(c.params.at(key), (std::vector<std::string>{"N", "block"}));
+  EXPECT_EQ(c.groups.at(key), "PROXY");
+  EXPECT_EQ(c.edges, std::vector<Edge>{Edge("", key, 1)});
+  EXPECT_EQ(c.csv_headers.at(key), "method,wall_us,mpi_us,compute_us,param:N,param:block");
 }
 
 }  // namespace

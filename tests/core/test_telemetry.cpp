@@ -29,6 +29,13 @@ struct Rig {
     tau = dynamic_cast<core::TauMeasurementComponent*>(&fw.component("tau"));
   }
 
+  /// Monitors one parameterless call of `key`.
+  void call(const std::string& key) {
+    const core::MethodHandle h = mm->register_method(key, {});
+    mm->start(h, {});
+    mm->stop(h);
+  }
+
   static cca::ComponentRepository make_repo() {
     cca::ComponentRepository repo;
     repo.register_class(
@@ -59,9 +66,11 @@ TEST(Telemetry, EmitsOneLinePerIntervalPlusFinal) {
   Rig rig;
   std::ostringstream sink;
   rig.mm->start_telemetry(sink, 2);
+  const core::MethodHandle h = rig.mm->register_method("sc_proxy::compute()", {"Q"});
   for (int i = 0; i < 5; ++i) {
-    rig.mm->start("sc_proxy::compute()", {{"Q", double(i)}});
-    rig.mm->stop("sc_proxy::compute()");
+    const double q = i;
+    rig.mm->start(h, core::ParamSpan(&q, 1));
+    rig.mm->stop(h);
   }
   rig.mm->stop_telemetry();
 
@@ -78,8 +87,7 @@ TEST(Telemetry, LinesAreSelfContainedJsonObjects) {
   Rig rig;
   std::ostringstream sink;
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("flux_proxy::compute()", {});
-  rig.mm->stop("flux_proxy::compute()");
+  rig.call("flux_proxy::compute()");
   rig.mm->stop_telemetry();
 
   for (const std::string& line : lines_of(sink.str())) {
@@ -102,10 +110,9 @@ TEST(Telemetry, DeltaQueryIsIncrementalAcrossLines) {
   Rig rig;
   std::ostringstream sink;
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");  // line 1
-  rig.mm->emit_telemetry();             // line 2: nothing ran in between
-  rig.mm->stop_telemetry();             // line 3
+  rig.call("sc_proxy::compute()");  // line 1
+  rig.mm->emit_telemetry();         // line 2: nothing ran in between
+  rig.mm->stop_telemetry();         // line 3
 
   const std::vector<std::string> lines = lines_of(sink.str());
   ASSERT_EQ(lines.size(), 3u);
@@ -120,11 +127,13 @@ TEST(Telemetry, NestedWindowsEmitOnlyAtOutermostStop) {
   Rig rig;
   std::ostringstream sink;
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("icc_proxy::advance()", {});
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");  // record #1, but depth is still 1
+  const core::MethodHandle outer = rig.mm->register_method("icc_proxy::advance()", {});
+  const core::MethodHandle inner = rig.mm->register_method("sc_proxy::compute()", {});
+  rig.mm->start(outer, {});
+  rig.mm->start(inner, {});
+  rig.mm->stop(inner);  // record #1, but depth is still 1
   EXPECT_EQ(rig.mm->telemetry_lines(), 0u);
-  rig.mm->stop("icc_proxy::advance()");  // depth 0: both records flush
+  rig.mm->stop(outer);  // depth 0: both records flush
   EXPECT_EQ(rig.mm->telemetry_lines(), 1u);
   rig.mm->stop_telemetry();
 }
@@ -135,8 +144,7 @@ TEST(Telemetry, SelfOverheadIsAccountedAndBounded) {
   rig.mm->start_telemetry(sink, 4);
   const auto wall0 = tau::Clock::now();
   for (int i = 0; i < 64; ++i) {
-    rig.mm->start("sc_proxy::compute()", {});
-    rig.mm->stop("sc_proxy::compute()");
+    rig.call("sc_proxy::compute()");
   }
   rig.mm->stop_telemetry();
   const double wall_us =
@@ -158,12 +166,10 @@ TEST(Telemetry, MonitoringKeepsWorkingAfterStop) {
   Rig rig;
   std::ostringstream sink;
   rig.mm->start_telemetry(sink, 1);
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");
+  rig.call("sc_proxy::compute()");
   rig.mm->stop_telemetry();
 
-  rig.mm->start("sc_proxy::compute()", {});
-  rig.mm->stop("sc_proxy::compute()");
+  rig.call("sc_proxy::compute()");
   const core::Record* rec = rig.mm->record("sc_proxy::compute()");
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->count(), 2u);

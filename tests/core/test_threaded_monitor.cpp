@@ -168,20 +168,4 @@ TEST(ThreadedMonitor, FirstMonitoredCallOffTheRankThreadIsRejected) {
   EXPECT_TRUE(worker_threw.load());
 }
 
-TEST(ThreadedMonitor, ShimPathWorksFromWorkerLanes) {
-  PoolGuard pool(3);
-  Rig rig;
-  rig.mm->start("tm::shim()", {});  // resolve on the rank thread
-  rig.mm->stop("tm::shim()");
-  ccaperf::rank_pool().parallel_for(24, [&](std::size_t i, int) {
-    rig.mm->start("tm::shim()", {{"bytes", static_cast<double>(i)}});
-    rig.mm->stop("tm::shim()");
-  });
-  const core::Record* rec = rig.mm->record("tm::shim()");
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->count(), 25u);
-  tau::Registry& reg = rig.tau->registry();
-  EXPECT_EQ(reg.calls(reg.timer("tm::shim()")), 25u);
-}
-
 }  // namespace
