@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -110,8 +111,13 @@ int main() {
     requests.push_back(core::Fig01MeasureRequest{p.cfg, p.ranks, p.threads});
   for (const HeldOutPoint& p : diagnostics)
     requests.push_back(core::Fig01MeasureRequest{p.cfg, p.ranks, p.threads});
+  std::vector<double> busy;
   const std::vector<double> walls = core::measure_fig01_points(
-      requests, spec.steps_lo, spec.steps_hi, reps);
+      requests, spec.steps_lo, spec.steps_hi, reps, &busy);
+  // The tree reads each wall as the per-rank step time of concurrent
+  // ranks, which holds while the point leaves host cores idle: report the
+  // busy cores measured at every point next to the host's core count.
+  const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
 
   // --- train ---------------------------------------------------------------
   std::cout << "=== pattern-model calibration (train grid: ranks {2,4,8} x "
@@ -120,22 +126,23 @@ int main() {
                                         walls.begin() + first_holdout);
   const core::Fig01Calibration cal =
       core::calibrate_fig01_measured(base_cfg, spec, train_walls);
-  for (const core::Fig01Point& pt : cal.train)
-    std::cout << "  train P=" << pt.ranks << " T=" << pt.threads
-              << "  step_us=" << pt.step_us << "\n";
+  for (std::size_t i = 0; i < cal.train.size(); ++i)
+    std::cout << "  train P=" << cal.train[i].ranks
+              << " T=" << cal.train[i].threads
+              << "  step_us=" << cal.train[i].step_us
+              << "  busy_cores=" << busy[i] << "\n";
   std::cout << cal.pattern.tree.describe()
             << "  train max_rel_err=" << cal.refit.max_rel_err << "\n";
 
   // --- held-out predictions vs the already-measured walls ------------------
   auto run_point = [&](const HeldOutPoint& p, std::size_t wall_idx) {
     const double predicted_us =
-        core::predict_fig01_step_us(cal.pattern, p.cfg, p.ranks, p.threads) *
-        p.ranks;
+        core::predict_fig01_step_us(cal.pattern, p.cfg, p.ranks, p.threads);
     const double measured_us = walls[wall_idx];
     const double rel_err = std::abs(predicted_us - measured_us) / measured_us;
     std::cout << "  " << p.tag << ": predicted " << predicted_us
               << " us, measured " << measured_us << " us, rel_err " << rel_err
-              << "\n";
+              << ", busy_cores " << busy[wall_idx] << "\n";
     return rel_err;
   };
 
@@ -154,8 +161,8 @@ int main() {
   //    local power law no longer holds (the per-leaf exponent itself
   //    decreases with Q).
   //  * p16_t4: at 16 ranks each rank holds only a handful of patches, so
-  //    4 lanes are starved and the measured lane overhead vanishes while
-  //    MapParallel still charges the calibrated imbalance term.
+  //    4 lanes are starved and the lane terms calibrated at 2 lanes
+  //    (MapParallel alpha, ForkJoin cost) no longer describe them.
   std::cout << "\n=== out-of-regime diagnostics (ungated) ===\n";
   const std::size_t first_diag = first_holdout + points.size();
   const double extrap_err = run_point(diagnostics[0], first_diag);
@@ -171,6 +178,11 @@ int main() {
   out.push_back({"prediction", "median_rel_err", median_err});
   std::cout << "  max_rel_err=" << max_err << " median_rel_err=" << median_err
             << "\n";
+  const double max_busy = *std::max_element(busy.begin(), busy.end());
+  out.push_back({"prediction", "max_busy_core_share",
+                 max_busy / static_cast<double>(host_cores)});
+  std::cout << "  busiest point: " << max_busy << " of " << host_cores
+            << " host cores\n";
 
   // --- joint optimizer vs exhaustive on the calibrated tree ----------------
   // Real fitted flux models in the tree's flux slot: the joint search must

@@ -336,13 +336,15 @@ if want tsan; then
   # (per-rank hop slots at 64/129 ranks), the sharded load balancer, the
   # threaded-rank layer (work-stealing pool, sharded registries,
   # lane-dispatched monitor, proxies resolving their monitor once from
-  # pool lanes, multi-threaded kernels), and the telemetry
+  # pool lanes, multi-threaded kernels), the telemetry
   # hub (shard rings under concurrent publishers racing the drainer
-  # ServiceThread).
+  # ServiceThread), and the case study at 1-3 ranks with regrids, whose
+  # field must stay bit-identical while the fine levels are cut for
+  # balance differently at each rank count.
   cmake -B "${TSAN_DIR}" -S . -DCCAPERF_SANITIZE=thread >/dev/null
   cmake --build "${TSAN_DIR}" -j "${JOBS}" \
     --target test_mpp test_amr test_support test_core test_euler test_tau \
-             test_telemetry_hub
+             test_telemetry_hub test_components
   "${TSAN_DIR}/tests/mpp/test_mpp" \
     --gtest_filter='FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*'
   "${TSAN_DIR}/tests/amr/test_amr" \
@@ -355,6 +357,8 @@ if want tsan; then
   "${TSAN_DIR}/tests/euler/test_euler" \
     --gtest_filter='KernelsMt.*:SimdDispatch.*:SimdKernels.*'
   "${TSAN_DIR}/tests/tau/test_tau" --gtest_filter='RegistryShards.*'
+  "${TSAN_DIR}/tests/components/test_components" \
+    --gtest_filter='App.FieldBitIdentical*'
 fi
 
 if want asan; then

@@ -320,7 +320,10 @@ void Hierarchy::regrid(const FlagFn& flag_fn, const BcSpec& bc) {
       nested.insert(nested.end(), pieces.begin(), pieces.end());
     }
 
-    // 5. Build the new fine level.
+    // 5. Cut for balance (same union, so the same refined cells), then
+    // build the new fine level.
+    nested = split_for_balance(std::move(nested), nranks(),
+                               cfg_.cluster.min_width);
     Level fresh(l + 1, domain_at(l + 1), r);
     for (const Box& b : nested) {
       if (b.empty()) continue;

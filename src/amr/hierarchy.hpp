@@ -17,7 +17,9 @@
 //  * conservative fine->coarse restriction;
 //  * regridding: error flagging (caller-supplied estimator) -> flag
 //    buffering -> Berger-Rigoutsos clustering -> proper-nesting clip ->
-//    load balancing -> data migration from the old hierarchy;
+//    cutting boxes for balance (split_for_balance: the union, and so the
+//    refined region, is unchanged) -> load balancing -> data migration
+//    from the old hierarchy;
 //  * a monotone message-tag allocator so concurrent exchange plans never
 //    collide.
 //
@@ -107,7 +109,7 @@ class Hierarchy {
       std::function<void(const Hierarchy&, int l, const PatchInfo&, FlagField&)>;
 
   /// Rebuilds levels 1..max_levels-1 from the estimator: flag ->
-  /// buffer -> cluster -> nest -> balance -> migrate. Collective.
+  /// buffer -> cluster -> nest -> split -> balance -> migrate. Collective.
   /// `bc` is applied when refilling each level's ghosts before it is
   /// flagged — estimators may read one ghost layer (newly created
   /// intermediate levels would otherwise expose uninitialized ghosts to

@@ -10,12 +10,13 @@ namespace core {
 
 namespace {
 
-/// ceil(log2 P) for P >= 1: the dissemination-barrier / Bruck round count
-/// of the tree collectives (DESIGN.md §10).
-double log2_rounds(int ranks) {
-  CCAPERF_REQUIRE(ranks >= 1, "PatternModel: ranks >= 1");
+/// ceil(log2 n) for n >= 1: the dissemination-barrier / Bruck round count
+/// of the tree collectives over n ranks (DESIGN.md §10), and the lane
+/// doublings of a fork-join over n lanes.
+double log2_rounds(int n) {
+  CCAPERF_REQUIRE(n >= 1, "PatternModel: ranks and threads >= 1");
   int rounds = 0;
-  for (int span = 1; span < ranks; span *= 2) ++rounds;
+  for (int span = 1; span < n; span *= 2) ++rounds;
   return static_cast<double>(rounds);
 }
 
@@ -84,17 +85,13 @@ PatternModel::NodeId PatternModel::pipeline(std::vector<NodeId> children) {
   return add(std::move(n));
 }
 
-PatternModel::NodeId PatternModel::map_parallel(NodeId child, double alpha,
-                                                double lane_overhead_us) {
+PatternModel::NodeId PatternModel::map_parallel(NodeId child, double alpha) {
   CCAPERF_REQUIRE(child < nodes_.size(), "PatternModel::map_parallel: bad child");
   CCAPERF_REQUIRE(alpha >= 0.0, "PatternModel::map_parallel: alpha >= 0");
-  CCAPERF_REQUIRE(lane_overhead_us >= 0.0,
-                  "PatternModel::map_parallel: lane_overhead >= 0");
   Node n;
   n.kind = Kind::map_parallel;
   n.children = {child};
   n.coeff = alpha;
-  n.coeff2 = lane_overhead_us;
   return add(std::move(n));
 }
 
@@ -126,6 +123,14 @@ PatternModel::NodeId PatternModel::constant(double value_us) {
   return add(std::move(n));
 }
 
+PatternModel::NodeId PatternModel::fork_join(double cost_us) {
+  CCAPERF_REQUIRE(cost_us >= 0.0, "PatternModel::fork_join: cost >= 0");
+  Node n;
+  n.kind = Kind::fork_join;
+  n.coeff = cost_us;
+  return add(std::move(n));
+}
+
 void PatternModel::set_root(NodeId id) {
   CCAPERF_REQUIRE(id < nodes_.size(), "PatternModel::set_root: bad node");
   root_ = id;
@@ -139,8 +144,8 @@ const PerfModel* PatternModel::adopt(std::unique_ptr<PerfModel> model) {
 
 double PatternModel::coefficient(NodeId id) const {
   const Node& n = at(id);
-  CCAPERF_REQUIRE(n.kind == Kind::map_parallel || n.kind == Kind::rank_replicated ||
-                      n.kind == Kind::scale || n.kind == Kind::constant,
+  CCAPERF_REQUIRE(n.kind != Kind::leaf && n.kind != Kind::serial &&
+                      n.kind != Kind::pipeline,
                   "PatternModel::coefficient: node kind has no coefficient");
   return n.coeff;
 }
@@ -148,9 +153,8 @@ double PatternModel::coefficient(NodeId id) const {
 void PatternModel::set_coefficient(NodeId id, double value) {
   CCAPERF_REQUIRE(value >= 0.0, "PatternModel::set_coefficient: value >= 0");
   const Node& check = at(id);
-  CCAPERF_REQUIRE(check.kind == Kind::map_parallel ||
-                      check.kind == Kind::rank_replicated ||
-                      check.kind == Kind::scale || check.kind == Kind::constant,
+  CCAPERF_REQUIRE(check.kind != Kind::leaf && check.kind != Kind::serial &&
+                      check.kind != Kind::pipeline,
                   "PatternModel::set_coefficient: node kind has no coefficient");
   nodes_[id].coeff = value;
 }
@@ -198,8 +202,7 @@ double PatternModel::eval(NodeId id, const PatternConfig& cfg,
       CCAPERF_REQUIRE(cfg.threads >= 1, "PatternModel: threads >= 1");
       const double lanes = static_cast<double>(cfg.threads);
       const double span = eval(n.children[0], cfg, slot_values);
-      return span * (1.0 + n.coeff * (lanes - 1.0)) / lanes +
-             n.coeff2 * (lanes - 1.0);
+      return span * (1.0 + n.coeff * (lanes - 1.0)) / lanes;
     }
     case Kind::rank_replicated:
       return eval(n.children[0], cfg, slot_values) +
@@ -208,6 +211,8 @@ double PatternModel::eval(NodeId id, const PatternConfig& cfg,
       return n.coeff * eval(n.children[0], cfg, slot_values);
     case Kind::constant:
       return n.coeff;
+    case Kind::fork_join:
+      return n.coeff * log2_rounds(cfg.threads);
   }
   CCAPERF_REQUIRE(false, "PatternModel: unreachable kind");
   return 0.0;
@@ -279,6 +284,7 @@ double PatternModel::eval_var(NodeId id, const PatternConfig& cfg) const {
     case Kind::scale:
       return n.coeff * n.coeff * eval_var(n.children[0], cfg);
     case Kind::constant:
+    case Kind::fork_join:
       return 0.0;
   }
   CCAPERF_REQUIRE(false, "PatternModel: unreachable kind");
@@ -426,8 +432,7 @@ std::string PatternModel::describe() const {
         os << "pipeline(" << n.children.size() << ")";
         break;
       case Kind::map_parallel:
-        os << "map-parallel(alpha=" << n.coeff << ", lane_overhead="
-           << n.coeff2 << ")";
+        os << "map-parallel(alpha=" << n.coeff << ")";
         break;
       case Kind::rank_replicated:
         os << "rank-replicated(beta=" << n.coeff << ")";
@@ -437,6 +442,9 @@ std::string PatternModel::describe() const {
         break;
       case Kind::constant:
         os << "const(" << n.coeff << " us)";
+        break;
+      case Kind::fork_join:
+        os << "fork-join(" << n.coeff << " us per lane doubling)";
         break;
     }
     if (id == root_) os << " <- root";

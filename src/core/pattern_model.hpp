@@ -15,6 +15,10 @@
 //                           speedup, a = 1 fully serialized lanes)
 //   RankReplicated(c; b)  = T(c) + b ceil(log2 P)  per-rank cost plus the
 //                           O(log P) tree-collective term (DESIGN.md §10)
+//   ForkJoin(o)           = o ceil(log2 L)         waking and joining L lanes:
+//                           a parallel region ends when its last woken lane
+//                           does, and the expected last of L wake-ups grows
+//                           as log L
 //   Scale(c; k)           = k T(c)                 unmonitored work riding
 //                           proportionally on monitored work
 //   Const(g)              = g                      fixed per-step overhead
@@ -26,7 +30,7 @@
 // Slot leaves additionally register with the joint AssemblyOptimizer
 // search (optimizer.hpp): their model is substituted per candidate.
 //
-// Free coefficients (a, b, k, g) are calibrated against measured end-to-end
+// Free coefficients (a, b, k, g, o) are calibrated against measured end-to-end
 // runs by linear least squares: predict() is affine in each coefficient,
 // so probing the tree with unit coefficients recovers the design matrix
 // (calibrate() verifies the affinity numerically and rejects free sets
@@ -75,7 +79,16 @@ class PatternModel {
   using NodeId = std::size_t;
   static constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
-  enum class Kind { leaf, serial, pipeline, map_parallel, rank_replicated, scale, constant };
+  enum class Kind {
+    leaf,
+    serial,
+    pipeline,
+    map_parallel,
+    rank_replicated,
+    scale,
+    constant,
+    fork_join
+  };
 
   /// (q_j, n_j): n_j invocations at parameter value q_j.
   using Workload = std::vector<std::pair<double, double>>;
@@ -100,12 +113,13 @@ class PatternModel {
   NodeId serial(std::vector<NodeId> children);
   NodeId pipeline(std::vector<NodeId> children);
   /// `alpha` in [0, 1]: imbalance (0 = perfect speedup, 1 = serialized).
-  /// `lane_overhead_us` adds a per-extra-lane fixed cost.
-  NodeId map_parallel(NodeId child, double alpha, double lane_overhead_us = 0.0);
+  NodeId map_parallel(NodeId child, double alpha);
   /// `beta_us`: cost per tree-collective hop, times ceil(log2 P).
   NodeId rank_replicated(NodeId child, double beta_us);
   NodeId scale(NodeId child, double kappa);
   NodeId constant(double value_us);
+  /// `cost_us`: cost per doubling of the lane count, times ceil(log2 L).
+  NodeId fork_join(double cost_us);
 
   void set_root(NodeId id);
   NodeId root() const { return root_; }
@@ -119,7 +133,8 @@ class PatternModel {
   // --- coefficients ----------------------------------------------------------
   // Every non-leaf pattern carries one scalar coefficient: alpha for
   // MapParallel, beta for RankReplicated, kappa for Scale, the value for
-  // Const (Serial/Pipeline have none). These are the calibration targets.
+  // Const, the cost for ForkJoin (Serial/Pipeline have none). These are
+  // the calibration targets.
 
   double coefficient(NodeId id) const;
   void set_coefficient(NodeId id, double value);
@@ -146,8 +161,8 @@ class PatternModel {
 
   /// Mean prediction plus a one-sigma band from the leaves' fit-residual
   /// variances: Serial sums variances, Pipeline takes the argmax child's,
-  /// MapParallel/Scale square their multipliers, Const/collective terms
-  /// are exact. A leaf's workload multiplies its per-invocation variance
+  /// MapParallel/Scale square their multipliers, Const/collective/fork-join
+  /// terms are exact. A leaf's workload multiplies its per-invocation variance
   /// by sum n_j^2 (independent-residual assumption).
   struct Interval {
     double mean_us = 0.0;
@@ -159,8 +174,8 @@ class PatternModel {
 
   /// One observed end-to-end point. `weight` scales the point's residual
   /// in the least-squares objective (unweighted by default): the fig01
-  /// harness observes *per-rank* time but cares about *per-step* error,
-  /// so it weights each point by its rank count.
+  /// harness weights each point by 1 / its observed time, so the fit
+  /// minimizes relative residuals.
   struct Observation {
     PatternConfig cfg;
     double observed_us = 0.0;
@@ -195,8 +210,7 @@ class PatternModel {
     Workload workload;                 // leaves
     LeafScaling scaling;               // leaves
     double variance_us2 = 0.0;         // leaves: per-invocation residual var
-    double coeff = 0.0;    // alpha | beta | kappa | const value
-    double coeff2 = 0.0;   // map_parallel: lane_overhead_us
+    double coeff = 0.0;    // alpha | beta | kappa | const value | fork-join cost
     std::size_t slot = static_cast<std::size_t>(-1);  // slot leaves
   };
 

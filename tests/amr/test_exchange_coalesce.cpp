@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "amr/hierarchy.hpp"
@@ -77,36 +79,49 @@ void clobber_ghosts(Hierarchy& h) {
     }
 }
 
-/// Per-cell fingerprint of every local patch (grown boxes clipped to the
-/// domain), keyed by (level, patch id, cell) so rank counts can be
-/// compared exactly: each value is reduced with max, and since every patch
-/// exists on exactly one rank (others contribute -inf), the global result
-/// is the field itself, independent of ownership.
-double fingerprint(const Hierarchy& h, mpp::Comm& world) {
-  double acc = 0.0;
+/// One rank's view of the filled hierarchy, keyed by (level, i, j, c) so
+/// runs with different rank counts, and so different patch layouts, can be
+/// compared cell by cell.
+using CellKey = std::tuple<int, int, int, int>;
+struct Ghost {
+  CellKey key;
+  double value = 0.0;
+  /// Diagonal to its patch: outside the patch's i-range and j-range.
+  bool corner = false;
+};
+struct Cells {
+  std::map<CellKey, double> interior;  ///< owned interiors
+  std::vector<Ghost> ghosts;           ///< in-domain ghosts
+};
+
+Cells collect_cells(const Hierarchy& h) {
+  Cells out;
   for (int l = 0; l < h.num_levels(); ++l) {
     const Box dom = h.domain_at(l);
-    for (auto& [id, data] : h.level(l).local_data()) {
+    for (const auto& [id, data] : h.level(l).local_data()) {
+      const Box inner = h.level(l).patch(id).box;
       const Box g = data.grown_box();
       for (int c = 0; c < data.ncomp(); ++c)
         for (int j = g.lo().j; j <= g.hi().j; ++j)
           for (int i = g.lo().i; i <= g.hi().i; ++i) {
-            if (!dom.contains(IntVect{i, j})) continue;
-            const double w = 1.0 + 0.001 * i + 0.002 * j + 0.01 * c +
-                             0.0001 * id + 0.1 * l;
-            acc += data(i, j, c) * w;
+            const CellKey key{l, i, j, c};
+            if (inner.contains(IntVect{i, j}))
+              EXPECT_TRUE(out.interior.emplace(key, data(i, j, c)).second);
+            else if (dom.contains(IntVect{i, j}))
+              out.ghosts.push_back(Ghost{
+                  key, data(i, j, c),
+                  (i < inner.lo().i || i > inner.hi().i) &&
+                      (j < inner.lo().j || j > inner.hi().j)});
           }
     }
   }
-  // Patch-disjoint ownership makes the sum order-independent up to FP
-  // association; tolerance at the comparison absorbs that.
-  return world.allreduce_value<>(acc);
+  return out;
 }
 
 /// Builds the 3-level regridded hierarchy, refills analytically, clobbers
-/// ghosts, refills them through the (coalesced) exchange, and returns the
-/// global fingerprint plus the per-level exchange stats.
-double run_scenario(mpp::Comm& world, std::vector<amr::ExchangeStats>* stats) {
+/// ghosts, refills them through the (coalesced) exchange, and returns this
+/// rank's cells plus the per-level exchange stats.
+Cells run_scenario(mpp::Comm& world, std::vector<amr::ExchangeStats>* stats) {
   Hierarchy h(world, config());
   h.init_level0();
   fill_all(h);
@@ -118,7 +133,25 @@ double run_scenario(mpp::Comm& world, std::vector<amr::ExchangeStats>* stats) {
     const auto s = h.fill_ghosts(l, BcSpec{});
     if (stats) stats->push_back(s);
   }
-  return fingerprint(h, world);
+  return collect_cells(h);
+}
+
+/// Runs the scenario on `nranks` ranks and merges the per-rank cells: the
+/// interiors into one map (patches are disjoint, so no key repeats), the
+/// ghosts into one list.
+Cells run_merged(int nranks) {
+  std::vector<Cells> per_rank(static_cast<std::size_t>(nranks));
+  mpp::Runtime::run(nranks, [&](mpp::Comm& world) {
+    per_rank[static_cast<std::size_t>(world.rank())] =
+        run_scenario(world, nullptr);
+  });
+  Cells all;
+  for (Cells& part : per_rank) {
+    for (const auto& cell : part.interior)
+      EXPECT_TRUE(all.interior.insert(cell).second) << "overlapping patches";
+    all.ghosts.insert(all.ghosts.end(), part.ghosts.begin(), part.ghosts.end());
+  }
+  return all;
 }
 
 TEST(CoalescedExchange, MessageCountBoundedByNeighborRanks) {
@@ -141,22 +174,61 @@ TEST(CoalescedExchange, MessageCountBoundedByNeighborRanks) {
 TEST(CoalescedExchange, GhostValuesMatchSerialRun) {
   // The serial run exchanges purely by local copies (no messages at all);
   // distributed runs must land on the same field through the packed
-  // message path, for every rank count.
-  double serial = 0.0;
+  // message path, for every rank count. The layout differs between rank
+  // counts (fine boxes are cut for balance), so cells are compared by
+  // (level, i, j, c), not by patch, all exactly:
+  //  * interiors equal the serial run's;
+  //  * every ghost cell inside a sibling's interior equals that sibling;
+  //  * every other ghost cell beside its patch (coarse-fine, prolonged
+  //    from the gathered coarse halo) equals the serial run's ghost at
+  //    that key. Cutting a box keeps the union of boxes and so these keys;
+  //    along the patch's face the coarse parent's neighbors lie in the
+  //    patch's halo, and across it the halo ends where the serial one
+  //    does, so the interpolation slopes agree;
+  //  * no ghost cell keeps the clobber value.
+  // Coarse-fine ghosts diagonal to their patch are compared only against
+  // the clobber value: a halo-edge coarse cell gets no slope, so the value
+  // depends on where the patch ends, and the flux stencil never reads them.
+  Cells serial;
   mpp::Runtime::run(1, [&](mpp::Comm& world) {
     std::vector<amr::ExchangeStats> stats;
     serial = run_scenario(world, &stats);
     for (const auto& s : stats) EXPECT_EQ(s.messages_sent, 0u);
   });
+  ASSERT_FALSE(serial.interior.empty());
+  std::map<CellKey, double> serial_cf;
+  for (const Ghost& g : serial.ghosts) {
+    if (g.corner || serial.interior.count(g.key) != 0) continue;
+    const auto [it, fresh] = serial_cf.emplace(g.key, g.value);
+    EXPECT_TRUE(fresh || it->second == g.value)
+        << "serial coarse-fine ghost differs between patches";
+  }
+  ASSERT_FALSE(serial_cf.empty());
   for (int nranks : {2, 3, 4}) {
-    double distributed = 0.0;
-    double* slot = &distributed;
-    mpp::Runtime::run(nranks, [slot](mpp::Comm& world) {
-      const double fp = run_scenario(world, nullptr);
-      if (world.rank() == 0) *slot = fp;
-    });
-    EXPECT_NEAR(distributed, serial, 1e-9 * std::abs(serial))
-        << "field diverged at " << nranks << " ranks";
+    const Cells distributed = run_merged(nranks);
+    EXPECT_TRUE(distributed.interior == serial.interior)
+        << "interiors diverged at " << nranks << " ranks";
+    long sibling = 0, sibling_bad = 0, cf = 0, cf_bad = 0, clobbered = 0;
+    for (const Ghost& g : distributed.ghosts) {
+      if (g.value == -4444.0) ++clobbered;
+      const auto in = distributed.interior.find(g.key);
+      if (in != distributed.interior.end()) {
+        ++sibling;
+        if (g.value != in->second) ++sibling_bad;
+      } else if (!g.corner) {
+        ++cf;
+        const auto ref = serial_cf.find(g.key);
+        if (ref == serial_cf.end() || g.value != ref->second) ++cf_bad;
+      }
+    }
+    EXPECT_GT(sibling, 0) << nranks << " ranks";
+    EXPECT_GT(cf, 0) << nranks << " ranks";
+    EXPECT_EQ(sibling_bad, 0) << "sibling ghosts diverged at " << nranks
+                              << " ranks";
+    EXPECT_EQ(cf_bad, 0) << "coarse-fine ghosts diverged at " << nranks
+                         << " ranks";
+    EXPECT_EQ(clobbered, 0) << "ghosts left unfilled at " << nranks
+                            << " ranks";
   }
 }
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "components/app_assembly.hpp"
 #include "mpp/runtime.hpp"
@@ -92,6 +95,77 @@ TEST(App, DistributionIndependence) {
   EXPECT_NEAR(serial.mass, parallel.mass, 1e-9 * serial.mass);
   EXPECT_NEAR(serial.energy, parallel.energy, 1e-9 * serial.energy);
   EXPECT_EQ(serial.levels, parallel.levels);
+}
+
+/// Order-independent digest of every patch interior: each cell's
+/// (level, i, j, c) and value bits are mixed into one word, and the words
+/// are summed, so the digest does not depend on which patch or rank holds
+/// a cell.
+struct FieldDigest {
+  std::uint64_t hash = 0;
+  long cells = 0;
+  std::vector<std::size_t> patches;  ///< per level
+};
+
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+FieldDigest field_digest(int nranks, const AppConfig& cfg) {
+  std::vector<FieldDigest> per_rank(static_cast<std::size_t>(nranks));
+  mpp::Runtime::run(nranks, [&](mpp::Comm& world) {
+    auto fw = components::assemble_app(world, cfg);
+    ASSERT_EQ(fw->services("driver").provided_as<components::GoPort>("go")->go(), 0);
+    auto* mesh = fw->services("driver").get_port_as<components::MeshPort>("mesh");
+    const amr::Hierarchy& h = mesh->hierarchy();
+    FieldDigest& d = per_rank[static_cast<std::size_t>(world.rank())];
+    for (int l = 0; l < h.num_levels(); ++l) {
+      d.patches.push_back(h.level(l).patches().size());
+      for (const auto& [id, data] : h.level(l).local_data()) {
+        const amr::Box box = h.level(l).patch(id).box;
+        d.cells += box.num_pts();
+        for (int c = 0; c < data.ncomp(); ++c)
+          for (int j = box.lo().j; j <= box.hi().j; ++j)
+            for (int i = box.lo().i; i <= box.hi().i; ++i) {
+              const double v = data(i, j, c);
+              std::uint64_t bits = 0;
+              std::memcpy(&bits, &v, sizeof bits);
+              const auto key = (static_cast<std::uint64_t>(l) << 60) ^
+                               (static_cast<std::uint64_t>(i) << 40) ^
+                               (static_cast<std::uint64_t>(j) << 20) ^
+                               static_cast<std::uint64_t>(c);
+              d.hash += mix(key ^ mix(bits));
+            }
+      }
+    }
+  });
+  FieldDigest all = per_rank[0];
+  for (std::size_t r = 1; r < per_rank.size(); ++r) {
+    all.hash += per_rank[r].hash;
+    all.cells += per_rank[r].cells;
+  }
+  return all;
+}
+
+TEST(App, FieldBitIdenticalAcrossRankCounts) {
+  // The case-study mesh (3 levels, Godunov) with regrids: every rank count
+  // cuts the fine levels differently for balance, but the refined region
+  // and every cell value must be bit-identical to the serial run.
+  AppConfig cfg = AppConfig::case_study();
+  cfg.driver = components::DriverConfig{6, 0.4, 2};
+  const FieldDigest serial = field_digest(1, cfg);
+  ASSERT_EQ(serial.patches.size(), 3u);
+  for (int nranks : {2, 3}) {
+    const FieldDigest parallel = field_digest(nranks, cfg);
+    EXPECT_EQ(parallel.cells, serial.cells) << nranks << " ranks";
+    EXPECT_EQ(parallel.hash, serial.hash) << nranks << " ranks";
+    EXPECT_NE(parallel.patches, serial.patches)
+        << "the layout should differ from the serial run's at " << nranks
+        << " ranks";
+  }
 }
 
 TEST(App, DeterministicAcrossRuns) {

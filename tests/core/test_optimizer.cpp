@@ -287,8 +287,9 @@ struct JointFixture {
         std::vector<double>{4.0, 0.02}));
     leaves.push_back(tree.leaf(models.back().get(), {{100.0, 2.0}}, s));
     const auto inner = tree.scale(tree.serial(std::move(leaves)), 1.3);
-    const auto lanes = tree.map_parallel(inner, 0.35, 1.5);
-    const auto per_rank = tree.serial({lanes, tree.constant(25.0)});
+    const auto lanes = tree.map_parallel(inner, 0.35);
+    const auto per_rank =
+        tree.serial({lanes, tree.fork_join(1.5), tree.constant(25.0)});
     tree.set_root(tree.rank_replicated(per_rank, 8.0));
   }
 };

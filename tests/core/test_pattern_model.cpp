@@ -59,11 +59,11 @@ TEST(PatternModel, SerialOfOneChildEqualsChild) {
 }
 
 TEST(PatternModel, MapParallelOneLaneEqualsChild) {
-  // At L = 1 the lane factor is exactly 1 for every alpha and overhead.
+  // At L = 1 the lane factor is exactly 1 for every alpha.
   for (double alpha : {0.0, 0.3, 1.0}) {
     PatternModel a, b;
     a.set_root(simple_leaf(a));
-    b.set_root(b.map_parallel(simple_leaf(b), alpha, /*lane_overhead_us=*/7.0));
+    b.set_root(b.map_parallel(simple_leaf(b), alpha));
     EXPECT_DOUBLE_EQ(b.predict(cfg(50.0, 1, 1)), a.predict(cfg(50.0, 1, 1)));
   }
 }
@@ -134,6 +134,44 @@ TEST(PatternModel, RankReplicatedAddsLogTerm) {
   EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 5, 1)), 121.0);   // ceil(log2 5) = 3
   EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 8, 1)), 121.0);
   EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 9, 1)), 128.0);
+}
+
+TEST(PatternModel, ForkJoinChargesPerLaneDoubling) {
+  PatternModel t;
+  t.set_root(t.fork_join(5.0));
+  EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 1, 1)), 0.0);  // one lane: no fork
+  EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 1, 2)), 5.0);
+  EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 1, 3)), 10.0);  // ceil(log2 3) = 2
+  EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 1, 4)), 10.0);
+  EXPECT_DOUBLE_EQ(t.predict(cfg(1.0, 16, 8)), 15.0);  // ranks don't matter
+  EXPECT_DOUBLE_EQ(t.predict_interval(cfg(1.0, 1, 8)).stddev_us, 0.0);
+}
+
+TEST(PatternModel, CalibrationRecoversForkJoinNextToLaneImbalance) {
+  // alpha and the fork-join cost are jointly affine once kappa is fixed:
+  // one stage recovers both, with the constant, from multi-lane points.
+  auto make = [](double alpha, double cost, double gamma, NodeId* an,
+                 NodeId* fn, NodeId* gn) {
+    PatternModel t;
+    *an = t.map_parallel(t.scale(simple_leaf(t), 2.0), alpha);
+    *fn = t.fork_join(cost);
+    *gn = t.constant(gamma);
+    t.set_root(t.serial({*an, *fn, *gn}));
+    return t;
+  };
+  NodeId an, fn, gn;
+  const PatternModel truth = make(0.4, 12.0, 30.0, &an, &fn, &gn);
+  std::vector<PatternModel::Observation> obs;
+  for (int lanes : {1, 2, 4, 8})
+    for (double q : {50.0, 100.0})
+      obs.push_back({cfg(q, 1, lanes), truth.predict(cfg(q, 1, lanes))});
+
+  NodeId an2, fn2, gn2;
+  PatternModel fit = make(1.0, 0.0, 0.0, &an2, &fn2, &gn2);
+  (void)fit.calibrate(obs, {an2, fn2, gn2});
+  EXPECT_NEAR(fit.coefficient(an2), 0.4, 1e-9);
+  EXPECT_NEAR(fit.coefficient(fn2), 12.0, 1e-9);
+  EXPECT_NEAR(fit.coefficient(gn2), 30.0, 1e-9);
 }
 
 TEST(PatternModel, LeafScalingExtrapolatesCountsAndRanks) {
@@ -355,11 +393,12 @@ TEST(PatternModel, DescribeMentionsEveryNodeKind) {
   PatternModel t;
   const NodeId leaf = simple_leaf(t);
   t.set_root(t.rank_replicated(
-      t.serial({t.map_parallel(t.scale(leaf, 1.1), 0.5), t.constant(3.0)}),
+      t.serial({t.map_parallel(t.scale(leaf, 1.1), 0.5), t.fork_join(4.0),
+                t.constant(3.0)}),
       2.0));
   const std::string d = t.describe();
   for (const char* kind : {"leaf", "serial", "map-parallel", "rank-replicated",
-                           "scale", "const"})
+                           "scale", "const", "fork-join"})
     EXPECT_NE(d.find(kind), std::string::npos) << kind;
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "mpp/runtime.hpp"
@@ -59,18 +61,24 @@ TEST(MpiAdapter, RecordsMessageSizeEvents) {
 
 TEST(MpiAdapter, GroupSumTracksCommunicationTime) {
   // With a modeled 2ms latency, the MPI group inclusive sum on the
-  // receiving rank must reflect the wait.
+  // receiving rank must reflect the wait. Rank 0 sends only once rank 1
+  // is about to receive: a send issued earlier would already be in flight,
+  // and the receive would wait out only part of the modeled latency. An
+  // atomic rather than an MPI call, so no extra MPI time is timed.
   mpp::NetworkModel net;
   net.latency_us = 2000.0;
-  mpp::Runtime::run(2, net, [](mpp::Comm& world) {
+  std::atomic<bool> receiving{false};
+  mpp::Runtime::run(2, net, [&](mpp::Comm& world) {
     tau::Registry reg;
     tau::MpiHookAdapter adapter(reg);
     mpp::HooksInstaller install(&adapter);
 
     int v = 7;
     if (world.rank() == 0) {
+      while (!receiving.load()) std::this_thread::yield();
       world.send_bytes(&v, sizeof v, 1, 0);
     } else {
+      receiving.store(true);
       world.recv_bytes(&v, sizeof v, 0, 0);
       EXPECT_GE(reg.group_inclusive_us(tau::kMpiGroup), 1800.0);
     }
