@@ -9,6 +9,8 @@
 // States/EFMFlux/GodunovFlux — this is the caller whose invocations they
 // snoop.
 
+#include <initializer_list>
+
 #include "components/ports.hpp"
 #include "support/thread_pool.hpp"
 
@@ -31,24 +33,31 @@ class InviscidFluxComponent final : public cca::Component, public FluxDivergence
     auto* states = svc_->get_port_as<StatesPort>("states");
     auto* flux = svc_->get_port_as<FluxPort>("flux");
 
+    // Face arrays are per-thread scratch, reshaped without clearing: the
+    // states, flux and divergence kernels write every element before
+    // anything reads it. thread_local because RK2 calls compute from
+    // every pool lane at once.
+    thread_local Scratch s;
     int nx = 0, ny = 0;
     euler::face_dims(interior, euler::Dir::x, nx, ny);
-    euler::Array2 lx(nx, ny, euler::kNcomp), rx(nx, ny, euler::kNcomp),
-        fx(nx, ny, euler::kNcomp);
-    states->compute(u, interior, euler::Dir::x, lx, rx);
-    flux->compute(lx, rx, euler::Dir::x, fx);
+    for (euler::Array2* a : {&s.lx, &s.rx, &s.fx}) a->reshape(nx, ny, euler::kNcomp);
+    states->compute(u, interior, euler::Dir::x, s.lx, s.rx);
+    flux->compute(s.lx, s.rx, euler::Dir::x, s.fx);
 
     euler::face_dims(interior, euler::Dir::y, nx, ny);
-    euler::Array2 ly(nx, ny, euler::kNcomp), ry(nx, ny, euler::kNcomp),
-        fy(nx, ny, euler::kNcomp);
-    states->compute(u, interior, euler::Dir::y, ly, ry);
-    flux->compute(ly, ry, euler::Dir::y, fy);
+    for (euler::Array2* a : {&s.ly, &s.ry, &s.fy}) a->reshape(nx, ny, euler::kNcomp);
+    states->compute(u, interior, euler::Dir::y, s.ly, s.ry);
+    flux->compute(s.ly, s.ry, euler::Dir::y, s.fy);
 
-    euler::flux_divergence_mt(ccaperf::rank_pool(), fx, fy, interior, dx, dy,
+    euler::flux_divergence_mt(ccaperf::rank_pool(), s.fx, s.fy, interior, dx, dy,
                               dudt);
   }
 
  private:
+  struct Scratch {
+    euler::Array2 lx, rx, fx, ly, ry, fy;
+  };
+
   cca::Services* svc_ = nullptr;
 };
 

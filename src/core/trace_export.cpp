@@ -26,6 +26,7 @@ RankTrace collect_rank_trace(const tau::Registry& reg, int rank, int thread) {
   t.strings = reg.trace_strings();
   t.total_events = reg.trace().total();
   t.dropped_events = reg.trace().dropped();
+  t.suppressed_messages = reg.trace_messages_suppressed();
   return t;
 }
 
@@ -111,6 +112,7 @@ MergeStats TraceMerger::write_chrome_trace(std::ostream& os) const {
   std::map<MsgKey, std::uint64_t> sends, recvs;  // key -> endpoint count
   for (const RankTrace& r : ranks) {
     stats.dropped += r.dropped_events;
+    stats.suppressed_messages += r.suppressed_messages;
     for (const TraceRecord& e : r.events) {
       if (e.kind == TraceKind::msg_send) ++sends[msg_key(r.rank, e)];
       if (e.kind == TraceKind::msg_recv) ++recvs[msg_key(r.rank, e)];

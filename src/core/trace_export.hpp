@@ -42,6 +42,7 @@ struct RankTrace {
   std::vector<std::string> strings;      ///< trace-string table
   std::uint64_t total_events = 0;        ///< pushed ever (retained + dropped)
   std::uint64_t dropped_events = 0;      ///< lost to the ring bound
+  std::uint64_t suppressed_messages = 0; ///< endpoints a coarser tier skipped
 };
 
 /// Snapshots `reg`'s trace and name tables for rank `rank`. For a
@@ -62,6 +63,9 @@ struct MergeStats {
   std::size_t unmatched_recvs = 0;
   std::size_t orphan_exits = 0;     ///< exits whose enters were overwritten
   std::uint64_t dropped = 0;        ///< ring drops summed over ranks
+  /// Message endpoints skipped below the `full` trace tier, summed over
+  /// ranks: each may leave its peer's endpoint unmatched.
+  std::uint64_t suppressed_messages = 0;
 
   bool fully_matched() const { return unmatched_sends == 0 && unmatched_recvs == 0; }
 };

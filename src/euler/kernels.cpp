@@ -136,31 +136,37 @@ KernelCounts godunov_flux_sweep(const Array2& left, const Array2& right, Dir dir
 
 namespace {
 
-// Face-normal-frame flux components -> conserved components:
-// x faces: (mass, mom_n, mom_t, E, phi) -> (rho, mx, my, E, rphi)
-// y faces: mom_n is y momentum, mom_t is x momentum.
-constexpr int x_map[kNcomp] = {kRho, kMx, kMy, kE, kRphi};
-constexpr int y_map[kNcomp] = {kRho, kMy, kMx, kE, kRphi};
-
-/// One component's divergence rows [jj_begin, jj_end). Every dudt cell is
-/// written exactly once from already-final face fluxes, so any row
-/// partition produces bit-identical output.
+/// Divergence rows [jj_begin, jj_end), all five components per cell.
+/// Face-normal-frame fluxes map back to conserved components here: x
+/// faces carry (mass, mom_n = mx, mom_t = my, E, phi), y faces carry
+/// (mass, mom_n = my, mom_t = mx, E, phi). Each cell sums its x and y
+/// terms in the fixed order -((0 + first) + second) — my takes the y
+/// term first — and every dudt cell is written exactly once from
+/// already-final face fluxes, so any row partition produces bit-identical
+/// output.
 void flux_divergence_rows(const Array2& fx, const Array2& fy,
                           const amr::Box& interior, double inv_dx,
-                          double inv_dy, amr::PatchData<double>& dudt, int c,
+                          double inv_dy, amr::PatchData<double>& dudt,
                           int jj_begin, int jj_end) {
   const int W = interior.width();
   for (int jj = jj_begin; jj < jj_end; ++jj) {
     const int j = interior.lo().j + jj;
     for (int ii = 0; ii < W; ++ii) {
       const int i = interior.lo().i + ii;
-      double div = 0.0;
-      // Find which face-frame component feeds conserved component c.
+      const double* xl = fx.addr(ii, jj, 0);
+      const double* xr = fx.addr(ii + 1, jj, 0);
+      const double* yl = fy.addr(ii, jj, 0);
+      const double* yr = fy.addr(ii, jj + 1, 0);
+      double ddx[kNcomp], ddy[kNcomp];
       for (int k = 0; k < kNcomp; ++k) {
-        if (x_map[k] == c) div += (fx(ii + 1, jj, k) - fx(ii, jj, k)) * inv_dx;
-        if (y_map[k] == c) div += (fy(ii, jj + 1, k) - fy(ii, jj, k)) * inv_dy;
+        ddx[k] = (xr[k] - xl[k]) * inv_dx;
+        ddy[k] = (yr[k] - yl[k]) * inv_dy;
       }
-      dudt(i, j, c) = -div;
+      dudt(i, j, kRho) = -((0.0 + ddx[0]) + ddy[0]);
+      dudt(i, j, kMx) = -((0.0 + ddx[1]) + ddy[2]);
+      dudt(i, j, kMy) = -((0.0 + ddy[1]) + ddx[2]);
+      dudt(i, j, kE) = -((0.0 + ddx[3]) + ddy[3]);
+      dudt(i, j, kRphi) = -((0.0 + ddx[4]) + ddy[4]);
     }
   }
 }
@@ -178,10 +184,8 @@ void check_divergence_shapes(const Array2& fx, const Array2& fy,
 void flux_divergence(const Array2& fx, const Array2& fy, const amr::Box& interior,
                      double dx, double dy, amr::PatchData<double>& dudt) {
   check_divergence_shapes(fx, fy, interior);
-  const double inv_dx = 1.0 / dx, inv_dy = 1.0 / dy;
-  for (int c = 0; c < kNcomp; ++c)
-    flux_divergence_rows(fx, fy, interior, inv_dx, inv_dy, dudt, c, 0,
-                         interior.height());
+  flux_divergence_rows(fx, fy, interior, 1.0 / dx, 1.0 / dy, dudt, 0,
+                       interior.height());
 }
 
 double max_wave_speed(const amr::PatchData<double>& U, const amr::Box& interior,
@@ -329,14 +333,10 @@ void flux_divergence_mt(ccaperf::ThreadPool& pool, const Array2& fx,
   }
   check_divergence_shapes(fx, fy, interior);
   const double inv_dx = 1.0 / dx, inv_dy = 1.0 / dy;
-  const int H = interior.height();
-  // Flatten (component, row) so short patches still spread across lanes.
-  pool.parallel_for(static_cast<std::size_t>(kNcomp) *
-                        static_cast<std::size_t>(H),
-                    [&](std::size_t t, int) {
-    const int c = static_cast<int>(t) / H;
-    const int jj = static_cast<int>(t) % H;
-    flux_divergence_rows(fx, fy, interior, inv_dx, inv_dy, dudt, c, jj, jj + 1);
+  pool.parallel_for(static_cast<std::size_t>(interior.height()),
+                    [&](std::size_t jj, int) {
+    flux_divergence_rows(fx, fy, interior, inv_dx, inv_dy, dudt,
+                         static_cast<int>(jj), static_cast<int>(jj) + 1);
   });
 }
 

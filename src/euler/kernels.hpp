@@ -19,8 +19,15 @@
 // States and EFM sweeps (and the RK2 updates below) dispatch at runtime to
 // AVX2/AVX-512 vector bodies when the host supports them — see simd.hpp
 // for the CCAPERF_SIMD knob. Every ISA level produces bit-identical faces,
-// fluxes and traced cache counters; Godunov stays scalar (its Riemann
-// solve iterates data-dependently per face).
+// fluxes and traced cache counters.
+//
+// Godunov is scalar at every ISA level: its Riemann solve iterates
+// data-dependently per face, and a vector pow would not round like libm's.
+// Its fast path lives in exact_riemann (riemann.hpp): faces whose two
+// states are bitwise identical return without iterating, and the
+// iteration computes each side's constants once — the same expressions,
+// so the fluxes, iteration counts and traced counters are the bits the
+// plain solve produces.
 
 #include <cstdint>
 #include <vector>
@@ -52,6 +59,19 @@ class Array2 {
         data_(static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
                   static_cast<std::size_t>(ncomp),
               0.0) {}
+
+  /// Gives the array a new shape without clearing it: elements that were
+  /// already allocated keep their old values, so callers must write every
+  /// element before reading (the sweep kernels do). Capacity only grows,
+  /// which lets per-thread scratch arrays stop allocating once they have
+  /// seen the largest patch.
+  void reshape(int nx, int ny, int ncomp) {
+    nx_ = nx;
+    ny_ = ny;
+    ncomp_ = ncomp;
+    data_.resize(static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
+                 static_cast<std::size_t>(ncomp));
+  }
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }

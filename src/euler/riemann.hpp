@@ -9,6 +9,24 @@
 // GodunovFlux "involves an internal iterative solution for every element
 // of the data array", producing a standard deviation that grows with
 // array size (Fig. 7).
+//
+// Fast path, bit-exact with the plain textbook solve:
+//  * Identical states. When left and right are bitwise equal (about 30% of
+//    the case study's faces: smooth regions reconstruct equal states),
+//    the plain solve's PVRS guess is p, both pressure functions vanish,
+//    the Newton step is +0 and the loop stops after one iteration; the
+//    sample is the input state with u + 0.0. The solver returns exactly
+//    that without iterating, inside a guard (finite, nonzero
+//    intermediates, gamma > 1, max_iter >= 1, tol > 0) where the argument
+//    holds, and runs the full solve outside it.
+//  * Per-side constants of the pressure function are computed once per
+//    solve with the same expressions; with -ffp-contract=off (set on the
+//    library) every rounding is unchanged.
+//  * The final pressure evaluation skips the unused derivative, and the
+//    rarefaction sampler reuses its (p/p_K)^((g-1)/2g) — same arguments,
+//    same libm call, same bits.
+// tests/euler/test_riemann_differential.cpp compares the result with a
+// frozen copy of the plain solve bit for bit.
 
 #include "euler/state.hpp"
 

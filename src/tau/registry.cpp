@@ -411,6 +411,7 @@ const char* trace_tier_name(TraceTier t) {
 void Registry::set_tracing(bool enabled) {
   if (enabled) {
     trace_.clear();
+    trace_msgs_suppressed_ = 0;
     trace_epoch_ = Clock::now();
     tracing_ = true;
     trace_push_open_frames(/*as_exit=*/false);
@@ -424,6 +425,7 @@ void Registry::set_tracing(bool enabled) {
 
 void Registry::set_tracing_from_epoch(Clock::time_point epoch) {
   trace_.clear();
+  trace_msgs_suppressed_ = 0;
   trace_epoch_ = epoch;
   tracing_ = true;
   trace_push_open_frames(/*as_exit=*/false);
@@ -435,7 +437,11 @@ void Registry::set_trace_capacity(std::size_t events) {
 
 void Registry::trace_message(bool send, int peer, int tag, std::uint64_t bytes,
                              std::uint64_t seq) {
-  if (!tracing_ || trace_tier_ != TraceTier::full) return;
+  if (!tracing_) return;
+  if (trace_tier_ != TraceTier::full) {
+    ++trace_msgs_suppressed_;
+    return;
+  }
   TraceRecord r;
   r.t_us = us_between(trace_epoch_, Clock::now());
   r.kind = send ? TraceKind::msg_send : TraceKind::msg_recv;

@@ -311,9 +311,14 @@ class Registry {
 
   /// Appends a message endpoint event (kind msg_send / msg_recv). `peer`
   /// is the other endpoint's world rank, `seq` the fabric's per-(src,dst)
-  /// sequence number. No-op unless tracing.
+  /// sequence number. No-op unless tracing; below the `full` tier the
+  /// endpoint is skipped and counted in trace_messages_suppressed().
   void trace_message(bool send, int peer, int tag, std::uint64_t bytes,
                      std::uint64_t seq);
+  /// Message endpoints skipped by a coarser trace tier since tracing was
+  /// last enabled. Ranks change tier at different instants, so a
+  /// suppressed endpoint can leave its peer's endpoint unmatched.
+  std::uint64_t trace_messages_suppressed() const { return trace_msgs_suppressed_; }
 
   /// Samples every registered hardware counter into the trace (one counter
   /// record each, id = counter index). No-op unless tracing.
@@ -354,6 +359,7 @@ class Registry {
 
   bool tracing_ = false;
   TraceTier trace_tier_ = TraceTier::full;
+  std::uint64_t trace_msgs_suppressed_ = 0;
   Clock::time_point trace_epoch_{};
   TraceBuffer trace_;
   NameInterner trace_strings_;

@@ -1,8 +1,8 @@
 // core::TraceMerger / Chrome-trace export: golden two-rank merge
 // (deterministic down to the byte for hand-built inputs), flow matching
 // by exact (src, dst, seq) identity, unmatched-endpoint and orphan-exit
-// accounting under ring drops, epoch alignment, and the CCAPERF_TRACE
-// environment switch.
+// accounting under ring drops and below the full trace tier, epoch
+// alignment, and the CCAPERF_TRACE environment switch.
 
 #include <gtest/gtest.h>
 
@@ -240,6 +240,36 @@ TEST(TraceExport, CollectRankTraceLiftsRegistryState) {
   const MergeStats st = merger.write_chrome_trace(os);
   EXPECT_EQ(st.slices, 1u);
   EXPECT_EQ(st.unmatched_sends, 1u);  // single-rank trace: no recv side
+}
+
+TEST(TraceExport, EndpointsBelowTheFullTierAreCountedAndSummed) {
+  // A governed rank that leaves the full tier skips message endpoints;
+  // the count travels with its trace so the merge can tell a stranded
+  // peer endpoint from a lost one.
+  tau::Registry r0, r1;
+  r0.set_tracing(true);
+  r1.set_tracing(true);
+  r0.trace_message(true, 1, 5, 64, 1);   // both sides recorded
+  r1.trace_message(false, 0, 5, 64, 1);
+  r1.set_trace_tier(tau::TraceTier::slices);
+  r0.trace_message(true, 1, 5, 64, 2);   // recv skipped: send stranded
+  r1.trace_message(false, 0, 5, 64, 2);
+  r1.trace_message(true, 0, 5, 64, 1);   // send skipped
+  EXPECT_EQ(r0.trace_messages_suppressed(), 0u);
+  EXPECT_EQ(r1.trace_messages_suppressed(), 2u);
+
+  TraceMerger merger;
+  merger.add_rank(core::collect_rank_trace(r0, 0));
+  merger.add_rank(core::collect_rank_trace(r1, 1));
+  std::ostringstream os;
+  const MergeStats st = merger.write_chrome_trace(os);
+  EXPECT_EQ(st.flows, 1u);
+  EXPECT_EQ(st.unmatched_sends, 1u);
+  EXPECT_EQ(st.suppressed_messages, 2u);
+  EXPECT_EQ(st.dropped, 0u);
+
+  r1.set_tracing(true);  // a fresh trace starts a fresh count
+  EXPECT_EQ(r1.trace_messages_suppressed(), 0u);
 }
 
 TEST(TraceExport, ThreadShardsBecomeTracksInsideTheRankProcess) {
