@@ -14,8 +14,8 @@
 //                    (the fabric progress cost of the loop).
 //
 // Weak scaling holds per-rank payloads fixed; strong scaling divides a
-// fixed total payload across ranks. A micro section times the tree
-// barrier/allgather against the retained flat-bay path at 64 ranks.
+// fixed total payload across ranks. A micro section reports the per-call
+// cost of each of the eight collectives at 64 and 256 ranks (ungated).
 //
 // Gating (scripts/bench_gate.py vs bench/baselines/ranks.json): on an
 // oversubscribed single-core runner wall time equals serialized total
@@ -33,6 +33,7 @@
 // Environment: CCAPERF_STEPS (default 12), CCAPERF_BENCH_RANKS_MAX
 // (default 256, lowered for smoke runs).
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -134,39 +135,51 @@ double loglog_exponent(const std::vector<int>& ranks,
   return (n * sxy - sx * sy) / (n * sxx - sx * sx);
 }
 
-/// Mean per-call time of tree vs flat barrier and allgather at `nranks`.
-struct MicroResult {
-  double barrier_tree_us = 0, barrier_flat_us = 0;
-  double allgather_tree_us = 0, allgather_flat_us = 0;
-};
+/// The collectives timed by the micro section, in report order.
+constexpr const char* kMicroOps[] = {
+    "barrier", "bcast",  "reduce",     "allreduce",
+    "allgather", "gather", "allgatherv", "alltoall"};
+constexpr std::size_t kNumMicroOps = std::size(kMicroOps);
 
-MicroResult micro_tree_vs_flat(int nranks, int reps) {
-  MicroResult out;
+/// Per-call time of every collective at `nranks`: the slowest rank's time
+/// per call in a block of `reps` calls, best of `blocks` blocks (scheduler
+/// contention only ever adds time). The slowest rank, because a root that
+/// only sends (bcast) or a leaf that only sends (reduce, gather) leaves
+/// early. Payloads are 512 B per rank: 64 longs for bcast/reduce/allreduce
+/// and the gathers, 8 longs per destination for alltoall.
+std::array<double, kNumMicroOps> micro_collectives(int nranks, int reps,
+                                                   int blocks) {
+  std::array<double, kNumMicroOps> out{};
   mpp::Runtime::run(nranks, mpp::NetworkModel::null_model(),
                     [&](mpp::Comm& world) {
     const auto nz = static_cast<std::size_t>(world.size());
-    std::vector<long> mine(64, world.rank());
-    std::vector<long> all(64 * nz);
-    auto timed = [&](auto&& op) {
+    std::vector<long> mine(64, world.rank()), red(64), all(64 * nz);
+    const std::vector<std::size_t> counts(nz, 64);
+    std::vector<long> a2a_in(8 * nz, world.rank()), a2a_out(8 * nz);
+    auto best_of = [&](auto&& op) {
       op();  // warm-up
-      world.barrier();
-      const double t0 = world.wtime();
-      for (int r = 0; r < reps; ++r) op();
-      return (world.wtime() - t0) * 1e6 / reps;
+      double best = std::numeric_limits<double>::max();
+      for (int b = 0; b < blocks; ++b) {
+        world.barrier();
+        const double t0 = world.wtime();
+        for (int r = 0; r < reps; ++r) op();
+        const double mine_us = (world.wtime() - t0) * 1e6 / reps;
+        best = std::min(best,
+                        world.allreduce_value<mpp::MaxOp<double>>(mine_us));
+      }
+      return best;
     };
-    const double bt = timed([&] { world.barrier(); });
-    const double bf = timed([&] { world.barrier_flat(); });
-    const double gt = timed([&] { world.allgather<long>(mine, all); });
-    const double gf = timed([&] {
-      world.allgather_bytes_flat(mine.data(), mine.size() * sizeof(long),
-                                 all.data());
-    });
-    if (world.rank() == 0) {
-      out.barrier_tree_us = bt;
-      out.barrier_flat_us = bf;
-      out.allgather_tree_us = gt;
-      out.allgather_flat_us = gf;
-    }
+    const std::array<double, kNumMicroOps> us = {
+        best_of([&] { world.barrier(); }),
+        best_of([&] { world.bcast<long>(mine, 0); }),
+        best_of([&] { world.reduce<long>(mine, red, 0); }),
+        best_of([&] { world.allreduce<long>(mine, red); }),
+        best_of([&] { world.allgather<long>(mine, all); }),
+        best_of([&] { world.gather<long>(mine, all, 0); }),
+        best_of([&] { world.allgatherv<long>(mine, all, counts); }),
+        best_of([&] { world.alltoall<long>(a2a_in, a2a_out); }),
+    };
+    if (world.rank() == 0) out = us;
   });
   return out;
 }
@@ -227,18 +240,32 @@ int main() {
   std::cout << "strong log-log exponent: "
             << ccaperf::fmt_double(strong_exp, 3) << "\n\n";
 
-  // Tree vs the retained flat-bay path at the largest common size.
-  const int micro_n = std::min(64, sweep.back());
-  const MicroResult micro = micro_tree_vs_flat(micro_n, 8);
-  std::cout << "tree vs flat at " << micro_n << " ranks (us/call):\n";
-  ccaperf::TextTable micro_t;
-  micro_t.set_header({"collective", "tree", "flat bay"});
-  micro_t.add_row({"barrier", ccaperf::fmt_double(micro.barrier_tree_us, 5),
-                   ccaperf::fmt_double(micro.barrier_flat_us, 5)});
-  micro_t.add_row({"allgather 512B",
-                   ccaperf::fmt_double(micro.allgather_tree_us, 5),
-                   ccaperf::fmt_double(micro.allgather_flat_us, 5)});
-  micro_t.render(std::cout);
+  // Per-call cost of every collective at 64 and 256 ranks. Reported, not
+  // gated: between runs these spread wider than the gate tolerance.
+  std::vector<int> micro_sizes;
+  for (int n : {64, 256})
+    if (n <= max_ranks) micro_sizes.push_back(n);
+  std::vector<std::array<double, kNumMicroOps>> micro;
+  for (int n : micro_sizes) micro.push_back(micro_collectives(n, 1280 / n, 5));
+  if (!micro_sizes.empty()) {
+    std::cout << "collectives, best of 5 blocks (us/call):\n";
+    ccaperf::TextTable micro_t;
+    std::vector<std::string> header{"collective"};
+    for (int n : micro_sizes) header.push_back(std::to_string(n) + " ranks");
+    micro_t.set_header(header);
+    for (std::size_t k = 0; k < kNumMicroOps; ++k) {
+      std::vector<std::string> row{kMicroOps[k]};
+      for (std::size_t i = 0; i < micro_sizes.size(); ++i) {
+        row.push_back(ccaperf::fmt_double(micro[i][k], 5));
+        json.push_back({"micro",
+                        std::string(kMicroOps[k]) + "_us_n" +
+                            std::to_string(micro_sizes[i]),
+                        micro[i][k]});
+      }
+      micro_t.add_row(row);
+    }
+    micro_t.render(std::cout);
+  }
 
   bench::print_comparison(
       "fabric rank scaling",
@@ -253,10 +280,6 @@ int main() {
 
   json.push_back({"fit", "weak_exponent", weak_exp});
   json.push_back({"fit", "strong_exponent", strong_exp});
-  json.push_back({"micro", "barrier_tree_us", micro.barrier_tree_us});
-  json.push_back({"micro", "barrier_flat_us", micro.barrier_flat_us});
-  json.push_back({"micro", "allgather_tree_us", micro.allgather_tree_us});
-  json.push_back({"micro", "allgather_flat_us", micro.allgather_flat_us});
   bench::write_bench_json("bench_out/ranks.json", json);
 
   if (strong_exp > 1.5 || weak_exp > 1.8) {

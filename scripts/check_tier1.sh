@@ -201,11 +201,11 @@ PY
 fi
 
 if want ranks-scaling; then
-  echo "== rank-scaling smoke (64-rank fig01, tree collectives + sharded balance) =="
-  # The tree collectives and the distributed load balancer (active at >= 16
-  # ranks) must keep a clean large-world run deterministic: two identical
-  # 64-rank runs produce byte-identical density CSVs, and the per-rank
-  # telemetry still parses.
+  echo "== rank-scaling smoke (64-rank fig01, hop-relay collectives) =="
+  # The hop-relay collectives and the replicated load balancer must keep a
+  # clean large-world run deterministic: two identical 64-rank runs
+  # produce byte-identical density CSVs, and the per-rank telemetry still
+  # parses.
   need_fig01
   (cd "${SMOKE_DIR}" && mkdir -p ranks-a ranks-b &&
    cd ranks-a &&
@@ -332,11 +332,12 @@ fi
 if want tsan; then
   echo "== thread-sanitized concurrency suites (${TSAN_DIR}) =="
   # Lock-ordering-sensitive paths: the mpp fault layer (indexed fault
-  # queues, dedupe windows under the mailbox lock), the tree collectives
-  # (per-rank hop slots at 64/129 ranks), the sharded load balancer, the
-  # threaded-rank layer (work-stealing pool, sharded registries,
-  # lane-dispatched monitor, proxies resolving their monitor once from
-  # pool lanes, multi-threaded kernels), the telemetry
+  # queues, dedupe windows under the mailbox lock), every collective on
+  # the per-rank hop slots (1-8 ranks, 64/129 ranks, dup/split,
+  # deterministic reductions, aborts mid-collective), the threaded-rank
+  # layer (work-stealing pool, sharded registries, lane-dispatched
+  # monitor, proxies resolving their monitor once from pool lanes,
+  # multi-threaded kernels), the telemetry
   # hub (shard rings under concurrent publishers racing the drainer
   # ServiceThread), the case study at 1-3 ranks with regrids, whose
   # field must stay bit-identical while the fine levels are cut for
@@ -347,9 +348,9 @@ if want tsan; then
     --target test_mpp test_amr test_support test_core test_euler test_tau \
              test_telemetry_hub test_components
   "${TSAN_DIR}/tests/mpp/test_mpp" \
-    --gtest_filter='FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*'
+    --gtest_filter='FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*SplitProperty*:*DeterministicReductions.*:*AbortInCollective.*'
   "${TSAN_DIR}/tests/amr/test_amr" \
-    --gtest_filter='ExchangeFaults.*:*DistributedBalance*'
+    --gtest_filter='ExchangeFaults.*'
   "${TSAN_DIR}/tests/support/test_support" \
     --gtest_filter='ThreadPool.*:ServiceThread.*'
   "${TSAN_DIR}/tests/core/test_core" \

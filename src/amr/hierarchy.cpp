@@ -87,7 +87,7 @@ void Hierarchy::init_level0() {
       lvl.patches().push_back(PatchInfo{next_patch_id_++, Box{ilo, jlo, ihi, jhi}, 0});
     }
   }
-  balance_owners(comm_, lvl.patches(), cfg_.balance);
+  balance_owners(lvl.patches(), nranks(), cfg_.balance);
   allocate_local(lvl);
   levels_.push_back(std::move(lvl));
 }
@@ -329,7 +329,7 @@ void Hierarchy::regrid(const FlagFn& flag_fn, const BcSpec& bc) {
       if (b.empty()) continue;
       fresh.patches().push_back(PatchInfo{next_patch_id_++, b.refined(r), 0});
     }
-    balance_owners(comm_, fresh.patches(), cfg_.balance);
+    balance_owners(fresh.patches(), nranks(), cfg_.balance);
     allocate_local(fresh);
 
     if (fresh.patches().empty()) {
@@ -379,7 +379,7 @@ double Hierarchy::rebalance() {
   double worst = 1.0;
   for (Level& lvl : levels_) {
     std::vector<PatchInfo> rebal = lvl.patches();
-    const double imbalance = balance_owners(comm_, rebal, cfg_.balance);
+    const double imbalance = balance_owners(rebal, nranks(), cfg_.balance);
     worst = std::max(worst, imbalance);
 
     Level fresh(lvl.index(), lvl.domain(), lvl.ratio_to_coarser());

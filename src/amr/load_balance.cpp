@@ -173,48 +173,4 @@ double balance_owners(std::vector<PatchInfo>& patches, int nranks,
   return imbalance_of(peak, total, nranks);
 }
 
-double balance_owners(mpp::Comm& comm, std::vector<PatchInfo>& patches,
-                      BalancePolicy policy) {
-  CCAPERF_REQUIRE(comm.valid(), "balance_owners: invalid communicator");
-  const int nranks = comm.size();
-  // Patch metadata is replicated, so every rank takes the same branch.
-  if (nranks < kDistributedBalanceThreshold || patches.empty())
-    return balance_owners(patches, nranks, policy);
-
-  // Sharded weights: rank r computes the weights of its contiguous index
-  // shard only, then a tree allgatherv assembles the full vector on every
-  // rank — O(P/R) local work instead of O(P), with the exchange riding
-  // the O(log R) Bruck path.
-  const std::size_t P = patches.size();
-  const auto nr = static_cast<std::size_t>(nranks);
-  const auto me = static_cast<std::size_t>(comm.rank());
-  std::vector<std::size_t> counts(nr);
-  for (std::size_t r = 0; r < nr; ++r)
-    counts[r] = P / nr + (r < P % nr ? 1 : 0);
-  std::size_t lo = 0;
-  for (std::size_t r = 0; r < me; ++r) lo += counts[r];
-  std::vector<long> mine(counts[me]);
-  ccaperf::rank_pool().parallel_for(mine.size(), [&](std::size_t k, int) {
-    mine[k] = patches[lo + k].box.num_pts();
-  });
-  std::vector<long> weight(P);
-  comm.allgatherv<long>(mine, weight, counts);
-
-  std::vector<long> load;
-  assign_owners(patches, nranks, policy, weight, load);
-
-  // Imbalance from a reduction of per-rank load summaries (max, sum) —
-  // each rank contributes only its own load, no full-vector rescan.
-  const long summary[2] = {load[me], load[me]};
-  long reduced[2] = {0, 0};
-  comm.allreduce_bytes(summary, reduced, sizeof(long[2]), 1,
-                       [](void* acc, const void* in, std::size_t) {
-                         auto* a = static_cast<long*>(acc);
-                         const auto* b = static_cast<const long*>(in);
-                         a[0] = std::max(a[0], b[0]);
-                         a[1] += b[1];
-                       });
-  return imbalance_of(reduced[0], reduced[1], nranks);
-}
-
 }  // namespace amr

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "amr/level.hpp"
-#include "mpp/comm.hpp"
 
 namespace amr {
 
@@ -40,23 +39,10 @@ std::vector<Box> split_for_balance(std::vector<Box> boxes, int nranks,
 long lpt_makespan(const std::vector<Box>& boxes, int nranks);
 
 /// Assigns `owner` for every patch. Returns the load imbalance ratio
-/// max_rank_cells / mean_rank_cells (1.0 == perfect). Every rank computes
-/// every patch weight locally (replicated-metadata path).
+/// max_rank_cells / mean_rank_cells (1.0 == perfect). Patch metadata is
+/// replicated, so every rank computes every weight and the identical
+/// assignment locally; balancing sends no messages.
 double balance_owners(std::vector<PatchInfo>& patches, int nranks,
-                      BalancePolicy policy = BalancePolicy::knapsack);
-
-/// Group sizes below this use the replicated path: recomputing a handful
-/// of weights locally is cheaper than any communication, and it keeps the
-/// paper-scale (2-3 rank) comm traces byte-identical.
-inline constexpr int kDistributedBalanceThreshold = 16;
-
-/// Communicator-aware variant used by Hierarchy (collective). At
-/// kDistributedBalanceThreshold ranks and above, per-patch weights are
-/// computed in contiguous index shards — one per rank — and shared with a
-/// tree allgatherv, and the imbalance summary comes from a reduction of
-/// per-rank load summaries, so no rank recomputes the whole patch list.
-/// The assignment itself is deterministic and identical on every rank.
-double balance_owners(mpp::Comm& comm, std::vector<PatchInfo>& patches,
                       BalancePolicy policy = BalancePolicy::knapsack);
 
 }  // namespace amr

@@ -1,6 +1,7 @@
 #include "mpp/comm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -615,70 +616,34 @@ Status Comm::recv_bytes(void* buffer, std::size_t capacity, int src, int tag) {
 // ---------------------------------------------------------------------------
 // Collectives
 // ---------------------------------------------------------------------------
+//
+// Every collective runs over per-rank HopSlot relays: a dissemination
+// barrier, Bruck allgather/allgatherv, binomial-tree bcast and reduce
+// (allreduce = reduce to rank 0 + bcast), and direct hops for gather and
+// alltoall — O(log n) rounds per rank for the tree ops, for any group size
+// (no power-of-two requirement). Internal hops open no hook bracket and
+// draw no modeled delay: each public call keeps one MPI hook bracket and
+// exactly one NetworkModel draw per rank, with the bytes the MPI call
+// moves, so clean-run traces and counters do not depend on the algorithm.
+// Per-hop progress is visible through CommHooks::on_collective_hop.
 
-void Comm::collective(std::size_t scratch_bytes,
-                      const std::function<void(detail::CollectiveBay&, bool)>& deposit,
-                      const std::function<void(detail::CollectiveBay&)>& collect,
-                      std::size_t delay_bytes) const {
-  CCAPERF_REQUIRE(valid(), "collective on invalid communicator");
-  detail::CollectiveBay& bay = fabric_->bay(context_);
-  const int n = size();
-  {
-    std::unique_lock lock(bay.mu);
-    const std::uint64_t gen = bay.generation;
-    const bool first = (bay.arrived == 0);
-    if (first) {
-      bay.scratch.assign(scratch_bytes, std::byte{0});
-      bay.agreed_u64 = 0;
-    }
-    deposit(bay, first);
-    ++bay.arrived;
-    if (bay.arrived == n) {
-      bay.complete = true;
-      bay.cv.notify_all();
-    } else {
-      bay.cv.wait(lock, [&] {
-        return (bay.complete && bay.generation == gen) || fabric_->is_aborted();
-      });
-      if (!bay.complete || bay.generation != gen)
-        throw CommError(CommErrc::aborted,
-                        "mpp: collective aborted (a peer rank failed)");
-    }
-    collect(bay);
-    ++bay.departed;
-    if (bay.departed == n) {
-      bay.arrived = 0;
-      bay.departed = 0;
-      bay.complete = false;
-      ++bay.generation;
-      bay.cv.notify_all();
-    } else {
-      bay.cv.wait(lock,
-                  [&] { return bay.generation != gen || fabric_->is_aborted(); });
-      if (bay.generation == gen)
-        throw CommError(CommErrc::aborted,
-                        "mpp: collective aborted (a peer rank failed)");
-    }
-  }
-  sleep_us(fabric_->delay_us(my_world_rank(), delay_bytes));
+namespace {
+
+/// Rounds of a log-depth collective over n ranks: ceil(log2 n).
+int tree_rounds(int n) {
+  return static_cast<int>(std::bit_width(static_cast<unsigned>(n - 1)));
 }
 
-// --- tree collectives ------------------------------------------------------
-//
-// Barrier and the allgather family run over per-rank HopSlot relays instead
-// of the CollectiveBay: a dissemination barrier and Bruck-style allgathers,
-// both O(log n) rounds per rank for any group size (no power-of-two
-// requirement). The bay serializes all n ranks through one mutex per
-// operation — fine at the paper's 3 processors, quadratic-cost thundering
-// herd at 256 (DESIGN.md §10). Results are byte-identical to the flat
-// path, the outer MPI hook bracket is unchanged, and each rank still
-// consumes exactly one modeled-delay draw per operation, so clean-run
-// traces and counters match the pre-tree fabric bit for bit. Per-hop
-// progress is additionally visible through CommHooks::on_collective_hop.
+}  // namespace
+
+std::uint64_t Comm::next_generation() const {
+  CCAPERF_REQUIRE(valid(), "collective on invalid communicator");
+  return ++hop_slot(group_rank_).generation;
+}
 
 void Comm::hop_send(int dest_group, std::uint64_t gen, int round,
                     const void* data, std::size_t bytes, const char* op) const {
-  detail::HopSlot& slot = fabric_->hop_slot(context_, dest_group);
+  detail::HopSlot& slot = hop_slot(dest_group);
   std::vector<std::byte> payload;
   if (bytes > 0) {
     payload = fabric_->pool().acquire(bytes);
@@ -693,62 +658,125 @@ void Comm::hop_send(int dest_group, std::uint64_t gen, int round,
     h->on_collective_hop(HopEvent{op, round, world_rank_of(dest_group), bytes});
 }
 
-std::vector<std::byte> Comm::hop_recv(std::uint64_t gen, int round,
-                                      const char* op) const {
-  detail::HopSlot& slot = fabric_->hop_slot(context_, group_rank_);
+void Comm::hop_recv(std::uint64_t gen, int round, void* out, std::size_t bytes,
+                    const char* op) const {
+  detail::HopSlot& slot = hop_slot(group_rank_);
   const auto key = std::make_pair(gen, round);
-  std::unique_lock lock(slot.mu);
-  slot.cv.wait(lock, [&] {
-    return slot.arrived.count(key) != 0 || fabric_->is_aborted();
-  });
-  auto it = slot.arrived.find(key);
-  if (it == slot.arrived.end())
-    throw CommError(CommErrc::aborted, std::string("mpp: ") + op +
-                                           " aborted (a peer rank failed)");
-  std::vector<std::byte> payload = std::move(it->second);
-  slot.arrived.erase(it);
-  return payload;
+  std::vector<std::byte> payload;
+  {
+    std::unique_lock lock(slot.mu);
+    slot.cv.wait(lock, [&] {
+      return slot.arrived.count(key) != 0 || fabric_->is_aborted();
+    });
+    auto it = slot.arrived.find(key);
+    if (it == slot.arrived.end())
+      throw CommError(CommErrc::aborted, std::string("mpp: ") + op +
+                                             " aborted (a peer rank failed)");
+    payload = std::move(it->second);
+    slot.arrived.erase(it);
+  }
+  CCAPERF_REQUIRE(payload.size() == bytes, "collective: hop payload size mismatch");
+  if (bytes > 0) {
+    std::memcpy(out, payload.data(), bytes);
+    fabric_->pool().release(std::move(payload));
+  }
+}
+
+void Comm::tree_bcast(std::uint64_t gen, int round, void* data, std::size_t bytes,
+                      int root, const char* op) const {
+  // Relative rank `rel` receives once, from rel minus its lowest set bit,
+  // then forwards to rel + 2^k for every 2^k below that bit. One receive
+  // per rank, so every hop can carry the same round.
+  const int n = size();
+  const int rel = (group_rank_ - root + n) % n;
+  int mask = 1;
+  while (mask < n && (rel & mask) == 0) mask <<= 1;
+  if (rel != 0) hop_recv(gen, round, data, bytes, op);
+  for (mask >>= 1; mask > 0; mask >>= 1)
+    if (rel + mask < n) hop_send((rel + mask + root) % n, gen, round, data, bytes, op);
+}
+
+void Comm::tree_reduce(std::uint64_t gen, void* acc, std::size_t bytes,
+                       std::size_t count, CombineFn combine, int root,
+                       const char* op) const {
+  // Level k: relative ranks that are multiples of 2^(k+1) absorb the
+  // subtree of rel + 2^k; odd multiples of 2^k hand theirs up and stop.
+  const int n = size();
+  const int rel = (group_rank_ - root + n) % n;
+  std::vector<std::byte> child;  // acquired on the first child hop
+  int round = 0;
+  for (int mask = 1; mask < n; mask <<= 1, ++round) {
+    if (rel & mask) {
+      hop_send((rel - mask + root) % n, gen, round, acc, bytes, op);
+      break;
+    }
+    if (rel + mask < n) {
+      if (child.size() != bytes) child = fabric_->pool().acquire(bytes);
+      hop_recv(gen, round, child.data(), bytes, op);
+      combine(acc, child.data(), count);
+    }
+  }
+  if (!child.empty()) fabric_->pool().release(std::move(child));
+}
+
+void Comm::bruck_allgatherv(std::uint64_t gen, const void* in, void* out,
+                            std::span<const std::size_t> byte_counts,
+                            const char* op) const {
+  // Every rank knows every count, so the rotated packing offsets (`roff`)
+  // and per-hop byte counts are computed locally. Position p of `acc`
+  // holds rank (me + p) % n's block, which keeps each round's send a
+  // contiguous prefix: round k ships the first min(2^k, n - 2^k) blocks to
+  // (me - 2^k) and appends the same count from (me + 2^k).
+  const int ni = size();
+  const auto n = static_cast<std::size_t>(ni);
+  const auto me = static_cast<std::size_t>(group_rank_);
+  std::vector<std::size_t> roff(n + 1, 0);
+  for (std::size_t p = 0; p < n; ++p)
+    roff[p + 1] = roff[p] + byte_counts[(me + p) % n];
+  std::vector<std::byte> acc(roff[n]);
+  if (roff[1] > 0) std::memcpy(acc.data(), in, roff[1]);
+  int round = 0;
+  for (int dist = 1; dist < ni; dist <<= 1, ++round) {
+    const auto d = static_cast<std::size_t>(dist);
+    const std::size_t send_blocks = std::min(d, n - d);
+    hop_send((group_rank_ - dist + ni) % ni, gen, round, acc.data(),
+             roff[send_blocks], op);
+    // The prefix from (me + dist) lands as my blocks [dist, dist + send_blocks).
+    hop_recv(gen, round, acc.data() + roff[d], roff[d + send_blocks] - roff[d], op);
+  }
+  // Un-rotate into rank order.
+  std::vector<std::size_t> off(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) off[r + 1] = off[r] + byte_counts[r];
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t r = (me + p) % n;
+    if (byte_counts[r] > 0)
+      std::memcpy(static_cast<std::byte*>(out) + off[r], acc.data() + roff[p],
+                  byte_counts[r]);
+  }
 }
 
 void Comm::barrier() {
   HookScope hook("MPI_Barrier()");
-  CCAPERF_REQUIRE(valid(), "barrier on invalid communicator");
+  const std::uint64_t gen = next_generation();
+  // Dissemination: in round k every rank signals (rank + 2^k) and waits on
+  // (rank - 2^k); after ceil(log2 n) rounds each rank transitively heard
+  // from everyone.
   const int n = size();
-  if (n > 1) {
-    detail::HopSlot& slot = fabric_->hop_slot(context_, group_rank_);
-    const std::uint64_t gen = ++slot.generation;
-    // Dissemination: in round k every rank signals (rank + 2^k) and waits
-    // on (rank - 2^k); after ceil(log2 n) rounds each rank transitively
-    // heard from everyone.
-    int round = 0;
-    for (int dist = 1; dist < n; dist <<= 1, ++round) {
-      hop_send((group_rank_ + dist) % n, gen, round, nullptr, 0,
-               "MPI_Barrier()");
-      hop_recv(gen, round, "MPI_Barrier()");
-    }
+  int round = 0;
+  for (int dist = 1; dist < n; dist <<= 1, ++round) {
+    hop_send((group_rank_ + dist) % n, gen, round, nullptr, 0, "MPI_Barrier()");
+    hop_recv(gen, round, nullptr, 0, "MPI_Barrier()");
   }
   sleep_us(fabric_->delay_us(my_world_rank(), 0));
-}
-
-void Comm::barrier_flat() {
-  HookScope hook("MPI_Barrier()");
-  collective(0, [](detail::CollectiveBay&, bool) {}, [](detail::CollectiveBay&) {}, 0);
 }
 
 void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
   HookScope hook("MPI_Bcast()");
   hook.set_bytes(bytes);
+  const std::uint64_t gen = next_generation();
   CCAPERF_REQUIRE(root >= 0 && root < size(), "bcast: bad root");
-  const bool is_root = (group_rank_ == root);
-  collective(
-      bytes,
-      [&](detail::CollectiveBay& bay, bool) {
-        if (is_root) std::memcpy(bay.scratch.data(), data, bytes);
-      },
-      [&](detail::CollectiveBay& bay) {
-        if (!is_root) std::memcpy(data, bay.scratch.data(), bytes);
-      },
-      bytes);
+  tree_bcast(gen, 0, data, bytes, root, "MPI_Bcast()");
+  sleep_us(fabric_->delay_us(my_world_rank(), bytes));
 }
 
 void Comm::allreduce_bytes(const void* in, void* out, std::size_t elem_bytes,
@@ -756,16 +784,13 @@ void Comm::allreduce_bytes(const void* in, void* out, std::size_t elem_bytes,
   HookScope hook("MPI_Allreduce()");
   const std::size_t bytes = elem_bytes * count;
   hook.set_bytes(bytes);
-  collective(
-      bytes,
-      [&](detail::CollectiveBay& bay, bool first) {
-        if (first)
-          std::memcpy(bay.scratch.data(), in, bytes);
-        else
-          combine(bay.scratch.data(), in, count);
-      },
-      [&](detail::CollectiveBay& bay) { std::memcpy(out, bay.scratch.data(), bytes); },
-      bytes);
+  const std::uint64_t gen = next_generation();
+  // One algorithm at every size: reduce to rank 0, then broadcast, so the
+  // combine order (and with it a floating-point sum) is fixed by the tree.
+  if (bytes > 0) std::memmove(out, in, bytes);
+  tree_reduce(gen, out, bytes, count, combine, 0, "MPI_Allreduce()");
+  tree_bcast(gen, tree_rounds(size()), out, bytes, 0, "MPI_Allreduce()");
+  sleep_us(fabric_->delay_us(my_world_rank(), bytes));
 }
 
 void Comm::reduce_bytes(const void* in, void* out, std::size_t elem_bytes,
@@ -773,104 +798,58 @@ void Comm::reduce_bytes(const void* in, void* out, std::size_t elem_bytes,
   HookScope hook("MPI_Reduce()");
   const std::size_t bytes = elem_bytes * count;
   hook.set_bytes(bytes);
+  const std::uint64_t gen = next_generation();
   CCAPERF_REQUIRE(root >= 0 && root < size(), "reduce: bad root");
-  collective(
-      bytes,
-      [&](detail::CollectiveBay& bay, bool first) {
-        if (first)
-          std::memcpy(bay.scratch.data(), in, bytes);
-        else
-          combine(bay.scratch.data(), in, count);
-      },
-      [&](detail::CollectiveBay& bay) {
-        if (group_rank_ == root) std::memcpy(out, bay.scratch.data(), bytes);
-      },
-      bytes);
+  // Non-root output buffers need not hold a result, so accumulate in a slab.
+  std::vector<std::byte> acc;
+  if (bytes > 0) {
+    acc = fabric_->pool().acquire(bytes);
+    std::memcpy(acc.data(), in, bytes);
+  }
+  tree_reduce(gen, acc.data(), bytes, count, combine, root, "MPI_Reduce()");
+  if (bytes > 0) {
+    if (group_rank_ == root) std::memcpy(out, acc.data(), bytes);
+    fabric_->pool().release(std::move(acc));
+  }
+  sleep_us(fabric_->delay_us(my_world_rank(), bytes));
 }
 
 void Comm::allgather_bytes(const void* in, std::size_t chunk_bytes, void* out) {
   HookScope hook("MPI_Allgather()");
-  CCAPERF_REQUIRE(valid(), "allgather on invalid communicator");
+  const std::uint64_t gen = next_generation();
   const std::size_t n = static_cast<std::size_t>(size());
   hook.set_bytes(chunk_bytes * n);
-  if (n == 1) {
-    if (chunk_bytes > 0) std::memcpy(out, in, chunk_bytes);
-  } else {
-    // Bruck: `acc` packs blocks in rotated order (position p holds rank
-    // (me + p) % n's chunk); round k ships the first min(2^k, n - 2^k)
-    // blocks to (me - 2^k) and appends the same count from (me + 2^k).
-    const int ni = static_cast<int>(n);
-    std::vector<std::byte> acc(chunk_bytes * n);
-    if (chunk_bytes > 0) std::memcpy(acc.data(), in, chunk_bytes);
-    detail::HopSlot& slot = fabric_->hop_slot(context_, group_rank_);
-    const std::uint64_t gen = ++slot.generation;
-    int round = 0;
-    for (int dist = 1; dist < ni; dist <<= 1, ++round) {
-      const std::size_t send_blocks =
-          std::min<std::size_t>(static_cast<std::size_t>(dist),
-                                n - static_cast<std::size_t>(dist));
-      hop_send((group_rank_ - dist + ni) % ni, gen, round, acc.data(),
-               send_blocks * chunk_bytes, "MPI_Allgather()");
-      std::vector<std::byte> got = hop_recv(gen, round, "MPI_Allgather()");
-      CCAPERF_REQUIRE(got.size() == send_blocks * chunk_bytes,
-                      "allgather: hop payload size mismatch");
-      if (!got.empty()) {
-        std::memcpy(acc.data() + static_cast<std::size_t>(dist) * chunk_bytes,
-                    got.data(), got.size());
-        fabric_->pool().release(std::move(got));
-      }
-    }
-    // Un-rotate: acc position p is rank (me + p) % n's block.
-    for (std::size_t p = 0; chunk_bytes > 0 && p < n; ++p)
-      std::memcpy(static_cast<std::byte*>(out) +
-                      ((static_cast<std::size_t>(group_rank_) + p) % n) *
-                          chunk_bytes,
-                  acc.data() + p * chunk_bytes, chunk_bytes);
-  }
+  const std::vector<std::size_t> counts(n, chunk_bytes);
+  bruck_allgatherv(gen, in, out, counts, "MPI_Allgather()");
   sleep_us(fabric_->delay_us(my_world_rank(), chunk_bytes * n));
-}
-
-void Comm::allgather_bytes_flat(const void* in, std::size_t chunk_bytes,
-                                void* out) {
-  HookScope hook("MPI_Allgather()");
-  const std::size_t n = static_cast<std::size_t>(size());
-  hook.set_bytes(chunk_bytes * n);
-  collective(
-      chunk_bytes * n,
-      [&](detail::CollectiveBay& bay, bool) {
-        std::memcpy(bay.scratch.data() +
-                        static_cast<std::size_t>(group_rank_) * chunk_bytes,
-                    in, chunk_bytes);
-      },
-      [&](detail::CollectiveBay& bay) {
-        std::memcpy(out, bay.scratch.data(), chunk_bytes * n);
-      },
-      chunk_bytes * n);
 }
 
 void Comm::gather_bytes(const void* in, std::size_t chunk_bytes, void* out, int root) {
   HookScope hook("MPI_Gather()");
-  const std::size_t n = static_cast<std::size_t>(size());
-  hook.set_bytes(chunk_bytes * n);
-  CCAPERF_REQUIRE(root >= 0 && root < size(), "gather: bad root");
-  collective(
-      chunk_bytes * n,
-      [&](detail::CollectiveBay& bay, bool) {
-        std::memcpy(bay.scratch.data() +
-                        static_cast<std::size_t>(group_rank_) * chunk_bytes,
-                    in, chunk_bytes);
-      },
-      [&](detail::CollectiveBay& bay) {
-        if (group_rank_ == root)
-          std::memcpy(out, bay.scratch.data(), chunk_bytes * n);
-      },
-      chunk_bytes * n);
+  const std::uint64_t gen = next_generation();
+  const int n = size();
+  hook.set_bytes(chunk_bytes * static_cast<std::size_t>(n));
+  CCAPERF_REQUIRE(root >= 0 && root < n, "gather: bad root");
+  // Direct hops to the root, keyed by the sender's group rank.
+  if (group_rank_ != root) {
+    hop_send(root, gen, group_rank_, in, chunk_bytes, "MPI_Gather()");
+  } else {
+    auto* dst = static_cast<std::byte*>(out);
+    for (int s = 0; s < n; ++s) {
+      std::byte* slot = dst + static_cast<std::size_t>(s) * chunk_bytes;
+      if (s != root)
+        hop_recv(gen, s, slot, chunk_bytes, "MPI_Gather()");
+      else if (chunk_bytes > 0)
+        std::memcpy(slot, in, chunk_bytes);
+    }
+  }
+  sleep_us(fabric_->delay_us(my_world_rank(), chunk_bytes * static_cast<std::size_t>(n)));
 }
 
 void Comm::allgatherv_bytes(const void* in, std::size_t my_bytes, void* out,
                             std::span<const std::size_t> byte_counts) {
   HookScope hook("MPI_Allgatherv()");
-  CCAPERF_REQUIRE(valid(), "allgatherv on invalid communicator");
+  const std::uint64_t gen = next_generation();
   const std::size_t n = static_cast<std::size_t>(size());
   CCAPERF_REQUIRE(byte_counts.size() == n, "allgatherv: need one count per rank");
   CCAPERF_REQUIRE(byte_counts[static_cast<std::size_t>(group_rank_)] == my_bytes,
@@ -878,102 +857,33 @@ void Comm::allgatherv_bytes(const void* in, std::size_t my_bytes, void* out,
   std::size_t total = 0;
   for (std::size_t r = 0; r < n; ++r) total += byte_counts[r];
   hook.set_bytes(total);
-  if (n == 1) {
-    if (my_bytes > 0) std::memcpy(out, in, my_bytes);
-  } else {
-    // Bruck with variable block sizes: every rank knows every count, so
-    // the rotated packing offsets (`roff`) and per-hop byte counts are
-    // computed locally. Position p of `acc` holds rank (me + p) % n's
-    // block, which keeps each round's send a contiguous prefix.
-    const int ni = static_cast<int>(n);
-    const auto me = static_cast<std::size_t>(group_rank_);
-    std::vector<std::size_t> roff(n + 1, 0);
-    for (std::size_t p = 0; p < n; ++p)
-      roff[p + 1] = roff[p] + byte_counts[(me + p) % n];
-    std::vector<std::byte> acc(total);
-    if (my_bytes > 0) std::memcpy(acc.data(), in, my_bytes);
-    detail::HopSlot& slot = fabric_->hop_slot(context_, group_rank_);
-    const std::uint64_t gen = ++slot.generation;
-    int round = 0;
-    for (int dist = 1; dist < ni; dist <<= 1, ++round) {
-      const std::size_t send_blocks =
-          std::min<std::size_t>(static_cast<std::size_t>(dist),
-                                n - static_cast<std::size_t>(dist));
-      // I receive from (me + dist) its rotated prefix, which lands as my
-      // blocks [dist, dist + send_blocks): my expected byte count equals
-      // my own rotated span for those positions.
-      const std::size_t expect =
-          roff[static_cast<std::size_t>(dist) + send_blocks] -
-          roff[static_cast<std::size_t>(dist)];
-      hop_send((group_rank_ - dist + ni) % ni, gen, round, acc.data(),
-               roff[send_blocks], "MPI_Allgatherv()");
-      std::vector<std::byte> got = hop_recv(gen, round, "MPI_Allgatherv()");
-      CCAPERF_REQUIRE(got.size() == expect,
-                      "allgatherv: hop payload size mismatch");
-      if (!got.empty()) {
-        std::memcpy(acc.data() + roff[static_cast<std::size_t>(dist)],
-                    got.data(), got.size());
-        fabric_->pool().release(std::move(got));
-      }
-    }
-    // Un-rotate into rank order.
-    std::vector<std::size_t> off(n + 1, 0);
-    for (std::size_t r = 0; r < n; ++r) off[r + 1] = off[r] + byte_counts[r];
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::size_t r = (me + p) % n;
-      if (byte_counts[r] > 0)
-        std::memcpy(static_cast<std::byte*>(out) + off[r], acc.data() + roff[p],
-                    byte_counts[r]);
-    }
-  }
+  bruck_allgatherv(gen, in, out, byte_counts, "MPI_Allgatherv()");
   sleep_us(fabric_->delay_us(my_world_rank(), total));
-}
-
-void Comm::allgatherv_bytes_flat(const void* in, std::size_t my_bytes, void* out,
-                                 std::span<const std::size_t> byte_counts) {
-  HookScope hook("MPI_Allgatherv()");
-  CCAPERF_REQUIRE(byte_counts.size() == static_cast<std::size_t>(size()),
-                  "allgatherv: need one count per rank");
-  CCAPERF_REQUIRE(byte_counts[static_cast<std::size_t>(group_rank_)] == my_bytes,
-                  "allgatherv: my_bytes disagrees with byte_counts");
-  std::size_t total = 0, my_offset = 0;
-  for (std::size_t r = 0; r < byte_counts.size(); ++r) {
-    if (r == static_cast<std::size_t>(group_rank_)) my_offset = total;
-    total += byte_counts[r];
-  }
-  hook.set_bytes(total);
-  collective(
-      total,
-      [&](detail::CollectiveBay& bay, bool) {
-        std::memcpy(bay.scratch.data() + my_offset, in, my_bytes);
-      },
-      [&](detail::CollectiveBay& bay) {
-        std::memcpy(out, bay.scratch.data(), total);
-      },
-      total);
 }
 
 void Comm::alltoall_bytes(const void* in, std::size_t chunk_bytes, void* out) {
   HookScope hook("MPI_Alltoall()");
-  const std::size_t n = static_cast<std::size_t>(size());
-  hook.set_bytes(chunk_bytes * n);
-  const std::size_t row = chunk_bytes * n;
-  collective(
-      row * n,
-      [&](detail::CollectiveBay& bay, bool) {
-        // Rank r deposits its outgoing row r: chunks destined to each rank.
-        std::memcpy(bay.scratch.data() + static_cast<std::size_t>(group_rank_) * row,
-                    in, row);
-      },
-      [&](detail::CollectiveBay& bay) {
-        // Rank r collects column r: the chunk each rank addressed to it.
-        for (std::size_t s = 0; s < n; ++s)
-          std::memcpy(static_cast<std::byte*>(out) + s * chunk_bytes,
-                      bay.scratch.data() + s * row +
-                          static_cast<std::size_t>(group_rank_) * chunk_bytes,
-                      chunk_bytes);
-      },
-      row * n);
+  const std::uint64_t gen = next_generation();
+  const int n = size();
+  const std::size_t row = chunk_bytes * static_cast<std::size_t>(n);
+  hook.set_bytes(row);
+  // Direct hops keyed by the sender's group rank; rank r sends its chunk d
+  // to rank d and receives chunk r of every peer. Walking the peers from
+  // r + 1 spreads the first hops over distinct slots.
+  const auto* src = static_cast<const std::byte*>(in);
+  auto* dst = static_cast<std::byte*>(out);
+  const auto at = [chunk_bytes](int r) { return static_cast<std::size_t>(r) * chunk_bytes; };
+  for (int k = 1; k < n; ++k) {
+    const int d = (group_rank_ + k) % n;
+    hop_send(d, gen, group_rank_, src + at(d), chunk_bytes, "MPI_Alltoall()");
+  }
+  if (chunk_bytes > 0)
+    std::memmove(dst + at(group_rank_), src + at(group_rank_), chunk_bytes);
+  for (int k = 1; k < n; ++k) {
+    const int s = (group_rank_ - k + n) % n;
+    hop_recv(gen, s, dst + at(s), chunk_bytes, "MPI_Alltoall()");
+  }
+  sleep_us(fabric_->delay_us(my_world_rank(), row * static_cast<std::size_t>(n)));
 }
 
 // ---------------------------------------------------------------------------
@@ -988,64 +898,43 @@ double Comm::wtime() const {
 
 Comm Comm::dup() const {
   HookScope hook("MPI_Comm_dup()");
-  CCAPERF_REQUIRE(valid(), "dup on invalid communicator");
+  const std::uint64_t gen = next_generation();
+  // Group rank 0 allocates the context id and broadcasts it.
   std::uint64_t new_context = 0;
-  collective(
-      0,
-      [&](detail::CollectiveBay& bay, bool first) {
-        if (first) bay.agreed_u64 = fabric_->allocate_context();
-      },
-      [&](detail::CollectiveBay& bay) { new_context = bay.agreed_u64; },
-      0);
+  if (group_rank_ == 0) new_context = fabric_->allocate_context_block(1);
+  tree_bcast(gen, 0, &new_context, sizeof new_context, 0, "MPI_Comm_dup()");
+  sleep_us(fabric_->delay_us(my_world_rank(), 0));
   fabric_->ensure_context(new_context, size());
   return Comm(fabric_, new_context, members_, group_rank_);
 }
 
 Comm Comm::split(int color, int key) const {
   HookScope hook("MPI_Comm_split()");
-  CCAPERF_REQUIRE(valid(), "split on invalid communicator");
+  const std::uint64_t gen = next_generation();
   const std::size_t n = static_cast<std::size_t>(size());
 
-  // Each rank deposits (color, key); the first collector allocates a block
-  // of context ids, one per distinct color, which every rank then maps
-  // identically from the gathered table.
+  // Allgather (color, key); group rank 0 then reserves a block of context
+  // ids, one per distinct color, and broadcasts its base. Every rank maps
+  // the block identically from the gathered table.
   struct Entry {
     std::int32_t color;
     std::int32_t key;
   };
   std::vector<Entry> table(n);
-  std::uint64_t base = 0;
   const Entry mine{color, key};
-  collective(
-      n * sizeof(Entry),
-      [&](detail::CollectiveBay& bay, bool) {
-        std::memcpy(bay.scratch.data() +
-                        static_cast<std::size_t>(group_rank_) * sizeof(Entry),
-                    &mine, sizeof(Entry));
-      },
-      [&](detail::CollectiveBay& bay) {
-        // Collect runs serialized under the bay lock after everyone has
-        // deposited. The first collector reserves one context id per
-        // distinct color; every rank reads the agreed base + full table.
-        if (bay.agreed_u64 == 0) {
-          std::vector<std::int32_t> colors;
-          const Entry* entries = reinterpret_cast<const Entry*>(bay.scratch.data());
-          for (std::size_t r = 0; r < n; ++r) colors.push_back(entries[r].color);
-          std::sort(colors.begin(), colors.end());
-          colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-          bay.agreed_u64 = fabric_->allocate_context_block(colors.size());
-        }
-        base = bay.agreed_u64;
-        std::memcpy(table.data(), bay.scratch.data(), n * sizeof(Entry));
-      },
-      n * sizeof(Entry));
-
-  // All ranks hold identical (table, base); derive my subgroup
-  // deterministically: members share my color, ordered by (key, rank).
+  const std::vector<std::size_t> counts(n, sizeof(Entry));
+  bruck_allgatherv(gen, &mine, table.data(), counts, "MPI_Comm_split()");
   std::vector<std::int32_t> colors;
   for (const Entry& e : table) colors.push_back(e.color);
   std::sort(colors.begin(), colors.end());
   colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
+  std::uint64_t base = 0;
+  if (group_rank_ == 0) base = fabric_->allocate_context_block(colors.size());
+  tree_bcast(gen, tree_rounds(size()), &base, sizeof base, 0, "MPI_Comm_split()");
+  sleep_us(fabric_->delay_us(my_world_rank(), n * sizeof(Entry)));
+
+  // All ranks hold identical (table, base); derive my subgroup
+  // deterministically: members share my color, ordered by (key, rank).
   const auto color_index = static_cast<std::uint64_t>(
       std::lower_bound(colors.begin(), colors.end(), color) - colors.begin());
   const std::uint64_t new_context = base + color_index;

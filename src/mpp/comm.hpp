@@ -10,7 +10,6 @@
 // the "MPI" group exactly as the paper's measurement system does.
 
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -80,6 +79,10 @@ std::size_t wait_some(std::span<Request> reqs, std::vector<int>& indices,
 void wait_all(std::span<Request> reqs);
 
 /// Reduction functors for typed allreduce/reduce.
+template <class T>
+struct SumOp {
+  T operator()(const T& a, const T& b) const { return a + b; }
+};
 template <class T>
 struct MinOp {
   T operator()(const T& a, const T& b) const { return b < a ? b : a; }
@@ -172,30 +175,21 @@ class Comm {
                         std::span<const std::size_t> byte_counts);
   void alltoall_bytes(const void* in, std::size_t chunk_bytes, void* out);
 
-  /// Reference single-rendezvous (CollectiveBay) implementations of the
-  /// tree collectives above. Byte-identical results and hook names; kept
-  /// for equivalence tests and the flat-vs-tree ablation in
-  /// bench_ablation_ranks, not for production call sites.
-  void barrier_flat();
-  void allgather_bytes_flat(const void* in, std::size_t chunk_bytes, void* out);
-  void allgatherv_bytes_flat(const void* in, std::size_t my_bytes, void* out,
-                             std::span<const std::size_t> byte_counts);
-
-  template <class T, class Op = std::plus<T>>
+  template <class T, class Op = SumOp<T>>
   void allreduce(std::span<const T> in, std::span<T> out) {
     check_pod<T>();
     CCAPERF_REQUIRE(in.size() == out.size(), "allreduce: size mismatch");
     allreduce_bytes(in.data(), out.data(), sizeof(T), in.size(), &combine_fn<T, Op>);
   }
   /// Convenience scalar allreduce.
-  template <class Op = std::plus<double>, class T = double>
+  template <class Op = SumOp<double>, class T = double>
   T allreduce_value(T v) {
     check_pod<T>();
     T out{};
     allreduce_bytes(&v, &out, sizeof(T), 1, &combine_fn<T, Op>);
     return out;
   }
-  template <class T, class Op = std::plus<T>>
+  template <class T, class Op = SumOp<T>>
   void reduce(std::span<const T> in, std::span<T> out, int root) {
     check_pod<T>();
     CCAPERF_REQUIRE(rank() != root || in.size() == out.size(), "reduce: size mismatch");
@@ -237,7 +231,7 @@ class Comm {
   Comm(Fabric* fabric, std::uint64_t context,
        std::shared_ptr<const std::vector<int>> members, int group_rank)
       : fabric_(fabric), context_(context), members_(std::move(members)),
-        group_rank_(group_rank) {}
+        group_rank_(group_rank), hop_slots_(fabric->hop_slots(context)) {}
 
   template <class T>
   static void check_pod() {
@@ -272,30 +266,49 @@ class Comm {
   /// Builds the ReqState every send variant shares.
   std::shared_ptr<detail::ReqState> make_send_state(int tag, std::size_t bytes);
 
-  /// One hop of a tree collective: deposits `bytes` into `dest_group`'s
-  /// HopSlot under (gen, round) and reports it to on_collective_hop.
-  /// Never blocks (early arrivals buffer in the slot).
+  // Every collective runs over the per-(context, rank) HopSlot relays
+  // (DESIGN.md §10). A call's hops are keyed by (generation, round): the
+  // generation is bumped once per public call on every rank, and the round
+  // is unique per receiver within the call.
+
+  detail::HopSlot& hop_slot(int group_rank) const {
+    return *hop_slots_[static_cast<std::size_t>(group_rank)];
+  }
+  /// This rank's next collective generation on this context.
+  std::uint64_t next_generation() const;
+  /// One hop: deposits `bytes` into `dest_group`'s HopSlot under
+  /// (gen, round) and reports it to on_collective_hop. Never blocks (early
+  /// arrivals buffer in the slot).
   void hop_send(int dest_group, std::uint64_t gen, int round, const void* data,
                 std::size_t bytes, const char* op) const;
-  /// Blocks until this rank's HopSlot holds (gen, round); returns the
-  /// payload (pool-backed when non-empty). Throws CommErrc::aborted if the
-  /// fabric dies while waiting.
-  std::vector<std::byte> hop_recv(std::uint64_t gen, int round,
-                                  const char* op) const;
+  /// Blocks until this rank's HopSlot holds (gen, round), copies the
+  /// payload (which must be exactly `bytes`) to `out` and returns its slab
+  /// to the pool. Throws CommErrc::aborted if the fabric dies while waiting.
+  void hop_recv(std::uint64_t gen, int round, void* out, std::size_t bytes,
+                const char* op) const;
 
-  /// Generic arrive/compute/depart collective. `deposit(bay, first)` adds
-  /// this rank's contribution under the bay lock; `collect(bay)` copies the
-  /// result out under the lock. `delay_bytes` drives the modeled per-rank
-  /// network cost applied on exit.
-  void collective(std::size_t scratch_bytes,
-                  const std::function<void(detail::CollectiveBay&, bool)>& deposit,
-                  const std::function<void(detail::CollectiveBay&)>& collect,
-                  std::size_t delay_bytes) const;
+  /// Binomial-tree broadcast of `data` from `root`; every hop uses `round`.
+  void tree_bcast(std::uint64_t gen, int round, void* data, std::size_t bytes,
+                  int root, const char* op) const;
+  /// Binomial-tree reduction of `acc` (count elements, `bytes` in all) to
+  /// `root`, in place; hop rounds are the tree levels 0..ceil(log2 n)-1.
+  /// Each rank combines acc = acc (+) child in level order, so the result
+  /// does not depend on arrival order.
+  void tree_reduce(std::uint64_t gen, void* acc, std::size_t bytes,
+                   std::size_t count, CombineFn combine, int root,
+                   const char* op) const;
+  /// Bruck allgatherv: rank r's byte_counts[r] bytes from `in` land at
+  /// their rank-order offset in `out` on every rank; hop rounds 0..
+  /// ceil(log2 n)-1.
+  void bruck_allgatherv(std::uint64_t gen, const void* in, void* out,
+                        std::span<const std::size_t> byte_counts,
+                        const char* op) const;
 
   Fabric* fabric_ = nullptr;
   std::uint64_t context_ = 0;
   std::shared_ptr<const std::vector<int>> members_;
   int group_rank_ = -1;
+  const std::unique_ptr<detail::HopSlot>* hop_slots_ = nullptr;  ///< by group rank
 };
 
 }  // namespace mpp

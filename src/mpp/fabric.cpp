@@ -116,10 +116,6 @@ void Fabric::set_fault_spec(const FaultSpec& spec) {
   fault_plan_ = FaultPlan(spec);
 }
 
-std::uint64_t Fabric::allocate_context() {
-  return next_context_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void Fabric::ensure_context(std::uint64_t context, int group_size) {
   CCAPERF_REQUIRE(group_size >= 1, "ensure_context: empty group");
   std::scoped_lock lock(contexts_mu_);
@@ -135,7 +131,6 @@ void Fabric::ensure_context(std::uint64_t context, int group_size) {
     it->second.mailboxes.push_back(std::make_unique<detail::Mailbox>());
     it->second.hop_slots.push_back(std::make_unique<detail::HopSlot>());
   }
-  it->second.bay = std::make_unique<detail::CollectiveBay>();
 }
 
 detail::Mailbox& Fabric::mailbox(std::uint64_t context, int group_rank) {
@@ -153,10 +148,6 @@ void Fabric::abort() {
   for (auto& sig : signals_) sig->notify();
   std::scoped_lock lock(contexts_mu_);
   for (auto& [id, state] : contexts_) {
-    {
-      std::scoped_lock bay_lock(state.bay->mu);
-      state.bay->cv.notify_all();
-    }
     for (auto& slot : state.hop_slots) {
       std::scoped_lock slot_lock(slot->mu);
       slot->cv.notify_all();
@@ -164,22 +155,11 @@ void Fabric::abort() {
   }
 }
 
-detail::CollectiveBay& Fabric::bay(std::uint64_t context) {
+const std::unique_ptr<detail::HopSlot>* Fabric::hop_slots(std::uint64_t context) {
   std::scoped_lock lock(contexts_mu_);
   auto it = contexts_.find(context);
-  CCAPERF_REQUIRE(it != contexts_.end(), "bay: unknown context");
-  return *it->second.bay;
-}
-
-detail::HopSlot& Fabric::hop_slot(std::uint64_t context, int group_rank) {
-  std::scoped_lock lock(contexts_mu_);
-  auto it = contexts_.find(context);
-  CCAPERF_REQUIRE(it != contexts_.end(), "hop_slot: unknown context");
-  auto& slots = it->second.hop_slots;
-  CCAPERF_REQUIRE(group_rank >= 0 &&
-                      static_cast<std::size_t>(group_rank) < slots.size(),
-                  "hop_slot: group rank out of range");
-  return *slots[static_cast<std::size_t>(group_rank)];
+  CCAPERF_REQUIRE(it != contexts_.end(), "hop_slots: unknown context");
+  return it->second.hop_slots.data();
 }
 
 // ---------------------------------------------------------------------------

@@ -21,13 +21,11 @@
 //    delivery time has passed; waits sleep until then, which is how network
 //    cost becomes visible wall-clock time in profiles.
 //  * Matching preserves MPI's non-overtaking order per (source, tag).
-//  * Reduction-shaped collectives (allreduce/bcast/reduce/gather/alltoall)
-//    run through a per-context `CollectiveBay` using an
-//    arrive/compute/depart generation protocol. Barrier and the allgather
-//    family instead run dissemination / Bruck algorithms over per-rank
-//    `HopSlot` relays — O(log n) hops per rank — so they stay sub-quadratic
-//    at hundreds of ranks (DESIGN.md §10). Either way one modeled delay is
-//    applied per rank on exit.
+//  * Collectives run over per-(context, rank) `HopSlot` relays: O(log n)
+//    tree algorithms (dissemination barrier, Bruck allgather/allgatherv,
+//    binomial bcast/reduce/allreduce) plus direct hops for gather and
+//    alltoall (DESIGN.md §10). One modeled delay is applied per rank on
+//    exit from every collective call.
 //
 // The Fabric is internal; user code talks to mpp::Comm / mpp::Runtime.
 
@@ -265,36 +263,19 @@ struct FaultedMessage {
   std::uint32_t attempt = 0;       ///< ledger: delivery attempts so far (>= 1)
 };
 
-/// Per-(context, group-rank) relay slot for tree collectives (barrier /
-/// allgather / allgatherv). Peers deposit per-round payloads here instead
-/// of rendezvousing in the CollectiveBay, so those collectives cost
-/// O(log n) hops per rank rather than one fully serialized n-rank
-/// rendezvous. Keyed by (generation, round): every rank executes the same
-/// collective sequence on a context, so the owner's tree-op counter and
-/// each sender's counter agree without shared state. Deposits never block
-/// (the map buffers early arrivals); receives wait on `cv`.
+/// Per-(context, group-rank) relay slot for collectives. Peers deposit
+/// per-round payloads here, keyed by (generation, round): every rank
+/// executes the same collective sequence on a context, so the owner's
+/// generation counter and each sender's counter agree without shared
+/// state. Deposits never block (the map buffers early arrivals); receives
+/// wait on `cv`.
 struct HopSlot {
   std::mutex mu;
   std::condition_variable cv;
   std::map<std::pair<std::uint64_t, int>, std::vector<std::byte>> arrived;
-  /// Completed tree ops of the owning rank; touched only by the owner's
-  /// thread (no lock needed).
+  /// Collective calls the owning rank has entered on this context; touched
+  /// only by the owner's thread (no lock needed).
   std::uint64_t generation = 0;
-};
-
-/// Shared-memory collective rendezvous for one communicator context.
-class CollectiveBay {
- public:
-  std::mutex mu;
-  std::condition_variable cv;
-  int arrived = 0;
-  int departed = 0;
-  bool complete = false;
-  std::uint64_t generation = 0;
-  /// Scratch shared by the participating ranks; layout is op-specific.
-  std::vector<std::byte> scratch;
-  /// Op-agreed value published by the first/root arriver (context ids...).
-  std::uint64_t agreed_u64 = 0;
 };
 
 }  // namespace detail
@@ -327,21 +308,20 @@ class Fabric {
     return c.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Allocates a fresh communicator context id (thread-safe).
-  std::uint64_t allocate_context();
-
-  /// Reserves `n` consecutive context ids, returning the first.
+  /// Reserves `n` consecutive context ids, returning the first
+  /// (thread-safe).
   std::uint64_t allocate_context_block(std::size_t n) {
     return next_context_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Ensures matching/collective structures exist for `context` with
+  /// Ensures mailboxes and hop slots exist for `context` with
   /// `group_size` members. Idempotent; thread-safe.
   void ensure_context(std::uint64_t context, int group_size);
 
   detail::Mailbox& mailbox(std::uint64_t context, int group_rank);
-  detail::CollectiveBay& bay(std::uint64_t context);
-  detail::HopSlot& hop_slot(std::uint64_t context, int group_rank);
+  /// The hop slots of `context`, indexed by group rank. The array lives as
+  /// long as the fabric and never moves once the context exists.
+  const std::unique_ptr<detail::HopSlot>* hop_slots(std::uint64_t context);
   detail::BufferPool& pool() { return pool_; }
   detail::RankSignal& signal(int world_rank) {
     return *signals_[static_cast<std::size_t>(world_rank)];
@@ -427,7 +407,6 @@ class Fabric {
   struct ContextState {
     std::vector<std::unique_ptr<detail::Mailbox>> mailboxes;
     std::vector<std::unique_ptr<detail::HopSlot>> hop_slots;
-    std::unique_ptr<detail::CollectiveBay> bay;
   };
 
   /// Releases reorder-held messages of (src, dst) after a later message of

@@ -55,14 +55,16 @@ struct FaultEvent {
   std::uint32_t detail = 0;          ///< delay steps / retry attempt / stale segments
 };
 
-/// One hop of a tree-structured collective (barrier / allgather /
-/// allgatherv): reported on the rank initiating the hop, inside the
-/// enclosing collective's hook bracket. `op` is the outer MPI name
-/// ("MPI_Allgather()", ...), `round` the 0-based algorithm round, `peer`
-/// the world rank the payload is handed to, `bytes` the payload carried by
-/// this hop. The aggregate per-rank hop count of a collective is
-/// O(log size), which is what makes it observable that the tree path —
-/// not the flat rendezvous — executed.
+/// One internal hop of a collective (every collective runs over the
+/// fabric's hop relays): reported on the rank initiating the hop, inside
+/// the enclosing collective's hook bracket. `op` is the outer MPI name
+/// ("MPI_Allgather()", ...), `round` the hop's key within the call (the
+/// 0-based algorithm round; the sender's group rank for the direct hops
+/// of gather and alltoall), `peer` the world rank the payload
+/// is handed to, `bytes` the payload carried by this hop. Hops are not
+/// messages: they fire no MsgEvent and draw no modeled delay. The tree
+/// collectives make O(log size) hops per rank, which is what makes the
+/// algorithm observable from the hooks.
 struct HopEvent {
   const char* op = nullptr;
   int round = 0;
@@ -88,7 +90,7 @@ class CommHooks {
   /// Fault-layer event (injection, retry, timeout, staleness). Only fired
   /// when a FaultPlan is active or a wait times out; default no-op.
   virtual void on_fault(const FaultEvent&) {}
-  /// Per-hop progress of a tree collective; default no-op so byte-counting
+  /// Per-hop progress of a collective; default no-op so byte-counting
   /// adapters (and the merged-counter goldens they feed) are unaffected.
   virtual void on_collective_hop(const HopEvent&) {}
 };

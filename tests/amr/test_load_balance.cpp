@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <tuple>
 
 #include "amr/load_balance.hpp"
-#include "mpp/runtime.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -125,50 +123,6 @@ TEST(LoadBalance, HeapPlacementMatchesLinearScanReference) {
       EXPECT_EQ(ps[k].owner, ref[k].owner)
           << "npatch=" << npatch << " nranks=" << nranks << " patch=" << k;
   }
-}
-
-class DistributedBalanceAtSize : public ::testing::TestWithParam<int> {};
-
-TEST_P(DistributedBalanceAtSize, MatchesReplicatedLocalPath) {
-  // At >= kDistributedBalanceThreshold ranks the comm overload shards the
-  // weight computation and assembles it with the tree allgatherv; the
-  // resulting owners and imbalance must equal the replicated local path
-  // bit-for-bit on every rank. 33 is odd and non-power-of-two; the
-  // 10-patch case forces zero-size shards (fewer patches than ranks).
-  const int nranks = GetParam();
-  ASSERT_GE(nranks, amr::kDistributedBalanceThreshold);
-  for (const int npatch : {10, 120}) {
-    const auto reference_input = random_patches(npatch, 77u + static_cast<std::uint64_t>(npatch));
-    auto expect = reference_input;
-    const double local_imbalance =
-        amr::balance_owners(expect, nranks, BalancePolicy::knapsack);
-    std::atomic<int> mismatches{0};
-    mpp::Runtime::run(nranks, [&](mpp::Comm& world) {
-      auto mine = reference_input;
-      const double imbalance =
-          amr::balance_owners(world, mine, BalancePolicy::knapsack);
-      if (imbalance != local_imbalance) ++mismatches;
-      for (std::size_t k = 0; k < mine.size(); ++k)
-        if (mine[k].owner != expect[k].owner) ++mismatches;
-    });
-    EXPECT_EQ(mismatches.load(), 0) << "npatch=" << npatch;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, DistributedBalanceAtSize,
-                         ::testing::Values(16, 33));
-
-TEST(DistributedBalance, BelowThresholdUsesReplicatedPathUnchanged) {
-  auto base = random_patches(40, 5);
-  auto expect = base;
-  const double want = amr::balance_owners(expect, 3, BalancePolicy::knapsack);
-  mpp::Runtime::run(3, [&](mpp::Comm& world) {
-    auto mine = base;
-    const double got = amr::balance_owners(world, mine, BalancePolicy::knapsack);
-    EXPECT_DOUBLE_EQ(got, want);
-    for (std::size_t k = 0; k < mine.size(); ++k)
-      EXPECT_EQ(mine[k].owner, expect[k].owner);
-  });
 }
 
 }  // namespace

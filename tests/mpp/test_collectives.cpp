@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpp/runtime.hpp"
@@ -139,15 +144,13 @@ TEST_P(CollectivesAtSize, BackToBackCollectivesDoNotCrosstalk) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesAtSize, ::testing::Values(1, 2, 3, 5, 8));
 
-// --- Tree path at scale ---------------------------------------------------
+// --- Collectives at scale --------------------------------------------------
 //
-// The dissemination barrier and Bruck allgather/allgatherv replaced the flat
-// CollectiveBay implementations behind the same API (DESIGN.md §10). At 64
-// (power of two) and 129 (odd, non-power-of-two) ranks these cases pin the
-// two contracts that swap relies on: byte-identical results against both a
-// locally computed reference and the retained flat path, and exactly
-// ceil(log2 n) relay hops per rank per collective — the O(log n) witness
-// that the tree, not the flat rendezvous, executed.
+// Every collective runs over the per-rank hop relays (DESIGN.md §10). At 64
+// (power of two) and 129 (odd, non-power-of-two) ranks these cases pin
+// results against a locally computed reference, exactly ceil(log2 n) relay
+// hops per rank for the dissemination barrier and the Bruck allgathers —
+// the O(log n) witness — and the hop totals of the other algorithms.
 
 int ceil_log2(int n) {
   int r = 0;
@@ -184,28 +187,23 @@ TEST_P(TreeCollectivesAtScale, BarrierCompletesRepeatedly) {
   });
 }
 
-TEST_P(TreeCollectivesAtScale, AllgatherMatchesFlatAndReference) {
+TEST_P(TreeCollectivesAtScale, AllgatherMatchesReference) {
   Runtime::run(GetParam(), [](Comm& world) {
     const auto n = static_cast<std::size_t>(world.size());
     std::vector<int> mine(3);
     for (int k = 0; k < 3; ++k)
       mine[static_cast<std::size_t>(k)] = world.rank() * 3 + k;
-    std::vector<int> tree(n * 3, -1), flat(n * 3, -2);
+    std::vector<int> tree(n * 3, -1);
     world.allgather<int>(mine, tree);
-    world.allgather_bytes_flat(mine.data(), mine.size() * sizeof(int),
-                               flat.data());
-    EXPECT_EQ(tree, flat);
     for (std::size_t i = 0; i < tree.size(); ++i)
       EXPECT_EQ(tree[i], static_cast<int>(i));
   });
 }
 
-TEST_P(TreeCollectivesAtScale, AllgathervMatchesFlatAndReference) {
+TEST_P(TreeCollectivesAtScale, AllgathervMatchesReference) {
   Runtime::run(GetParam(), [](Comm& world) {
     // Variable chunks including empty ones: rank r contributes r % 4
-    // elements of value r (zero-size contributions must round-trip both
-    // paths — the sharded load balancer produces them when patches are
-    // scarcer than ranks).
+    // elements of value r (zero-size contributions must round-trip).
     const auto n = static_cast<std::size_t>(world.size());
     std::vector<std::size_t> counts(n);
     std::size_t total = 0;
@@ -215,13 +213,8 @@ TEST_P(TreeCollectivesAtScale, AllgathervMatchesFlatAndReference) {
     }
     std::vector<int> mine(static_cast<std::size_t>(world.rank() % 4),
                           world.rank());
-    std::vector<int> tree(total, -1), flat(total, -2);
+    std::vector<int> tree(total, -1);
     world.allgatherv<int>(mine, tree, counts);
-    std::vector<std::size_t> byte_counts(n);
-    for (std::size_t r = 0; r < n; ++r) byte_counts[r] = counts[r] * sizeof(int);
-    world.allgatherv_bytes_flat(mine.data(), mine.size() * sizeof(int),
-                                flat.data(), byte_counts);
-    EXPECT_EQ(tree, flat);
     std::size_t pos = 0;
     for (std::size_t r = 0; r < n; ++r)
       for (std::size_t k = 0; k < counts[r]; ++k)
@@ -250,16 +243,129 @@ TEST_P(TreeCollectivesAtScale, HopAccountingIsLogarithmicPerRank) {
     EXPECT_EQ(hc.barrier_begins, 1);
     EXPECT_EQ(hc.allgather_begins, 1);
     EXPECT_EQ(hc.allgatherv_begins, 1);
-    // The flat path reports no hops (it is a bay rendezvous, not a tree).
-    const int tree_hops = hc.barrier_hops;
-    world.barrier_flat();
-    EXPECT_EQ(hc.barrier_hops, tree_hops);
-    EXPECT_EQ(hc.barrier_begins, 2);
   });
+}
+
+TEST_P(TreeCollectivesAtScale, RootedAndPersonalizedMatchReference) {
+  Runtime::run(GetParam(), [](Comm& world) {
+    const int n = world.size();
+    const int last = n - 1;
+    std::vector<long> data{-1, -1};
+    if (world.rank() == last) data = {7, 11};
+    world.bcast<long>(data, last);
+    EXPECT_EQ(data, (std::vector<long>{7, 11}));
+
+    const std::vector<long> mine{world.rank(), 1};
+    std::vector<long> sum{-1, -1};
+    world.reduce<long>(mine, sum, last);
+    if (world.rank() == last) {
+      EXPECT_EQ(sum, (std::vector<long>{static_cast<long>(n) * (n - 1) / 2, n}));
+    }
+    EXPECT_EQ((world.allreduce_value<mpp::MaxOp<long>>(world.rank())), last);
+
+    std::vector<long> gathered(static_cast<std::size_t>(n), -1);
+    world.gather<long>(std::span<const long>(mine).first(1), gathered, last);
+    if (world.rank() == last) {
+      for (int r = 0; r < n; ++r) EXPECT_EQ(gathered[static_cast<std::size_t>(r)], r);
+    }
+
+    std::vector<long> out(static_cast<std::size_t>(n), -1), in(out.size());
+    for (int d = 0; d < n; ++d)
+      in[static_cast<std::size_t>(d)] = world.rank() * 1000L + d;
+    world.alltoall<long>(in, out);
+    for (int s = 0; s < n; ++s)
+      EXPECT_EQ(out[static_cast<std::size_t>(s)], s * 1000L + world.rank());
+  });
+}
+
+TEST_P(TreeCollectivesAtScale, HopTotalsMatchTheAlgorithms) {
+  // Summed over ranks: a binomial bcast, reduce or gather makes n - 1 hops,
+  // allreduce (reduce + bcast) 2(n - 1) and alltoall n(n - 1).
+  struct OpHops : mpp::CommHooks {
+    void on_begin(const char*) override {}
+    void on_end(const char*, std::size_t) override {}
+    void on_collective_hop(const mpp::HopEvent& e) override { ++hops[e.op]; }
+    std::map<std::string, int> hops;
+  };
+  const int n = GetParam();
+  std::mutex mu;
+  std::map<std::string, int> total;
+  Runtime::run(n, [&](Comm& world) {
+    OpHops oh;
+    {
+      mpp::HooksInstaller install(&oh);
+      std::vector<int> one{world.rank()}, sum{0};
+      std::vector<int> all(static_cast<std::size_t>(n)), swapped(all.size());
+      world.bcast<int>(one, 1);
+      world.reduce<int>(one, sum, 2);
+      (void)world.allreduce_value<>(1.0);
+      world.gather<int>(one, all, 3);
+      world.alltoall<int>(all, swapped);
+    }
+    std::scoped_lock lock(mu);
+    for (const auto& [op, k] : oh.hops) total[op] += k;
+  });
+  EXPECT_EQ(total["MPI_Bcast()"], n - 1);
+  EXPECT_EQ(total["MPI_Reduce()"], n - 1);
+  EXPECT_EQ(total["MPI_Allreduce()"], 2 * (n - 1));
+  EXPECT_EQ(total["MPI_Gather()"], n - 1);
+  EXPECT_EQ(total["MPI_Alltoall()"], n * (n - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TreeCollectivesAtScale,
                          ::testing::Values(64, 129));
+
+// --- Deterministic reductions ----------------------------------------------
+//
+// Reductions combine in a fixed binomial-tree order, not in arrival order,
+// so a floating-point sum whose value depends on that order is
+// bit-identical across runs and ranks, and equals the tree computed
+// locally.
+
+/// Rank r's contribution: large terms that cancel plus small ones they
+/// absorb, so every combine order can give a different double.
+double order_sensitive(int r) {
+  constexpr double kValues[] = {1e16, 1.0, -1e16, 3.0, 1e16, -1.0, 2.5, -1e16};
+  return kValues[r % 8];
+}
+
+/// The binomial tree rooted at `root`: at level k, relative rank rel (a
+/// multiple of 2^(k+1)) absorbs rel + 2^k as acc = acc + child.
+double binomial_tree_sum(int n, int root) {
+  std::vector<double> acc(static_cast<std::size_t>(n));
+  for (int rel = 0; rel < n; ++rel)
+    acc[static_cast<std::size_t>(rel)] = order_sensitive((rel + root) % n);
+  for (int mask = 1; mask < n; mask <<= 1)
+    for (int rel = 0; rel + mask < n; rel += 2 * mask)
+      acc[static_cast<std::size_t>(rel)] += acc[static_cast<std::size_t>(rel + mask)];
+  return acc[0];
+}
+
+class DeterministicReductions : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeterministicReductions, SumIsBitIdenticalAndFollowsTheTree) {
+  const int n = GetParam();
+  const int root = n - 1;
+  const auto allreduce_ref = std::bit_cast<std::uint64_t>(binomial_tree_sum(n, 0));
+  const auto reduce_ref = std::bit_cast<std::uint64_t>(binomial_tree_sum(n, root));
+  for (int run = 0; run < 20; ++run) {
+    std::vector<std::uint64_t> all(static_cast<std::size_t>(n)), at_root(1);
+    Runtime::run(n, [&](Comm& world) {
+      const double mine = order_sensitive(world.rank());
+      all[static_cast<std::size_t>(world.rank())] =
+          std::bit_cast<std::uint64_t>(world.allreduce_value<>(mine));
+      std::vector<double> in{mine}, out{0.0};
+      world.reduce<double>(in, out, root);
+      if (world.rank() == root) at_root[0] = std::bit_cast<std::uint64_t>(out[0]);
+    });
+    for (int r = 0; r < n; ++r)
+      EXPECT_EQ(all[static_cast<std::size_t>(r)], allreduce_ref)
+          << "allreduce run " << run << " rank " << r;
+    EXPECT_EQ(at_root[0], reduce_ref) << "reduce run " << run;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DeterministicReductions, ::testing::Values(3, 5, 8));
 
 TEST(Collectives, MixedP2PAndCollectives) {
   Runtime::run(3, [](Comm& world) {

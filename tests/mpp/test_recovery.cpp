@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <exception>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "mpp/runtime.hpp"
@@ -224,5 +228,81 @@ TEST(Recovery, CleanRunKeepsBoundsDisabledSemantics) {
   EXPECT_EQ(stats.injected_total(), 0u);
   EXPECT_EQ(stats.timeouts, 0u);
 }
+
+// --- A rank that fails before a collective --------------------------------
+//
+// Rank 0 throws before entering the collective; the runtime aborts the
+// fabric, and every peer blocked on a hop relay must leave with
+// CommError(aborted) instead of hanging. Peers that need nothing from rank
+// 0 (the non-roots of reduce and gather) finish the call and fail in the
+// barrier that follows; the root of those, rooted at rank 1, must fail in
+// the call itself. No watchdog is involved: the abort alone unblocks them.
+
+struct RankFailure : std::exception {};
+
+enum class Coll { bcast, reduce, allreduce, gather, alltoall, dup, split };
+
+/// True when every peer's part of the call depends on rank 0.
+bool all_peers_need_rank0(Coll op) {
+  return op != Coll::reduce && op != Coll::gather;
+}
+
+void enter(Coll op, Comm& world) {
+  const auto n = static_cast<std::size_t>(world.size());
+  std::vector<double> in(n, 1.0), out(n, 0.0);
+  switch (op) {
+    case Coll::bcast: world.bcast<double>(out, 0); break;
+    case Coll::reduce: world.reduce<double>(in, out, 1); break;
+    case Coll::allreduce: world.allreduce<double>(in, out); break;
+    case Coll::gather:
+      world.gather<double>(std::span<const double>(in).first(1), out, 1);
+      break;
+    case Coll::alltoall: world.alltoall<double>(in, out); break;
+    case Coll::dup: (void)world.dup(); break;
+    case Coll::split: (void)world.split(world.rank() % 2, 0); break;
+  }
+}
+
+class AbortInCollective
+    : public ::testing::TestWithParam<std::tuple<int, Coll>> {};
+
+TEST_P(AbortInCollective, EveryPeerLeavesWithCommError) {
+  const auto [n, op] = GetParam();
+  std::atomic<int> peer_errors{0}, in_call_errors{0};
+  auto count = [&](const CommError& e) {
+    if (e.code() == CommErrc::aborted) ++peer_errors;
+  };
+  EXPECT_THROW(Runtime::run(n,
+                            [&](Comm& world) {
+                              if (world.rank() == 0) throw RankFailure{};
+                              try {
+                                enter(op, world);
+                              } catch (const CommError& e) {
+                                ++in_call_errors;
+                                count(e);
+                                throw;
+                              }
+                              try {
+                                world.barrier();
+                              } catch (const CommError& e) {
+                                count(e);
+                                throw;
+                              }
+                            }),
+               RankFailure);
+  EXPECT_EQ(peer_errors.load(), n - 1);
+  if (all_peers_need_rank0(op))
+    EXPECT_EQ(in_call_errors.load(), n - 1);
+  else
+    EXPECT_GE(in_call_errors.load(), 1);  // the root, rank 1
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Collectives, AbortInCollective,
+    ::testing::Combine(::testing::Values(3, 5),
+                       ::testing::Values(Coll::bcast, Coll::reduce,
+                                         Coll::allreduce, Coll::gather,
+                                         Coll::alltoall, Coll::dup,
+                                         Coll::split)));
 
 }  // namespace
