@@ -11,10 +11,10 @@
 //    record rows, summed Q) match the serial run exactly, and the sharded
 //    counted sweeps report identical cache counters at 1 and 3 lanes.
 //
-// Correctness failures exit nonzero. The speedup itself is reported but not
-// gated here: on boxes with fewer cores than lanes (CI runners, this
-// container) a 3x target is physically unreachable, so scripts/bench_gate.py
-// gates the determinism metrics instead.
+// Correctness failures exit nonzero. scripts/bench_gate.py gates the
+// determinism metrics everywhere and the speedup against a floor
+// (bench/baselines/threads.json); the speedup is report-only on hosts with
+// fewer than 3 hardware threads, where lanes only time-share a core.
 //
 // Results land in bench_out/threads.json.
 //

@@ -14,7 +14,11 @@ Each baseline file bench/baselines/<name>.json holds a list of
 with an optional per-metric "tolerance" overriding the global one —
 invariant metrics (e.g. the hub soak's identity_ok flag, or its memory
 bound, which the bench already caps) gate at 0.0 while throughput
-metrics keep the wide shared-runner default. Each file is compared
+metrics keep the wide shared-runner default. An optional
+"report_only_below": {"<series metric>": <floor>} makes a metric
+report-only on runs where the bench's own series reports that metric
+below the floor (a speedup means nothing on a host with fewer cores than
+the lanes it needs). Each file is compared
 against bench_out/<name>.json (the bench's
 [{"name", "metric", "value"}, ...] output). The verdicts are written to
 a machine-readable report (default BENCH_tier1.json) for the CI artifact.
@@ -103,8 +107,16 @@ def main():
             tol = g.get("tolerance", args.tolerance)
             ok, ratio = check_metric(series[metric], g["value"],
                                      g["higher_is_better"], tol)
+            status = "ok" if ok else "regressed"
+            below = {k: series.get(k) for k, floor
+                     in g.get("report_only_below", {}).items()
+                     if series.get(k) is None or series[k] < floor}
+            if below:
+                status = "report-only (" + ", ".join(
+                    f"{k}={v}" for k, v in below.items()) + ")"
+                ok = True
             results.append({"bench": name, "metric": metric,
-                            "status": "ok" if ok else "regressed",
+                            "status": status,
                             "baseline": g["value"], "measured": series[metric],
                             "higher_is_better": g["higher_is_better"],
                             "tolerance": tol,
@@ -119,10 +131,13 @@ def main():
     width = max(len(f"{r['bench']}.{r['metric']}") for r in results)
     for r in results:
         tag = "OK  " if r["ok"] else ("MISS" if r["status"] == "missing" else "FAIL")
+        if r["status"].startswith("report-only"):
+            tag = "INFO"
         measured = "absent" if r["measured"] is None else f"{r['measured']:g}"
         arrow = "higher=better" if r["higher_is_better"] else "lower=better"
         print(f"[{tag}] {r['bench'] + '.' + r['metric']:<{width}}  "
-              f"baseline {r['baseline']:g}  measured {measured}  ({arrow})")
+              f"baseline {r['baseline']:g}  measured {measured}  ({arrow})"
+              + (f"  {r['status']}" if tag == "INFO" else ""))
     print(f"bench_gate: {'OK' if all_ok else 'REGRESSION'} "
           f"({sum(r['ok'] for r in results)}/{len(results)} metrics within "
           f"{args.tolerance:.0%}), report -> {args.out}")

@@ -335,9 +335,11 @@ if want tsan; then
   # queues, dedupe windows under the mailbox lock), every collective on
   # the per-rank hop slots (1-8 ranks, 64/129 ranks, dup/split,
   # deterministic reductions, aborts mid-collective), the threaded-rank
-  # layer (work-stealing pool, sharded registries, lane-dispatched
-  # monitor, proxies resolving their monitor once from pool lanes,
-  # multi-threaded kernels), the telemetry
+  # layer (work-stealing pool and its nested helping: ThreadPool.* holds
+  # the nested-call contract cases, KernelsMt.* the kernels called from
+  # one-job and many-job outer regions; sharded registries,
+  # lane-dispatched monitor, proxies resolving their monitor once from
+  # pool lanes, multi-threaded kernels), the telemetry
   # hub (shard rings under concurrent publishers racing the drainer
   # ServiceThread), the case study at 1-3 ranks with regrids, whose
   # field must stay bit-identical while the fine levels are cut for

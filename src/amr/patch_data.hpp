@@ -31,6 +31,21 @@ class PatchData {
                  init);
   }
 
+  /// Gives the patch a new shape without clearing it: cells that were
+  /// already allocated keep their old values, so callers must write every
+  /// cell before reading it. Capacity only grows, so reused scratch stops
+  /// allocating once it has held the largest patch.
+  void reshape(const Box& interior, int nghost, int ncomp) {
+    CCAPERF_REQUIRE(!interior.empty(), "PatchData: empty interior box");
+    CCAPERF_REQUIRE(nghost >= 0 && ncomp >= 1, "PatchData: bad nghost/ncomp");
+    interior_ = interior;
+    grown_ = interior.grown(nghost);
+    nghost_ = nghost;
+    ncomp_ = ncomp;
+    data_.resize(static_cast<std::size_t>(grown_.num_pts()) *
+                 static_cast<std::size_t>(ncomp_));
+  }
+
   const Box& interior() const { return interior_; }
   const Box& grown_box() const { return grown_; }
   int nghost() const { return nghost_; }

@@ -9,7 +9,6 @@
 // boundary data) rather than interpolating between coarse time levels —
 // standard simplification that does not change any measured quantity.
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -90,13 +89,32 @@ class RK2Component final : public cca::Component, public IntegratorPort {
     // produces bit-identical fields.
     const auto jobs = patch_jobs(lvl);
 
+    // U for the Heun average lives in per-level buffers that keep their
+    // storage from one advance of the level to the next, and dU/dt in one
+    // buffer per lane (a lane never runs two patches at once). Both are
+    // reshaped without clearing: each stage-1 task copies its patch's
+    // interior before touching it, and flux_divergence writes every dU/dt
+    // cell.
+    if (u_old_.size() <= static_cast<std::size_t>(l))
+      u_old_.resize(static_cast<std::size_t>(l) + 1);
+    std::vector<amr::PatchData<double>>& u_old =
+        u_old_[static_cast<std::size_t>(l)];
+    u_old.resize(jobs.size());
+    if (lane_dudt_.size() < static_cast<std::size_t>(pool.size()))
+      lane_dudt_.resize(static_cast<std::size_t>(pool.size()));
+    auto dudt_for = [&](int lane, const amr::Box& box) -> amr::PatchData<double>& {
+      amr::PatchData<double>& dudt = lane_dudt_[static_cast<std::size_t>(lane)];
+      dudt.reshape(box, 0, euler::kNcomp);
+      return dudt;
+    };
+
     // Stage 1: U1 = U + dt L(U), keeping U for the Heun average.
-    std::map<int, amr::PatchData<double>> u_old;
-    for (auto& [id, data] : lvl.local_data()) u_old.emplace(id, data);
-    pool.parallel_for(jobs.size(), [&](std::size_t k, int) {
+    pool.parallel_for(jobs.size(), [&](std::size_t k, int lane) {
       amr::PatchData<double>& data = *jobs[k].second;
       const amr::Box box = lvl.patch(jobs[k].first).box;
-      amr::PatchData<double> dudt(box, 0, euler::kNcomp, 0.0);
+      u_old[k].reshape(box, 0, euler::kNcomp);
+      u_old[k].copy_from(data, box);
+      amr::PatchData<double>& dudt = dudt_for(lane, box);
       invflux->compute(data, box, dx, dy, dudt);
       // Row-contiguous update through the ISA-dispatched kernel (identical
       // to `data(i,j,c) += dt * dudt(i,j,c)` at every level, see
@@ -111,12 +129,12 @@ class RK2Component final : public cca::Component, public IntegratorPort {
     // Stage 2: U <- (U_old + U1 + dt L(U1)) / 2.
     if (l > 0) mesh->prolong(l);
     mesh->ghost_update(l);
-    pool.parallel_for(jobs.size(), [&](std::size_t k, int) {
+    pool.parallel_for(jobs.size(), [&](std::size_t k, int lane) {
       amr::PatchData<double>& data = *jobs[k].second;
       const amr::Box box = lvl.patch(jobs[k].first).box;
-      amr::PatchData<double> dudt(box, 0, euler::kNcomp, 0.0);
+      amr::PatchData<double>& dudt = dudt_for(lane, box);
       invflux->compute(data, box, dx, dy, dudt);
-      const amr::PatchData<double>& old = u_old.at(jobs[k].first);
+      const amr::PatchData<double>& old = u_old[k];
       for (int c = 0; c < euler::kNcomp; ++c)
         for (int j = box.lo().j; j <= box.hi().j; ++j)
           euler::rk2_heun_average(&data(box.lo().i, j, c),
@@ -136,6 +154,8 @@ class RK2Component final : public cca::Component, public IntegratorPort {
 
   cca::Services* svc_ = nullptr;
   euler::GasModel gas_;
+  std::vector<std::vector<amr::PatchData<double>>> u_old_;  // [level][job]
+  std::vector<amr::PatchData<double>> lane_dudt_;           // [lane]
 };
 
 }  // namespace components

@@ -28,7 +28,7 @@ class StatesComponent final : public cca::Component, public StatesPort {
                               const amr::Box& interior, euler::Dir dir,
                               euler::Array2& left, euler::Array2& right) override {
     // Row-parallel inside the patch when the rank pool has lanes; inside
-    // an enclosing patch-level region this runs inline on the calling lane.
+    // an enclosing patch-level region, lanes with no patch left help.
     return euler::compute_states_mt(ccaperf::rank_pool(), u, interior, dir,
                                     gas_, left, right);
   }

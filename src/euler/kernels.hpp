@@ -174,8 +174,9 @@ void rk2_heun_average(double* u, const double* u_old, const double* dudt,
 // once and the per-face math is untouched, so the output arrays are
 // bit-identical to the serial kernels for any thread count; the integer
 // KernelCounts are folded per lane and summed (associative — also exact).
-// With a one-lane pool (or when called inside an enclosing parallel
-// region) they degenerate to the serial kernel on the calling thread.
+// With a one-lane pool they degenerate to the serial kernel on the calling
+// thread; inside an enclosing parallel region the calling lane shares the
+// rows with lanes that have no item left (ThreadPool's nested slots).
 // Wall-clock measurement configurations only: the probe is hwc::NullProbe.
 
 KernelCounts compute_states_mt(ccaperf::ThreadPool& pool,

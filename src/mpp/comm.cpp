@@ -76,6 +76,15 @@ class WaitBudget {
   void poll_and_check(const char* what) {
     if (fab_ == nullptr) return;
     fab_->fault_poll();
+    check(what);
+  }
+
+  /// The two bounds alone, without advancing the fault layer: collective
+  /// hops are not faulted, and a rank parked in a collective must not
+  /// release or retry another rank's faulted messages (that would make
+  /// the fault schedule depend on timing).
+  void check(const char* what) {
+    if (fab_ == nullptr) return;
     const Clock::time_point now = Clock::now();
     const double timeout_us = fab_->wait_timeout_us();
     if (timeout_us > 0.0 &&
@@ -654,6 +663,7 @@ void Comm::hop_send(int dest_group, std::uint64_t gen, int round,
     slot.arrived.emplace(std::make_pair(gen, round), std::move(payload));
     slot.cv.notify_all();
   }
+  fabric_->note_activity();
   if (CommHooks* h = hooks())
     h->on_collective_hop(HopEvent{op, round, world_rank_of(dest_group), bytes});
 }
@@ -663,17 +673,27 @@ void Comm::hop_recv(std::uint64_t gen, int round, void* out, std::size_t bytes,
   detail::HopSlot& slot = hop_slot(group_rank_);
   const auto key = std::make_pair(gen, round);
   std::vector<std::byte> payload;
-  {
-    std::unique_lock lock(slot.mu);
-    slot.cv.wait(lock, [&] {
-      return slot.arrived.count(key) != 0 || fabric_->is_aborted();
-    });
-    auto it = slot.arrived.find(key);
-    if (it == slot.arrived.end())
-      throw CommError(CommErrc::aborted, std::string("mpp: ") + op +
-                                             " aborted (a peer rank failed)");
-    payload = std::move(it->second);
-    slot.arrived.erase(it);
+  // Bounded quanta with Request::wait's timeout and no-progress bounds: a
+  // peer that never joins the collective surfaces as a CommError instead
+  // of a hang.
+  WaitBudget budget(fabric_);
+  for (;;) {
+    {
+      std::unique_lock lock(slot.mu);
+      slot.cv.wait_for(lock, budget.quantum(), [&] {
+        return slot.arrived.count(key) != 0 || fabric_->is_aborted();
+      });
+      auto it = slot.arrived.find(key);
+      if (it != slot.arrived.end()) {
+        payload = std::move(it->second);
+        slot.arrived.erase(it);
+        break;
+      }
+      if (fabric_->is_aborted())
+        throw CommError(CommErrc::aborted, std::string("mpp: ") + op +
+                                               " aborted (a peer rank failed)");
+    }
+    budget.check(op);
   }
   CCAPERF_REQUIRE(payload.size() == bytes, "collective: hop payload size mismatch");
   if (bytes > 0) {

@@ -14,10 +14,22 @@
 //    serial code it replaced.
 //  - parallel_for(n, body) splits [0, n) into per-lane contiguous ranges;
 //    an idle lane steals the back half of a victim's remaining range
-//    (lazy binary splitting), so irregular patch costs still balance.
-//  - Nested parallel_for from inside a region runs inline on the calling
-//    lane — kernels parallelized at the row-block level compose with the
-//    patch-level loop without oversubscribing.
+//    (lazy binary splitting). Stealing moves whole items, so it cannot
+//    split one expensive item (a single big patch) across lanes.
+//  - Nested parallel_for from inside a top-level item opens the calling
+//    lane's *nested slot*: the lane publishes the index range there and
+//    draws indices from it, and every lane with no top-level item left
+//    draws from any open slot until the top-level region is done. A lane
+//    waiting on its own nested call runs only that call's indices, so no
+//    lane ever starts a second top-level item while inside one (per-lane
+//    and thread_local scratch stays private to one item). Lanes claim
+//    guided chunks (a share of what is left), so neighbouring rows stay on
+//    one lane. Idle lanes spin for at most 100 us, then park; a claim that
+//    leaves indices over wakes one parked lane, and the region's end wakes
+//    all. While the lanes of all live multi-lane pools outnumber the CPUs,
+//    idle lanes park without spinning.
+//  - A parallel_for nested inside a nested call, or issued on a different
+//    pool than the enclosing region's, runs inline on the calling lane.
 //  - The first exception thrown by any task is rethrown on the caller
 //    after the region completes (mirrors mpp::Runtime::run).
 //  - A region-end hook runs on the caller after every top-level region.
@@ -29,7 +41,9 @@
 #include <cstdint>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -48,8 +62,10 @@ class ThreadPool {
 
   /// Runs body(i, lane) for every i in [0, n), lane in [0, size()).
   /// Blocks until all n tasks have run (or a task threw — remaining tasks
-  /// are abandoned and the first exception is rethrown here). Reentrant
-  /// calls from inside a region run inline on the calling lane.
+  /// are abandoned and the first exception is rethrown here). A call from
+  /// inside a top-level item shares its indices with idle lanes (the lane
+  /// passed to body is the lane that runs the index); deeper calls run
+  /// inline on the calling lane.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, int)>& body);
 
@@ -70,35 +86,64 @@ class ThreadPool {
   }
 
  private:
+  using Body = std::function<void(std::size_t, int)>;
+
+  /// A nested call a lane opened inside its top-level item. Helpers join
+  /// by bumping `users` and then checking `open`; the owner closes the
+  /// slot and waits for `users` to drain before it returns, so no helper
+  /// touches body/n after the call ends.
+  struct alignas(64) Nested {
+    std::atomic<bool> open{false};
+    std::atomic<int> users{0};
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> abort{false};
+    const Body* body = nullptr;  // written by the owner while closed
+    std::size_t n = 0;
+    std::exception_ptr error;  // first failure, guarded by err_mu
+    std::mutex err_mu;
+  };
   struct Lane {
     std::mutex mu;
     std::size_t next = 0;
     std::size_t end = 0;
+    Nested nested;
   };
   struct Region {
-    const std::function<void(std::size_t, int)>* body = nullptr;
+    const Body* body = nullptr;
     std::atomic<std::size_t> done{0};
     std::atomic<bool> abort{false};
     std::exception_ptr error;  // first failure, guarded by err_mu
     std::mutex err_mu;
-    int exited = 0;  // workers that left run_lane, guarded by pool mu_
   };
 
   void worker_main(int lane);
   void run_lane(Region& rgn, int lane);
   bool grab_chunk(int lane, std::size_t& b, std::size_t& e);
   bool steal_chunk(int lane);
+  void run_nested(std::size_t n, const Body& body, int lane);
+  bool drain(Nested& slot, int lane);
+  bool help_once(int lane);
+  void help_until_done(std::uint64_t region, int lane);
+  void wake_helpers(bool all);
 
   const int nlanes_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> workers_;
 
-  std::mutex mu_;  // guards region_/epoch_/shutdown_/Region::exited
+  std::mutex mu_;  // guards region_/epoch_/shutdown_
   std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
   Region* region_ = nullptr;
   std::uint64_t epoch_ = 0;
   bool shutdown_ = false;
+
+  // The region being run (its epoch) and how many of its lanes may still
+  // start top-level items; the caller returns once busy_ reaches 0.
+  std::atomic<std::uint64_t> live_region_{0};
+  std::atomic<int> busy_{0};
+  // Bumped when a claim leaves nested indices for others and when a region
+  // starts or its last lane runs out of top-level items; idle lanes park
+  // on it.
+  std::atomic<std::uint32_t> help_epoch_{0};
 
   std::function<void()> region_end_hook_;
   std::uint64_t regions_ = 0;

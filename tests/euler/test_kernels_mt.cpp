@@ -1,12 +1,16 @@
 // Thread-parallel kernel wrappers (DESIGN.md §9): the _mt sweeps must be
-// bit-identical to the serial kernels for any lane count, their integer
+// bit-identical to the serial kernels for any lane count, called at top
+// level or nested inside an outer region where idle lanes help, their integer
 // KernelCounts must match exactly, and the sharded counted sweeps must
 // report the same cache/probe counters no matter how many lanes replay
 // the slabs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "euler/kernels.hpp"
 #include "support/thread_pool.hpp"
@@ -196,6 +200,118 @@ TEST(KernelsMt, CountedSweepsAreLaneCountInvariant) {
         EXPECT_EQ(a.l2_misses, b.l2_misses) << "lanes=" << lanes;
       }
     }
+  }
+}
+
+TEST(KernelsMt, NestedInOuterRegionMatchesSerialBitExactly) {
+  // RK2 calls the _mt kernels from inside its patch region, where idle
+  // lanes help with the rows. Run every kernel from a one-job and a
+  // many-job outer region: faces, dU/dt, KernelCounts and the counted
+  // sweep's cache counters must equal the serial sweep exactly.
+  const GasModel gas = two_gas();
+  const Box interior{0, 0, 29, 17};
+  const auto u = wavy_patch(interior, gas);
+  const double dx = 0.01, dy = 0.02;
+
+  struct Out {
+    FacePair xs{Box{0, 0, 29, 17}, Dir::x}, ys{Box{0, 0, 29, 17}, Dir::y};
+    Array2 efm, god_x, god_y;
+    PatchData<double> dudt{Box{0, 0, 29, 17}, 0, kNcomp};
+    euler::KernelCounts states, efm_c, god_c;
+    euler::CountedSweep counted;
+    Out() {
+      efm = Array2(xs.left.nx(), xs.left.ny(), kNcomp);
+      god_x = Array2(xs.left.nx(), xs.left.ny(), kNcomp);
+      god_y = Array2(ys.left.nx(), ys.left.ny(), kNcomp);
+    }
+  };
+  auto run = [&](ccaperf::ThreadPool& pool, Out& o, bool counted) {
+    o.states = euler::compute_states_mt(pool, u, interior, Dir::x, gas,
+                                        o.xs.left, o.xs.right);
+    o.states += euler::compute_states_mt(pool, u, interior, Dir::y, gas,
+                                         o.ys.left, o.ys.right);
+    o.efm_c = euler::efm_flux_sweep_mt(pool, o.xs.left, o.xs.right, Dir::x,
+                                       gas, o.efm);
+    o.god_c = euler::godunov_flux_sweep_mt(pool, o.xs.left, o.xs.right, Dir::x,
+                                           gas, o.god_x);
+    o.god_c += euler::godunov_flux_sweep_mt(pool, o.ys.left, o.ys.right,
+                                            Dir::y, gas, o.god_y);
+    euler::flux_divergence_mt(pool, o.god_x, o.god_y, interior, dx, dy, o.dudt);
+    if (counted)
+      o.counted = euler::godunov_flux_sweep_counted(pool, o.ys.left,
+                                                    o.ys.right, Dir::y, gas,
+                                                    o.god_y);
+  };
+  auto same = [](const Out& a, const Out& b) {
+    EXPECT_EQ(a.xs.left.raw(), b.xs.left.raw());
+    EXPECT_EQ(a.xs.right.raw(), b.xs.right.raw());
+    EXPECT_EQ(a.ys.left.raw(), b.ys.left.raw());
+    EXPECT_EQ(a.ys.right.raw(), b.ys.right.raw());
+    EXPECT_EQ(a.efm.raw(), b.efm.raw());
+    EXPECT_EQ(a.god_x.raw(), b.god_x.raw());
+    EXPECT_EQ(a.god_y.raw(), b.god_y.raw());
+    EXPECT_TRUE(std::equal(a.dudt.raw().begin(), a.dudt.raw().end(),
+                           b.dudt.raw().begin(), b.dudt.raw().end()));
+    EXPECT_EQ(a.states.faces, b.states.faces);
+    EXPECT_EQ(a.efm_c.faces, b.efm_c.faces);
+    EXPECT_EQ(a.god_c.faces, b.god_c.faces);
+    EXPECT_EQ(a.god_c.riemann_iterations, b.god_c.riemann_iterations);
+  };
+
+  ccaperf::ThreadPool serial(1);
+  Out ref;
+  run(serial, ref, false);
+
+  for (int lanes : {2, 3, 8}) {
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{6}}) {
+      ccaperf::ThreadPool pool(lanes);
+      std::vector<Out> outs(jobs);
+      // The cache simulation keys on addresses, so each job's counted
+      // reference is a serial replay over that job's own buffers.
+      std::vector<euler::CountedSweep> counted_ref(jobs);
+      for (std::size_t k = 0; k < jobs; ++k) {
+        run(serial, outs[k], true);
+        counted_ref[k] = outs[k].counted;
+      }
+      pool.parallel_for(jobs, [&](std::size_t k, int) { run(pool, outs[k], true); });
+      for (std::size_t k = 0; k < jobs; ++k) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes) +
+                     " jobs=" + std::to_string(jobs) + " k=" + std::to_string(k));
+        same(outs[k], ref);
+        const euler::CountedSweep& a = outs[k].counted;
+        const euler::CountedSweep& b = counted_ref[k];
+        EXPECT_EQ(a.kernel.faces, b.kernel.faces);
+        EXPECT_EQ(a.kernel.riemann_iterations, b.kernel.riemann_iterations);
+        EXPECT_EQ(a.probe.loads, b.probe.loads);
+        EXPECT_EQ(a.probe.stores, b.probe.stores);
+        EXPECT_EQ(a.probe.flops, b.probe.flops);
+        EXPECT_EQ(a.l1_misses, b.l1_misses);
+        EXPECT_EQ(a.l2_misses, b.l2_misses);
+      }
+    }
+  }
+}
+
+TEST(KernelsMt, FluxDivergenceWritesEveryCell) {
+  // RK2 reuses its dU/dt buffers without clearing them, which is sound
+  // only because the divergence writes every interior cell of every
+  // component.
+  const GasModel gas = two_gas();
+  const Box interior{3, -2, 22, 11};
+  const auto u = wavy_patch(interior, gas);
+  hwc::NullProbe probe;
+  FacePair xf(interior, Dir::x), yf(interior, Dir::y);
+  euler::compute_states(u, interior, Dir::x, gas, xf.left, xf.right, probe);
+  euler::compute_states(u, interior, Dir::y, gas, yf.left, yf.right, probe);
+  Array2 fx(xf.left.nx(), xf.left.ny(), kNcomp);
+  Array2 fy(yf.left.nx(), yf.left.ny(), kNcomp);
+  euler::efm_flux_sweep(xf.left, xf.right, Dir::x, gas, fx, probe);
+  euler::efm_flux_sweep(yf.left, yf.right, Dir::y, gas, fy, probe);
+  for (int lanes : {1, 3}) {
+    ccaperf::ThreadPool pool(lanes);
+    PatchData<double> dudt(interior, 0, kNcomp, std::nan(""));
+    euler::flux_divergence_mt(pool, fx, fy, interior, 0.01, 0.02, dudt);
+    for (const double v : dudt.raw()) ASSERT_FALSE(std::isnan(v)) << "lanes=" << lanes;
   }
 }
 

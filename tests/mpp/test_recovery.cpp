@@ -2,8 +2,9 @@
 // CommErrors instead of hanging ctest, send-side retransmission with
 // exponential backoff, retry exhaustion failing the sender, and duplicate
 // suppression. The headline regression here is the wait-family hang: a
-// wait on a message that never arrives used to spin forever; it must now
-// fail in well under a second when the no-progress bound is tightened.
+// wait on a message that never arrives (or a collective whose peer never
+// joins) used to block forever; it must now fail in well under a second
+// when the no-progress bound is tightened.
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,27 @@ TEST(Recovery, WaitSomeHonorsTheSameBounds) {
   });
   EXPECT_EQ(code, CommErrc::no_progress);
   EXPECT_LT(elapsed_ms(t0), 1000.0);
+}
+
+TEST(Recovery, CollectiveWithAMissingPeerFailsInsteadOfHanging) {
+  // Regression: a collective hop receive used to block with no bound, so
+  // a barrier whose peer never joins hung until the watchdog. It must now
+  // fail on the same no-progress bound as a point-to-point wait.
+  mpp::RunOptions opts;
+  opts.idle_limit_us = 200e3;
+  bool threw = false;
+  CommErrc code = CommErrc::aborted;
+  try {
+    Runtime::run(2, opts, [&](Comm& world) {
+      if (world.rank() == 1) return;  // never enters the barrier
+      world.barrier();
+    });
+  } catch (const CommError& e) {
+    threw = true;
+    code = e.code();
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(code, CommErrc::no_progress);
 }
 
 TEST(Recovery, DroppedMessagesAreRetransmittedAndReceived) {

@@ -1,7 +1,8 @@
 // Property suite for ccaperf::ThreadPool (DESIGN.md §9): every index runs
-// exactly once regardless of lane count and stealing, exceptions surface
-// on the caller, nested regions serialize, and the region-end hook fires
-// at top level only.
+// exactly once regardless of lane count, stealing and nested helping,
+// exceptions surface on the caller, idle lanes help the nested calls of
+// busy ones without ever holding two top-level items, calls nested deeper
+// run inline, and the region-end hook fires at top level only.
 
 #include "support/thread_pool.hpp"
 
@@ -91,16 +92,116 @@ TEST(ThreadPool, ExceptionPropagatesFromInlinePool) {
                std::logic_error);
 }
 
-TEST(ThreadPool, NestedParallelForRunsInlineOnCallingLane) {
-  ccaperf::ThreadPool pool(4);
-  std::atomic<long> total{0};
-  pool.parallel_for(16, [&](std::size_t, int outer_lane) {
-    pool.parallel_for(8, [&](std::size_t, int inner_lane) {
-      EXPECT_EQ(inner_lane, outer_lane);
-      total.fetch_add(1, std::memory_order_relaxed);
+TEST(ThreadPool, NestedIndicesRunExactlyOnce) {
+  for (int lanes : {1, 2, 3, 8}) {
+    for (std::size_t outer : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
+      constexpr std::size_t kInner = 37;
+      ccaperf::ThreadPool pool(lanes);
+      std::vector<std::atomic<int>> hits(outer * kInner);
+      for (auto& h : hits) h.store(0);
+      pool.parallel_for(outer, [&](std::size_t o, int) {
+        pool.parallel_for(kInner, [&](std::size_t i, int lane) {
+          ASSERT_GE(lane, 0);
+          ASSERT_LT(lane, pool.size());
+          EXPECT_EQ(ccaperf::ThreadPool::current_lane(), lane);
+          hits[o * kInner + i].fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+      for (std::size_t k = 0; k < hits.size(); ++k)
+        ASSERT_EQ(hits[k].load(), 1) << "lanes=" << lanes << " outer=" << outer
+                                     << " k=" << k;
+    }
+  }
+}
+
+TEST(ThreadPool, IdleLanesHelpTheRowsOfAOneJobRegion) {
+  // One outer job, as many nested rows as lanes, and every row blocks
+  // until all lanes hold one: a lane inside a row cannot take a second,
+  // so this completes only if every lane runs a row of the one job. A
+  // pool that ran the rows inline would hang here (ctest's timeout).
+  for (int lanes : {2, 3, 8}) {
+    ccaperf::ThreadPool pool(lanes);
+    const unsigned all = (1u << lanes) - 1;
+    std::atomic<unsigned> seen{0};
+    pool.parallel_for(1, [&](std::size_t, int) {
+      pool.parallel_for(static_cast<std::size_t>(lanes),
+                        [&](std::size_t, int lane) {
+        unsigned m = seen.fetch_or(1u << lane) | (1u << lane);
+        seen.notify_all();
+        while (m != all) {
+          seen.wait(m);
+          m = seen.load();
+        }
+      });
+    });
+    EXPECT_EQ(seen.load(), all) << "lanes=" << lanes;
+  }
+}
+
+TEST(ThreadPool, NestedExceptionIsRethrownOnTheOwnerLane) {
+  ccaperf::ThreadPool pool(3);
+  std::atomic<int> caught_by_owner{0};
+  EXPECT_THROW(
+      pool.parallel_for(4,
+                        [&](std::size_t o, int lane) {
+                          try {
+                            pool.parallel_for(64, [&](std::size_t i, int) {
+                              if (o == 2 && i % 16 == 5)
+                                throw std::runtime_error("row");
+                            });
+                          } catch (const std::runtime_error&) {
+                            if (ccaperf::ThreadPool::current_lane() == lane)
+                              caught_by_owner.fetch_add(1);
+                            throw;
+                          }
+                        }),
+      std::runtime_error);
+  EXPECT_EQ(caught_by_owner.load(), 1);
+  // Both levels are reusable after the failure.
+  std::atomic<int> again{0};
+  pool.parallel_for(4, [&](std::size_t, int) {
+    pool.parallel_for(64, [&](std::size_t, int) {
+      again.fetch_add(1, std::memory_order_relaxed);
     });
   });
-  EXPECT_EQ(total.load(), 16 * 8);
+  EXPECT_EQ(again.load(), 4 * 64);
+}
+
+TEST(ThreadPool, NestedInsideNestedRunsInline) {
+  ccaperf::ThreadPool pool(4);
+  std::atomic<long> total{0};
+  pool.parallel_for(3, [&](std::size_t, int) {
+    pool.parallel_for(8, [&](std::size_t, int mid_lane) {
+      const std::thread::id self = std::this_thread::get_id();
+      pool.parallel_for(5, [&](std::size_t, int inner_lane) {
+        EXPECT_EQ(inner_lane, mid_lane);
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        total.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  });
+  EXPECT_EQ(total.load(), 3 * 8 * 5);
+}
+
+TEST(ThreadPool, NoLaneRunsTwoTopLevelItemsAtOnce) {
+  for (int lanes : {2, 3, 8}) {
+    ccaperf::ThreadPool pool(lanes);
+    std::vector<std::atomic<int>> inside(static_cast<std::size_t>(lanes));
+    for (auto& a : inside) a.store(0);
+    std::atomic<int> overlaps{0};
+    pool.parallel_for(24, [&](std::size_t o, int lane) {
+      std::atomic<int>& mine = inside[static_cast<std::size_t>(lane)];
+      if (mine.fetch_add(1) != 0) overlaps.fetch_add(1);
+      // Uneven nested work keeps some lanes helping while others still
+      // hold top-level items.
+      pool.parallel_for(8 + o % 5, [&](std::size_t, int) {
+        volatile double x = 1.0;
+        for (int k = 0; k < 2000; ++k) x = x * 1.0000001;
+      });
+      mine.fetch_sub(1);
+    });
+    EXPECT_EQ(overlaps.load(), 0) << "lanes=" << lanes;
+  }
 }
 
 TEST(ThreadPool, CurrentLaneIsZeroOutsideRegions) {
@@ -123,11 +224,13 @@ TEST(ThreadPool, CurrentLaneIsZeroOutsideRegions) {
 }
 
 TEST(ThreadPool, RegionEndHookFiresOncePerTopLevelRegion) {
-  ccaperf::ThreadPool pool(2);
+  ccaperf::ThreadPool pool(3);
   int fired = 0;
   pool.set_region_end_hook([&] { ++fired; });
   pool.parallel_for(10, [&](std::size_t, int) {
-    pool.parallel_for(3, [](std::size_t, int) {});  // nested: no hook
+    pool.parallel_for(3, [&](std::size_t, int) {  // nested: no hook
+      pool.parallel_for(2, [](std::size_t, int) {});
+    });
   });
   EXPECT_EQ(fired, 1);
   pool.parallel_for(0, [](std::size_t, int) {});  // empty region still ends
