@@ -140,11 +140,8 @@ int main() {
   // EXPERIMENTS.md budget-convergence table is built from such runs); the
   // hard gates and the JSON series only apply at the default 2% point so a
   // 0.5% exploration can't fail CI or poison the baseline.
-  double budget = 2.0;
-  if (const char* e = std::getenv("CCAPERF_OVERHEAD_PCT")) {
-    const double v = std::strtod(e, nullptr);
-    if (v > 0.0) budget = v;
-  }
+  const core::GovernorConfig env_cfg = core::GovernorConfig::from_env();
+  const double budget = env_cfg.enabled ? env_cfg.budget_pct : 2.0;
   const bool gated = budget == 2.0;
 
   std::cout << "Ablation: overhead governor — " << w.shapes.size()

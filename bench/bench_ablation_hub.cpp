@@ -26,7 +26,6 @@
 // hub-soak stage greps for the marker.
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -37,12 +36,6 @@
 #include "core/telemetry_hub.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
 
 /// The scenario rotation: structurally diverse tenants, all deterministic.
 std::vector<core::SessionScenario> scenario_mix() {
@@ -109,11 +102,10 @@ struct Gate {
 }  // namespace
 
 int main() {
-  const int max_sessions = env_int("CCAPERF_HUB_SOAK_SESSIONS", 64, 2);
-  const char* agg_env = std::getenv("CCAPERF_HUB_AGG_FILE");
-  const std::string agg_path = (agg_env != nullptr && *agg_env != '\0')
-                                   ? agg_env
-                                   : "bench_out/hub_aggregate.jsonl";
+  const int max_sessions =
+      ccaperf::env_int<int>("CCAPERF_HUB_SOAK_SESSIONS", 2).value_or(64);
+  const std::string agg_path = ccaperf::env_text("CCAPERF_HUB_AGG_FILE")
+                                   .value_or("bench_out/hub_aggregate.jsonl");
   const std::vector<core::SessionScenario> mix = scenario_mix();
   Gate gate;
 

@@ -31,12 +31,6 @@
 
 namespace {
 
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
-
 /// The tiny case-study hierarchy the holdout tier-1 test also uses,
 /// parameterized by base-grid size over the same physical domain
 /// (features are placed fractionally, so every size is the same physics
@@ -73,7 +67,7 @@ struct HeldOutPoint {
 int main() {
   // min-over-reps is the only defense against host-level contention on a
   // single-core box; 6 reps keeps the whole bench around a minute.
-  const int reps = env_int("CCAPERF_PRED_REPS", 6, 1);
+  const int reps = ccaperf::env_int<int>("CCAPERF_PRED_REPS", 1).value_or(6);
   const components::AppConfig base_cfg = tiny_config(48, 24);
 
   core::Fig01TrainSpec spec;  // ranks {2,4,8} x threads {1,2}

@@ -36,18 +36,11 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "bench_common.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
 
 struct StepCost {
   double step_us = 0.0;        ///< wall per step, rank 0
@@ -187,8 +180,8 @@ std::array<double, kNumMicroOps> micro_collectives(int nranks, int reps,
 }  // namespace
 
 int main() {
-  const int steps = env_int("CCAPERF_STEPS", 12, 2);
-  const int max_ranks = env_int("CCAPERF_BENCH_RANKS_MAX", 256, 2);
+  const int steps = ccaperf::env_int<int>("CCAPERF_STEPS", 2).value_or(12);
+  const int max_ranks = ccaperf::env_int<int>("CCAPERF_BENCH_RANKS_MAX", 2).value_or(256);
   std::vector<int> sweep;
   for (int n : {2, 8, 32, 64, 128, 256})
     if (n <= max_ranks) sweep.push_back(n);

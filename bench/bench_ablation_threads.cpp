@@ -1,8 +1,8 @@
 // Ablation: thread-parallel patch execution (DESIGN.md §9).
 //
-// Runs the instrumented fig01 simulation twice in-process — CCAPERF_THREADS=1
-// and CCAPERF_THREADS=N (default 8) — and reports the step-loop scaling plus
-// the two determinism guarantees the threading design makes:
+// Runs the instrumented fig01 simulation twice in-process — on 1 lane and on
+// N lanes (default 8) — and reports the step-loop scaling plus the two
+// determinism guarantees the threading design makes:
 //
 //  * physics_equal: the density fields of the serial and threaded runs are
 //    bit-identical (every parallel loop partitions pure writes or exact
@@ -10,6 +10,10 @@
 //  * counters_equal: merged measurement totals (timer call counts, monitor
 //    record rows, summed Q) match the serial run exactly, and the sharded
 //    counted sweeps report identical cache counters at 1 and 3 lanes.
+//
+// Each run's rank main sets its own pool's lane count and reports the lanes
+// it ran on (pool.lanes_used); a threaded run on fewer lanes than asked
+// exits nonzero, since it would compare a serial run with a serial run.
 //
 // Correctness failures exit nonzero. scripts/bench_gate.py gates the
 // determinism metrics everywhere and the speedup against a floor
@@ -22,7 +26,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -30,13 +33,8 @@
 
 namespace {
 
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
-
 struct RunResult {
+  int lanes_used = 0;             ///< rank_pool() size the run stepped on
   double step_ms = 0.0;
   std::vector<double> field;      ///< all local cells, canonical order
   std::uint64_t timer_calls = 0;  ///< merged registry, all timers
@@ -44,11 +42,10 @@ struct RunResult {
   double q_sum = 0.0;             ///< summed Q over those rows
 };
 
-/// One single-rank instrumented fig01 run at the given lane count. Each
-/// call spawns a fresh rank thread, so the rank pool re-reads
-/// CCAPERF_THREADS.
+/// One single-rank instrumented fig01 run at the given lane count. A
+/// 1-rank run executes rank 0 on this thread, so the rank main rebuilds
+/// the thread's pool rather than reuse the previous run's.
 RunResult run_fig01(int threads, int steps) {
-  setenv("CCAPERF_THREADS", std::to_string(threads).c_str(), 1);
   components::AppConfig cfg = components::AppConfig::case_study();
   cfg.driver.nsteps = steps;
   cfg.driver.regrid_interval = 3;
@@ -56,12 +53,14 @@ RunResult run_fig01(int threads, int steps) {
   RunResult res;
   mpp::Runtime::run(1, mpp::NetworkModel::classic_cluster(),
                     [&](mpp::Comm& world) {
+    ccaperf::set_rank_pool_threads(threads);
     core::InstrumentedApp app = core::assemble_instrumented_app(world, cfg);
     const auto t0 = std::chrono::steady_clock::now();
     app.fw().services("driver").provided_as<components::GoPort>("go")->go();
     res.step_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
+    res.lanes_used = ccaperf::rank_pool().size();
 
     // Canonical field dump: levels outer, patch ids ascending (map order),
     // then (c, j, i) — identical layout for any lane count.
@@ -140,8 +139,9 @@ bool counted_sweeps_invariant() {
 }  // namespace
 
 int main() {
-  const int threads = env_int("CCAPERF_BENCH_THREADS", 8, 2);
-  const int steps = env_int("CCAPERF_STEPS", 8, 1);
+  const int threads =
+      ccaperf::env_int<int>("CCAPERF_BENCH_THREADS", 2, 256).value_or(8);
+  const int steps = ccaperf::env_int<int>("CCAPERF_STEPS", 1).value_or(8);
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::cout << "Ablation: thread-parallel patch execution — fig01 step loop, "
@@ -162,6 +162,8 @@ int main() {
 
   ccaperf::TextTable t;
   t.set_header({"quantity", "serial", std::to_string(threads) + " lanes"});
+  t.add_row({"lanes used", std::to_string(serial.lanes_used),
+             std::to_string(mt.lanes_used)});
   t.add_row({"step loop [ms]", ccaperf::fmt_double(serial.step_ms, 5),
              ccaperf::fmt_double(mt.step_ms, 5)});
   t.add_row({"timer calls", std::to_string(serial.timer_calls),
@@ -202,9 +204,15 @@ int main() {
                  {"fig01_step_loop", "counters_equal",
                   counters_equal ? 1.0 : 0.0},
                  {"pool", "threads", static_cast<double>(threads)},
+                 {"pool", "lanes_used", static_cast<double>(mt.lanes_used)},
                  {"pool", "hardware_concurrency", static_cast<double>(hw)},
              });
 
+  if (serial.lanes_used != 1 || mt.lanes_used != threads) {
+    std::cout << "LANE COUNT NOT APPLIED: threaded run stepped on "
+              << mt.lanes_used << " of " << threads << " lanes\n";
+    return 1;
+  }
   if (!physics_equal || !counters_equal) {
     std::cout << "THREAD DETERMINISM FAILED\n";
     return 1;

@@ -7,7 +7,6 @@
 // Benches print a "paper vs measured" block at the end; EXPERIMENTS.md
 // records the comparison.
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -19,6 +18,7 @@
 #include "core/instrumented_app.hpp"
 #include "core/modeling.hpp"
 #include "mpp/runtime.hpp"
+#include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -221,9 +221,8 @@ inline SweepResult sweep_component(const std::string& which, int nprocs, int rep
 /// (CCAPERF_FIG_DIR, default bench_out/figs — gitignored), creating the
 /// directory on first use. Generated CSVs never land in the repo root.
 inline std::string fig_path(const std::string& filename) {
-  const char* env = std::getenv("CCAPERF_FIG_DIR");
   const std::string dir =
-      (env != nullptr && *env != '\0') ? env : "bench_out/figs";
+      ccaperf::env_text("CCAPERF_FIG_DIR").value_or("bench_out/figs");
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);  // EEXIST and races are fine
   return dir + "/" + filename;

@@ -19,28 +19,17 @@
 //     flow-match, so CI can gate on it.
 //   CCAPERF_TRACE_EVENTS           per-rank ring capacity in events.
 
-#include <cstdlib>
 #include <fstream>
 
 #include "bench_common.hpp"
 #include "components/app_assembly.hpp"
 #include "core/trace_export.hpp"
 
-namespace {
-
-int env_int(const char* name, int fallback, int lo) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::max(lo, std::atoi(v));
-}
-
-}  // namespace
-
 int main() {
   const core::TraceEnv trace = core::trace_env();
-  const int ranks = env_int("CCAPERF_RANKS", 3, 1);
+  const int ranks = ccaperf::env_int<int>("CCAPERF_RANKS", 1).value_or(3);
   components::AppConfig cfg = components::AppConfig::case_study();
-  cfg.driver.nsteps = env_int("CCAPERF_STEPS", 8, 1);
+  cfg.driver.nsteps = ccaperf::env_int<int>("CCAPERF_STEPS", 1).value_or(8);
   cfg.driver.regrid_interval = 3;
 
   struct LevelCensus {

@@ -16,7 +16,7 @@ import sys
 ADD_TEST = re.compile(r'add_test\(\s*(?:\[=*\[)?"?([A-Za-z0-9_.-]+)"?\]?')
 
 # Binaries that must stay in the tier-1 lane specifically: they carry the
-# overhead-governor contract suites (Governor*/ThreadedGovernor/OnlineRefit
+# overhead-governor contract suites (Governor*/ThreadedGovernor
 # in test_core, TraceTiers in test_tau, CacheSampling governor-stride tests
 # in test_hwc), the multi-tenant hub contract (session isolation, drop
 # accounting, and the HubProperty stream-identity tests in

@@ -61,6 +61,14 @@ need_fig01() {
 }
 
 if want tier1; then
+  echo "== knob guard: only src/support/env.* reads the environment =="
+  # Runtime knobs are parsed in one place (support/env.hpp); a getenv
+  # elsewhere skips validation, and a setenv turns a process-global
+  # variable into an API between modules.
+  if grep -rn 'getenv\|setenv\|unsetenv' src/ | grep -v '^src/support/env\.'; then
+    echo "check_tier1.sh: environment access outside src/support/env.*" >&2
+    exit 1
+  fi
   echo "== tier-1 suites (${BUILD_DIR}) =="
   cmake -B "${BUILD_DIR}" -S . >/dev/null
   cmake --build "${BUILD_DIR}" -j "${JOBS}"

@@ -1,14 +1,11 @@
 #include "core/governor.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <stdexcept>
-#include <utility>
+#include <optional>
 
-#include "cca/framework.hpp"
-#include "core/mastermind.hpp"
+#include "support/env.hpp"
+#include "support/error.hpp"
 
 namespace core {
 
@@ -18,26 +15,15 @@ namespace core {
 
 GovernorConfig GovernorConfig::from_env() {
   GovernorConfig cfg;
-  const char* pct = std::getenv("CCAPERF_OVERHEAD_PCT");
-  if (pct == nullptr || *pct == '\0') return cfg;  // disabled: byte-identical
-  char* end = nullptr;
-  const double v = std::strtod(pct, &end);
-  if (end == pct || !(v > 0.0)) {
-    throw std::invalid_argument(
-        "CCAPERF_OVERHEAD_PCT must be a positive percentage");
-  }
+  const std::optional<double> pct = ccaperf::env_number("CCAPERF_OVERHEAD_PCT");
+  if (!pct) return cfg;  // disabled: byte-identical
+  const double v = *pct;
+  CCAPERF_REQUIRE(v > 0.0, "CCAPERF_OVERHEAD_PCT: want a positive percentage");
   cfg.enabled = true;
   cfg.budget_pct = v;
   // Keep the hysteresis band proportional for large budgets but never wider
   // than the default so a 2% budget still means "converged by 2.5%".
   cfg.band_pct = std::min(0.25, v * 0.125) + (v >= 2.0 ? 0.25 : v * 0.125);
-  if (const char* w = std::getenv("CCAPERF_GOVERNOR_WINDOW")) {
-    const long n = std::strtol(w, nullptr, 10);
-    if (n > 0) cfg.window_records = static_cast<std::uint64_t>(n);
-  }
-  if (const char* s = std::getenv("CCAPERF_GOVERNOR_SEED")) {
-    cfg.seed = static_cast<std::uint64_t>(std::strtoull(s, nullptr, 10));
-  }
   return cfg;
 }
 
@@ -118,139 +104,6 @@ OverheadGovernor::Decision OverheadGovernor::observe(const Window& w) {
   d.level = level_;
   history_.push_back(d);
   return d;
-}
-
-// ---------------------------------------------------------------------------
-// OnlineRefitter
-// ---------------------------------------------------------------------------
-
-OnlineRefitter::OnlineRefitter(cca::Framework& fw, MastermindComponent& mm,
-                               std::string proxy_instance,
-                               std::string proxy_uses_port,
-                               std::string method_key,
-                               std::vector<Candidate> candidates,
-                               double accuracy_weight, std::size_t min_samples)
-    : fw_(fw),
-      mm_(mm),
-      proxy_instance_(std::move(proxy_instance)),
-      proxy_uses_port_(std::move(proxy_uses_port)),
-      method_key_(std::move(method_key)),
-      candidates_(std::move(candidates)),
-      accuracy_weight_(accuracy_weight),
-      min_samples_(min_samples) {
-  if (candidates_.empty()) {
-    throw std::invalid_argument("OnlineRefitter needs at least one candidate");
-  }
-  fits_.reserve(candidates_.size());
-  for (std::size_t i = 0; i < candidates_.size(); ++i) fits_.emplace_back();
-}
-
-void OnlineRefitter::log_event(const Event& e) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "\"boundary\":%llu,\"action\":\"%s\",\"from\":\"%s\","
-                "\"to\":\"%s\",\"predicted_us\":%.3f",
-                static_cast<unsigned long long>(e.boundary), e.kind.c_str(),
-                e.from.c_str(), e.to.c_str(), e.predicted_us);
-  mm_.emit_governor_event("refit", buf);
-  events_.push_back(e);
-}
-
-void OnlineRefitter::swap_to(std::size_t idx, const char* kind,
-                             double predicted_us) {
-  const Candidate& c = candidates_[idx];
-  if (!fw_.has_instance(c.instance)) {
-    fw_.instantiate(c.instance, c.class_name);
-  }
-  Event e;
-  e.boundary = boundaries_;
-  e.kind = kind;
-  e.from = candidates_[active_].class_name;
-  e.to = c.class_name;
-  e.predicted_us = predicted_us;
-  fw_.reconnect(proxy_instance_, proxy_uses_port_, c.instance, "flux");
-  active_ = idx;
-  ++swaps_;
-  log_event(e);
-}
-
-void OnlineRefitter::on_boundary() {
-  ++boundaries_;
-  const Record* rec = mm_.record(method_key_);
-  if (rec == nullptr) return;
-
-  // Attribute every row recorded since the previous boundary to the
-  // candidate that was wired up during that interval. The proxy's monitored
-  // key never changes across a hot-swap, so row-index ranges are the
-  // attribution mechanism.
-  const std::size_t end = rec->count();
-  for (std::size_t i = next_row_; i < end; ++i) {
-    const double q = rec->param_at(i, "Q");
-    if (std::isnan(q) || q <= 0.0) continue;
-    fits_[active_].add(q, rec->wall_us(i));
-  }
-  next_row_ = end;
-
-  // Exploration: any candidate with too few samples gets one measurement
-  // interval before the optimizer is trusted. Deterministic order (lowest
-  // index first) keeps the swap sequence reproducible.
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    if (fits_[i].count() < min_samples_) {
-      if (i != active_) swap_to(i, "explore", 0.0);
-      return;
-    }
-  }
-
-  // Exploitation: per-candidate best streaming model, workload = the Q
-  // histogram of everything recorded, rescaled by the realized recording
-  // fraction so sampled monitoring stays unbiased.
-  std::vector<std::unique_ptr<PerfModel>> models;
-  Slot slot;
-  slot.functionality = proxy_uses_port_;
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    models.push_back(fits_[i].best());
-    if (!models.back()) return;  // degenerate fit: hold
-    ::core::Candidate cand;
-    cand.class_name = candidates_[i].class_name;
-    cand.time_model = models.back().get();
-    cand.accuracy = candidates_[i].accuracy;
-    slot.candidates.push_back(std::move(cand));
-  }
-  std::map<double, double> histogram;
-  for (std::size_t i = 0; i < end; ++i) {
-    const double q = rec->param_at(i, "Q");
-    if (std::isnan(q) || q <= 0.0) continue;
-    histogram[q] += 1.0;
-  }
-  const double frac = mm_.realized_fraction(method_key_);
-  const double scale = frac > 0.0 ? 1.0 / frac : 1.0;
-  for (const auto& [q, n] : histogram) slot.workload.emplace_back(q, n * scale);
-  if (slot.workload.empty()) return;
-
-  AssemblyOptimizer opt(0.0);
-  opt.add_slot(std::move(slot));
-  const AssemblyChoice choice = opt.best(accuracy_weight_);
-  const auto it = choice.selection.find(proxy_uses_port_);
-  if (it == choice.selection.end()) return;
-
-  std::size_t winner = active_;
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    if (candidates_[i].class_name == it->second) {
-      winner = i;
-      break;
-    }
-  }
-  if (winner != active_) {
-    swap_to(winner, "swap", choice.predicted_time_us);
-  } else {
-    Event e;
-    e.boundary = boundaries_;
-    e.kind = "hold";
-    e.from = candidates_[active_].class_name;
-    e.to = candidates_[active_].class_name;
-    e.predicted_us = choice.predicted_time_us;
-    log_event(e);
-  }
 }
 
 }  // namespace core

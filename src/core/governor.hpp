@@ -18,30 +18,13 @@
 // Mastermind (mastermind.cpp), which feeds windows in and applies the
 // returned Settings — so the same window trace always yields the same
 // tier-transition sequence (the determinism test pins this).
-//
-// On top of the throttle loop sits OnlineRefitter: at regrid boundaries
-// it re-fits the active flux implementation's streaming model from the
-// (sampled, realized-fraction-rescaled) monitoring records, re-evaluates
-// the AssemblyOptimizer, and hot-swaps the flux component mid-run via
-// Framework::reconnect when the model says the alternative wins.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "core/modeling.hpp"
-#include "core/optimizer.hpp"
 #include "tau/registry.hpp"
 
-namespace cca {
-class Framework;
-}
-
 namespace core {
-
-class MastermindComponent;
 
 /// Controller configuration. `enabled` is false unless CCAPERF_OVERHEAD_PCT
 /// is set, which guarantees every output stays byte-identical to an
@@ -56,8 +39,8 @@ struct GovernorConfig {
   int calm_windows = 2;    ///< consecutive calm windows before relaxing
   std::uint64_t seed = 0;  ///< phase of the deterministic 1-in-N samplers
 
-  /// Reads CCAPERF_OVERHEAD_PCT (unset/empty -> disabled; <= 0 raises),
-  /// plus the optional CCAPERF_GOVERNOR_WINDOW and CCAPERF_GOVERNOR_SEED.
+  /// Reads CCAPERF_OVERHEAD_PCT (unset/empty -> disabled; malformed or
+  /// <= 0 raises).
   static GovernorConfig from_env();
 };
 
@@ -132,69 +115,6 @@ class OverheadGovernor {
   std::uint64_t last_overhead_bp_ = 0;
   double last_overhead_pct_ = 0.0;
   std::vector<Decision> history_;
-};
-
-/// Online assembly re-optimization (paper §6 made adaptive): candidate
-/// flux implementations behind one proxy, per-candidate streaming fits
-/// built from the rows the (possibly sampled) monitor recorded, workload
-/// counts rescaled by the realized recording fraction, and a
-/// Framework::reconnect hot-swap when the AssemblyOptimizer prefers the
-/// alternative. Unmeasured candidates are explored once (a deterministic
-/// one-interval trial) before the optimizer is consulted.
-class OnlineRefitter {
- public:
-  struct Candidate {
-    std::string instance;    ///< framework instance name (created lazily)
-    std::string class_name;  ///< repository class to instantiate
-    double accuracy = 1.0;   ///< QoS score for the optimizer
-  };
-
-  /// One refit event, also logged through the Mastermind's governor
-  /// telemetry when attached.
-  struct Event {
-    std::uint64_t boundary = 0;  ///< regrid-boundary ordinal
-    std::string kind;            ///< "explore" | "swap" | "hold"
-    std::string from;
-    std::string to;
-    double predicted_us = 0.0;  ///< winner's predicted workload time
-  };
-
-  /// `proxy_instance`/`proxy_uses_port` name the uses port re-pointed on a
-  /// swap ("flux_proxy"/"flux_real" in the instrumented assembly);
-  /// `method_key` is the proxy's monitored method whose Record feeds the
-  /// fits. `candidates[0]` must be the currently wired implementation.
-  OnlineRefitter(cca::Framework& fw, MastermindComponent& mm,
-                 std::string proxy_instance, std::string proxy_uses_port,
-                 std::string method_key, std::vector<Candidate> candidates,
-                 double accuracy_weight = 0.0, std::size_t min_samples = 8);
-
-  /// Call at a regrid boundary: attributes the rows recorded since the
-  /// previous boundary to the active candidate, then explores or
-  /// re-optimizes. Safe to call with no new rows (holds).
-  void on_boundary();
-
-  const std::string& active() const { return candidates_[active_].instance; }
-  std::uint64_t swaps() const { return swaps_; }
-  const std::vector<Event>& events() const { return events_; }
-
- private:
-  void swap_to(std::size_t idx, const char* kind, double predicted_us);
-  void log_event(const Event& e);
-
-  cca::Framework& fw_;
-  MastermindComponent& mm_;
-  std::string proxy_instance_;
-  std::string proxy_uses_port_;
-  std::string method_key_;
-  std::vector<Candidate> candidates_;
-  std::vector<StreamingFitSet> fits_;  ///< per-candidate (Q, wall) fits
-  double accuracy_weight_;
-  std::size_t min_samples_;
-  std::size_t active_ = 0;
-  std::size_t next_row_ = 0;  ///< first record row not yet attributed
-  std::uint64_t boundaries_ = 0;
-  std::uint64_t swaps_ = 0;
-  std::vector<Event> events_;
 };
 
 }  // namespace core

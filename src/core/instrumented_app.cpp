@@ -1,7 +1,6 @@
 #include "core/instrumented_app.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 
@@ -109,34 +108,6 @@ InstrumentedApp assemble_instrumented_app(mpp::Comm& world,
     app.mastermind->attach_governor(app.governor.get());
     app.mastermind->set_counter_stride_actuator(
         [](std::uint32_t stride) { hwc::set_governor_sample_stride(stride); });
-  }
-
-  // CCAPERF_REFIT=1 additionally arms the OnlineRefitter: at every regrid
-  // boundary it re-fits the flux streaming models from the (possibly
-  // sampled) records and hot-swaps the proxy's uses port when the
-  // AssemblyOptimizer prefers the alternative kernel. This CHANGES THE
-  // NUMERICS (EFM and Godunov fluxes differ), which is why the QoS
-  // trade-off needs its own opt-in and is never implied by the
-  // observability budget alone.
-  const char* refit_env = std::getenv("CCAPERF_REFIT");
-  if (refit_env != nullptr && *refit_env != '\0' &&
-      std::string(refit_env) != "0") {
-    const std::string flux_key = cfg.flux_impl == "EFMFlux"
-                                     ? "efm_proxy::compute()"
-                                     : "g_proxy::compute()";
-    const std::string alt_impl =
-        cfg.flux_impl == "EFMFlux" ? "GodunovFlux" : "EFMFlux";
-    std::vector<OnlineRefitter::Candidate> candidates;
-    candidates.push_back({"flux", cfg.flux_impl, 1.0});
-    // The alternative kernel is instantiated lazily, on its first explore
-    // swap; its lower accuracy score models the paper's §6 QoS trade-off.
-    candidates.push_back({"flux_alt", alt_impl, 0.7});
-    app.refitter = std::make_unique<OnlineRefitter>(
-        fw, *app.mastermind, "flux_proxy", "flux_real", flux_key,
-        std::move(candidates));
-    app.mastermind->set_boundary_hook(
-        "icc_proxy::regrid()",
-        [r = app.refitter.get()] { r->on_boundary(); });
   }
 
   // CCAPERF_TRACE switches the rank's flight recorder on for the whole

@@ -27,10 +27,9 @@ struct InstrumentedApp {
   /// registry's counter sources read, so it lives with the assembly.
   hwc::PerfBackend hwc_backend;
   hwc::HwcInstallReport hwc_report;
-  /// Overhead governor + online re-fit loop (CCAPERF_OVERHEAD_PCT); null
-  /// when the knob is unset so ungoverned runs stay byte-identical.
+  /// Overhead governor (CCAPERF_OVERHEAD_PCT); null when the knob is
+  /// unset so ungoverned runs stay byte-identical.
   std::unique_ptr<OverheadGovernor> governor;
-  std::unique_ptr<OnlineRefitter> refitter;
 
   cca::Framework& fw() { return *framework; }
   tau::Registry& registry() { return tau->registry(); }

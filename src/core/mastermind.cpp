@@ -406,18 +406,6 @@ void MastermindComponent::stop(MethodHandle method) {
       if (telem_sink_ != nullptr) maybe_emit_telemetry();
     }
   }
-  // The regrid-boundary hook (OnlineRefitter) runs outside the lock: it
-  // reads the records and may reconnect framework ports and emit its own
-  // governor events, all of which would self-deadlock under mu_.
-  const bool fire_boundary =
-      L.depth == 0 && boundary_hook_ && method == boundary_method_;
-  if (lk.owns_lock()) lk.unlock();
-  if (fire_boundary) {
-    const tau::Clock::time_point h0 =
-        acct ? tau::Clock::now() : tau::Clock::time_point{};
-    boundary_hook_();
-    if (acct) telem_self_us_ += us_between(h0, tau::Clock::now());
-  }
 }
 
 void MastermindComponent::start_on_lane(MethodHandle method, ParamSpan params,
@@ -663,14 +651,6 @@ void MastermindComponent::set_counter_stride_actuator(
   counter_stride_actuator_ = std::move(fn);
 }
 
-void MastermindComponent::set_boundary_hook(const std::string& method_key,
-                                            std::function<void()> fn) {
-  std::unique_lock<std::mutex> lk;
-  if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
-  boundary_method_ = intern_method(method_key);
-  boundary_hook_ = std::move(fn);
-}
-
 void MastermindComponent::set_telemetry_hwc(std::string backend) {
   std::unique_lock<std::mutex> lk;
   if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
@@ -780,23 +760,6 @@ void MastermindComponent::emit_governor_line_unlocked(
      << ",\"telem_interval\":" << telem_interval_
      << ",\"cachesim_stride\":" << s.cachesim_stride << "}}\n";
   ++telem_lines_;
-}
-
-void MastermindComponent::emit_governor_event(const char* kind,
-                                              const std::string& fields_json) {
-  tau::Registry& reg = registry();
-  std::unique_lock<std::mutex> lk;
-  if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
-  if (telem_sink_ != nullptr) {
-    *telem_sink_ << "{\"t_us\":"
-                 << ccaperf::json_number(us_between(telem_start_, tau::Clock::now()), 3)
-                 << ",\"governor\":{\"event\":\"" << kind << "\""
-                 << (fields_json.empty() ? "" : ",") << fields_json << "}}\n";
-    ++telem_lines_;
-  }
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "governor: %s", kind);
-  reg.trace_instant(reg.trace_string(buf));
 }
 
 void MastermindComponent::refresh_counter_columns(Method& m) {

@@ -207,11 +207,6 @@ class MastermindComponent final : public cca::Component,
   /// tier transition changes it (CacheSim::adjust_sample_stride plumbing).
   void set_counter_stride_actuator(std::function<void(std::uint32_t)> fn);
 
-  /// Fires `fn` after every outermost (depth-0) stop of `method_key`, once
-  /// the monitoring bookkeeping and locks are released — the regrid-boundary
-  /// seam the OnlineRefitter hangs off.
-  void set_boundary_hook(const std::string& method_key, std::function<void()> fn);
-
   /// Surfaces the chosen hardware-counter backend ("sim", "perf", ...) as
   /// an `hwc` metadata field on every telemetry line.
   void set_telemetry_hwc(std::string backend);
@@ -229,11 +224,6 @@ class MastermindComponent final : public cca::Component,
 
   /// Current governor-applied monitor sampling stride (1 = record all).
   std::uint32_t monitor_stride() const { return gov_monitor_stride_; }
-
-  /// Appends a governor event line (`{"t_us":...,"governor":{"event":kind,
-  /// ...fields}}`) to the telemetry sink when active, plus a trace instant.
-  /// `fields_json` is a comma-joined list of pre-escaped JSON members.
-  void emit_governor_event(const char* kind, const std::string& fields_json);
 
   /// Caller->callee invocation counts among *monitored* methods, detected
   /// from monitoring nesting (paper §6: "a call trace (detected and
@@ -385,8 +375,6 @@ class MastermindComponent final : public cca::Component,
   tau::Clock::time_point gov_last_{};
   std::vector<std::pair<std::string, std::function<double()>>> cost_sources_;
   std::function<void(std::uint32_t)> counter_stride_actuator_;
-  std::function<void()> boundary_hook_;
-  MethodHandle boundary_method_ = kInvalidMethodHandle;
   // Interned instant labels per (direction, level), resolved lazily.
   std::vector<std::uint32_t> gov_instant_ids_;
   std::vector<char> gov_instant_ok_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <ctime>
 #include <map>
 #include <mutex>
@@ -13,35 +12,11 @@
 #include "core/instrumented_app.hpp"
 #include "mpp/runtime.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 
 namespace core {
 
 namespace {
-
-/// Scoped CCAPERF_THREADS override: the rank pools read the variable on
-/// thread creation, and every mpp::Runtime::run spawns fresh rank
-/// threads, so setenv between runs retargets the lane count.
-class ScopedThreadsEnv {
- public:
-  explicit ScopedThreadsEnv(int threads) {
-    const char* prev = std::getenv("CCAPERF_THREADS");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv("CCAPERF_THREADS", std::to_string(threads).c_str(), 1);
-  }
-  ~ScopedThreadsEnv() {
-    if (had_prev_)
-      ::setenv("CCAPERF_THREADS", prev_.c_str(), 1);
-    else
-      ::unsetenv("CCAPERF_THREADS");
-  }
-  ScopedThreadsEnv(const ScopedThreadsEnv&) = delete;
-  ScopedThreadsEnv& operator=(const ScopedThreadsEnv&) = delete;
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
 
 /// What to harvest from one monitored method's record.
 struct MethodSpec {
@@ -70,8 +45,9 @@ std::vector<MethodSpec> fig01_method_specs(const components::AppConfig& cfg) {
   };
 }
 
-/// Runs the instrumented app once and returns per-method cross-rank
-/// aggregates (counts always; samples only when `want_samples`).
+/// Runs the instrumented app once on one lane per rank and returns
+/// per-method cross-rank aggregates (counts always; samples only when
+/// `want_samples`).
 std::map<std::string, MethodAgg> run_capture(const components::AppConfig& cfg,
                                              int ranks, int steps,
                                              bool want_samples) {
@@ -84,6 +60,7 @@ std::map<std::string, MethodAgg> run_capture(const components::AppConfig& cfg,
   std::mutex mu;
   mpp::Runtime::run(ranks, mpp::NetworkModel::classic_cluster(),
                     [&](mpp::Comm& world) {
+    ccaperf::set_rank_pool_threads(1);
     InstrumentedApp app = assemble_instrumented_app(world, run_cfg);
     app.fw().services("driver").provided_as<components::GoPort>("go")->go();
     std::lock_guard<std::mutex> lock(mu);
@@ -168,7 +145,6 @@ Fig01Workload collect_fig01_workload(const components::AppConfig& cfg,
                                      int ranks, int steps_lo, int steps_hi) {
   CCAPERF_REQUIRE(steps_hi > steps_lo && steps_lo >= 1,
                   "collect_fig01_workload: need steps_hi > steps_lo >= 1");
-  ScopedThreadsEnv one_lane(1);
   const auto lo = run_capture(cfg, ranks, steps_lo, false);
   auto hi = run_capture(cfg, ranks, steps_hi, true);
 
@@ -261,7 +237,8 @@ double process_cpu_us() {
          static_cast<double>(ts.tv_nsec) * 1e-3;
 }
 
-RunTimes run_plain(const components::AppConfig& cfg, int ranks, int steps) {
+RunTimes run_plain(const components::AppConfig& cfg, int ranks, int threads,
+                   int steps) {
   components::AppConfig run_cfg = cfg;
   run_cfg.driver.nsteps = steps;
   run_cfg.driver.regrid_interval = 0;
@@ -269,6 +246,7 @@ RunTimes run_plain(const components::AppConfig& cfg, int ranks, int steps) {
   const auto t0 = std::chrono::steady_clock::now();
   mpp::Runtime::run(ranks, mpp::NetworkModel::classic_cluster(),
                     [&](mpp::Comm& world) {
+    ccaperf::set_rank_pool_threads(threads);
     auto fw = components::assemble_app(world, run_cfg);
     fw->services("driver").provided_as<components::GoPort>("go")->go();
   });
@@ -292,9 +270,9 @@ std::vector<double> measure_fig01_points(
   std::vector<RunTimes> best_lo(n), best_hi(n);
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t i = 0; i < n; ++i) {
-      ScopedThreadsEnv lanes(points[i].threads);
-      const RunTimes lo = run_plain(points[i].cfg, points[i].ranks, steps_lo);
-      const RunTimes hi = run_plain(points[i].cfg, points[i].ranks, steps_hi);
+      const Fig01MeasureRequest& p = points[i];
+      const RunTimes lo = run_plain(p.cfg, p.ranks, p.threads, steps_lo);
+      const RunTimes hi = run_plain(p.cfg, p.ranks, p.threads, steps_hi);
       if (rep == 0 || lo.wall_us < best_lo[i].wall_us) best_lo[i] = lo;
       if (rep == 0 || hi.wall_us < best_hi[i].wall_us) best_hi[i] = hi;
     }

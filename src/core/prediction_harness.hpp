@@ -90,7 +90,7 @@ void fit_workload_q_scaling(Fig01Workload& w, const Fig01Workload& probe);
 
 /// Marginal per-step wall time (us) of the plain (uninstrumented) app at
 /// (ranks, threads): min-over-reps wall at each step count, differenced.
-/// Sets CCAPERF_THREADS for the spawned rank threads and restores it.
+/// Each rank sets its own pool to `threads` lanes.
 double measure_fig01_step_us(const components::AppConfig& cfg, int ranks,
                              int threads, int steps_lo, int steps_hi, int reps);
 

@@ -17,15 +17,6 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v) return fallback;
-  return static_cast<std::size_t>(parsed);
-}
-
 double us_since(std::chrono::steady_clock::time_point from,
                 std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
@@ -153,22 +144,6 @@ void SessionHandle::close() {
 
 // ---------------------------------------------------------------------------
 // TelemetryHub
-
-TelemetryHub::Config TelemetryHub::Config::from_env() {
-  Config c;
-  c.shards = env_size("CCAPERF_HUB_SHARDS", c.shards);
-  c.shard_capacity = env_size("CCAPERF_HUB_RING", c.shard_capacity);
-  c.memory_budget_bytes =
-      env_size("CCAPERF_HUB_MEM_KB", c.memory_budget_bytes >> 10) << 10;
-  c.session_line_cap = env_size("CCAPERF_HUB_LINES", c.session_line_cap);
-  c.drain_interval = std::chrono::microseconds(
-      env_size("CCAPERF_HUB_DRAIN_US",
-               static_cast<std::size_t>(c.drain_interval.count())));
-  c.aggregate_interval = std::chrono::microseconds(
-      env_size("CCAPERF_HUB_AGG_US",
-               static_cast<std::size_t>(c.aggregate_interval.count())));
-  return c;
-}
 
 TelemetryHub::TelemetryHub() : TelemetryHub(Config{}) {}
 

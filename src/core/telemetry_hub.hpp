@@ -170,9 +170,6 @@ class TelemetryHub {
     std::size_t session_line_cap = 4096; ///< retained lines per session
     std::chrono::microseconds drain_interval{2000};
     std::chrono::microseconds aggregate_interval{0};  ///< 0 = every drain tick
-
-    /// CCAPERF_HUB_SHARDS / _RING / _MEM_KB / _LINES / _DRAIN_US / _AGG_US.
-    static Config from_env();
   };
 
   TelemetryHub();  ///< default Config

@@ -1,11 +1,11 @@
 #include "core/trace_export.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <tuple>
 
+#include "support/env.hpp"
 #include "support/json.hpp"
 
 namespace core {
@@ -231,14 +231,12 @@ MergeStats TraceMerger::write_chrome_trace(std::ostream& os) const {
 
 TraceEnv trace_env() {
   TraceEnv env;
-  const char* v = std::getenv("CCAPERF_TRACE");
-  if (v == nullptr) return env;
-  const std::string s(v);
-  if (s.empty() || s == "0" || s == "off" || s == "false") return env;
+  const std::string s = ccaperf::env_text("CCAPERF_TRACE").value_or("0");
+  if (s == "0" || s == "off" || s == "false") return env;
   env.enabled = true;
   if (s != "1" && s != "on" && s != "true") env.path = s;
-  if (const char* cap = std::getenv("CCAPERF_TRACE_EVENTS"))
-    env.capacity = static_cast<std::size_t>(std::strtoull(cap, nullptr, 10));
+  env.capacity = ccaperf::env_int<std::size_t>("CCAPERF_TRACE_EVENTS")
+                     .value_or(env.capacity);
   return env;
 }
 

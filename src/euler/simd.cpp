@@ -1,9 +1,9 @@
 #include "euler/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace euler::simd {
@@ -56,12 +56,12 @@ Isa clamp_supported(Isa want) {
 
 Isa env_isa() {
   Isa want = Isa::avx512;  // "native": highest level we know about
-  if (const char* env = std::getenv("CCAPERF_SIMD")) {
+  if (const auto text = ccaperf::env_text("CCAPERF_SIMD")) {
     bool native = false;
     Isa parsed = Isa::scalar;
-    CCAPERF_REQUIRE(parse_isa(env, parsed, native),
-                    std::string("CCAPERF_SIMD: unknown ISA level '") + env +
-                        "' (want scalar|avx2|avx512|native)");
+    if (!parse_isa(*text, parsed, native))
+      ccaperf::env_malformed("CCAPERF_SIMD", *text,
+                             "scalar|avx2|avx512|native");
     if (!native) want = parsed;
   }
   return clamp_supported(want);

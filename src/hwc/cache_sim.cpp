@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+
+#include "support/env.hpp"
 
 namespace hwc {
 
@@ -256,15 +257,9 @@ std::uint32_t governor_sample_stride() {
 }
 
 std::uint32_t env_sample_stride() {
-  std::uint32_t stride = 1;
-  const char* env = std::getenv("CCAPERF_CACHESIM_SAMPLE");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    CCAPERF_REQUIRE(end != nullptr && *end == '\0' && v >= 1 && v <= (1 << 20),
-                    "CCAPERF_CACHESIM_SAMPLE: want an integer stride in [1, 2^20]");
-    stride = static_cast<std::uint32_t>(v);
-  }
+  const std::uint32_t stride =
+      ccaperf::env_int<std::uint32_t>("CCAPERF_CACHESIM_SAMPLE", 1, 1u << 20)
+          .value_or(1);
   return std::max(stride, governor_sample_stride());
 }
 

@@ -1,10 +1,9 @@
 #include "hwc/perf_events.hpp"
 
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 #include <utility>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
@@ -21,12 +20,10 @@
 namespace hwc {
 
 HwcBackend env_hwc_backend() {
-  const char* env = std::getenv("CCAPERF_HWC");
-  const std::string_view v = env == nullptr ? "" : env;
-  if (v.empty() || v == "sim") return HwcBackend::sim;
+  const std::string v = ccaperf::env_text("CCAPERF_HWC").value_or("sim");
+  if (v == "sim") return HwcBackend::sim;
   if (v == "perf") return HwcBackend::perf;
-  ccaperf::raise("CCAPERF_HWC: want 'sim' or 'perf', got '" + std::string(v) +
-                 "'");
+  ccaperf::env_malformed("CCAPERF_HWC", v, "sim|perf");
 }
 
 #if CCAPERF_HAVE_PERF_EVENTS

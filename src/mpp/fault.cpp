@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "mpp/hooks.hpp"
+#include "support/env.hpp"
 #include "support/rng.hpp"
 
 namespace mpp {
@@ -108,11 +109,10 @@ FaultSpec FaultSpec::parse(std::string_view text) {
 }
 
 FaultSpec FaultSpec::from_env() {
-  const char* plan = std::getenv("CCAPERF_FAULT_PLAN");
-  if (plan == nullptr) return FaultSpec{};
-  FaultSpec s = parse(plan);
-  if (const char* seed = std::getenv("CCAPERF_FAULT_SEED"))
-    s.seed = std::strtoull(seed, nullptr, 0);
+  const std::optional<std::string> plan = ccaperf::env_text("CCAPERF_FAULT_PLAN");
+  if (!plan) return FaultSpec{};
+  FaultSpec s = parse(*plan);
+  s.seed = ccaperf::env_int<std::uint64_t>("CCAPERF_FAULT_SEED").value_or(s.seed);
   return s;
 }
 

@@ -82,8 +82,9 @@ struct FaultSpec {
   /// Parses "drop=0.1,delay=0.2,dup=0.05,reorder=0.05,stall=0.02,..." or
   /// the presets "moderate" / "off". Unknown keys raise.
   static FaultSpec parse(std::string_view text);
-  /// Reads CCAPERF_FAULT_PLAN (parse() syntax) and CCAPERF_FAULT_SEED.
-  /// Returns an inactive spec when the plan variable is unset/empty.
+  /// Reads CCAPERF_FAULT_PLAN (parse() syntax) and CCAPERF_FAULT_SEED
+  /// (decimal or 0x hex; overrides the plan's seed). Returns an inactive
+  /// spec when the plan variable is unset/empty.
   static FaultSpec from_env();
 };
 

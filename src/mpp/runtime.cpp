@@ -3,12 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -22,10 +22,8 @@ namespace {
 RunOptions with_env(RunOptions opts) {
   const FaultSpec env_faults = FaultSpec::from_env();
   if (env_faults.any()) opts.faults = env_faults;
-  if (const char* env = std::getenv("CCAPERF_WAIT_TIMEOUT_MS"))
-    opts.wait_timeout_us = std::atof(env) * 1e3;
-  if (const char* env = std::getenv("CCAPERF_WAIT_IDLE_MS"))
-    opts.idle_limit_us = std::atof(env) * 1e3;
+  if (const auto ms = ccaperf::env_number("CCAPERF_WAIT_TIMEOUT_MS"))
+    opts.wait_timeout_us = *ms * 1e3;
   return opts;
 }
 
@@ -70,19 +68,18 @@ void Runtime::run(int nranks, const RunOptions& options,
   std::mutex watchdog_mu;
   std::condition_variable watchdog_cv;
   bool finished = false;
-  if (const char* env = std::getenv("CCAPERF_WATCHDOG_SECONDS")) {
-    const int seconds = std::atoi(env);
-    if (seconds > 0) {
-      watchdog = std::thread([&, seconds] {
-        std::unique_lock lock(watchdog_mu);
-        if (!watchdog_cv.wait_for(lock, std::chrono::seconds(seconds),
-                                  [&] { return finished; })) {
-          CCAPERF_LOG(error, -1) << "watchdog: aborting fabric after "
-                                 << seconds << "s";
-          fabric.abort();
-        }
-      });
-    }
+  const int seconds =
+      ccaperf::env_int<int>("CCAPERF_WATCHDOG_SECONDS").value_or(0);
+  if (seconds > 0) {
+    watchdog = std::thread([&, seconds] {
+      std::unique_lock lock(watchdog_mu);
+      if (!watchdog_cv.wait_for(lock, std::chrono::seconds(seconds),
+                                [&] { return finished; })) {
+        CCAPERF_LOG(error, -1) << "watchdog: aborting fabric after "
+                               << seconds << "s";
+        fabric.abort();
+      }
+    });
   }
 
   if (nranks == 1) {

@@ -21,8 +21,8 @@ namespace mpp {
 
 /// Everything a run can configure beyond the rank count. Environment knobs
 /// override fields at launch (see Runtime::run): CCAPERF_FAULT_PLAN /
-/// CCAPERF_FAULT_SEED install a fault schedule, CCAPERF_WAIT_TIMEOUT_MS /
-/// CCAPERF_WAIT_IDLE_MS tune the wait bounds.
+/// CCAPERF_FAULT_SEED install a fault schedule, CCAPERF_WAIT_TIMEOUT_MS
+/// sets the per-wait timeout.
 struct RunOptions {
   NetworkModel net = NetworkModel::null_model();
   FaultSpec faults{};  ///< inactive unless a rate is > 0

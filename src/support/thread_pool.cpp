@@ -1,10 +1,10 @@
 #include "support/thread_pool.hpp"
 
-#include <cstdlib>
 #include <algorithm>
 #include <chrono>
 #include <memory>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace ccaperf {
@@ -354,10 +354,7 @@ void ThreadPool::parallel_for(
 }
 
 int configured_threads() {
-  const char* v = std::getenv("CCAPERF_THREADS");
-  if (v == nullptr || *v == '\0') return 1;
-  const int n = std::atoi(v);
-  return std::max(1, std::min(n, 256));
+  return std::clamp(env_int<int>("CCAPERF_THREADS").value_or(1), 1, 256);
 }
 
 namespace {

@@ -151,8 +151,7 @@ class ThreadPool {
 };
 
 /// Lane count requested via CCAPERF_THREADS (clamped to [1, 256]);
-/// 1 when unset. Read from the environment on every call so a bench can
-/// setenv() between runs.
+/// 1 when unset. Raises when the value is not an integer.
 int configured_threads();
 
 /// The calling thread's rank-local pool, created on first use with
@@ -162,8 +161,10 @@ ThreadPool& rank_pool();
 
 /// Rebuilds the calling thread's rank_pool() with `nlanes` lanes. Only
 /// safe while no component holds a hook or shard set sized to the old
-/// pool — i.e. between app assemblies, which is when benches toggle
-/// thread counts in-process.
+/// pool — i.e. between app assemblies. A program that sets the lane count
+/// itself calls this first thing in its rank main: a 1-rank
+/// mpp::Runtime::run runs rank 0 on the caller's thread, so a pool built
+/// by an earlier run on that thread would otherwise be reused.
 void set_rank_pool_threads(int nlanes);
 
 }  // namespace ccaperf

@@ -15,6 +15,7 @@
 #include "core/mastermind.hpp"
 #include "core/proxies.hpp"
 #include "core/tau_component.hpp"
+#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -78,10 +79,17 @@ TEST(Governor, EnvBudgetParsedAndValidated) {
   // The acceptance contract: a 2% budget converges by 2.5%.
   EXPECT_LE(cfg.budget_pct + cfg.band_pct, 2.5 + 1e-12);
 
-  setenv("CCAPERF_OVERHEAD_PCT", "-1", 1);
-  EXPECT_THROW(core::GovernorConfig::from_env(), std::invalid_argument);
-  setenv("CCAPERF_OVERHEAD_PCT", "bogus", 1);
-  EXPECT_THROW(core::GovernorConfig::from_env(), std::invalid_argument);
+  for (const char* bad : {"-1", "0", "bogus", "2%"}) {
+    setenv("CCAPERF_OVERHEAD_PCT", bad, 1);
+    try {
+      core::GovernorConfig::from_env();
+      ADD_FAILURE() << "CCAPERF_OVERHEAD_PCT=" << bad << " was accepted";
+    } catch (const ccaperf::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CCAPERF_OVERHEAD_PCT"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   unsetenv("CCAPERF_OVERHEAD_PCT");
 }
 
@@ -273,121 +281,6 @@ TEST(GovernorMonitor, TelemetryCarriesGovernorLevelAndBackend) {
   EXPECT_NE(out.find("\"governor_level\":0"), std::string::npos) << out;
   EXPECT_NE(out.find("\"hwc\":\"sim\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"overhead_pct\":"), std::string::npos) << out;
-}
-
-TEST(GovernorMonitor, GovernorEventLineIsValidTelemetry) {
-  Rig rig;
-  std::ostringstream sink;
-  rig.mm->start_telemetry(sink, 1000);  // no interval lines
-  rig.mm->emit_governor_event("refit", "\"action\":\"hold\"");
-  rig.mm->stop_telemetry();
-  const auto out = sink.str();
-  EXPECT_NE(out.find("\"governor\":{\"event\":\"refit\",\"action\":\"hold\"}"),
-            std::string::npos)
-      << out;
-}
-
-// --- online re-fit loop ------------------------------------------------------
-
-struct FakeFlux final : public cca::Component, public components::FluxPort {
-  std::string name;
-  int calls = 0;
-  explicit FakeFlux(std::string n) : name(std::move(n)) {}
-  void setServices(cca::Services& svc) override {
-    svc.add_provides_port(cca::non_owning(static_cast<components::FluxPort*>(this)),
-                          "flux", "euler.FluxPort");
-  }
-  euler::KernelCounts compute(const euler::Array2&, const euler::Array2&,
-                              euler::Dir, euler::Array2&) override {
-    ++calls;
-    return {};
-  }
-  std::string method_name() const override { return "Fake" + name; }
-  double accuracy() const override { return 1.0; }
-};
-
-struct RefitRig {
-  cca::Framework fw;
-  core::MastermindComponent* mm;
-
-  RefitRig() : fw(make_repo()) {
-    fw.instantiate("tau", "TauMeasurement");
-    fw.instantiate("mm", "Mastermind");
-    fw.instantiate("flux", "FluxA");
-    fw.instantiate("g_proxy", "FluxProxy");
-    fw.connect("mm", "measurement", "tau", "measurement");
-    fw.connect("g_proxy", "monitor", "mm", "monitor");
-    fw.connect("g_proxy", "flux_real", "flux", "flux");
-    mm = dynamic_cast<core::MastermindComponent*>(&fw.component("mm"));
-  }
-
-  static cca::ComponentRepository make_repo() {
-    cca::ComponentRepository repo;
-    repo.register_class("TauMeasurement", [] {
-      return std::make_unique<core::TauMeasurementComponent>();
-    });
-    repo.register_class("Mastermind",
-                        [] { return std::make_unique<core::MastermindComponent>(); });
-    repo.register_class("FluxA", [] { return std::make_unique<FakeFlux>("A"); });
-    repo.register_class("FluxB", [] { return std::make_unique<FakeFlux>("B"); });
-    repo.register_class("FluxProxy", [] {
-      return std::make_unique<core::FluxProxy>("g_proxy::compute()");
-    });
-    return repo;
-  }
-
-  /// One monitored proxy call with the given Q (drives the streaming fits).
-  void call(double q) {
-    auto* port =
-        fw.services("g_proxy").provided_as<components::FluxPort>("flux");
-    const int n = std::max(1, static_cast<int>(q) / 5);
-    euler::Array2 l(n, 1, 5), r(n, 1, 5), out(n, 1, 5);
-    port->compute(l, r, euler::Dir::x, out);
-  }
-};
-
-TEST(OnlineRefit, ExploresUnmeasuredCandidateThenDecides) {
-  RefitRig rig;
-  core::OnlineRefitter refit(rig.fw, *rig.mm, "g_proxy", "flux_real",
-                             "g_proxy::compute()",
-                             {{"flux", "FluxA", 1.0}, {"flux_alt", "FluxB", 1.0}},
-                             /*accuracy_weight=*/0.0, /*min_samples=*/4);
-  EXPECT_EQ(refit.active(), "flux");
-  EXPECT_FALSE(rig.fw.has_instance("flux_alt"));
-
-  for (int i = 0; i < 6; ++i) rig.call(40.0 + 5.0 * i);
-  refit.on_boundary();
-  // Candidate A has samples, B has none: the refitter swaps to explore B,
-  // instantiating it lazily.
-  EXPECT_EQ(refit.active(), "flux_alt");
-  EXPECT_TRUE(rig.fw.has_instance("flux_alt"));
-  EXPECT_EQ(refit.swaps(), 1u);
-  ASSERT_FALSE(refit.events().empty());
-  EXPECT_EQ(refit.events().back().kind, "explore");
-
-  // Rows recorded during the explore interval are attributed to B; once
-  // both fits are populated the optimizer decides, and every boundary
-  // thereafter logs either "swap" or "hold".
-  for (int i = 0; i < 6; ++i) rig.call(40.0 + 5.0 * i);
-  refit.on_boundary();
-  ASSERT_GE(refit.events().size(), 2u);
-  const std::string kind = refit.events().back().kind;
-  EXPECT_TRUE(kind == "swap" || kind == "hold") << kind;
-  // The chosen implementation actually receives the calls.
-  auto* active = dynamic_cast<FakeFlux*>(&rig.fw.component(refit.active()));
-  ASSERT_NE(active, nullptr);
-  const int before = active->calls;
-  rig.call(50.0);
-  EXPECT_EQ(active->calls, before + 1);
-}
-
-TEST(OnlineRefit, HoldsWithNoNewRows) {
-  RefitRig rig;
-  core::OnlineRefitter refit(rig.fw, *rig.mm, "g_proxy", "flux_real",
-                             "g_proxy::compute()", {{"flux", "FluxA", 1.0}});
-  refit.on_boundary();  // no record at all yet: must not crash or swap
-  EXPECT_EQ(refit.swaps(), 0u);
-  EXPECT_EQ(refit.active(), "flux");
 }
 
 // --- threaded rank (TSan-covered via check_tier1.sh filters) -----------------

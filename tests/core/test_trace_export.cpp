@@ -9,8 +9,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "core/trace_export.hpp"
+#include "support/error.hpp"
 
 namespace {
 
@@ -338,6 +340,17 @@ TEST(TraceExport, TraceEnvParsesTheSwitch) {
   EXPECT_TRUE(env.enabled);
   EXPECT_EQ(env.path, "out/run7.json");
   EXPECT_EQ(env.capacity, 1024u);
+
+  // A malformed capacity raises instead of reading as 0 (unbounded).
+  ::setenv("CCAPERF_TRACE_EVENTS", "abc", 1);
+  try {
+    core::trace_env();
+    ADD_FAILURE() << "CCAPERF_TRACE_EVENTS=abc was accepted";
+  } catch (const ccaperf::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("CCAPERF_TRACE_EVENTS"),
+              std::string::npos)
+        << e.what();
+  }
 
   ::unsetenv("CCAPERF_TRACE");
   ::unsetenv("CCAPERF_TRACE_EVENTS");

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -342,6 +343,27 @@ TEST(FaultInjection, SpecParserRoundTrips) {
 
   EXPECT_THROW(FaultSpec::parse("bogus_key=1"), ccaperf::Error);
   EXPECT_THROW(FaultSpec::parse("drop=0.7,delay=0.7"), ccaperf::Error);
+
+  // The environment form: CCAPERF_FAULT_SEED overrides the plan's seed,
+  // in decimal or 0x hex, and malformed text raises naming the knob.
+  ::setenv("CCAPERF_FAULT_PLAN", "seed=7,drop=0.25", 1);
+  EXPECT_EQ(FaultSpec::from_env().seed, 7u);
+  ::setenv("CCAPERF_FAULT_SEED", "42", 1);
+  EXPECT_EQ(FaultSpec::from_env().seed, 42u);
+  ::setenv("CCAPERF_FAULT_SEED", "0x2a", 1);
+  EXPECT_EQ(FaultSpec::from_env().seed, 42u);
+  ::setenv("CCAPERF_FAULT_SEED", "abc", 1);
+  try {
+    FaultSpec::from_env();
+    ADD_FAILURE() << "CCAPERF_FAULT_SEED=abc was accepted";
+  } catch (const ccaperf::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("CCAPERF_FAULT_SEED"),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("CCAPERF_FAULT_SEED");
+  ::unsetenv("CCAPERF_FAULT_PLAN");
+  EXPECT_FALSE(FaultSpec::from_env().any());
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // The deadlock watchdog (CCAPERF_WATCHDOG_SECONDS): a genuinely stuck run
 // must abort with a diagnosable exception instead of hanging; healthy runs
-// must be unaffected; and the env handling must be robust.
+// must be unaffected; zero switches it off; and malformed values raise.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "mpp/runtime.hpp"
 #include "support/error.hpp"
@@ -54,14 +55,21 @@ TEST(Watchdog, HealthyRunUnaffected) {
   });
 }
 
-TEST(Watchdog, ZeroAndGarbageValuesDisableIt) {
+TEST(Watchdog, ZeroDisablesItAndGarbageRaises) {
   {
     WatchdogEnv env("0");
     mpp::Runtime::run(2, [](mpp::Comm& world) { world.barrier(); });
   }
-  {
-    WatchdogEnv env("not-a-number");
-    mpp::Runtime::run(2, [](mpp::Comm& world) { world.barrier(); });
+  for (const char* bad : {"not-a-number", "abc", "5s"}) {
+    WatchdogEnv env(bad);
+    try {
+      mpp::Runtime::run(2, [](mpp::Comm& world) { world.barrier(); });
+      ADD_FAILURE() << "CCAPERF_WATCHDOG_SECONDS=" << bad << " was accepted";
+    } catch (const ccaperf::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CCAPERF_WATCHDOG_SECONDS"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -10,10 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "support/error.hpp"
 
 namespace {
 
@@ -260,6 +264,17 @@ TEST(ThreadPool, ConfiguredThreadsReadsEnvEachCall) {
   EXPECT_EQ(ccaperf::configured_threads(), 6);
   setenv("CCAPERF_THREADS", "0", 1);
   EXPECT_EQ(ccaperf::configured_threads(), 1);  // clamped
+  for (const char* bad : {"abc", "3 lanes", "2.5"}) {
+    setenv("CCAPERF_THREADS", bad, 1);
+    try {
+      ccaperf::configured_threads();
+      ADD_FAILURE() << "CCAPERF_THREADS=" << bad << " was accepted";
+    } catch (const ccaperf::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CCAPERF_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   unsetenv("CCAPERF_THREADS");
 }
 
