@@ -229,7 +229,7 @@ int main() {
     const bool late = r >= rounds / 2;
     // Rotate the config order each round: a slow scheduler patch then hits
     // raw/full/governed equally often instead of always the same slot.
-    double ms[3];
+    double ms[3] = {};
     for (int k = 0; k < 3; ++k) {
       switch ((r + k) % 3) {
         case 0:

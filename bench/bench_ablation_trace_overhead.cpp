@@ -5,16 +5,14 @@
 // if (a) the per-event cost stays close to the untraced timer path and
 // (b) trace memory does not grow with run length. The seed's trace was an
 // unbounded std::vector; tau::TraceBuffer replaces it with a bounded ring
-// (overwrite-oldest, drops counted). Capacity 0 keeps the legacy
-// unbounded behaviour, which doubles as this ablation's baseline.
+// (overwrite-oldest, drops counted), the only trace mode.
 //
-// Three configurations, same start/stop workload on one Registry:
+// Two configurations, same start/stop workload on one Registry:
 //   off     — tracing disabled (the profiling-only cost floor);
 //   ring    — tracing into the default 64Ki-event ring (steady state
-//             overwrites: the long-run configuration);
-//   legacy  — tracing into the unbounded vector (the seed's behaviour).
-// Reports ns per trace event and the trace memory each configuration
-// holds after ~2M events, machine-readably in
+//             overwrites: the long-run configuration).
+// Reports ns per trace event and the trace memory the ring holds after
+// ~2M events, machine-readably in
 // bench_out/trace_overhead.json so later PRs can track the trajectory.
 
 #include <chrono>
@@ -86,27 +84,16 @@ int main() {
   CCAPERF_REQUIRE(ring_reg.trace().size() <= tau::TraceBuffer::kDefaultCapacity,
                   "ring exceeded its configured bound");
 
-  tau::Registry legacy_reg;
-  legacy_reg.set_trace_capacity(0);  // unbounded vector: the seed's behaviour
-  legacy_reg.set_tracing(true);
-  const double legacy_ns =
-      time_events(legacy_reg, legacy_reg.timer("work()"), blocks, pairs);
-  const double legacy_mem = static_cast<double>(legacy_reg.trace().memory_bytes());
-
   ccaperf::TextTable t;
   t.set_header({"configuration", "ns/event", "trace memory after run"});
   t.add_row({"tracing off", ccaperf::fmt_double(off_ns, 2), "0 B"});
   t.add_row({"ring buffer (64Ki events)", ccaperf::fmt_double(ring_ns, 2),
              ccaperf::fmt_double(ring_mem / (1024.0 * 1024.0), 2) + " MiB"});
-  t.add_row({"legacy unbounded vector", ccaperf::fmt_double(legacy_ns, 2),
-             ccaperf::fmt_double(legacy_mem / (1024.0 * 1024.0), 2) + " MiB"});
   t.render(std::cout);
   std::cout << "\nring dropped " << static_cast<std::uint64_t>(ring_dropped)
             << " oldest events (flight-recorder semantics); memory stays at "
             << ccaperf::fmt_double(ring_mem / (1024.0 * 1024.0), 2)
-            << " MiB regardless of run length, vs "
-            << ccaperf::fmt_double(legacy_mem / (1024.0 * 1024.0), 2)
-            << " MiB and growing for the unbounded trace\n";
+            << " MiB regardless of run length\n";
 
   bench::print_comparison(
       "trace overhead",
@@ -118,9 +105,7 @@ int main() {
   write_json("bench_out/trace_overhead.json",
              {{"trace_overhead", "ns_per_event_off", off_ns},
               {"trace_overhead", "ns_per_event_ring", ring_ns},
-              {"trace_overhead", "ns_per_event_legacy", legacy_ns},
               {"trace_overhead", "ring_memory_bytes", ring_mem},
-              {"trace_overhead", "legacy_memory_bytes", legacy_mem},
               {"trace_overhead", "ring_dropped_events", ring_dropped}});
   return 0;
 }

@@ -69,8 +69,8 @@ if want tier1; then
     echo "check_tier1.sh: environment access outside src/support/env.*" >&2
     exit 1
   fi
-  echo "== tier-1 suites (${BUILD_DIR}) =="
-  cmake -B "${BUILD_DIR}" -S . >/dev/null
+  echo "== tier-1 suites (${BUILD_DIR}, warnings as errors) =="
+  cmake -B "${BUILD_DIR}" -S . -DCCAPERF_WERROR=ON >/dev/null
   cmake --build "${BUILD_DIR}" -j "${JOBS}"
   ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
 fi

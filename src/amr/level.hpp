@@ -42,8 +42,6 @@ class Level {
     ccaperf::raise("Level: unknown patch id " + std::to_string(id));
   }
 
-  bool is_local(int id, int my_rank) const { return patch(id).owner == my_rank; }
-
   /// Data of a locally owned patch.
   PatchData<double>& data(int id) {
     auto it = local_.find(id);
@@ -60,14 +58,6 @@ class Level {
   bool has_data(int id) const { return local_.count(id) != 0; }
   std::map<int, PatchData<double>>& local_data() { return local_; }
   const std::map<int, PatchData<double>>& local_data() const { return local_; }
-
-  /// Ids of patches owned by `rank`, in metadata order.
-  std::vector<int> owned_ids(int rank) const {
-    std::vector<int> ids;
-    for (const PatchInfo& p : patches_)
-      if (p.owner == rank) ids.push_back(p.id);
-    return ids;
-  }
 
   std::vector<Box> boxes() const {
     std::vector<Box> bs;

@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace amr {
 
@@ -159,12 +158,11 @@ std::vector<Box> split_for_balance(std::vector<Box> boxes, int nranks,
 double balance_owners(std::vector<PatchInfo>& patches, int nranks,
                       BalancePolicy policy) {
   CCAPERF_REQUIRE(nranks >= 1, "balance_owners: nranks >= 1");
-  // Weights are precomputed once (in parallel when the rank pool has
-  // lanes) so the sort comparator doesn't recompute box areas.
+  // Weights are precomputed once so the sort comparator doesn't recompute
+  // box areas.
   std::vector<long> weight(patches.size());
-  ccaperf::rank_pool().parallel_for(
-      patches.size(),
-      [&](std::size_t k, int) { weight[k] = patches[k].box.num_pts(); });
+  for (std::size_t k = 0; k < patches.size(); ++k)
+    weight[k] = patches[k].box.num_pts();
   std::vector<long> load;
   assign_owners(patches, nranks, policy, weight, load);
   const long total = std::accumulate(load.begin(), load.end(), 0L);

@@ -36,7 +36,6 @@ class ShockDriverComponent final : public cca::Component, public GoPort {
       const double dt = integrator->stable_dt(cfg_.cfl);
       integrator->advance(dt);
       time_ += dt;
-      ++steps_done_;
       if (cfg_.regrid_interval > 0 && step % cfg_.regrid_interval == 0 &&
           step < cfg_.nsteps)
         mesh->regrid();
@@ -45,13 +44,11 @@ class ShockDriverComponent final : public cca::Component, public GoPort {
   }
 
   double time() const { return time_; }
-  int steps_done() const { return steps_done_; }
 
  private:
   DriverConfig cfg_;
   cca::Services* svc_ = nullptr;
   double time_ = 0.0;
-  int steps_done_ = 0;
 };
 
 }  // namespace components

@@ -204,7 +204,7 @@ class MastermindComponent final : public cca::Component,
   void add_cost_source(std::string name, std::function<double()> cumulative_us);
 
   /// Called with the governor-chosen cache-sim sampling stride whenever a
-  /// tier transition changes it (CacheSim::adjust_sample_stride plumbing).
+  /// tier transition changes it (hwc::set_governor_sample_stride plumbing).
   void set_counter_stride_actuator(std::function<void(std::uint32_t)> fn);
 
   /// Surfaces the chosen hardware-counter backend ("sim", "perf", ...) as

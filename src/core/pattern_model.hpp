@@ -123,7 +123,6 @@ class PatternModel {
 
   void set_root(NodeId id);
   NodeId root() const { return root_; }
-  std::size_t node_count() const { return nodes_.size(); }
   Kind kind(NodeId id) const { return nodes_.at(id).kind; }
 
   /// Takes ownership of a fitted model (lifetime convenience: leaves store

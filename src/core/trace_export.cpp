@@ -235,7 +235,7 @@ TraceEnv trace_env() {
   if (s == "0" || s == "off" || s == "false") return env;
   env.enabled = true;
   if (s != "1" && s != "on" && s != "true") env.path = s;
-  env.capacity = ccaperf::env_int<std::size_t>("CCAPERF_TRACE_EVENTS")
+  env.capacity = ccaperf::env_int<std::size_t>("CCAPERF_TRACE_EVENTS", 1)
                      .value_or(env.capacity);
   return env;
 }

@@ -91,9 +91,9 @@ class TraceMerger {
 ///   CCAPERF_TRACE       unset/""/"0"/"off" disable; "1"/"on" enable with
 ///                       the default path; anything else enables and names
 ///                       the output file.
-///   CCAPERF_TRACE_EVENTS  ring capacity in events (0 = unbounded); read
-///                       only when tracing is on, and raises when it is
-///                       not a non-negative integer.
+///   CCAPERF_TRACE_EVENTS  ring capacity in events; read only when
+///                       tracing is on, and raises when it is not an
+///                       integer >= 1.
 struct TraceEnv {
   bool enabled = false;
   std::string path = "trace.json";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 #include <vector>
 
 #include "euler/kernels_isa.hpp"
@@ -18,36 +17,28 @@ namespace {
 
 using detail::outer_extent;
 
-// The SIMD TUs instantiate the vector kernels for exactly these probe
-// types; anything else (one-off test probes) takes the scalar reference.
-template <class Probe>
-inline constexpr bool kSimdDispatchable =
-    std::is_same_v<Probe, hwc::NullProbe> ||
-    std::is_same_v<Probe, hwc::CacheProbe> ||
-    std::is_same_v<Probe, hwc::ScalarReplayProbe>;
-
 /// Range-level dispatch: every public entry point (serial, _mt, _counted)
-/// funnels through here, so the active ISA level applies uniformly.
+/// funnels through here, so the active ISA level applies uniformly. The
+/// SIMD TUs instantiate the vector kernels for every probe type this file
+/// instantiates.
 template <class Probe>
 KernelCounts states_range(const amr::PatchData<double>& U,
                           const amr::Box& interior, Dir dir,
                           const GasModel& gas, Array2& left, Array2& right,
                           Probe& probe, int o_begin, int o_end) {
-  if constexpr (kSimdDispatchable<Probe>) {
-    switch (simd::active()) {
+  switch (simd::active()) {
 #if defined(CCAPERF_SIMD_AVX512)
-      case simd::Isa::avx512:
-        return detail::states_range_avx512(U, interior, dir, gas, left, right,
-                                           probe, o_begin, o_end);
-#endif
-#if defined(CCAPERF_SIMD_AVX2)
-      case simd::Isa::avx2:
-        return detail::states_range_avx2(U, interior, dir, gas, left, right,
+    case simd::Isa::avx512:
+      return detail::states_range_avx512(U, interior, dir, gas, left, right,
                                          probe, o_begin, o_end);
 #endif
-      default:
-        break;
-    }
+#if defined(CCAPERF_SIMD_AVX2)
+    case simd::Isa::avx2:
+      return detail::states_range_avx2(U, interior, dir, gas, left, right,
+                                       probe, o_begin, o_end);
+#endif
+    default:
+      break;
   }
   return detail::states_range_scalar(U, interior, dir, gas, left, right, probe,
                                      o_begin, o_end);
@@ -57,21 +48,19 @@ template <class Probe>
 KernelCounts efm_range(const Array2& left, const Array2& right, Dir dir,
                        const GasModel& gas, Array2& flux, Probe& probe,
                        int o_begin, int o_end) {
-  if constexpr (kSimdDispatchable<Probe>) {
-    switch (simd::active()) {
+  switch (simd::active()) {
 #if defined(CCAPERF_SIMD_AVX512)
-      case simd::Isa::avx512:
-        return detail::efm_range_avx512(left, right, dir, gas, flux, probe,
-                                        o_begin, o_end);
-#endif
-#if defined(CCAPERF_SIMD_AVX2)
-      case simd::Isa::avx2:
-        return detail::efm_range_avx2(left, right, dir, gas, flux, probe,
+    case simd::Isa::avx512:
+      return detail::efm_range_avx512(left, right, dir, gas, flux, probe,
                                       o_begin, o_end);
 #endif
-      default:
-        break;
-    }
+#if defined(CCAPERF_SIMD_AVX2)
+    case simd::Isa::avx2:
+      return detail::efm_range_avx2(left, right, dir, gas, flux, probe,
+                                    o_begin, o_end);
+#endif
+    default:
+      break;
   }
   return detail::efm_range_scalar(left, right, dir, gas, flux, probe, o_begin,
                                   o_end);
@@ -494,11 +483,5 @@ template KernelCounts efm_flux_sweep<hwc::ScalarReplayProbe>(
 template KernelCounts godunov_flux_sweep<hwc::ScalarReplayProbe>(
     const Array2&, const Array2&, Dir, const GasModel&, Array2&,
     hwc::ScalarReplayProbe&);
-template KernelCounts compute_states<hwc::StackDistProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&, Array2&,
-    Array2&, hwc::StackDistProbe&);
-template KernelCounts efm_flux_sweep<hwc::StackDistProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::StackDistProbe&);
 
 }  // namespace euler

@@ -210,23 +210,11 @@ void CacheSim::set_sample_stride(std::uint32_t stride, std::uint64_t seed,
   sample_tick_ = 0;
   sample_seen_ = 0;
   sample_phase_ = stride > 1 ? seed % stride : 0;
-  sample_seed_ = seed;
   sample_burst_log2_ = burst_log2;
   sample_window_mask_ = (std::uint64_t{1} << burst_log2) - 1;
   sample_window_active_ = false;  // recomputed at tick 0 (a window boundary)
   // Lower levels only ever see the sampled fraction of the traffic, so
   // their counters carry this level's scale even though they don't gate.
-  for (CacheSim* c = this; c != nullptr; c = c->lower_) c->sampler_ = this;
-}
-
-void CacheSim::adjust_sample_stride(std::uint32_t stride) {
-  CCAPERF_REQUIRE(stride >= 1, "CacheSim: sample stride must be >= 1");
-  sample_stride_ = stride;
-  sample_phase_ = stride > 1 ? sample_seed_ % stride : 0;
-  // Cumulative sample_tick_/sample_seen_ survive on purpose: see the
-  // header contract. The cached window verdict is kept until the next
-  // window boundary recomputes it against the new stride/phase, so the
-  // switch point is deterministic in batch count.
   for (CacheSim* c = this; c != nullptr; c = c->lower_) c->sampler_ = this;
 }
 
@@ -261,76 +249,6 @@ std::uint32_t env_sample_stride() {
       ccaperf::env_int<std::uint32_t>("CCAPERF_CACHESIM_SAMPLE", 1, 1u << 20)
           .value_or(1);
   return std::max(stride, governor_sample_stride());
-}
-
-// --- StackDistSim ------------------------------------------------------------
-
-StackDistSim::StackDistSim(std::size_t line_bytes, std::size_t max_depth)
-    : max_depth_(max_depth) {
-  CCAPERF_REQUIRE(is_pow2(line_bytes),
-                  "StackDistSim: line size must be a power of two");
-  CCAPERF_REQUIRE(max_depth >= 1, "StackDistSim: max depth must be >= 1");
-  line_shift_ = log2u(line_bytes);
-  hist_.assign(max_depth_, 0);
-}
-
-void StackDistSim::touch_line(std::uint64_t line) {
-  ++accesses_;
-  // MRU fast path: the dominant event (consecutive elements of a run on
-  // one line) costs a compare, like CacheSim's way hint.
-  if (!stack_.empty() && stack_.front() == line) {
-    ++hist_[0];
-    return;
-  }
-  const auto it = std::find(stack_.begin(), stack_.end(), line);
-  if (it == stack_.end()) {
-    ++cold_;
-    // Beyond the tracked depth, lines recount as cold — harmless for any
-    // capacity <= max_depth (see the class comment).
-    if (stack_.size() == max_depth_) stack_.pop_back();
-    stack_.insert(stack_.begin(), line);
-    return;
-  }
-  ++hist_[static_cast<std::size_t>(it - stack_.begin())];
-  std::rotate(stack_.begin(), it, it + 1);  // move-to-front
-}
-
-void StackDistSim::access(std::uintptr_t addr, std::size_t bytes) {
-  if (bytes == 0) return;
-  const std::uint64_t first = static_cast<std::uint64_t>(addr) >> line_shift_;
-  const std::uint64_t last =
-      static_cast<std::uint64_t>(addr + bytes - 1) >> line_shift_;
-  for (std::uint64_t line = first; line <= last; ++line) touch_line(line);
-}
-
-void StackDistSim::access_run(std::uintptr_t addr, std::ptrdiff_t stride_bytes,
-                              std::size_t count, std::size_t elem_bytes) {
-  for (std::size_t k = 0; k < count; ++k)
-    access(addr + static_cast<std::uintptr_t>(
-                      static_cast<std::ptrdiff_t>(k) * stride_bytes),
-           elem_bytes);
-}
-
-std::uint64_t StackDistSim::estimate_misses(std::size_t lines) const {
-  // A fully-associative LRU cache of `lines` lines hits exactly the
-  // touches with stack distance < lines.
-  std::uint64_t misses = cold_;
-  for (std::size_t d = std::min(lines, max_depth_); d < max_depth_; ++d)
-    misses += hist_[d];
-  return misses;
-}
-
-double StackDistSim::estimate_miss_rate(std::size_t lines) const {
-  return accesses_ ? static_cast<double>(estimate_misses(lines)) /
-                         static_cast<double>(accesses_)
-                   : 0.0;
-}
-
-void StackDistSim::reset() {
-  stack_.clear();
-  std::fill(hist_.begin(), hist_.end(), 0);
-  accesses_ = 0;
-  cold_ = 0;
 }
 
 }  // namespace hwc

@@ -27,22 +27,18 @@
 // All three are exact: counters are bit-identical to an element-by-element
 // `access` loop (tests/hwc/test_access_run.cpp asserts this property).
 //
-// On top of the exact machinery sit two pay-per-sample estimation modes
-// (DESIGN.md §11):
-//  * `set_sample_stride(N, seed)` makes `access_run` simulate only batches
-//    falling in every 1-in-N *window* of 2^burst_log2 consecutive batches
-//    (deterministic seeded phase) and skip the rest entirely;
-//    `scaled_counters()` multiplies the sampled tallies back up by N.
-//    Windows rather than individual batches because sweep kernels emit
-//    heavily cross-correlated batches (consecutive faces share stencil
-//    lines): sampling lone batches would read almost every access as a
-//    cold miss, while a multi-hundred-batch burst reaches the warm steady
-//    state after a few faces and amortizes its boundary. Exact mode
-//    (stride 1) is the default and is bit-identical to today — CI and
-//    paper runs never change.
-//  * StackDistSim (below) replaces set/way simulation with a Mattson
-//    reuse-distance histogram: one pass yields estimated miss counts for
-//    EVERY fully-associative LRU capacity at once.
+// On top of the exact machinery sits a pay-per-sample estimation mode
+// (DESIGN.md §11): `set_sample_stride(N, seed)` makes `access_run`
+// simulate only batches falling in every 1-in-N *window* of 2^burst_log2
+// consecutive batches (deterministic seeded phase) and skip the rest
+// entirely; `scaled_counters()` multiplies the sampled tallies back up by
+// N. Windows rather than individual batches because sweep kernels emit
+// heavily cross-correlated batches (consecutive faces share stencil
+// lines): sampling lone batches would read almost every access as a cold
+// miss, while a multi-hundred-batch burst reaches the warm steady state
+// after a few faces and amortizes its boundary. Exact mode (stride 1) is
+// the default and is bit-identical to today — CI and paper runs never
+// change.
 
 #include <algorithm>
 #include <cstddef>
@@ -133,18 +129,6 @@ class CacheSim {
                          unsigned burst_log2 = kDefaultSampleBurstLog2);
   std::uint32_t sample_stride() const { return sample_stride_; }
 
-  /// Governor actuation (DESIGN.md §12): changes the stride *mid-run*
-  /// without resetting the cumulative seen/simulated tallies, so
-  /// sample_factor() stays the realized simulated fraction of the whole
-  /// stream across any stride schedule (including excursions through
-  /// exact mode, which tallies every batch as simulated). The window
-  /// burst size and seed are kept from the last set_sample_stride (or
-  /// their defaults); the new verdict takes effect at the next window
-  /// boundary. Note the factor is then an aggregate over mixed-stride
-  /// phases — unbiased for cumulative counters, which is what the
-  /// Mastermind differences.
-  void adjust_sample_stride(std::uint32_t stride);
-
   /// Scale-up factor for sampled counters: the MEASURED fraction of
   /// batches simulated (total seen / simulated), not the nominal stride —
   /// the window grid rarely divides the stream evenly, and using the
@@ -230,23 +214,6 @@ class CacheSim {
   /// touch_line, but also hands back the way now holding the line (the
   /// set's new MRU) so access_run can extend guaranteed-hit runs on it.
   Way* touch_way(std::uint64_t line_addr, bool is_write, std::uint64_t& misses);
-  /// Inline MRU-hint fast path for access_run: a repeat hit on the set's
-  /// hottest line costs a handful of instructions; everything else falls
-  /// through to the out-of-line touch_way. Bookkeeping is identical to
-  /// touch_way's hint-hit branch.
-  Way* hint_touch(std::uint64_t line_addr, bool is_write, std::uint64_t& misses) {
-    const std::uint64_t set = line_addr & (sets_ - 1);
-    Way& h = ways_[static_cast<std::size_t>(set) * assoc_ +
-                   mru_[static_cast<std::size_t>(set)]];
-    if ((h.meta & ~std::uint64_t{1}) == match_meta(line_addr >> tag_shift_)) {
-      ++counters_.accesses;
-      ++counters_.hits;
-      h.lru = ++stamp_;
-      h.meta |= static_cast<std::uint64_t>(is_write);
-      return &h;
-    }
-    return touch_way(line_addr, is_write, misses);
-  }
 
   std::size_t size_bytes_;
   std::size_t line_bytes_;
@@ -259,10 +226,9 @@ class CacheSim {
   std::uint64_t stamp_ = 0;
   std::uint64_t gen_ = 1;              // flush() increments; Way::gen matches
   std::uint32_t sample_stride_ = 1;    // 1 = exact mode
-  std::uint64_t sample_tick_ = 0;      // access_run batches seen
-  std::uint64_t sample_seen_ = 0;      // access_run batches simulated
+  std::uint64_t sample_tick_ = 0;      // access_run batches seen (sampled)
+  std::uint64_t sample_seen_ = 0;      // of those, batches simulated
   std::uint64_t sample_phase_ = 0;     // window residue that gets simulated
-  std::uint64_t sample_seed_ = 0;      // kept for adjust_sample_stride()
   unsigned sample_burst_log2_ = kDefaultSampleBurstLog2;
   std::uint64_t sample_window_mask_ = (1ull << kDefaultSampleBurstLog2) - 1;
   bool sample_window_active_ = false;  // cached verdict for current window
@@ -290,11 +256,6 @@ inline std::uint64_t CacheSim::access_run(std::uintptr_t addr,
           sample_phase_;
     ++sample_tick_;
     if (!sample_window_active_) return 0;
-    ++sample_seen_;
-  } else {
-    // Exact mode tallies every batch as simulated so the realized fraction
-    // stays meaningful across mid-run adjust_sample_stride() transitions.
-    ++sample_tick_;
     ++sample_seen_;
   }
   std::uint64_t misses = 0;
@@ -489,57 +450,10 @@ std::uint32_t env_sample_stride();
 
 /// Process-wide stride floor installed by the overhead governor's actuator.
 /// Counted sweeps build their CacheSims cold per slab, so a persistent
-/// override (rather than per-instance adjust_sample_stride) is the only
-/// surface that reaches them. 0/1 = no floor. SCMD ranks share the process;
-/// the last-writing rank wins, which only affects counter sampling error
-/// bars, never simulation results.
+/// override is the only surface that reaches them. 0/1 = no floor. SCMD
+/// ranks share the process; the last-writing rank wins, which only affects
+/// counter sampling error bars, never simulation results.
 void set_governor_sample_stride(std::uint32_t stride);
 std::uint32_t governor_sample_stride();
-
-/// Mattson reuse-distance (stack-distance) profiler: a capacity-agnostic
-/// alternative to full set/way simulation for miss-RATE estimation. Every
-/// line touch records the number of distinct lines referenced since the
-/// last touch of that line (its depth in an LRU stack, maintained
-/// move-to-front); a fully-associative LRU cache of C lines then misses
-/// exactly the touches with distance >= C plus the cold misses, so one
-/// pass prices every capacity at once. Set-associative caches deviate only
-/// through conflict misses, which the euler sweeps' regular strides keep
-/// small (tests/hwc/test_cache_sampling.cpp bounds the error against the
-/// full simulator). Depth is capped at `max_depth`: lines that fall off
-/// the tracked stack recount as cold, which cannot disturb estimates for
-/// capacities <= max_depth (those touches would miss either way).
-class StackDistSim {
- public:
-  explicit StackDistSim(std::size_t line_bytes,
-                        std::size_t max_depth = std::size_t{1} << 15);
-
-  void access(std::uintptr_t addr, std::size_t bytes);
-  /// Batched form mirroring CacheSim::access_run's element semantics.
-  void access_run(std::uintptr_t addr, std::ptrdiff_t stride_bytes,
-                  std::size_t count, std::size_t elem_bytes);
-
-  std::uint64_t accesses() const { return accesses_; }
-  std::uint64_t cold_misses() const { return cold_; }
-  std::size_t max_depth() const { return max_depth_; }
-  /// histogram()[d] = touches at stack distance d (d < max_depth).
-  const std::vector<std::uint64_t>& histogram() const { return hist_; }
-
-  /// Estimated misses/miss-rate of a fully-associative LRU cache holding
-  /// `lines` cache lines (e.g. size_bytes / line_bytes).
-  std::uint64_t estimate_misses(std::size_t lines) const;
-  double estimate_miss_rate(std::size_t lines) const;
-
-  void reset();
-
- private:
-  void touch_line(std::uint64_t line);
-
-  unsigned line_shift_;
-  std::size_t max_depth_;
-  std::vector<std::uint64_t> stack_;  // move-to-front LRU; front() = MRU
-  std::vector<std::uint64_t> hist_;
-  std::uint64_t accesses_ = 0;
-  std::uint64_t cold_ = 0;
-};
 
 }  // namespace hwc

@@ -158,53 +158,4 @@ class ScalarReplayProbe {
   ProbeCounts counts_;
 };
 
-/// Estimation probe: routes the kernel's memory traffic into a StackDistSim
-/// reuse-distance profiler instead of the set/way simulator. One traced
-/// sweep then yields estimated miss rates for every cache capacity at once
-/// (sim()->estimate_miss_rate(lines)) at a fraction of the full-simulation
-/// cost — the histogram mode of DESIGN.md §11.
-class StackDistProbe {
- public:
-  static constexpr bool kCounting = true;
-
-  explicit StackDistProbe(StackDistSim* sim) : sim_(sim) {
-    CCAPERF_REQUIRE(sim != nullptr, "StackDistProbe: null profiler");
-  }
-
-  void load(const void* p, std::size_t bytes) {
-    ++counts_.loads;
-    sim_->access(reinterpret_cast<std::uintptr_t>(p), bytes);
-  }
-  void store(const void* p, std::size_t bytes) {
-    ++counts_.stores;
-    sim_->access(reinterpret_cast<std::uintptr_t>(p), bytes);
-  }
-  void load_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-                std::size_t elem_bytes) {
-    counts_.loads += count;
-    sim_->access_run(reinterpret_cast<std::uintptr_t>(p), stride_bytes, count,
-                     elem_bytes);
-  }
-  void store_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-                 std::size_t elem_bytes) {
-    counts_.stores += count;
-    sim_->access_run(reinterpret_cast<std::uintptr_t>(p), stride_bytes, count,
-                     elem_bytes);
-  }
-  void flops(std::uint64_t n) { counts_.flops += n; }
-
-  /// The reuse-distance profiler has no sampling mode; always replay.
-  bool skip_runs(std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t) {
-    return false;
-  }
-
-  const ProbeCounts& counts() const { return counts_; }
-  StackDistSim* sim() const { return sim_; }
-  void reset() { counts_ = ProbeCounts{}; }
-
- private:
-  StackDistSim* sim_;
-  ProbeCounts counts_;
-};
-
 }  // namespace hwc

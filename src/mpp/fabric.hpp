@@ -102,10 +102,6 @@ struct ReqState {
   bool ready() const {
     return matched.load(std::memory_order_acquire) && Clock::now() >= deliver_at;
   }
-  /// True when matched but delivery time is still in the future.
-  bool pending_delivery() const {
-    return matched.load(std::memory_order_acquire) && Clock::now() < deliver_at;
-  }
 };
 
 /// A message parked in the unexpected queue. Two flavours share the slot:

@@ -1,7 +1,7 @@
 #pragma once
 // Tiny leveled logger. Thread-safe (one mutex around emission); each message
 // is tagged with an optional rank id so SCMD runs interleave readably.
-// Default level is `warn` so tests and benches stay quiet unless asked.
+// The level is fixed at `warn` so tests and benches stay quiet.
 
 #include <mutex>
 #include <sstream>
@@ -15,14 +15,11 @@ class Logger {
  public:
   static Logger& instance();
 
-  void set_level(LogLevel lvl) { level_ = lvl; }
-  LogLevel level() const { return level_; }
-
   void write(LogLevel lvl, int rank, const std::string& msg);
 
  private:
   Logger() = default;
-  LogLevel level_ = LogLevel::warn;
+  const LogLevel level_ = LogLevel::warn;
   std::mutex mu_;
 };
 

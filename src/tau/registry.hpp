@@ -282,8 +282,7 @@ class Registry {
   /// on the same time axis when merged (core::TraceMerger).
   void set_tracing_from_epoch(Clock::time_point epoch);
 
-  /// Bound of the trace ring in events (0 = unbounded legacy vector mode).
-  /// Resets the trace.
+  /// Bound of the trace ring in events; raises on 0. Resets the trace.
   void set_trace_capacity(std::size_t events);
 
   // --- trace tiers (governor actuation, DESIGN.md §12) -----------------------

@@ -20,13 +20,15 @@
 //     (peer world rank, tag, bytes, per-(src,dst) sequence number), the
 //     key the cross-rank merger uses to draw deterministic flow arrows.
 //
-// Capacity 0 selects the legacy unbounded-vector behaviour; it exists for
-// the trace-overhead ablation and for short tests that must not drop.
+// The ring is the only mode: a capacity of 0 raises. A caller that must
+// not drop sizes the ring to hold the whole run.
 
 #include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
+
+#include "support/error.hpp"
 
 namespace tau {
 
@@ -76,12 +78,14 @@ class TraceBuffer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 16;  // 2.5 MiB/rank
 
-  explicit TraceBuffer(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
+  explicit TraceBuffer(std::size_t capacity = kDefaultCapacity) {
+    set_capacity(capacity);
+  }
 
-  /// Configured bound in events (0 = unbounded legacy mode). Changing the
-  /// capacity clears the buffer.
+  /// Configured bound in events; raises on 0. Changing the capacity clears
+  /// the buffer.
   void set_capacity(std::size_t events) {
+    CCAPERF_REQUIRE(events >= 1, "TraceBuffer: capacity must be >= 1 event");
     capacity_ = events;
     ring_.clear();
     ring_.shrink_to_fit();
@@ -107,10 +111,6 @@ class TraceBuffer {
 
   void push(const TraceRecord& r) {
     ++total_;
-    if (capacity_ == 0) {  // legacy unbounded mode (ablation baseline)
-      ring_.push_back(r);
-      return;
-    }
     if (ring_.size() < capacity_) {
       if (ring_.capacity() == 0) ring_.reserve(capacity_);
       ring_.push_back(r);
@@ -134,7 +134,7 @@ class TraceBuffer {
   }
 
  private:
-  std::size_t capacity_;
+  std::size_t capacity_ = kDefaultCapacity;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;  ///< index of the oldest retained event
   std::uint64_t total_ = 0;

@@ -52,9 +52,10 @@ void check_ghosts(const Level& lvl, int my_rank) {
           bool covered = false;
           for (const PatchInfo& q : lvl.patches())
             if (q.id != p.id && q.box.contains(amr::IntVect{i, j})) covered = true;
-          if (covered)
+          if (covered) {
             EXPECT_DOUBLE_EQ(data(i, j, c), field(i, j, c))
                 << "ghost (" << i << "," << j << "," << c << ") of patch " << p.id;
+          }
         }
       }
     }

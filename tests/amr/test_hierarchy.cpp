@@ -61,7 +61,9 @@ TEST(Hierarchy, Level0TilesDomainExactly) {
     for (const auto& p : lvl.patches()) {
       EXPECT_GE(p.owner, 0);
       EXPECT_LT(p.owner, world.size());
-      if (p.owner == world.rank()) EXPECT_TRUE(lvl.has_data(p.id));
+      if (p.owner == world.rank()) {
+        EXPECT_TRUE(lvl.has_data(p.id));
+      }
     }
   });
 }

@@ -218,8 +218,12 @@ TEST(GovernorMonitor, CountersRegisteredOnAttach) {
 TEST(GovernorMonitor, SamplingThinsRecordsAndReportsRealizedFraction) {
   Rig rig;
   // Drive the governor to a level with monitor_stride > 1 before attaching,
-  // so the stride applies from the first monitored call.
+  // so the stride applies from the first monitored call. The decision
+  // window is longer than the run, so no window closes (and re-strides)
+  // while the calls are recorded, however long they take.
+  const std::size_t calls = 64;
   core::GovernorConfig cfg = test_config();
+  cfg.window_records = calls + 1;
   core::OverheadGovernor gov(cfg);
   while (gov.settings().monitor_stride < 4) gov.observe(window_pct(50.0));
   const std::uint32_t stride = gov.settings().monitor_stride;
@@ -227,7 +231,6 @@ TEST(GovernorMonitor, SamplingThinsRecordsAndReportsRealizedFraction) {
   EXPECT_EQ(rig.mm->monitor_stride(), stride);
 
   const core::MethodHandle h = rig.mm->register_method("k::f()", {"Q"});
-  const std::size_t calls = 64;
   for (std::size_t i = 0; i < calls; ++i) {
     const double params[1] = {static_cast<double>(i + 1)};
     rig.mm->start(h, core::ParamSpan(params, 1));

@@ -341,15 +341,18 @@ TEST(TraceExport, TraceEnvParsesTheSwitch) {
   EXPECT_EQ(env.path, "out/run7.json");
   EXPECT_EQ(env.capacity, 1024u);
 
-  // A malformed capacity raises instead of reading as 0 (unbounded).
-  ::setenv("CCAPERF_TRACE_EVENTS", "abc", 1);
-  try {
-    core::trace_env();
-    ADD_FAILURE() << "CCAPERF_TRACE_EVENTS=abc was accepted";
-  } catch (const ccaperf::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("CCAPERF_TRACE_EVENTS"),
-              std::string::npos)
-        << e.what();
+  // A malformed or zero capacity raises, naming the knob: the ring is the
+  // only trace mode, so there is no unbounded capacity to fall back to.
+  for (const char* bad : {"abc", "0"}) {
+    ::setenv("CCAPERF_TRACE_EVENTS", bad, 1);
+    try {
+      core::trace_env();
+      ADD_FAILURE() << "CCAPERF_TRACE_EVENTS=" << bad << " was accepted";
+    } catch (const ccaperf::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CCAPERF_TRACE_EVENTS"),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   ::unsetenv("CCAPERF_TRACE");

@@ -237,29 +237,4 @@ TEST(SimdKernels, Rk2KernelsMatchScalarExpressionsAcrossIsa) {
   }
 }
 
-TEST(SimdKernels, StackDistProbeFallsBackToScalarDispatch) {
-  // StackDistProbe is not SIMD-dispatchable (kSimdDispatchable is false for
-  // it); the sweep must still run — through the scalar reference — and
-  // profile the same number of accesses regardless of the active ISA.
-  IsaGuard guard;
-  const GasModel gas = two_gas();
-  const Box interior{0, 0, 12, 5};
-  auto u = wavy_patch(interior, gas);
-  int nx = 0, ny = 0;
-  euler::face_dims(interior, Dir::x, nx, ny);
-
-  auto run = [&](Isa isa) {
-    euler::simd::set_isa(isa);
-    hwc::StackDistSim sim(64);
-    hwc::StackDistProbe probe(&sim);
-    Array2 l(nx, ny, kNcomp), r(nx, ny, kNcomp);
-    euler::compute_states(u, interior, Dir::x, gas, l, r, probe);
-    return sim.accesses();
-  };
-
-  const auto scalar_accesses = run(Isa::scalar);
-  EXPECT_GT(scalar_accesses, 0u);
-  EXPECT_EQ(run(euler::simd::highest_supported()), scalar_accesses);
-}
-
 }  // namespace

@@ -1,16 +1,13 @@
 // Sampled CacheSim mode (DESIGN.md §11): batch-level sampling of
-// access_run with counter rescaling, plus the StackDistSim reuse-distance
-// profiler. Exact mode (stride 1) must be bit-identical to a simulator
-// that never heard of sampling; sampled counters must land within a
-// stride-dependent tolerance of exact; StackDistSim must agree EXACTLY
-// with a fully-associative LRU CacheSim at every capacity.
+// access_run with counter rescaling. Exact mode (stride 1) must be
+// bit-identical to a simulator that never heard of sampling; sampled
+// counters must land within a stride-dependent tolerance of exact.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <vector>
 
 #include "hwc/cache_sim.hpp"
 
@@ -18,7 +15,6 @@ namespace {
 
 using hwc::CacheCounters;
 using hwc::CacheSim;
-using hwc::StackDistSim;
 
 /// Sweep-shaped workload: `reps` passes over `rows` rows of `count`
 /// stride-`stride_bytes` elements, one access_run batch per row — the same
@@ -117,99 +113,6 @@ TEST(CacheSampling, GovernorStrideFloorsEnvStride) {
   hwc::set_governor_sample_stride(1);
   EXPECT_EQ(hwc::env_sample_stride(), 16u);
   ASSERT_EQ(unsetenv("CCAPERF_CACHESIM_SAMPLE"), 0);
-}
-
-TEST(CacheSampling, AdjustStrideKeepsRealizedFraction) {
-  // Mid-run re-striding (the governor's cache-sim actuator): cumulative
-  // sampled/seen tallies survive the switch, so sample_factor() stays the
-  // realized fraction of the whole run rather than the current stride.
-  constexpr unsigned kBurstLog2 = 6;
-  hwc::XeonHierarchy mem;
-  mem.l1.set_sample_stride(1, /*seed=*/3, kBurstLog2);
-  run_workload(mem.l1, 1 << 20, 64, 64, 256, 8);
-  EXPECT_DOUBLE_EQ(mem.l1.sample_factor(), 1.0);  // exact phase: all seen
-
-  mem.l1.adjust_sample_stride(16);
-  run_workload(mem.l1, 1 << 20, 64, 64, 256, 8);
-  const double f = mem.l1.sample_factor();
-  // Half the batches ran exact, half at 1-in-16: the aggregate scale-up
-  // factor lands strictly between the two regimes (1 and 16).
-  EXPECT_GT(f, 1.0);
-  EXPECT_LT(f, 16.0);
-  EXPECT_GE(mem.l1.scaled_counters().accesses, mem.l1.counters().accesses);
-
-  // Relaxing back to exact keeps history too: the factor decays toward 1
-  // as exact batches accumulate but never forgets the sampled stretch.
-  mem.l1.adjust_sample_stride(1);
-  run_workload(mem.l1, 1 << 20, 64, 64, 256, 8);
-  EXPECT_LT(mem.l1.sample_factor(), f);
-  EXPECT_GT(mem.l1.sample_factor(), 1.0);
-}
-
-TEST(CacheSampling, AdjustStrideMatchesSetStrideForFreshSim) {
-  // On a fresh simulator adjust_sample_stride(N) after set_sample_stride(N)
-  // priming must sample the same batches as configuring N directly: the
-  // verdict schedule is a pure function of (stride, seed, batch ordinal).
-  constexpr unsigned kBurstLog2 = 4;
-  hwc::XeonHierarchy direct, adjusted;
-  direct.l1.set_sample_stride(8, /*seed=*/5, kBurstLog2);
-  adjusted.l1.set_sample_stride(8, /*seed=*/5, kBurstLog2);
-  adjusted.l1.adjust_sample_stride(8);  // no-op re-statement of the stride
-  run_workload(direct.l1, 1 << 20, 32, 16, 256, 8);
-  run_workload(adjusted.l1, 1 << 20, 32, 16, 256, 8);
-  EXPECT_EQ(direct.l1.counters().accesses, adjusted.l1.counters().accesses);
-  EXPECT_EQ(direct.l1.counters().misses, adjusted.l1.counters().misses);
-  EXPECT_DOUBLE_EQ(direct.l1.sample_factor(), adjusted.l1.sample_factor());
-}
-
-TEST(StackDist, MatchesFullyAssociativeLruExactly) {
-  // A fully-associative LRU cache of C lines misses exactly the touches
-  // with reuse distance >= C (plus colds) — so for EVERY capacity, the
-  // histogram estimate must equal a real one-set CacheSim bit for bit.
-  constexpr std::size_t kLine = 64;
-  std::vector<std::uintptr_t> addrs;
-  std::uint64_t x = 88172645463325252ull;  // xorshift: deterministic pattern
-  for (int k = 0; k < 20000; ++k) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    addrs.push_back((x % 397) * kLine + (1 << 22));
-  }
-
-  StackDistSim sd(kLine);
-  for (auto a : addrs) sd.access(a, 8);
-
-  for (std::size_t lines : {16u, 64u, 128u, 512u}) {
-    CacheSim lru(lines * kLine, kLine, lines);  // one set, LRU across it
-    std::uint64_t misses = 0;
-    for (auto a : addrs) misses += lru.access(a, 8, false);
-    EXPECT_EQ(sd.estimate_misses(lines), misses) << lines << " lines";
-  }
-  EXPECT_EQ(sd.accesses(), addrs.size());
-}
-
-TEST(StackDist, HandPatternDistances) {
-  StackDistSim sd(64);
-  const std::uintptr_t A = 0, B = 64, C = 128;
-  for (auto a : {A, B, C, A, C, C, B}) sd.access(a, 8);
-  // A,B,C cold; A at depth 2; C at depth 1; C at depth 0; B at depth 2.
-  EXPECT_EQ(sd.cold_misses(), 3u);
-  EXPECT_EQ(sd.histogram()[0], 1u);
-  EXPECT_EQ(sd.histogram()[1], 1u);
-  EXPECT_EQ(sd.histogram()[2], 2u);
-  // Capacity 2 lines: depth >= 2 misses too.
-  EXPECT_EQ(sd.estimate_misses(2), 3u + 2u);
-  sd.reset();
-  EXPECT_EQ(sd.accesses(), 0u);
-  EXPECT_EQ(sd.estimate_misses(2), 0u);
-}
-
-TEST(StackDist, RunApiCoversStridedRuns) {
-  StackDistSim sd(64);
-  sd.access_run(0, 64, 32, 8);  // 32 elements, one per line: all cold
-  EXPECT_EQ(sd.cold_misses(), 32u);
-  sd.access_run(0, 8, 8, 8);  // 8 elements on one line: 1 deep + 7 MRU hits
-  EXPECT_EQ(sd.histogram()[0], 7u);
 }
 
 }  // namespace

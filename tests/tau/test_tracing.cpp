@@ -203,17 +203,13 @@ TEST(Tracing, RingMemoryStaysAtConfiguredBound) {
   EXPECT_EQ(buf[15].t_us, 999.0);  // newest
 }
 
-TEST(Tracing, CapacityZeroIsUnbounded) {
+TEST(Tracing, CapacityZeroRaises) {
+  // The ring is the only mode: there is no unbounded capacity.
+  EXPECT_THROW(tau::TraceBuffer{0}, ccaperf::Error);
   Registry reg;
-  reg.set_trace_capacity(0);
-  reg.set_tracing(true);
-  const auto t = reg.timer("f()");
-  for (int k = 0; k < 200000; ++k) {  // well past the default ring bound
-    reg.start(t);
-    reg.stop(t);
-  }
-  EXPECT_EQ(reg.trace().size(), 400000u);
-  EXPECT_EQ(reg.trace().dropped(), 0u);
+  reg.set_trace_capacity(8);
+  EXPECT_THROW(reg.set_trace_capacity(0), ccaperf::Error);
+  EXPECT_EQ(reg.trace().capacity(), 8u);  // the old bound stays
 }
 
 TEST(Tracing, MessageEventsCarryIdentity) {
