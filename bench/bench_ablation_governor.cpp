@@ -190,23 +190,17 @@ int main() {
   gcfg.calm_windows = 3;
   core::OverheadGovernor governor(gcfg);
   hwc::CacheSim gov_sim(32 * 1024, 64, 8);
-  std::uint32_t gov_replay_stride = 1;
   std::ostringstream gov_telem;
   double gov_replay_us = 0.0;
   gov_rig.mm->attach_governor(&governor);
-  // The stride actuator drives both the replay below and the global
-  // cache-sim sampling stride, so the counted kernels inside the rig's
-  // components thin their in-kernel probes too (the same wiring the
-  // instrumented assembly installs in instrumented_app.cpp).
-  gov_rig.mm->set_counter_stride_actuator([&](std::uint32_t s) {
-    gov_replay_stride = s;
-    hwc::set_governor_sample_stride(s);
-  });
   gov_rig.mm->add_cost_source("cachesim", [&] { return gov_replay_us; });
   gov_rig.mm->start_telemetry(gov_telem, 16);
+  // The replay runs at the cache-sim stride of the tier the governed
+  // invoke left the ladder on.
   auto gov_call = [&](const amr::PatchData<double>& u, euler::Dir dir) {
     gov_rig.invoke(u, dir, nullptr);
-    gov_replay_us += replay_cost_us(gov_sim, u, gov_replay_stride);
+    gov_replay_us +=
+        replay_cost_us(gov_sim, u, governor.settings().cachesim_stride);
   };
 
   // Warmup: one untimed raw sweep faults in the patches.
@@ -236,14 +230,9 @@ int main() {
           ms[0] = sweep_us(w, reps, late ? &raw_cells : nullptr, raw_call);
           break;
         case 1:
-          // The stride actuator state is process-global; the full config
-          // must run its counted kernels at full rate regardless of where
-          // the governed ladder currently sits.
-          hwc::set_governor_sample_stride(1);
           ms[1] = sweep_us(w, reps, late ? &full_cells : nullptr, full_call);
           break;
         default:
-          hwc::set_governor_sample_stride(gov_replay_stride);
           ms[2] = sweep_us(w, reps, late ? &gov_cells : nullptr, gov_call);
           break;
       }

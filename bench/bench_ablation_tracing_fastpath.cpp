@@ -10,8 +10,8 @@
 //   SIMD     — the raw path dispatches to AVX2/AVX-512 kernels selected at
 //              startup (CCAPERF_SIMD), bit-identical to the scalar
 //              reference, so the raw denominator itself speeds up;
-//   sampled  — CCAPERF_CACHESIM_SAMPLE simulates 1-in-N windows of
-//              access_run batches and rescales counters by the realized
+//   sampled  — CacheSim::set_sample_stride(N) simulates 1-in-N windows
+//              of access_run batches and rescales counters by the realized
 //              fraction, trading a bounded miss-count error (gated here)
 //              for most of the remaining simulation cost.
 //

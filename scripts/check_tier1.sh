@@ -69,6 +69,19 @@ if want tier1; then
     echo "check_tier1.sh: environment access outside src/support/env.*" >&2
     exit 1
   fi
+  echo "== knob table: README's Runtime knobs rows match the knobs in src/ =="
+  # A deleted knob must not linger in the docs, and a new one must not
+  # ship undocumented.
+  src_knobs=$({ grep -rhoE '"CCAPERF_[A-Z0-9_]+"' src/ || true; } |
+    tr -d '"' | sort -u)
+  doc_knobs=$(awk '/^### Runtime knobs/ {on = 1; next} on && /^#/ {on = 0} on' \
+    README.md | { grep -oE '^\| `CCAPERF_[A-Z0-9_]+`' || true; } |
+    tr -d '|` ' | sort -u)
+  if [ "${src_knobs}" != "${doc_knobs}" ]; then
+    echo "check_tier1.sh: README knob table (<) and CCAPERF_* literals in src/ (>) differ:" >&2
+    diff <(echo "${doc_knobs}") <(echo "${src_knobs}") >&2 || true
+    exit 1
+  fi
   echo "== tier-1 suites (${BUILD_DIR}, warnings as errors) =="
   cmake -B "${BUILD_DIR}" -S . -DCCAPERF_WERROR=ON >/dev/null
   cmake --build "${BUILD_DIR}" -j "${JOBS}"

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/trace_export.hpp"
-#include "hwc/cache_sim.hpp"
 
 namespace core {
 
@@ -106,8 +105,6 @@ InstrumentedApp assemble_instrumented_app(mpp::Comm& world,
     per_rank.seed += static_cast<std::uint64_t>(world.rank());
     app.governor = std::make_unique<OverheadGovernor>(per_rank);
     app.mastermind->attach_governor(app.governor.get());
-    app.mastermind->set_counter_stride_actuator(
-        [](std::uint32_t stride) { hwc::set_governor_sample_stride(stride); });
   }
 
   // CCAPERF_TRACE switches the rank's flight recorder on for the whole

@@ -309,11 +309,9 @@ void MastermindComponent::start(MethodHandle method, ParamSpan params) {
   // caller of this invocation.
   const MethodHandle caller =
       L.depth >= 2 ? L.open[L.depth - 2].method : kInvalidMethodHandle;
-  if (threaded_) {
-    std::lock_guard<std::mutex> lk(mu_);
-    count_edge(caller, method);
-    o.sampled = sample_decision(++m.calls_seen);
-  } else {
+  {
+    std::unique_lock<std::mutex> lk;
+    if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
     count_edge(caller, method);
     o.sampled = sample_decision(++m.calls_seen);
   }
@@ -387,14 +385,6 @@ void MastermindComponent::stop(MethodHandle method) {
     ++m.calls_recorded;
   }
 
-  // Outermost window closed: nothing differences older generations any
-  // more, so the registry's change log can be compacted — but no further
-  // than the telemetry low-water mark, whose next snapshot_delta still
-  // needs the entries since its last line.
-  if (L.depth == 0)
-    reg.retire_generations_before(telem_sink_ != nullptr
-                                      ? std::min(reg.generation(), telem_gen_)
-                                      : reg.generation());
   if (acct) {
     if (o.sampled) ++telem_records_;
     telem_self_us_ += us_between(t0, tau::Clock::now());
@@ -537,9 +527,9 @@ void MastermindComponent::emit_telemetry_unlocked() {
   const tau::Clock::time_point t0 = tau::Clock::now();
   tau::Registry& reg = registry();
 
-  // The incremental query: rows for exactly the timers that fired since
-  // the previous line, then advance the low-water mark.
-  const std::vector<tau::TimerStats> delta = reg.snapshot_delta(telem_gen_);
+  // Count the timers that fired since the previous line, then advance the
+  // low-water mark.
+  const std::size_t timers_changed = reg.timers_changed_since(telem_gen_);
   telem_gen_ = reg.generation();
 
   const double dt_s = us_between(telem_last_, t0) / 1e6;
@@ -550,7 +540,7 @@ void MastermindComponent::emit_telemetry_unlocked() {
      << ",\"records\":" << telem_records_
      << ",\"records_per_s\":"
      << ccaperf::json_number(dt_s > 0.0 ? static_cast<double>(drec) / dt_s : 0.0, 3)
-     << ",\"timers_changed\":" << delta.size();
+     << ",\"timers_changed\":" << timers_changed;
 
   const std::size_t ngroups = reg.num_groups();
   telem_group_last_.resize(ngroups, 0.0);
@@ -644,13 +634,6 @@ void MastermindComponent::add_cost_source(std::string name,
   cost_sources_.emplace_back(std::move(name), std::move(cumulative_us));
 }
 
-void MastermindComponent::set_counter_stride_actuator(
-    std::function<void(std::uint32_t)> fn) {
-  std::unique_lock<std::mutex> lk;
-  if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
-  counter_stride_actuator_ = std::move(fn);
-}
-
 void MastermindComponent::set_telemetry_hwc(std::string backend) {
   std::unique_lock<std::mutex> lk;
   if (threaded_) lk = std::unique_lock<std::mutex>(mu_);
@@ -740,7 +723,6 @@ void MastermindComponent::apply_governor_settings_unlocked(
   telem_interval_ = telem_interval_base_ * s.telem_interval_mult;
   if (telem_interval_ < 1) telem_interval_ = 1;
   gov_monitor_stride_ = s.monitor_stride;
-  if (counter_stride_actuator_) counter_stride_actuator_(s.cachesim_stride);
 }
 
 void MastermindComponent::emit_governor_line_unlocked(

@@ -203,10 +203,6 @@ class MastermindComponent final : public cca::Component,
   /// governor window's self-cost.
   void add_cost_source(std::string name, std::function<double()> cumulative_us);
 
-  /// Called with the governor-chosen cache-sim sampling stride whenever a
-  /// tier transition changes it (hwc::set_governor_sample_stride plumbing).
-  void set_counter_stride_actuator(std::function<void(std::uint32_t)> fn);
-
   /// Surfaces the chosen hardware-counter backend ("sim", "perf", ...) as
   /// an `hwc` metadata field on every telemetry line.
   void set_telemetry_hwc(std::string backend);
@@ -351,7 +347,7 @@ class MastermindComponent final : public cca::Component,
   std::uint64_t telem_lines_ = 0;
   std::uint64_t telem_records_ = 0;          // rows finished while active
   std::uint64_t telem_records_last_ = 0;     // at the previous line
-  tau::Generation telem_gen_ = 0;            // snapshot_delta low-water mark
+  tau::Generation telem_gen_ = 0;            // generation of the previous line
   tau::Clock::time_point telem_start_{};
   tau::Clock::time_point telem_last_{};
   double telem_self_us_ = 0.0;
@@ -374,7 +370,6 @@ class MastermindComponent final : public cca::Component,
   double gov_self_last_ = 0.0;
   tau::Clock::time_point gov_last_{};
   std::vector<std::pair<std::string, std::function<double()>>> cost_sources_;
-  std::function<void(std::uint32_t)> counter_stride_actuator_;
   // Interned instant labels per (direction, level), resolved lazily.
   std::vector<std::uint32_t> gov_instant_ids_;
   std::vector<char> gov_instant_ok_;

@@ -86,10 +86,10 @@ class MonitorPort : public cca::Port {
 
 /// Live telemetry out of the Mastermind: while active, one JSON object per
 /// line (JSONL) is appended to the sink every `interval_records` completed
-/// monitored invocations — completed-record throughput, per-group
-/// inclusive time (cumulative and delta, via the registry's incremental
-/// snapshot_delta), hardware-counter deltas, trace-ring fill/drop counts,
-/// and the monitor's own accumulated self-overhead. Emission piggybacks on
+/// monitored invocations — completed-record throughput, the count of
+/// timers that fired since the previous line, per-group inclusive time
+/// (cumulative and delta), hardware-counter deltas, trace-ring fill/drop
+/// counts, and the monitor's own accumulated self-overhead. Emission piggybacks on
 /// the outermost monitoring stop; there is no background thread.
 class TelemetryPort : public cca::Port {
  public:

@@ -17,7 +17,7 @@ namespace {
 
 using detail::outer_extent;
 
-/// Range-level dispatch: every public entry point (serial, _mt, _counted)
+/// Range-level dispatch: every public entry point (serial and _mt)
 /// funnels through here, so the active ISA level applies uniformly. The
 /// SIMD TUs instantiate the vector kernels for every probe type this file
 /// instantiates.
@@ -326,127 +326,6 @@ void flux_divergence_mt(ccaperf::ThreadPool& pool, const Array2& fx,
                     [&](std::size_t jj, int) {
     flux_divergence_rows(fx, fy, interior, inv_dx, inv_dy, dudt,
                          static_cast<int>(jj), static_cast<int>(jj) + 1);
-  });
-}
-
-// --- deterministic counted sweeps --------------------------------------------
-
-namespace {
-
-/// One counter shard's result slot (padded: slabs run on different lanes).
-struct alignas(64) SlabCounts {
-  KernelCounts kernel;
-  hwc::ProbeCounts probe;
-  std::uint64_t l1_misses = 0;
-  std::uint64_t l2_misses = 0;
-};
-
-/// Fixed slab bounds: slab s of kCounterShards covers outer indices
-/// [outer*s/kShards, outer*(s+1)/kShards) — a function of the problem
-/// size only, never of the lane count.
-inline int slab_lo(int outer, int s) {
-  return static_cast<int>((static_cast<long long>(outer) * s) / kCounterShards);
-}
-
-/// Runs `sweep(probe, lo, hi)` for every slab (in parallel when the pool
-/// has lanes), each against its own cold XeonHierarchy, then merges the
-/// integer counters in slab order. Under CCAPERF_CACHESIM_SAMPLE > 1 each
-/// slab's hierarchy samples 1-in-stride access batches (seeded by the slab
-/// index, so the phases stay deterministic and slab-stable) and the merged
-/// miss counters are the scaled estimates.
-/// Window size for a slab's sampled hierarchy: the largest power of two
-/// (capped at the global default) that still leaves ~2x kCounterShards
-/// windows in the slab. Slab seeds are the shard indices 0..7, so every
-/// phase (seed % stride <= 7) then lands on an existing window and each
-/// slab samples at least one; bigger windows are strictly better beyond
-/// that (boundary cold-start is the dominant bias, and scaled_counters
-/// rescales by the realized fraction, not the nominal stride).
-/// `approx_batches` is a deliberate underestimate (3 runs per face — the
-/// flux kernels' floor).
-unsigned slab_burst_log2(std::uint64_t approx_batches) {
-  unsigned b = 6;
-  while (b < hwc::kDefaultSampleBurstLog2 &&
-         (approx_batches >> (b + 1)) >= 2ull * kCounterShards)
-    ++b;
-  return b;
-}
-
-template <class SlabSweep>
-CountedSweep run_counted_slabs(ccaperf::ThreadPool& pool, int outer, int inner,
-                               SlabSweep&& sweep) {
-  const std::uint32_t sample = hwc::env_sample_stride();
-  std::vector<SlabCounts> slabs(static_cast<std::size_t>(kCounterShards));
-  auto run_slab = [&](std::size_t s, int) {
-    const int lo = slab_lo(outer, static_cast<int>(s));
-    const int hi = slab_lo(outer, static_cast<int>(s) + 1);
-    if (lo == hi) return;
-    hwc::XeonHierarchy mem;  // cold per slab: totals don't depend on lanes
-    if (sample > 1) {
-      const auto batches = static_cast<std::uint64_t>(hi - lo) *
-                           static_cast<std::uint64_t>(inner) * 3;
-      mem.l1.set_sample_stride(sample, s, slab_burst_log2(batches));
-    }
-    hwc::CacheProbe probe(&mem.l1);
-    slabs[s].kernel = sweep(probe, lo, hi);
-    slabs[s].probe = probe.counts();
-    slabs[s].l1_misses = mem.l1.scaled_counters().misses;
-    slabs[s].l2_misses = mem.l2.scaled_counters().misses;
-  };
-  if (pool.size() == 1) {
-    for (std::size_t s = 0; s < slabs.size(); ++s) run_slab(s, 0);
-  } else {
-    pool.parallel_for(slabs.size(), run_slab);
-  }
-  CountedSweep out;
-  for (const SlabCounts& s : slabs) {
-    out.kernel += s.kernel;
-    out.probe.loads += s.probe.loads;
-    out.probe.stores += s.probe.stores;
-    out.probe.flops += s.probe.flops;
-    out.l1_misses += s.l1_misses;
-    out.l2_misses += s.l2_misses;
-  }
-  return out;
-}
-
-}  // namespace
-
-CountedSweep compute_states_counted(ccaperf::ThreadPool& pool,
-                                    const amr::PatchData<double>& U,
-                                    const amr::Box& interior, Dir dir,
-                                    const GasModel& gas, Array2& left,
-                                    Array2& right) {
-  check_states_shapes(U, interior, dir, left, right);
-  const int outer = outer_extent(left.nx(), left.ny(), dir);
-  const int inner = dir == Dir::x ? left.nx() : left.ny();
-  return run_counted_slabs(pool, outer, inner,
-                           [&](hwc::CacheProbe& probe, int lo, int hi) {
-    return states_range(U, interior, dir, gas, left, right, probe, lo, hi);
-  });
-}
-
-CountedSweep efm_flux_sweep_counted(ccaperf::ThreadPool& pool,
-                                    const Array2& left, const Array2& right,
-                                    Dir dir, const GasModel& gas, Array2& flux) {
-  check_flux_shapes(left, flux, "efm_flux_sweep");
-  const int outer = outer_extent(left.nx(), left.ny(), dir);
-  const int inner = dir == Dir::x ? left.nx() : left.ny();
-  return run_counted_slabs(pool, outer, inner,
-                           [&](hwc::CacheProbe& probe, int lo, int hi) {
-    return efm_range(left, right, dir, gas, flux, probe, lo, hi);
-  });
-}
-
-CountedSweep godunov_flux_sweep_counted(ccaperf::ThreadPool& pool,
-                                        const Array2& left, const Array2& right,
-                                        Dir dir, const GasModel& gas,
-                                        Array2& flux) {
-  check_flux_shapes(left, flux, "godunov_flux_sweep");
-  const int outer = outer_extent(left.nx(), left.ny(), dir);
-  const int inner = dir == Dir::x ? left.nx() : left.ny();
-  return run_counted_slabs(pool, outer, inner,
-                           [&](hwc::CacheProbe& probe, int lo, int hi) {
-    return godunov_range(left, right, dir, gas, flux, probe, lo, hi);
   });
 }
 

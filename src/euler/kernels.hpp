@@ -196,40 +196,4 @@ void flux_divergence_mt(ccaperf::ThreadPool& pool, const Array2& fx,
                         const Array2& fy, const amr::Box& interior, double dx,
                         double dy, amr::PatchData<double>& dudt);
 
-// --- deterministic counted sweeps --------------------------------------------
-//
-// Cache-counting cannot share one simulator across lanes without making
-// miss totals depend on interleaving. The counted sweeps instead decompose
-// the outer loop into kCounterShards FIXED contiguous slabs (independent
-// of thread count), replay each slab through its own cold XeonHierarchy +
-// CacheProbe, and merge the integer counters in slab order — so the
-// totals are invariant across thread counts (1 lane and N lanes produce
-// identical numbers), at the cost of per-slab cold-start misses relative
-// to the single-simulator serial sweep.
-
-inline constexpr int kCounterShards = 8;
-
-/// Merged result of a sharded counted sweep.
-struct CountedSweep {
-  KernelCounts kernel;
-  hwc::ProbeCounts probe;        ///< loads/stores/flops, summed in slab order
-  std::uint64_t l1_misses = 0;   ///< cold-shard L1 misses, summed in slab order
-  std::uint64_t l2_misses = 0;
-};
-
-CountedSweep compute_states_counted(ccaperf::ThreadPool& pool,
-                                    const amr::PatchData<double>& U,
-                                    const amr::Box& interior, Dir dir,
-                                    const GasModel& gas, Array2& left,
-                                    Array2& right);
-
-CountedSweep efm_flux_sweep_counted(ccaperf::ThreadPool& pool, const Array2& left,
-                                    const Array2& right, Dir dir,
-                                    const GasModel& gas, Array2& flux);
-
-CountedSweep godunov_flux_sweep_counted(ccaperf::ThreadPool& pool,
-                                        const Array2& left, const Array2& right,
-                                        Dir dir, const GasModel& gas,
-                                        Array2& flux);
-
 }  // namespace euler

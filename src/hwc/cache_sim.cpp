@@ -1,9 +1,6 @@
 #include "hwc/cache_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
-
-#include "support/env.hpp"
 
 namespace hwc {
 
@@ -230,25 +227,6 @@ CacheCounters CacheSim::scaled_counters() const {
   s.evictions = scale(counters_.evictions);
   s.writebacks = scale(counters_.writebacks);
   return s;
-}
-
-namespace {
-std::atomic<std::uint32_t> g_governor_stride{1};
-}
-
-void set_governor_sample_stride(std::uint32_t stride) {
-  g_governor_stride.store(stride < 1 ? 1 : stride, std::memory_order_relaxed);
-}
-
-std::uint32_t governor_sample_stride() {
-  return g_governor_stride.load(std::memory_order_relaxed);
-}
-
-std::uint32_t env_sample_stride() {
-  const std::uint32_t stride =
-      ccaperf::env_int<std::uint32_t>("CCAPERF_CACHESIM_SAMPLE", 1, 1u << 20)
-          .value_or(1);
-  return std::max(stride, governor_sample_stride());
 }
 
 }  // namespace hwc

@@ -441,19 +441,4 @@ struct XeonHierarchy {
   CacheSim l2;
 };
 
-/// Parses CCAPERF_CACHESIM_SAMPLE (the counted sweeps' sampling stride;
-/// unset/empty/1 = exact mode). Raises on malformed values. The returned
-/// stride is max(env, governor_sample_stride()) — the overhead governor's
-/// actuator can coarsen counted sweeps process-wide without touching the
-/// environment.
-std::uint32_t env_sample_stride();
-
-/// Process-wide stride floor installed by the overhead governor's actuator.
-/// Counted sweeps build their CacheSims cold per slab, so a persistent
-/// override is the only surface that reaches them. 0/1 = no floor. SCMD
-/// ranks share the process; the last-writing rank wins, which only affects
-/// counter sampling error bars, never simulation results.
-void set_governor_sample_stride(std::uint32_t stride);
-std::uint32_t governor_sample_stride();
-
 }  // namespace hwc

@@ -1,6 +1,5 @@
 #include "tau/registry.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 namespace tau {
@@ -107,45 +106,19 @@ bool Registry::group_enabled(std::string_view group) const {
 
 void Registry::touch(TimerId id) {
   gen_dirty_ = true;
-  if (timer_gen_[id] == gen_) return;
   timer_gen_[id] = gen_;
-  touch_log_.push_back(Touch{gen_, id});
 }
 
-std::vector<TimerStats> Registry::snapshot_delta(Generation since) const {
-  std::vector<TimerStats> rows;
-  // Touched timers are logged oldest-generation first; one entry per timer
-  // per generation, so dedupe against rows already emitted this call.
-  auto it = std::lower_bound(
-      touch_log_.begin() + static_cast<std::ptrdiff_t>(touch_head_), touch_log_.end(),
-      since, [](const Touch& t, Generation g) { return t.gen < g; });
-  std::vector<bool> seen(timers_.size(), false);
-  for (; it != touch_log_.end(); ++it) {
-    if (seen[it->id]) continue;
-    seen[it->id] = true;
-    TimerStats row = timers_[it->id];
-    row.inclusive_us = inclusive_us(it->id);
-    row.exclusive_us = exclusive_us(it->id);
-    rows.push_back(std::move(row));
-  }
-  // The *next* timer activity opens a new generation, so a later delta
+std::size_t Registry::timers_changed_since(Generation since) const {
+  std::size_t n = 0;
+  for (const Generation g : timer_gen_) n += g >= since ? 1 : 0;
+  // The *next* timer activity opens a new generation, so a later count
   // taken at the returned boundary excludes what this one already saw.
   if (gen_dirty_) {
     ++gen_;
     gen_dirty_ = false;
   }
-  return rows;
-}
-
-void Registry::retire_generations_before(Generation g) {
-  while (touch_head_ < touch_log_.size() && touch_log_[touch_head_].gen < g)
-    ++touch_head_;
-  // Compact once the retired prefix dominates, to amortize the erase.
-  if (touch_head_ > 64 && touch_head_ * 2 > touch_log_.size()) {
-    touch_log_.erase(touch_log_.begin(),
-                     touch_log_.begin() + static_cast<std::ptrdiff_t>(touch_head_));
-    touch_head_ = 0;
-  }
+  return n;
 }
 
 // --- shard merging -----------------------------------------------------------

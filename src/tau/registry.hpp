@@ -9,8 +9,9 @@
 //  * timer control: enable/disable whole groups at runtime (e.g. all "MPI"
 //    timers via their group identifier);
 //  * query interface: mid-run snapshots of cumulative metrics — the
-//    Mastermind differences two snapshots to attribute cost to a single
-//    method invocation (Section 4.3);
+//    Mastermind differences group totals and counter values taken at
+//    start and stop to attribute cost to a single method invocation
+//    (Section 4.3);
 //  * hardware counters: named sources registered from the hwc substrate,
 //    included in every snapshot.
 //
@@ -18,10 +19,9 @@
 // interned once through an open-addressing hash table (no per-call
 // std::map node traffic), groups are interned to dense ids with a running
 // per-group inclusive accumulator so group_inclusive_us() costs O(stack
-// depth) instead of O(#timers), and snapshots can be taken incrementally —
-// every timer carries a generation tag, so a consumer that differences
-// before/after queries only touches the timers that actually fired in
-// between (snapshot_delta), not the whole table.
+// depth) instead of O(#timers), and every timer carries a generation
+// stamp, so telemetry can count the timers that fired since its previous
+// line (timers_changed_since) without copying their rows.
 //
 // One Registry per rank; instances are NOT thread-safe by design (SCMD
 // gives each rank thread its own, exactly like per-process TAU).
@@ -160,39 +160,30 @@ class Registry {
   /// Full cumulative snapshot (rows for every timer, partials included).
   std::vector<TimerStats> snapshot() const;
 
-  // --- incremental snapshots ---------------------------------------------------
-  // Timers carry a generation tag stamped on every start/stop. A consumer
-  // records generation() before a region of interest and asks
-  // snapshot_delta() after: only timers that fired in between are touched
-  // and returned — the before/after differencing of §4.3 without walking
-  // the whole table. Windows nest (the Mastermind's LIFO monitoring opens
-  // one per in-flight invocation); retire_generations_before() lets the
-  // outermost consumer bound the change-log's memory.
+  // --- change counting ---------------------------------------------------------
+  // Timers carry a generation stamp, refreshed on every start/stop. A
+  // consumer records generation() and later asks how many timers fired
+  // since — the telemetry lines' `timers_changed` field.
 
   /// Current generation. Advances on the first timer activity after each
-  /// snapshot_delta() call, so repeated idle queries are free.
+  /// timers_changed_since() call, so repeated idle queries are free.
   Generation generation() const { return gen_; }
 
-  /// Cumulative rows (partials included) for exactly the timers that
-  /// started or stopped at a generation >= `since`. Cost is proportional
-  /// to the number of such timers.
-  std::vector<TimerStats> snapshot_delta(Generation since) const;
-
-  /// Drops change-log entries older than `g` (all outstanding windows must
-  /// have been opened at generation >= g). Keeps long runs bounded.
-  void retire_generations_before(Generation g);
+  /// Number of timers that started or stopped at a generation >= `since`
+  /// (`since` from generation(), so never 0: a never-run timer's stamp).
+  std::size_t timers_changed_since(Generation since) const;
 
   // --- shard merging -----------------------------------------------------------
   // Per-thread registry shards (tau::RegistryShards, DESIGN.md §9) fold
   // their accumulated stats into the rank's primary registry at region
   // barriers. Folding is plain addition in a fixed order, so the merged
-  // view is deterministic and the generation/touch machinery sees the
-  // absorbed timers exactly as if they had fired here.
+  // view is deterministic and the generation stamps see the absorbed
+  // timers exactly as if they had fired here.
 
   /// Folds one completed-stats row into this registry: the timer is
   /// created on first sight (keeping the row's group), its calls and
   /// inclusive/exclusive sums are added, the per-group accumulator is
-  /// advanced, and the timer is touched so snapshot_delta/telemetry
+  /// advanced, and the timer is stamped so timers_changed_since/telemetry
   /// consumers see the merge. Rows with no activity are ignored.
   void absorb(const TimerStats& row);
 
@@ -247,16 +238,8 @@ class Registry {
   hwc::CounterRegistry counters_;
   std::vector<std::uint64_t> counters_scratch_;  // trace_counter_samples()
 
-  // Incremental-snapshot change log: (generation, timer) appended on the
-  // first touch of a timer in each generation, oldest first.
-  struct Touch {
-    Generation gen;
-    TimerId id;
-  };
   mutable Generation gen_ = 1;
-  mutable bool gen_dirty_ = false;  ///< activity since the last snapshot_delta
-  std::vector<Touch> touch_log_;
-  std::size_t touch_head_ = 0;  ///< retired prefix of touch_log_
+  mutable bool gen_dirty_ = false;  ///< activity since the last timers_changed_since
 
   // --- tracing interface -------------------------------------------------------
   // "The TAU implementation of this generic performance component

@@ -9,8 +9,8 @@
 // (the thread pool's region-end hook) the shards fold into the primary in
 // lane order — plain additions in a fixed order, so merged call counts
 // and counter sums are exactly the values a serial run would produce, and
-// the primary's generation/touch machinery makes the merge visible to
-// snapshot_delta / telemetry consumers unchanged.
+// the primary's per-timer generation stamps make the merge visible to
+// the telemetry lines' timers_changed count unchanged.
 //
 // Tracing: shards mirror the primary's ring capacity and epoch, so each
 // lane records its own balanced event stream on the shared time axis.

@@ -1,8 +1,9 @@
 // pmm.TelemetryPort: Mastermind streams one JSONL line per interval of
-// completed monitoring records, with incremental timer deltas, per-group
-// time, counter deltas, ring-drop accounting and its own overhead
-// (self_us). No background thread: emission piggybacks on the outermost
-// monitored stop, so lines land at record boundaries.
+// completed monitoring records, with the count of timers that fired since
+// the previous line, per-group time, counter deltas, ring-drop accounting
+// and its own overhead (self_us). No background thread: emission
+// piggybacks on the outermost monitored stop, so lines land at record
+// boundaries.
 
 #include <gtest/gtest.h>
 
@@ -161,8 +162,8 @@ TEST(Telemetry, SelfOverheadIsAccountedAndBounded) {
 }
 
 TEST(Telemetry, MonitoringKeepsWorkingAfterStop) {
-  // Detaching the sink must restore the plain fast path (including
-  // generation retirement) without losing records.
+  // Detaching the sink must restore the plain fast path without losing
+  // records.
   Rig rig;
   std::ostringstream sink;
   rig.mm->start_telemetry(sink, 1);

@@ -248,6 +248,50 @@ TEST(KernelsTraced, ProbeCountsScaleWithFaces) {
   EXPECT_GT(probe.counts().flops, 0u);
 }
 
+TEST(KernelsTraced, FluxFlopsFollowThePerFaceFormula) {
+  // The probe's FLOP tally: EFM charges a fixed cost per face, Godunov a
+  // per-face cost plus one per exact-Riemann iteration. Smoothly varying
+  // data, so the Riemann solver iterates and both terms count.
+  const GasModel gas = air_only();
+  const Box interior{0, 0, 21, 17};
+  PatchData<double> u(interior, 2, kNcomp);
+  const Box g = u.grown_box();
+  for (int j = g.lo().j; j <= g.hi().j; ++j)
+    for (int i = g.lo().i; i <= g.hi().i; ++i) {
+      const Prim w{1.0 + 0.3 * std::sin(0.4 * i) * std::cos(0.3 * j),
+                   0.2 * std::sin(0.2 * i + 0.1 * j),
+                   -0.15 * std::cos(0.25 * j + 0.05 * i),
+                   1.0 + 0.2 * std::cos(0.3 * i - 0.2 * j), 1.0};
+      double U[kNcomp];
+      euler::prim_to_cons(w, gas, U);
+      for (int c = 0; c < kNcomp; ++c) u(i, j, c) = U[c];
+    }
+
+  hwc::XeonHierarchy mem;
+  for (Dir dir : {Dir::x, Dir::y}) {
+    SCOPED_TRACE(dir == Dir::x ? "Dir::x" : "Dir::y");
+    int nx = 0, ny = 0;
+    euler::face_dims(interior, dir, nx, ny);
+    Array2 l(nx, ny, kNcomp), r(nx, ny, kNcomp), flux(nx, ny, kNcomp);
+
+    hwc::CacheProbe states(&mem.l1);
+    euler::compute_states(u, interior, dir, gas, l, r, states);
+    EXPECT_GT(states.counts().loads, 0u);
+
+    hwc::CacheProbe efm(&mem.l1);
+    const auto e = euler::efm_flux_sweep(l, r, dir, gas, flux, efm);
+    EXPECT_EQ(efm.counts().flops, e.faces * euler::kEfmFlopsPerFace);
+
+    hwc::CacheProbe god(&mem.l1);
+    const auto k = euler::godunov_flux_sweep(l, r, dir, gas, flux, god);
+    EXPECT_GT(k.riemann_iterations, 0u);
+    EXPECT_EQ(god.counts().flops,
+              k.faces * euler::kGodunovFlopsPerFace +
+                  k.riemann_iterations * euler::kGodunovFlopsPerIteration);
+  }
+  EXPECT_GT(mem.l1.counters().misses, 0u);
+}
+
 TEST(KernelsTraced, StridedSweepMissesMoreOnLargePatch) {
   // The deterministic version of Figs. 4-5: on a patch whose working set
   // exceeds the 512 kB cache, the Y (strided) sweep incurs far more cache

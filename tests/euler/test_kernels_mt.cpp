@@ -1,9 +1,7 @@
 // Thread-parallel kernel wrappers (DESIGN.md §9): the _mt sweeps must be
 // bit-identical to the serial kernels for any lane count, called at top
-// level or nested inside an outer region where idle lanes help, their integer
-// KernelCounts must match exactly, and the sharded counted sweeps must
-// report the same cache/probe counters no matter how many lanes replay
-// the slabs.
+// level or nested inside an outer region where idle lanes help, and their
+// integer KernelCounts must match exactly.
 
 #include <gtest/gtest.h>
 
@@ -143,71 +141,11 @@ TEST(KernelsMt, FluxDivergenceMatchesSerialBitExactly) {
   }
 }
 
-TEST(KernelsMt, CountedSweepsAreLaneCountInvariant) {
-  // The cache simulation keys on real addresses, so invariance is "same
-  // buffers, any lane count" — the sweeps are rerun over ONE set of
-  // arrays (they rewrite the same values, so reruns are idempotent).
-  const GasModel gas = two_gas();
-  const Box interior{0, 0, 21, 17};
-  const auto u = wavy_patch(interior, gas);
-  for (Dir dir : {Dir::x, Dir::y}) {
-    FacePair f(interior, dir);
-    Array2 efm(f.left.nx(), f.left.ny(), kNcomp);
-    Array2 god(f.left.nx(), f.left.ny(), kNcomp);
-    auto run_all = [&](ccaperf::ThreadPool& pool) {
-      struct {
-        euler::CountedSweep states, efm, god;
-      } r;
-      r.states = euler::compute_states_counted(pool, u, interior, dir, gas,
-                                               f.left, f.right);
-      r.efm = euler::efm_flux_sweep_counted(pool, f.left, f.right, dir, gas,
-                                            efm);
-      r.god = euler::godunov_flux_sweep_counted(pool, f.left, f.right, dir,
-                                                gas, god);
-      return r;
-    };
-
-    // Reference: the sharded sweep on a one-lane pool (pure serial replay).
-    ccaperf::ThreadPool pool1(1);
-    const auto ref = run_all(pool1);
-    const std::vector<double> left_ref = f.left.raw();
-    const std::vector<double> efm_ref = efm.raw();
-    const std::vector<double> god_ref = god.raw();
-    EXPECT_GT(ref.states.probe.loads, 0u);
-    EXPECT_GT(ref.states.l1_misses, 0u);
-    EXPECT_EQ(ref.efm.probe.flops,
-              ref.efm.kernel.faces * euler::kEfmFlopsPerFace);
-    EXPECT_EQ(ref.god.probe.flops,
-              ref.god.kernel.faces * euler::kGodunovFlopsPerFace +
-                  ref.god.kernel.riemann_iterations *
-                      euler::kGodunovFlopsPerIteration);
-
-    for (int lanes : {2, 3}) {
-      ccaperf::ThreadPool pool(lanes);
-      const auto got = run_all(pool);
-      EXPECT_EQ(f.left.raw(), left_ref);
-      EXPECT_EQ(efm.raw(), efm_ref);
-      EXPECT_EQ(god.raw(), god_ref);
-      for (auto [a, b] : {std::pair{got.states, ref.states},
-                          {got.efm, ref.efm},
-                          {got.god, ref.god}}) {
-        EXPECT_EQ(a.kernel.faces, b.kernel.faces) << "lanes=" << lanes;
-        EXPECT_EQ(a.kernel.riemann_iterations, b.kernel.riemann_iterations);
-        EXPECT_EQ(a.probe.loads, b.probe.loads) << "lanes=" << lanes;
-        EXPECT_EQ(a.probe.stores, b.probe.stores) << "lanes=" << lanes;
-        EXPECT_EQ(a.probe.flops, b.probe.flops) << "lanes=" << lanes;
-        EXPECT_EQ(a.l1_misses, b.l1_misses) << "lanes=" << lanes;
-        EXPECT_EQ(a.l2_misses, b.l2_misses) << "lanes=" << lanes;
-      }
-    }
-  }
-}
-
 TEST(KernelsMt, NestedInOuterRegionMatchesSerialBitExactly) {
   // RK2 calls the _mt kernels from inside its patch region, where idle
   // lanes help with the rows. Run every kernel from a one-job and a
-  // many-job outer region: faces, dU/dt, KernelCounts and the counted
-  // sweep's cache counters must equal the serial sweep exactly.
+  // many-job outer region: faces, dU/dt and KernelCounts must equal the
+  // serial sweep exactly.
   const GasModel gas = two_gas();
   const Box interior{0, 0, 29, 17};
   const auto u = wavy_patch(interior, gas);
@@ -218,14 +156,13 @@ TEST(KernelsMt, NestedInOuterRegionMatchesSerialBitExactly) {
     Array2 efm, god_x, god_y;
     PatchData<double> dudt{Box{0, 0, 29, 17}, 0, kNcomp};
     euler::KernelCounts states, efm_c, god_c;
-    euler::CountedSweep counted;
     Out() {
       efm = Array2(xs.left.nx(), xs.left.ny(), kNcomp);
       god_x = Array2(xs.left.nx(), xs.left.ny(), kNcomp);
       god_y = Array2(ys.left.nx(), ys.left.ny(), kNcomp);
     }
   };
-  auto run = [&](ccaperf::ThreadPool& pool, Out& o, bool counted) {
+  auto run = [&](ccaperf::ThreadPool& pool, Out& o) {
     o.states = euler::compute_states_mt(pool, u, interior, Dir::x, gas,
                                         o.xs.left, o.xs.right);
     o.states += euler::compute_states_mt(pool, u, interior, Dir::y, gas,
@@ -237,10 +174,6 @@ TEST(KernelsMt, NestedInOuterRegionMatchesSerialBitExactly) {
     o.god_c += euler::godunov_flux_sweep_mt(pool, o.ys.left, o.ys.right,
                                             Dir::y, gas, o.god_y);
     euler::flux_divergence_mt(pool, o.god_x, o.god_y, interior, dx, dy, o.dudt);
-    if (counted)
-      o.counted = euler::godunov_flux_sweep_counted(pool, o.ys.left,
-                                                    o.ys.right, Dir::y, gas,
-                                                    o.god_y);
   };
   auto same = [](const Out& a, const Out& b) {
     EXPECT_EQ(a.xs.left.raw(), b.xs.left.raw());
@@ -260,33 +193,17 @@ TEST(KernelsMt, NestedInOuterRegionMatchesSerialBitExactly) {
 
   ccaperf::ThreadPool serial(1);
   Out ref;
-  run(serial, ref, false);
+  run(serial, ref);
 
   for (int lanes : {2, 3, 8}) {
     for (std::size_t jobs : {std::size_t{1}, std::size_t{6}}) {
       ccaperf::ThreadPool pool(lanes);
       std::vector<Out> outs(jobs);
-      // The cache simulation keys on addresses, so each job's counted
-      // reference is a serial replay over that job's own buffers.
-      std::vector<euler::CountedSweep> counted_ref(jobs);
-      for (std::size_t k = 0; k < jobs; ++k) {
-        run(serial, outs[k], true);
-        counted_ref[k] = outs[k].counted;
-      }
-      pool.parallel_for(jobs, [&](std::size_t k, int) { run(pool, outs[k], true); });
+      pool.parallel_for(jobs, [&](std::size_t k, int) { run(pool, outs[k]); });
       for (std::size_t k = 0; k < jobs; ++k) {
         SCOPED_TRACE("lanes=" + std::to_string(lanes) +
                      " jobs=" + std::to_string(jobs) + " k=" + std::to_string(k));
         same(outs[k], ref);
-        const euler::CountedSweep& a = outs[k].counted;
-        const euler::CountedSweep& b = counted_ref[k];
-        EXPECT_EQ(a.kernel.faces, b.kernel.faces);
-        EXPECT_EQ(a.kernel.riemann_iterations, b.kernel.riemann_iterations);
-        EXPECT_EQ(a.probe.loads, b.probe.loads);
-        EXPECT_EQ(a.probe.stores, b.probe.stores);
-        EXPECT_EQ(a.probe.flops, b.probe.flops);
-        EXPECT_EQ(a.l1_misses, b.l1_misses);
-        EXPECT_EQ(a.l2_misses, b.l2_misses);
       }
     }
   }

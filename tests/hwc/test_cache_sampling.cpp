@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 #include "hwc/cache_sim.hpp"
 
@@ -90,29 +89,6 @@ TEST(CacheSampling, SeedShiftsPhaseDeterministically) {
   // A different phase samples the same volume of a uniform-batch stream.
   const auto b = counters_for_seed(7);
   EXPECT_EQ(a1.accesses, b.accesses);
-}
-
-TEST(CacheSampling, EnvStrideParses) {
-  ASSERT_EQ(setenv("CCAPERF_CACHESIM_SAMPLE", "16", 1), 0);
-  EXPECT_EQ(hwc::env_sample_stride(), 16u);
-  ASSERT_EQ(setenv("CCAPERF_CACHESIM_SAMPLE", "", 1), 0);
-  EXPECT_EQ(hwc::env_sample_stride(), 1u);
-  ASSERT_EQ(unsetenv("CCAPERF_CACHESIM_SAMPLE"), 0);
-  EXPECT_EQ(hwc::env_sample_stride(), 1u);
-}
-
-TEST(CacheSampling, GovernorStrideFloorsEnvStride) {
-  ASSERT_EQ(unsetenv("CCAPERF_CACHESIM_SAMPLE"), 0);
-  hwc::set_governor_sample_stride(8);
-  EXPECT_EQ(hwc::env_sample_stride(), 8u);
-  // The floor composes with the env knob: the coarser of the two wins.
-  ASSERT_EQ(setenv("CCAPERF_CACHESIM_SAMPLE", "16", 1), 0);
-  EXPECT_EQ(hwc::env_sample_stride(), 16u);
-  hwc::set_governor_sample_stride(64);
-  EXPECT_EQ(hwc::env_sample_stride(), 64u);
-  hwc::set_governor_sample_stride(1);
-  EXPECT_EQ(hwc::env_sample_stride(), 16u);
-  ASSERT_EQ(unsetenv("CCAPERF_CACHESIM_SAMPLE"), 0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Per-thread registry shards (tau/shards.hpp): deterministic fold of
 // worker-lane timers/events into the rank's primary registry, visibility
-// through the generation/touch machinery, and epoch-aligned shard tracing.
+// through the per-timer generation stamps, and epoch-aligned shard tracing.
 
 #include "tau/shards.hpp"
 
@@ -66,7 +66,7 @@ TEST(RegistryShards, MergeIsVisibleToSnapshotDelta) {
   tau::Registry primary;
   tau::RegistryShards shards(primary, 2);
   const tau::Generation before = primary.generation();
-  (void)primary.snapshot_delta(before);  // settle the generation
+  EXPECT_EQ(primary.timers_changed_since(before), 0u);
 
   tau::Registry& s = shards.shard(1);
   const tau::TimerId id = s.timer("patch_work", "PROXY");
@@ -74,7 +74,8 @@ TEST(RegistryShards, MergeIsVisibleToSnapshotDelta) {
   s.stop(id);
   shards.merge_into_primary();
 
-  const auto rows = by_name(primary.snapshot_delta(before));
+  EXPECT_EQ(primary.timers_changed_since(before), 1u);
+  const auto rows = by_name(primary.snapshot());
   ASSERT_EQ(rows.count("patch_work"), 1u);
   EXPECT_EQ(rows.at("patch_work").calls, 1u);
 }
