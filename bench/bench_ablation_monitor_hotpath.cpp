@@ -23,7 +23,6 @@
 // track the trajectory.
 
 #include <chrono>
-#include <fstream>
 #include <map>
 
 #include "bench_common.hpp"
@@ -129,28 +128,6 @@ struct ScalarMonitor {
   std::vector<Invocation> rows_;
 };
 
-struct JsonEntry {
-  std::string name;
-  std::string metric;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<JsonEntry>& entries) {
-  std::ofstream os(path);
-  if (!os) {
-    std::cout << "warning: cannot open " << path << " (run from the repo root)\n";
-    return;
-  }
-  os << "[\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    os << "  {\"name\": \"" << entries[i].name << "\", \"metric\": \""
-       << entries[i].metric << "\", \"value\": " << entries[i].value << "}"
-       << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  std::cout << "series written to " << path << '\n';
-}
-
 }  // namespace
 
 int main() {
@@ -217,10 +194,11 @@ int main() {
         ccaperf::fmt_double(handle_ns, 1) + " ns handle path (was " +
             ccaperf::fmt_double(scalar_ns, 1) + " ns scalar recipe)"}});
 
-  write_json("bench_out/monitor_hotpath.json",
-             {{"monitor_hotpath", "q", q},
-              {"monitor_hotpath", "scalar_ns_per_invocation", scalar_ns},
-              {"monitor_hotpath", "handle_ns_per_invocation", handle_ns},
-              {"monitor_hotpath", "scalar_vs_handle_speedup", speedup_scalar}});
+  bench::write_bench_json(
+      "bench_out/monitor_hotpath.json",
+      {{"monitor_hotpath", "q", q},
+       {"monitor_hotpath", "scalar_ns_per_invocation", scalar_ns},
+       {"monitor_hotpath", "handle_ns_per_invocation", handle_ns},
+       {"monitor_hotpath", "scalar_vs_handle_speedup", speedup_scalar}});
   return 0;
 }

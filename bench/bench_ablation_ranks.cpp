@@ -4,7 +4,9 @@
 // flat collectives and per-pair delivery state were the pieces whose cost
 // grew superlinearly with rank count. This bench sweeps in-process world
 // sizes 2..256 over a fig01-style step loop — ring ghost exchange, a dt
-// allreduce, a barrier, a periodic allgatherv — and reports, per size:
+// allreduce, a barrier, and every 4 steps the regrid flag merge (an
+// in-place OR allreduce over a byte field, as Hierarchy::merge_flags
+// does) — and reports, per size:
 //
 //   * step_us        per-step wall time on rank 0 (the gated series; on an
 //                    oversubscribed box wall time ~ total work / cores, so
@@ -13,9 +15,11 @@
 //   * p2p_wait_us    per-step time rank 0 spends waiting on ghost messages
 //                    (the fabric progress cost of the loop).
 //
-// Weak scaling holds per-rank payloads fixed; strong scaling divides a
-// fixed total payload across ranks. A micro section reports the per-call
-// cost of each of the eight collectives at 64 and 256 ranks (ungated).
+// Weak scaling holds per-rank payloads fixed (ghosts, and a flag field
+// that grows by 512 B per rank); strong scaling divides a fixed ghost
+// total across ranks and keeps a fixed 64 KiB flag field. A micro section
+// reports the per-call cost of barrier and allreduce at 64 and 256 ranks
+// (ungated).
 //
 // Gating (scripts/bench_gate.py vs bench/baselines/ranks.json): on an
 // oversubscribed single-core runner wall time equals serialized total
@@ -48,14 +52,21 @@ struct StepCost {
   double p2p_wait_us = 0.0;    ///< ghost-wait per step, rank 0
 };
 
+/// OR-combines regrid flags, as Hierarchy::merge_flags does.
+void or_flags(void* acc, const void* in, std::size_t count) {
+  auto* a = static_cast<char*>(acc);
+  const auto* b = static_cast<const char*>(in);
+  for (std::size_t k = 0; k < count; ++k) a[k] = a[k] || b[k] ? 1 : 0;
+}
+
 /// One measured run of the fig01-style loop at `nranks`. `ghost_bytes` is
-/// the per-neighbor message size, `gatherv_elems` the per-rank allgatherv
-/// contribution (both already scaled by the caller for weak vs strong).
+/// the per-neighbor message size, `flag_bytes` the size of the merged flag
+/// field (both already scaled by the caller for weak vs strong).
 /// Small worlds run proportionally more steps: their per-step time is
 /// microseconds, so without the extra averaging the fit's low anchor —
 /// and with it the gated exponent — would be timer-noise-bound.
 StepCost step_loop(int nranks, int steps, std::size_t ghost_bytes,
-                   std::size_t gatherv_elems) {
+                   std::size_t flag_bytes) {
   steps *= std::max(1, 64 / nranks);
   StepCost out;
   mpp::Runtime::run(nranks, mpp::NetworkModel::null_model(),
@@ -64,10 +75,12 @@ StepCost step_loop(int nranks, int steps, std::size_t ghost_bytes,
     const int next = (world.rank() + 1) % n;
     const int prev = (world.rank() + n - 1) % n;
     std::vector<std::byte> ghost_out(ghost_bytes), ghost_in(ghost_bytes);
-    const auto nz = static_cast<std::size_t>(n);
-    std::vector<std::size_t> counts(nz, gatherv_elems);
-    std::vector<long> mine(gatherv_elems, world.rank());
-    std::vector<long> all(gatherv_elems * nz);
+    // Each rank flags its own stripe of the field; the merge overwrites it,
+    // but the OR's cost does not depend on the values.
+    std::vector<char> flags(flag_bytes);
+    for (std::size_t k = static_cast<std::size_t>(world.rank()); k < flag_bytes;
+         k += static_cast<std::size_t>(n))
+      flags[k] = 1;
 
     double collective_us = 0.0, wait_us = 0.0;
     auto one_step = [&](int step) {
@@ -80,11 +93,12 @@ StepCost step_loop(int nranks, int steps, std::size_t ghost_bytes,
       rr.wait();
       sr.wait();
       wait_us += (world.wtime() - w0) * 1e6;
-      // dt reduction + step barrier, plus a periodic regrid-style gatherv.
+      // dt reduction + step barrier, plus the periodic regrid flag merge.
       const double c0 = world.wtime();
       (void)world.allreduce_value<mpp::MinOp<double>>(1.0 + world.rank());
       world.barrier();
-      if (step % 4 == 0) world.allgatherv<long>(mine, all, counts);
+      if (step % 4 == 0)
+        world.allreduce_bytes(flags.data(), flags.data(), 1, flag_bytes, &or_flags);
       collective_us += (world.wtime() - c0) * 1e6;
     };
 
@@ -129,26 +143,20 @@ double loglog_exponent(const std::vector<int>& ranks,
 }
 
 /// The collectives timed by the micro section, in report order.
-constexpr const char* kMicroOps[] = {
-    "barrier", "bcast",  "reduce",     "allreduce",
-    "allgather", "gather", "allgatherv", "alltoall"};
+constexpr const char* kMicroOps[] = {"barrier", "allreduce"};
 constexpr std::size_t kNumMicroOps = std::size(kMicroOps);
 
-/// Per-call time of every collective at `nranks`: the slowest rank's time
+/// Per-call time of each collective at `nranks`: the slowest rank's time
 /// per call in a block of `reps` calls, best of `blocks` blocks (scheduler
-/// contention only ever adds time). The slowest rank, because a root that
-/// only sends (bcast) or a leaf that only sends (reduce, gather) leaves
-/// early. Payloads are 512 B per rank: 64 longs for bcast/reduce/allreduce
-/// and the gathers, 8 longs per destination for alltoall.
+/// contention only ever adds time). The slowest rank, because a leaf of
+/// the allreduce tree that hands its part up early still waits for the
+/// broadcast. The allreduce payload is 64 longs (512 B).
 std::array<double, kNumMicroOps> micro_collectives(int nranks, int reps,
                                                    int blocks) {
   std::array<double, kNumMicroOps> out{};
   mpp::Runtime::run(nranks, mpp::NetworkModel::null_model(),
                     [&](mpp::Comm& world) {
-    const auto nz = static_cast<std::size_t>(world.size());
-    std::vector<long> mine(64, world.rank()), red(64), all(64 * nz);
-    const std::vector<std::size_t> counts(nz, 64);
-    std::vector<long> a2a_in(8 * nz, world.rank()), a2a_out(8 * nz);
+    std::vector<long> mine(64, world.rank()), red(64);
     auto best_of = [&](auto&& op) {
       op();  // warm-up
       double best = std::numeric_limits<double>::max();
@@ -164,13 +172,7 @@ std::array<double, kNumMicroOps> micro_collectives(int nranks, int reps,
     };
     const std::array<double, kNumMicroOps> us = {
         best_of([&] { world.barrier(); }),
-        best_of([&] { world.bcast<long>(mine, 0); }),
-        best_of([&] { world.reduce<long>(mine, red, 0); }),
         best_of([&] { world.allreduce<long>(mine, red); }),
-        best_of([&] { world.allgather<long>(mine, all); }),
-        best_of([&] { world.gather<long>(mine, all, 0); }),
-        best_of([&] { world.allgatherv<long>(mine, all, counts); }),
-        best_of([&] { world.alltoall<long>(a2a_in, a2a_out); }),
     };
     if (world.rank() == 0) out = us;
   });
@@ -189,14 +191,14 @@ int main() {
   std::cout << "Ablation: fabric rank scaling — fig01-style step loop, "
             << steps << " steps, ranks up to " << sweep.back() << "\n\n";
 
-  // Weak scaling: fixed per-rank payloads (4 KiB ghosts, 64-element
-  // gatherv chunk) — total traffic grows with the world.
+  // Weak scaling: fixed per-rank payloads (4 KiB ghosts, 512 B of flag
+  // field per rank) — total traffic grows with the world.
   std::vector<double> weak_us;
   std::vector<bench::JsonEntry> json;
   ccaperf::TextTable weak_t;
   weak_t.set_header({"ranks", "step [us]", "collective [us]", "p2p wait [us]"});
   for (int n : sweep) {
-    const StepCost c = step_loop(n, steps, 4096, 64);
+    const StepCost c = step_loop(n, steps, 4096, 512 * static_cast<std::size_t>(n));
     weak_us.push_back(c.step_us);
     weak_t.add_row({std::to_string(n), ccaperf::fmt_double(c.step_us, 5),
                     ccaperf::fmt_double(c.collective_us, 5),
@@ -212,15 +214,14 @@ int main() {
   std::cout << "weak log-log exponent: " << ccaperf::fmt_double(weak_exp, 3)
             << "  (1 = linear total work; flat collectives trend to 2)\n\n";
 
-  // Strong scaling: fixed totals (128 KiB of ghost traffic, 8192 gatherv
-  // elements) divided across ranks.
+  // Strong scaling: a fixed 128 KiB of ghost traffic divided across ranks,
+  // and a fixed 64 KiB flag field.
   std::vector<double> strong_us;
   ccaperf::TextTable strong_t;
   strong_t.set_header({"ranks", "step [us]", "collective [us]", "p2p wait [us]"});
   for (int n : sweep) {
     const auto nz = static_cast<std::size_t>(n);
-    const StepCost c =
-        step_loop(n, steps, (128 * 1024) / nz, std::max<std::size_t>(1, 8192 / nz));
+    const StepCost c = step_loop(n, steps, (128 * 1024) / nz, 64 * 1024);
     strong_us.push_back(c.step_us);
     strong_t.add_row({std::to_string(n), ccaperf::fmt_double(c.step_us, 5),
                       ccaperf::fmt_double(c.collective_us, 5),
@@ -233,7 +234,7 @@ int main() {
   std::cout << "strong log-log exponent: "
             << ccaperf::fmt_double(strong_exp, 3) << "\n\n";
 
-  // Per-call cost of every collective at 64 and 256 ranks. Reported, not
+  // Per-call cost of each collective at 64 and 256 ranks. Reported, not
   // gated: between runs these spread wider than the gate tolerance.
   std::vector<int> micro_sizes;
   for (int n : {64, 256})

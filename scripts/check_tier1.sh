@@ -354,8 +354,8 @@ if want tsan; then
   echo "== thread-sanitized concurrency suites (${TSAN_DIR}) =="
   # Lock-ordering-sensitive paths: the mpp fault layer (indexed fault
   # queues, dedupe windows under the mailbox lock), every collective on
-  # the per-rank hop slots (1-8 ranks, 64/129 ranks, dup/split,
-  # deterministic reductions, aborts mid-collective), the threaded-rank
+  # the per-rank hop slots (1-8 ranks, 64/129 ranks, dup, deterministic
+  # reductions, aborts mid-collective), the threaded-rank
   # layer (work-stealing pool and its nested helping: ThreadPool.* holds
   # the nested-call contract cases, KernelsMt.* the kernels called from
   # one-job and many-job outer regions; sharded registries,
@@ -371,7 +371,7 @@ if want tsan; then
     --target test_mpp test_amr test_support test_core test_euler test_tau \
              test_telemetry_hub test_components
   "${TSAN_DIR}/tests/mpp/test_mpp" \
-    --gtest_filter='FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*SplitProperty*:*DeterministicReductions.*:*AbortInCollective.*'
+    --gtest_filter='FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*DeterministicReductions.*:*AbortInCollective.*'
   "${TSAN_DIR}/tests/amr/test_amr" \
     --gtest_filter='ExchangeFaults.*'
   "${TSAN_DIR}/tests/support/test_support" \

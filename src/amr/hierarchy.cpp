@@ -267,15 +267,13 @@ void Hierarchy::restrict_level(int fine_l) {
 
 void Hierarchy::merge_flags(FlagField& flags) {
   auto bytes = flags.raw();
-  std::vector<char> merged(bytes.size());
-  comm_.allreduce_bytes(bytes.data(), merged.data(), sizeof(char), bytes.size(),
+  comm_.allreduce_bytes(bytes.data(), bytes.data(), sizeof(char), bytes.size(),
                         [](void* acc, const void* in, std::size_t count) {
                           auto* a = static_cast<char*>(acc);
                           const auto* b = static_cast<const char*>(in);
                           for (std::size_t k = 0; k < count; ++k)
                             a[k] = a[k] || b[k] ? 1 : 0;
                         });
-  std::copy(merged.begin(), merged.end(), bytes.begin());
 }
 
 void Hierarchy::regrid(const FlagFn& flag_fn, const BcSpec& bc) {

@@ -18,7 +18,7 @@ namespace amr {
 struct PatchInfo {
   int id = -1;     ///< unique within the level
   Box box;         ///< interior cells, level index space
-  int owner = 0;   ///< owning rank (group rank in the mesh communicator)
+  int owner = 0;   ///< owning rank in the mesh communicator
 };
 
 class Level {

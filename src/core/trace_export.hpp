@@ -8,7 +8,7 @@
 //    invocations carrying a slice argument (e.g. Q) keep it as args;
 //  * hardware-counter samples become counter tracks ("C");
 //  * matched point-to-point message endpoints become flow arrows
-//    ("s"/"f"), drawn from inside the sender's MPI_Send/MPI_Isend slice
+//    ("s"/"f"), drawn from inside the sender's MPI_Isend slice
 //    to inside the receiver's completion slice. Matching is exact, by the
 //    fabric's (src, dst, seq) identity — never inferred from timestamps.
 //

@@ -4,8 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <thread>
 
 namespace mpp {
@@ -319,21 +317,11 @@ void wait_all(std::span<Request> reqs) {
 // Point to point
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<detail::ReqState> Comm::make_send_state(int tag, std::size_t bytes) {
-  auto st = std::make_shared<detail::ReqState>();
-  st->kind = detail::ReqState::Kind::send;
-  st->status = Status{group_rank_, tag, bytes};
-  st->signal = &fabric_->signal(my_world_rank());
-  st->abort_flag = fabric_->abort_flag();
-  st->fabric = fabric_;
-  return st;
-}
-
 void Comm::report_stale_fallback(std::size_t segments) {
   fabric_->count_stale_fallback();
   if (CommHooks* h = hooks())
     h->on_fault(FaultEvent{FaultEvent::Type::stale_fallback, FaultKind::none,
-                           -1, my_world_rank(), 0,
+                           -1, rank_, 0,
                            static_cast<std::uint32_t>(segments)});
 }
 
@@ -343,17 +331,15 @@ void Comm::deliver(int dest, int tag, const void* data, std::size_t bytes,
     deliver_faulty(dest, tag, data, bytes, sender);
     return;
   }
-  const double delay = fabric_->delay_us(my_world_rank(), bytes);
+  const double delay = fabric_->delay_us(rank_, bytes);
   const Clock::time_point deliver_at = stamp_delay(delay);
 
   // Message identity for hooks/tracing: stamped on the sender state before
   // it is shared, copied to the receiver state at match time (under the
   // mailbox lock / before the matched release-store).
-  const int src_w = my_world_rank();
-  const int dst_w = world_rank_of(dest);
-  sender->src_world = src_w;
-  sender->dst_world = dst_w;
-  sender->seq = fabric_->next_pair_seq(src_w, dst_w);
+  sender->src_world = rank_;
+  sender->dst_world = dest;
+  sender->seq = fabric_->next_pair_seq(rank_, dest);
 
   detail::Mailbox& mb = fabric_->mailbox(context_, dest);
   std::shared_ptr<detail::ReqState> completed;
@@ -361,14 +347,14 @@ void Comm::deliver(int dest, int tag, const void* data, std::size_t bytes,
   {
     std::scoped_lock lock(mb.mu);
     for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-      if (matches(it->src, it->tag, group_rank_, tag)) {
+      if (matches(it->src, it->tag, rank_, tag)) {
         CCAPERF_REQUIRE(bytes <= it->capacity,
                         "message truncation: receive buffer too small");
         if (bytes > 0) std::memcpy(it->buffer, data, bytes);
-        it->state->status = Status{group_rank_, tag, bytes};
+        it->state->status = Status{rank_, tag, bytes};
         it->state->deliver_at = deliver_at;
-        it->state->src_world = src_w;
-        it->state->dst_world = dst_w;
+        it->state->src_world = rank_;
+        it->state->dst_world = dest;
         it->state->seq = sender->seq;
         completed = it->state;
         mb.posted.erase(it);
@@ -377,11 +363,11 @@ void Comm::deliver(int dest, int tag, const void* data, std::size_t bytes,
     }
     if (!completed) {
       detail::ParkedMessage msg;
-      msg.src = group_rank_;
+      msg.src = rank_;
       msg.tag = tag;
       msg.deliver_at = deliver_at;
-      msg.src_world = src_w;
-      msg.dst_world = dst_w;
+      msg.src_world = rank_;
+      msg.dst_world = dest;
       msg.seq = sender->seq;
       if (bytes >= Fabric::kRendezvousBytes) {
         // Rendezvous: park a descriptor into the sender's buffer; the
@@ -405,7 +391,7 @@ void Comm::deliver(int dest, int tag, const void* data, std::size_t bytes,
   fabric_->note_activity();
   if (completed) {
     completed->matched.store(true, std::memory_order_release);
-    fabric_->signal(world_rank_of(dest)).notify();
+    fabric_->signal(dest).notify();
   }
 }
 
@@ -414,22 +400,20 @@ void Comm::deliver_faulty(int dest, int tag, const void* data, std::size_t bytes
   // Sends drive fault-layer progress too, so a pure send phase still
   // releases earlier held messages deterministically.
   fabric_->fault_poll();
-  fabric_->maybe_stall(my_world_rank());
+  fabric_->maybe_stall(rank_);
 
-  const double delay = fabric_->delay_us(my_world_rank(), bytes);
+  const double delay = fabric_->delay_us(rank_, bytes);
   const Clock::time_point deliver_at = stamp_delay(delay);
-  const int src_w = my_world_rank();
-  const int dst_w = world_rank_of(dest);
-  sender->src_world = src_w;
-  sender->dst_world = dst_w;
-  sender->seq = fabric_->next_pair_seq(src_w, dst_w);
+  sender->src_world = rank_;
+  sender->dst_world = dest;
+  sender->seq = fabric_->next_pair_seq(rank_, dest);
 
   detail::ParkedMessage msg;
-  msg.src = group_rank_;
+  msg.src = rank_;
   msg.tag = tag;
   msg.deliver_at = deliver_at;
-  msg.src_world = src_w;
-  msg.dst_world = dst_w;
+  msg.src_world = rank_;
+  msg.dst_world = dest;
   msg.seq = sender->seq;
   if (bytes > 0) {
     // Always a staged copy: the message may outlive this call in the hold
@@ -450,33 +434,33 @@ void Comm::deliver_faulty(int dest, int tag, const void* data, std::size_t bytes
   {
     detail::Mailbox& mb = fabric_->mailbox(context_, dest);
     std::scoped_lock lock(mb.mu);
-    msg.dseq = ++mb.dedupe_next[src_w];
+    msg.dseq = ++mb.dedupe_next[rank_];
   }
 
   const FaultDecision d =
-      fabric_->fault_plan().decide(src_w, dst_w, sender->seq, 1);
+      fabric_->fault_plan().decide(rank_, dest, sender->seq, 1);
   switch (d.kind) {
     case FaultKind::none:
-      fabric_->route(context_, dest, dst_w, std::move(msg));
+      fabric_->route(context_, dest, std::move(msg));
       break;
     case FaultKind::drop:
       fabric_->injected_drops_.fetch_add(1, std::memory_order_relaxed);
       Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::drop,
-                                    src_w, dst_w, sender->seq, 0});
-      fabric_->fault_lose(context_, dest, dst_w, std::move(msg));
+                                    rank_, dest, sender->seq, 0});
+      fabric_->fault_lose(context_, dest, std::move(msg));
       break;
     case FaultKind::delay:
       fabric_->injected_delays_.fetch_add(1, std::memory_order_relaxed);
       Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::delay,
-                                    src_w, dst_w, sender->seq,
+                                    rank_, dest, sender->seq,
                                     static_cast<std::uint32_t>(d.delay_steps)});
-      fabric_->fault_hold(context_, dest, dst_w, std::move(msg), d.delay_steps,
+      fabric_->fault_hold(context_, dest, std::move(msg), d.delay_steps,
                           false);
       break;
     case FaultKind::duplicate: {
       fabric_->injected_duplicates_.fetch_add(1, std::memory_order_relaxed);
       Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected,
-                                    FaultKind::duplicate, src_w, dst_w,
+                                    FaultKind::duplicate, rank_, dest,
                                     sender->seq, 0});
       detail::ParkedMessage clone;
       clone.src = msg.src;
@@ -490,18 +474,18 @@ void Comm::deliver_faulty(int dest, int tag, const void* data, std::size_t bytes
         clone.payload = fabric_->pool().acquire(msg.payload.size());
         std::memcpy(clone.payload.data(), msg.payload.data(), msg.payload.size());
       }
-      fabric_->route(context_, dest, dst_w, std::move(msg));
-      fabric_->fault_hold(context_, dest, dst_w, std::move(clone), 1, false);
+      fabric_->route(context_, dest, std::move(msg));
+      fabric_->fault_hold(context_, dest, std::move(clone), 1, false);
       break;
     }
     case FaultKind::reorder:
       fabric_->injected_reorders_.fetch_add(1, std::memory_order_relaxed);
       Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected,
-                                    FaultKind::reorder, src_w, dst_w,
+                                    FaultKind::reorder, rank_, dest,
                                     sender->seq, 0});
       // Overtaken by the pair's next routed message, with a step-count
       // fallback so the last message of a pair is never stranded.
-      fabric_->fault_hold(context_, dest, dst_w, std::move(msg),
+      fabric_->fault_hold(context_, dest, std::move(msg),
                           fabric_->fault_plan().spec().max_delay_steps + 2, true);
       break;
     case FaultKind::stall:
@@ -517,7 +501,12 @@ Request Comm::isend_bytes(const void* data, std::size_t bytes, int dest, int tag
   CCAPERF_REQUIRE(valid(), "isend on invalid communicator");
   CCAPERF_REQUIRE(dest >= 0 && dest < size(), "isend: destination out of range");
 
-  auto st = make_send_state(tag, bytes);
+  auto st = std::make_shared<detail::ReqState>();
+  st->kind = detail::ReqState::Kind::send;
+  st->status = Status{rank_, tag, bytes};
+  st->signal = &fabric_->signal(rank_);
+  st->abort_flag = fabric_->abort_flag();
+  st->fabric = fabric_;
   deliver(dest, tag, data, bytes, st);
   emit_send_event(*st);
   return Request(std::move(st));
@@ -531,10 +520,10 @@ Request Comm::irecv_bytes(void* buffer, std::size_t capacity, int src, int tag) 
 
   auto st = std::make_shared<detail::ReqState>();
   st->kind = detail::ReqState::Kind::recv;
-  st->signal = &fabric_->signal(my_world_rank());
+  st->signal = &fabric_->signal(rank_);
   st->abort_flag = fabric_->abort_flag();
   st->fabric = fabric_;
-  detail::Mailbox& mb = fabric_->mailbox(context_, group_rank_);
+  detail::Mailbox& mb = fabric_->mailbox(context_, rank_);
   st->mailbox = &mb;
   std::shared_ptr<detail::ReqState> sender;  // rendezvous send to complete
   {
@@ -596,41 +585,14 @@ Request Comm::irecv_bytes(void* buffer, std::size_t capacity, int src, int tag) 
   return Request(std::move(st));
 }
 
-void Comm::send_bytes(const void* data, std::size_t bytes, int dest, int tag) {
-  HookScope hook("MPI_Send()");
-  hook.set_bytes(bytes);
-  CCAPERF_REQUIRE(valid(), "send on invalid communicator");
-  CCAPERF_REQUIRE(dest >= 0 && dest < size(), "send: destination out of range");
-  auto st = make_send_state(tag, bytes);
-  deliver(dest, tag, data, bytes, st);
-  emit_send_event(*st);
-  // Small sends are buffered and complete locally; a rendezvous send
-  // blocks here until the matching receive has copied the data out.
-  Request(std::move(st)).wait_no_hook();
-}
-
-Status Comm::recv_bytes(void* buffer, std::size_t capacity, int src, int tag) {
-  HookScope hook("MPI_Recv()");
-  // Build the receive without the MPI_Irecv hook (this *is* the MPI call).
-  Request req;
-  {
-    HooksInstaller mute(nullptr);
-    req = irecv_bytes(buffer, capacity, src, tag);
-  }
-  Status s = req.wait_no_hook();
-  hook.set_bytes(s.bytes);
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // Collectives
 // ---------------------------------------------------------------------------
 //
 // Every collective runs over per-rank HopSlot relays: a dissemination
-// barrier, Bruck allgather/allgatherv, binomial-tree bcast and reduce
-// (allreduce = reduce to rank 0 + bcast), and direct hops for gather and
-// alltoall — O(log n) rounds per rank for the tree ops, for any group size
-// (no power-of-two requirement). Internal hops open no hook bracket and
+// barrier and binomial-tree reduce and bcast (allreduce = reduce to rank 0
+// + bcast; dup broadcasts the new context id) — O(log n) rounds per rank,
+// for any rank count (no power-of-two requirement). Internal hops open no hook bracket and
 // draw no modeled delay: each public call keeps one MPI hook bracket and
 // exactly one NetworkModel draw per rank, with the bytes the MPI call
 // moves, so clean-run traces and counters do not depend on the algorithm.
@@ -647,12 +609,12 @@ int tree_rounds(int n) {
 
 std::uint64_t Comm::next_generation() const {
   CCAPERF_REQUIRE(valid(), "collective on invalid communicator");
-  return ++hop_slot(group_rank_).generation;
+  return ++hop_slot(rank_).generation;
 }
 
-void Comm::hop_send(int dest_group, std::uint64_t gen, int round,
+void Comm::hop_send(int dest, std::uint64_t gen, int round,
                     const void* data, std::size_t bytes, const char* op) const {
-  detail::HopSlot& slot = hop_slot(dest_group);
+  detail::HopSlot& slot = hop_slot(dest);
   std::vector<std::byte> payload;
   if (bytes > 0) {
     payload = fabric_->pool().acquire(bytes);
@@ -665,12 +627,12 @@ void Comm::hop_send(int dest_group, std::uint64_t gen, int round,
   }
   fabric_->note_activity();
   if (CommHooks* h = hooks())
-    h->on_collective_hop(HopEvent{op, round, world_rank_of(dest_group), bytes});
+    h->on_collective_hop(HopEvent{op, round, dest, bytes});
 }
 
 void Comm::hop_recv(std::uint64_t gen, int round, void* out, std::size_t bytes,
                     const char* op) const {
-  detail::HopSlot& slot = hop_slot(group_rank_);
+  detail::HopSlot& slot = hop_slot(rank_);
   const auto key = std::make_pair(gen, round);
   std::vector<std::byte> payload;
   // Bounded quanta with Request::wait's timeout and no-progress bounds: a
@@ -703,76 +665,37 @@ void Comm::hop_recv(std::uint64_t gen, int round, void* out, std::size_t bytes,
 }
 
 void Comm::tree_bcast(std::uint64_t gen, int round, void* data, std::size_t bytes,
-                      int root, const char* op) const {
-  // Relative rank `rel` receives once, from rel minus its lowest set bit,
-  // then forwards to rel + 2^k for every 2^k below that bit. One receive
-  // per rank, so every hop can carry the same round.
+                      const char* op) const {
+  // Rank r receives once, from r minus its lowest set bit, then forwards
+  // to r + 2^k for every 2^k below that bit. One receive per rank, so every
+  // hop can carry the same round.
   const int n = size();
-  const int rel = (group_rank_ - root + n) % n;
   int mask = 1;
-  while (mask < n && (rel & mask) == 0) mask <<= 1;
-  if (rel != 0) hop_recv(gen, round, data, bytes, op);
+  while (mask < n && (rank_ & mask) == 0) mask <<= 1;
+  if (rank_ != 0) hop_recv(gen, round, data, bytes, op);
   for (mask >>= 1; mask > 0; mask >>= 1)
-    if (rel + mask < n) hop_send((rel + mask + root) % n, gen, round, data, bytes, op);
+    if (rank_ + mask < n) hop_send(rank_ + mask, gen, round, data, bytes, op);
 }
 
 void Comm::tree_reduce(std::uint64_t gen, void* acc, std::size_t bytes,
-                       std::size_t count, CombineFn combine, int root,
-                       const char* op) const {
-  // Level k: relative ranks that are multiples of 2^(k+1) absorb the
-  // subtree of rel + 2^k; odd multiples of 2^k hand theirs up and stop.
+                       std::size_t count, CombineFn combine, const char* op) const {
+  // Level k: ranks that are multiples of 2^(k+1) absorb the subtree of
+  // rank + 2^k; odd multiples of 2^k hand theirs up and stop.
   const int n = size();
-  const int rel = (group_rank_ - root + n) % n;
   std::vector<std::byte> child;  // acquired on the first child hop
   int round = 0;
   for (int mask = 1; mask < n; mask <<= 1, ++round) {
-    if (rel & mask) {
-      hop_send((rel - mask + root) % n, gen, round, acc, bytes, op);
+    if (rank_ & mask) {
+      hop_send(rank_ - mask, gen, round, acc, bytes, op);
       break;
     }
-    if (rel + mask < n) {
+    if (rank_ + mask < n) {
       if (child.size() != bytes) child = fabric_->pool().acquire(bytes);
       hop_recv(gen, round, child.data(), bytes, op);
       combine(acc, child.data(), count);
     }
   }
   if (!child.empty()) fabric_->pool().release(std::move(child));
-}
-
-void Comm::bruck_allgatherv(std::uint64_t gen, const void* in, void* out,
-                            std::span<const std::size_t> byte_counts,
-                            const char* op) const {
-  // Every rank knows every count, so the rotated packing offsets (`roff`)
-  // and per-hop byte counts are computed locally. Position p of `acc`
-  // holds rank (me + p) % n's block, which keeps each round's send a
-  // contiguous prefix: round k ships the first min(2^k, n - 2^k) blocks to
-  // (me - 2^k) and appends the same count from (me + 2^k).
-  const int ni = size();
-  const auto n = static_cast<std::size_t>(ni);
-  const auto me = static_cast<std::size_t>(group_rank_);
-  std::vector<std::size_t> roff(n + 1, 0);
-  for (std::size_t p = 0; p < n; ++p)
-    roff[p + 1] = roff[p] + byte_counts[(me + p) % n];
-  std::vector<std::byte> acc(roff[n]);
-  if (roff[1] > 0) std::memcpy(acc.data(), in, roff[1]);
-  int round = 0;
-  for (int dist = 1; dist < ni; dist <<= 1, ++round) {
-    const auto d = static_cast<std::size_t>(dist);
-    const std::size_t send_blocks = std::min(d, n - d);
-    hop_send((group_rank_ - dist + ni) % ni, gen, round, acc.data(),
-             roff[send_blocks], op);
-    // The prefix from (me + dist) lands as my blocks [dist, dist + send_blocks).
-    hop_recv(gen, round, acc.data() + roff[d], roff[d + send_blocks] - roff[d], op);
-  }
-  // Un-rotate into rank order.
-  std::vector<std::size_t> off(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) off[r + 1] = off[r] + byte_counts[r];
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t r = (me + p) % n;
-    if (byte_counts[r] > 0)
-      std::memcpy(static_cast<std::byte*>(out) + off[r], acc.data() + roff[p],
-                  byte_counts[r]);
-  }
 }
 
 void Comm::barrier() {
@@ -784,19 +707,10 @@ void Comm::barrier() {
   const int n = size();
   int round = 0;
   for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    hop_send((group_rank_ + dist) % n, gen, round, nullptr, 0, "MPI_Barrier()");
+    hop_send((rank_ + dist) % n, gen, round, nullptr, 0, "MPI_Barrier()");
     hop_recv(gen, round, nullptr, 0, "MPI_Barrier()");
   }
-  sleep_us(fabric_->delay_us(my_world_rank(), 0));
-}
-
-void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
-  HookScope hook("MPI_Bcast()");
-  hook.set_bytes(bytes);
-  const std::uint64_t gen = next_generation();
-  CCAPERF_REQUIRE(root >= 0 && root < size(), "bcast: bad root");
-  tree_bcast(gen, 0, data, bytes, root, "MPI_Bcast()");
-  sleep_us(fabric_->delay_us(my_world_rank(), bytes));
+  sleep_us(fabric_->delay_us(rank_, 0));
 }
 
 void Comm::allreduce_bytes(const void* in, void* out, std::size_t elem_bytes,
@@ -808,102 +722,9 @@ void Comm::allreduce_bytes(const void* in, void* out, std::size_t elem_bytes,
   // One algorithm at every size: reduce to rank 0, then broadcast, so the
   // combine order (and with it a floating-point sum) is fixed by the tree.
   if (bytes > 0) std::memmove(out, in, bytes);
-  tree_reduce(gen, out, bytes, count, combine, 0, "MPI_Allreduce()");
-  tree_bcast(gen, tree_rounds(size()), out, bytes, 0, "MPI_Allreduce()");
-  sleep_us(fabric_->delay_us(my_world_rank(), bytes));
-}
-
-void Comm::reduce_bytes(const void* in, void* out, std::size_t elem_bytes,
-                        std::size_t count, CombineFn combine, int root) {
-  HookScope hook("MPI_Reduce()");
-  const std::size_t bytes = elem_bytes * count;
-  hook.set_bytes(bytes);
-  const std::uint64_t gen = next_generation();
-  CCAPERF_REQUIRE(root >= 0 && root < size(), "reduce: bad root");
-  // Non-root output buffers need not hold a result, so accumulate in a slab.
-  std::vector<std::byte> acc;
-  if (bytes > 0) {
-    acc = fabric_->pool().acquire(bytes);
-    std::memcpy(acc.data(), in, bytes);
-  }
-  tree_reduce(gen, acc.data(), bytes, count, combine, root, "MPI_Reduce()");
-  if (bytes > 0) {
-    if (group_rank_ == root) std::memcpy(out, acc.data(), bytes);
-    fabric_->pool().release(std::move(acc));
-  }
-  sleep_us(fabric_->delay_us(my_world_rank(), bytes));
-}
-
-void Comm::allgather_bytes(const void* in, std::size_t chunk_bytes, void* out) {
-  HookScope hook("MPI_Allgather()");
-  const std::uint64_t gen = next_generation();
-  const std::size_t n = static_cast<std::size_t>(size());
-  hook.set_bytes(chunk_bytes * n);
-  const std::vector<std::size_t> counts(n, chunk_bytes);
-  bruck_allgatherv(gen, in, out, counts, "MPI_Allgather()");
-  sleep_us(fabric_->delay_us(my_world_rank(), chunk_bytes * n));
-}
-
-void Comm::gather_bytes(const void* in, std::size_t chunk_bytes, void* out, int root) {
-  HookScope hook("MPI_Gather()");
-  const std::uint64_t gen = next_generation();
-  const int n = size();
-  hook.set_bytes(chunk_bytes * static_cast<std::size_t>(n));
-  CCAPERF_REQUIRE(root >= 0 && root < n, "gather: bad root");
-  // Direct hops to the root, keyed by the sender's group rank.
-  if (group_rank_ != root) {
-    hop_send(root, gen, group_rank_, in, chunk_bytes, "MPI_Gather()");
-  } else {
-    auto* dst = static_cast<std::byte*>(out);
-    for (int s = 0; s < n; ++s) {
-      std::byte* slot = dst + static_cast<std::size_t>(s) * chunk_bytes;
-      if (s != root)
-        hop_recv(gen, s, slot, chunk_bytes, "MPI_Gather()");
-      else if (chunk_bytes > 0)
-        std::memcpy(slot, in, chunk_bytes);
-    }
-  }
-  sleep_us(fabric_->delay_us(my_world_rank(), chunk_bytes * static_cast<std::size_t>(n)));
-}
-
-void Comm::allgatherv_bytes(const void* in, std::size_t my_bytes, void* out,
-                            std::span<const std::size_t> byte_counts) {
-  HookScope hook("MPI_Allgatherv()");
-  const std::uint64_t gen = next_generation();
-  const std::size_t n = static_cast<std::size_t>(size());
-  CCAPERF_REQUIRE(byte_counts.size() == n, "allgatherv: need one count per rank");
-  CCAPERF_REQUIRE(byte_counts[static_cast<std::size_t>(group_rank_)] == my_bytes,
-                  "allgatherv: my_bytes disagrees with byte_counts");
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < n; ++r) total += byte_counts[r];
-  hook.set_bytes(total);
-  bruck_allgatherv(gen, in, out, byte_counts, "MPI_Allgatherv()");
-  sleep_us(fabric_->delay_us(my_world_rank(), total));
-}
-
-void Comm::alltoall_bytes(const void* in, std::size_t chunk_bytes, void* out) {
-  HookScope hook("MPI_Alltoall()");
-  const std::uint64_t gen = next_generation();
-  const int n = size();
-  const std::size_t row = chunk_bytes * static_cast<std::size_t>(n);
-  hook.set_bytes(row);
-  // Direct hops keyed by the sender's group rank; rank r sends its chunk d
-  // to rank d and receives chunk r of every peer. Walking the peers from
-  // r + 1 spreads the first hops over distinct slots.
-  const auto* src = static_cast<const std::byte*>(in);
-  auto* dst = static_cast<std::byte*>(out);
-  const auto at = [chunk_bytes](int r) { return static_cast<std::size_t>(r) * chunk_bytes; };
-  for (int k = 1; k < n; ++k) {
-    const int d = (group_rank_ + k) % n;
-    hop_send(d, gen, group_rank_, src + at(d), chunk_bytes, "MPI_Alltoall()");
-  }
-  if (chunk_bytes > 0)
-    std::memmove(dst + at(group_rank_), src + at(group_rank_), chunk_bytes);
-  for (int k = 1; k < n; ++k) {
-    const int s = (group_rank_ - k + n) % n;
-    hop_recv(gen, s, dst + at(s), chunk_bytes, "MPI_Alltoall()");
-  }
-  sleep_us(fabric_->delay_us(my_world_rank(), row * static_cast<std::size_t>(n)));
+  tree_reduce(gen, out, bytes, count, combine, "MPI_Allreduce()");
+  tree_bcast(gen, tree_rounds(size()), out, bytes, "MPI_Allreduce()");
+  sleep_us(fabric_->delay_us(rank_, bytes));
 }
 
 // ---------------------------------------------------------------------------
@@ -919,64 +740,13 @@ double Comm::wtime() const {
 Comm Comm::dup() const {
   HookScope hook("MPI_Comm_dup()");
   const std::uint64_t gen = next_generation();
-  // Group rank 0 allocates the context id and broadcasts it.
+  // Rank 0 allocates the context id and broadcasts it.
   std::uint64_t new_context = 0;
-  if (group_rank_ == 0) new_context = fabric_->allocate_context_block(1);
-  tree_bcast(gen, 0, &new_context, sizeof new_context, 0, "MPI_Comm_dup()");
-  sleep_us(fabric_->delay_us(my_world_rank(), 0));
-  fabric_->ensure_context(new_context, size());
-  return Comm(fabric_, new_context, members_, group_rank_);
-}
-
-Comm Comm::split(int color, int key) const {
-  HookScope hook("MPI_Comm_split()");
-  const std::uint64_t gen = next_generation();
-  const std::size_t n = static_cast<std::size_t>(size());
-
-  // Allgather (color, key); group rank 0 then reserves a block of context
-  // ids, one per distinct color, and broadcasts its base. Every rank maps
-  // the block identically from the gathered table.
-  struct Entry {
-    std::int32_t color;
-    std::int32_t key;
-  };
-  std::vector<Entry> table(n);
-  const Entry mine{color, key};
-  const std::vector<std::size_t> counts(n, sizeof(Entry));
-  bruck_allgatherv(gen, &mine, table.data(), counts, "MPI_Comm_split()");
-  std::vector<std::int32_t> colors;
-  for (const Entry& e : table) colors.push_back(e.color);
-  std::sort(colors.begin(), colors.end());
-  colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-  std::uint64_t base = 0;
-  if (group_rank_ == 0) base = fabric_->allocate_context_block(colors.size());
-  tree_bcast(gen, tree_rounds(size()), &base, sizeof base, 0, "MPI_Comm_split()");
-  sleep_us(fabric_->delay_us(my_world_rank(), n * sizeof(Entry)));
-
-  // All ranks hold identical (table, base); derive my subgroup
-  // deterministically: members share my color, ordered by (key, rank).
-  const auto color_index = static_cast<std::uint64_t>(
-      std::lower_bound(colors.begin(), colors.end(), color) - colors.begin());
-  const std::uint64_t new_context = base + color_index;
-
-  std::vector<int> parent_ranks;
-  for (std::size_t r = 0; r < n; ++r)
-    if (table[r].color == color) parent_ranks.push_back(static_cast<int>(r));
-  std::stable_sort(parent_ranks.begin(), parent_ranks.end(),
-                   [&](int a, int b) {
-                     return table[static_cast<std::size_t>(a)].key <
-                            table[static_cast<std::size_t>(b)].key;
-                   });
-
-  auto new_members = std::make_shared<std::vector<int>>();
-  int new_rank = -1;
-  for (std::size_t i = 0; i < parent_ranks.size(); ++i) {
-    if (parent_ranks[i] == group_rank_) new_rank = static_cast<int>(i);
-    new_members->push_back(world_rank_of(parent_ranks[i]));
-  }
-  CCAPERF_REQUIRE(new_rank >= 0, "split: caller missing from its own subgroup");
-  fabric_->ensure_context(new_context, static_cast<int>(new_members->size()));
-  return Comm(fabric_, new_context, std::move(new_members), new_rank);
+  if (rank_ == 0) new_context = fabric_->allocate_context();
+  tree_bcast(gen, 0, &new_context, sizeof new_context, "MPI_Comm_dup()");
+  sleep_us(fabric_->delay_us(rank_, 0));
+  fabric_->ensure_context(new_context);
+  return Comm(fabric_, new_context, rank_);
 }
 
 }  // namespace mpp

@@ -2,7 +2,7 @@
 // mpp::Comm — the communicator API of the in-process message-passing
 // runtime. It mirrors the MPI-1 subset the paper's application uses
 // (CCAFFEINE "adheres to the MPI-1 standard"): nonblocking point-to-point
-// with Waitsome/Waitall, blocking send/recv, and the usual collectives.
+// with Waitsome/Waitall, barrier, allreduce and Comm_dup.
 //
 // Typed operations are thin templates over a byte-level core; payload types
 // must be trivially copyable. All entry points are bracketed with
@@ -78,7 +78,7 @@ std::size_t wait_some(std::span<Request> reqs, std::vector<int>& indices,
 /// MPI_Waitall over the valid requests. Hook name: "MPI_Waitall()".
 void wait_all(std::span<Request> reqs);
 
-/// Reduction functors for typed allreduce/reduce.
+/// Reduction functors for typed allreduce.
 template <class T>
 struct SumOp {
   T operator()(const T& a, const T& b) const { return a + b; }
@@ -92,17 +92,15 @@ struct MaxOp {
   T operator()(const T& a, const T& b) const { return a < b ? b : a; }
 };
 
-/// Communicator: a group of ranks plus a matching context. Lightweight
-/// value type (copy = alias).
+/// Communicator: every rank of the world plus a matching context (the
+/// world's, or a fresh one from dup). Lightweight value type (copy = alias).
 class Comm {
  public:
   Comm() = default;  ///< invalid communicator
 
   bool valid() const { return fabric_ != nullptr; }
-  int rank() const { return group_rank_; }
-  int size() const { return static_cast<int>(members_->size()); }
-  /// World rank of group rank `r` (identity on the world communicator).
-  int world_rank_of(int r) const { return (*members_)[static_cast<std::size_t>(r)]; }
+  int rank() const { return rank_; }
+  int size() const { return fabric_->world_size(); }
 
   /// High-resolution wall clock, seconds since runtime start ("MPI_Wtime()").
   double wtime() const;
@@ -119,16 +117,12 @@ class Comm {
   /// rank's hooks with the number of ghost segments left stale.
   void report_stale_fallback(std::size_t segments);
 
-  /// MPI_Comm_dup: same group, fresh matching context (collective).
+  /// MPI_Comm_dup: same ranks, fresh matching context (collective).
   Comm dup() const;
-  /// MPI_Comm_split: subgroups by color, ordered by (key, rank) (collective).
-  Comm split(int color, int key) const;
 
   // --- point to point (byte level) ---------------------------------------
   Request isend_bytes(const void* data, std::size_t bytes, int dest, int tag);
   Request irecv_bytes(void* buffer, std::size_t capacity, int src, int tag);
-  void send_bytes(const void* data, std::size_t bytes, int dest, int tag);
-  Status recv_bytes(void* buffer, std::size_t capacity, int src, int tag);
 
   // --- point to point (typed) --------------------------------------------
   template <class T>
@@ -141,39 +135,17 @@ class Comm {
     check_pod<T>();
     return irecv_bytes(buffer.data(), buffer.size_bytes(), src, tag);
   }
-  template <class T>
-  void send(std::span<const T> data, int dest, int tag) {
-    check_pod<T>();
-    send_bytes(data.data(), data.size_bytes(), dest, tag);
-  }
-  template <class T>
-  Status recv(std::span<T> buffer, int src, int tag) {
-    check_pod<T>();
-    return recv_bytes(buffer.data(), buffer.size_bytes(), src, tag);
-  }
 
   // --- collectives ---------------------------------------------------------
   void barrier();
 
-  template <class T>
-  void bcast(std::span<T> data, int root) {
-    check_pod<T>();
-    bcast_bytes(data.data(), data.size_bytes(), root);
-  }
-
   /// Element-wise combine function over type-erased arrays.
   using CombineFn = void (*)(void* acc, const void* in, std::size_t count);
 
-  void bcast_bytes(void* data, std::size_t bytes, int root);
+  /// Combines `count` elements of `elem_bytes` from every rank into `out`
+  /// on every rank. `in` may equal `out` (in-place reduction).
   void allreduce_bytes(const void* in, void* out, std::size_t elem_bytes,
                        std::size_t count, CombineFn combine);
-  void reduce_bytes(const void* in, void* out, std::size_t elem_bytes,
-                    std::size_t count, CombineFn combine, int root);
-  void allgather_bytes(const void* in, std::size_t chunk_bytes, void* out);
-  void gather_bytes(const void* in, std::size_t chunk_bytes, void* out, int root);
-  void allgatherv_bytes(const void* in, std::size_t my_bytes, void* out,
-                        std::span<const std::size_t> byte_counts);
-  void alltoall_bytes(const void* in, std::size_t chunk_bytes, void* out);
 
   template <class T, class Op = SumOp<T>>
   void allreduce(std::span<const T> in, std::span<T> out) {
@@ -189,49 +161,13 @@ class Comm {
     allreduce_bytes(&v, &out, sizeof(T), 1, &combine_fn<T, Op>);
     return out;
   }
-  template <class T, class Op = SumOp<T>>
-  void reduce(std::span<const T> in, std::span<T> out, int root) {
-    check_pod<T>();
-    CCAPERF_REQUIRE(rank() != root || in.size() == out.size(), "reduce: size mismatch");
-    reduce_bytes(in.data(), out.data(), sizeof(T), in.size(), &combine_fn<T, Op>, root);
-  }
-  template <class T>
-  void allgather(std::span<const T> in, std::span<T> out) {
-    check_pod<T>();
-    CCAPERF_REQUIRE(out.size() == in.size() * static_cast<std::size_t>(size()),
-                    "allgather: output must hold size()*chunk elements");
-    allgather_bytes(in.data(), in.size_bytes(), out.data());
-  }
-  template <class T>
-  void gather(std::span<const T> in, std::span<T> out, int root) {
-    check_pod<T>();
-    gather_bytes(in.data(), in.size_bytes(), rank() == root ? out.data() : nullptr, root);
-  }
-  template <class T>
-  void allgatherv(std::span<const T> in, std::span<T> out,
-                  std::span<const std::size_t> elem_counts) {
-    check_pod<T>();
-    std::vector<std::size_t> bytes(elem_counts.size());
-    for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = elem_counts[i] * sizeof(T);
-    allgatherv_bytes(in.data(), in.size_bytes(), out.data(), bytes);
-  }
-  template <class T>
-  void alltoall(std::span<const T> in, std::span<T> out) {
-    check_pod<T>();
-    CCAPERF_REQUIRE(in.size() == out.size() &&
-                        in.size() % static_cast<std::size_t>(size()) == 0,
-                    "alltoall: size()*chunk elements required");
-    alltoall_bytes(in.data(), in.size_bytes() / static_cast<std::size_t>(size()),
-                   out.data());
-  }
 
  private:
   friend class Runtime;
 
-  Comm(Fabric* fabric, std::uint64_t context,
-       std::shared_ptr<const std::vector<int>> members, int group_rank)
-      : fabric_(fabric), context_(context), members_(std::move(members)),
-        group_rank_(group_rank), hop_slots_(fabric->hop_slots(context)) {}
+  Comm(Fabric* fabric, std::uint64_t context, int rank)
+      : fabric_(fabric), context_(context), rank_(rank),
+        hop_slots_(fabric->hop_slots(context)) {}
 
   template <class T>
   static void check_pod() {
@@ -248,8 +184,6 @@ class Comm {
     for (std::size_t i = 0; i < count; ++i) a[i] = op(a[i], b[i]);
   }
 
-  int my_world_rank() const { return world_rank_of(group_rank_); }
-
   /// Routes `bytes` to `dest`'s mailbox: matches a posted receive (one
   /// direct copy), else parks a pooled eager copy (small messages) or a
   /// zero-copy rendezvous descriptor holding `sender` (large messages).
@@ -263,23 +197,21 @@ class Comm {
   /// retry-exhausted drop can fail it.
   void deliver_faulty(int dest, int tag, const void* data, std::size_t bytes,
                       const std::shared_ptr<detail::ReqState>& sender);
-  /// Builds the ReqState every send variant shares.
-  std::shared_ptr<detail::ReqState> make_send_state(int tag, std::size_t bytes);
 
   // Every collective runs over the per-(context, rank) HopSlot relays
   // (DESIGN.md §10). A call's hops are keyed by (generation, round): the
   // generation is bumped once per public call on every rank, and the round
   // is unique per receiver within the call.
 
-  detail::HopSlot& hop_slot(int group_rank) const {
-    return *hop_slots_[static_cast<std::size_t>(group_rank)];
+  detail::HopSlot& hop_slot(int rank) const {
+    return *hop_slots_[static_cast<std::size_t>(rank)];
   }
   /// This rank's next collective generation on this context.
   std::uint64_t next_generation() const;
-  /// One hop: deposits `bytes` into `dest_group`'s HopSlot under
-  /// (gen, round) and reports it to on_collective_hop. Never blocks (early
-  /// arrivals buffer in the slot).
-  void hop_send(int dest_group, std::uint64_t gen, int round, const void* data,
+  /// One hop: deposits `bytes` into `dest`'s HopSlot under (gen, round)
+  /// and reports it to on_collective_hop. Never blocks (early arrivals
+  /// buffer in the slot).
+  void hop_send(int dest, std::uint64_t gen, int round, const void* data,
                 std::size_t bytes, const char* op) const;
   /// Blocks until this rank's HopSlot holds (gen, round), copies the
   /// payload (which must be exactly `bytes`) to `out` and returns its slab
@@ -287,28 +219,20 @@ class Comm {
   void hop_recv(std::uint64_t gen, int round, void* out, std::size_t bytes,
                 const char* op) const;
 
-  /// Binomial-tree broadcast of `data` from `root`; every hop uses `round`.
+  /// Binomial-tree broadcast of `data` from rank 0; every hop uses `round`.
   void tree_bcast(std::uint64_t gen, int round, void* data, std::size_t bytes,
-                  int root, const char* op) const;
+                  const char* op) const;
   /// Binomial-tree reduction of `acc` (count elements, `bytes` in all) to
-  /// `root`, in place; hop rounds are the tree levels 0..ceil(log2 n)-1.
+  /// rank 0, in place; hop rounds are the tree levels 0..ceil(log2 n)-1.
   /// Each rank combines acc = acc (+) child in level order, so the result
   /// does not depend on arrival order.
   void tree_reduce(std::uint64_t gen, void* acc, std::size_t bytes,
-                   std::size_t count, CombineFn combine, int root,
-                   const char* op) const;
-  /// Bruck allgatherv: rank r's byte_counts[r] bytes from `in` land at
-  /// their rank-order offset in `out` on every rank; hop rounds 0..
-  /// ceil(log2 n)-1.
-  void bruck_allgatherv(std::uint64_t gen, const void* in, void* out,
-                        std::span<const std::size_t> byte_counts,
-                        const char* op) const;
+                   std::size_t count, CombineFn combine, const char* op) const;
 
   Fabric* fabric_ = nullptr;
   std::uint64_t context_ = 0;
-  std::shared_ptr<const std::vector<int>> members_;
-  int group_rank_ = -1;
-  const std::unique_ptr<detail::HopSlot>* hop_slots_ = nullptr;  ///< by group rank
+  int rank_ = -1;
+  const std::unique_ptr<detail::HopSlot>* hop_slots_ = nullptr;  ///< by rank
 };
 
 }  // namespace mpp

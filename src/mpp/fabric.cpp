@@ -109,38 +109,33 @@ Fabric::Fabric(int world_size, NetworkModel net)
       static_cast<std::size_t>(world_size) * static_cast<std::size_t>(world_size));
   stall_checks_ = std::make_unique<std::atomic<std::uint64_t>[]>(
       static_cast<std::size_t>(world_size));
-  ensure_context(world_context, world_size);
+  ensure_context(world_context);
 }
 
 void Fabric::set_fault_spec(const FaultSpec& spec) {
   fault_plan_ = FaultPlan(spec);
 }
 
-void Fabric::ensure_context(std::uint64_t context, int group_size) {
-  CCAPERF_REQUIRE(group_size >= 1, "ensure_context: empty group");
+void Fabric::ensure_context(std::uint64_t context) {
   std::scoped_lock lock(contexts_mu_);
   auto [it, inserted] = contexts_.try_emplace(context);
-  if (!inserted) {
-    CCAPERF_REQUIRE(it->second.mailboxes.size() == static_cast<std::size_t>(group_size),
-                    "ensure_context: conflicting group size for context");
-    return;
-  }
-  it->second.mailboxes.reserve(static_cast<std::size_t>(group_size));
-  it->second.hop_slots.reserve(static_cast<std::size_t>(group_size));
-  for (int r = 0; r < group_size; ++r) {
+  if (!inserted) return;
+  it->second.mailboxes.reserve(static_cast<std::size_t>(world_size_));
+  it->second.hop_slots.reserve(static_cast<std::size_t>(world_size_));
+  for (int r = 0; r < world_size_; ++r) {
     it->second.mailboxes.push_back(std::make_unique<detail::Mailbox>());
     it->second.hop_slots.push_back(std::make_unique<detail::HopSlot>());
   }
 }
 
-detail::Mailbox& Fabric::mailbox(std::uint64_t context, int group_rank) {
+detail::Mailbox& Fabric::mailbox(std::uint64_t context, int rank) {
   std::scoped_lock lock(contexts_mu_);
   auto it = contexts_.find(context);
   CCAPERF_REQUIRE(it != contexts_.end(), "mailbox: unknown context");
   auto& boxes = it->second.mailboxes;
-  CCAPERF_REQUIRE(group_rank >= 0 && static_cast<std::size_t>(group_rank) < boxes.size(),
-                  "mailbox: group rank out of range");
-  return *boxes[static_cast<std::size_t>(group_rank)];
+  CCAPERF_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < boxes.size(),
+                  "mailbox: rank out of range");
+  return *boxes[static_cast<std::size_t>(rank)];
 }
 
 void Fabric::abort() {
@@ -192,14 +187,14 @@ void Fabric::maybe_stall(int world_rank) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(us));
 }
 
-void Fabric::route(std::uint64_t context, int dest_group, int dest_world,
+void Fabric::route(std::uint64_t context, int dest,
                    detail::ParkedMessage&& msg) {
   std::shared_ptr<detail::ReqState> completed;
   std::shared_ptr<detail::ReqState> ack_sender;
   bool suppressed = false;
   const int msg_src_world = msg.src_world;
   const int msg_dst_world = msg.dst_world;
-  detail::Mailbox& mb = mailbox(context, dest_group);
+  detail::Mailbox& mb = mailbox(context, dest);
   {
     std::scoped_lock lock(mb.mu);
     // Dedupe before matching: the duplicate of an already-accepted message
@@ -261,13 +256,13 @@ void Fabric::route(std::uint64_t context, int dest_group, int dest_world,
   if (completed) {
     if (!msg.payload.empty()) pool_.release(std::move(msg.payload));
     completed->matched.store(true, std::memory_order_release);
-    signal(dest_world).notify();
+    signal(dest).notify();
     if (ack_sender) {
       ack_sender->matched.store(true, std::memory_order_release);
       ack_sender->signal->notify();
     }
   } else {
-    signal(dest_world).notify();  // a blocked blocking-recv may now match
+    signal(dest).notify();  // a blocked wait may now match
   }
   // Routing (matched *or* parked) is the "next message of the pair" trigger
   // that releases reorder-held predecessors.
@@ -298,7 +293,7 @@ void Fabric::flush_reorder(int src_world, int dst_world) {
       }
     }
     if (!found) return;
-    route(next.context, next.dest_group, next.dest_world, std::move(next.msg));
+    route(next.context, next.dest, std::move(next.msg));
   }
 }
 
@@ -313,13 +308,12 @@ void Fabric::fault_enqueue(detail::FaultedMessage&& fm) {
       std::max(fault_items_peak_, static_cast<std::uint64_t>(fault_items_.size()));
 }
 
-void Fabric::fault_hold(std::uint64_t context, int dest_group, int dest_world,
+void Fabric::fault_hold(std::uint64_t context, int dest,
                         detail::ParkedMessage&& msg, int steps,
                         bool release_on_next) {
   detail::FaultedMessage h;
   h.context = context;
-  h.dest_group = dest_group;
-  h.dest_world = dest_world;
+  h.dest = dest;
   h.release_step = progress_step_.load(std::memory_order_acquire) +
                    static_cast<std::uint64_t>(steps);
   h.release_on_next = release_on_next;
@@ -327,12 +321,11 @@ void Fabric::fault_hold(std::uint64_t context, int dest_group, int dest_world,
   fault_enqueue(std::move(h));
 }
 
-void Fabric::fault_lose(std::uint64_t context, int dest_group, int dest_world,
+void Fabric::fault_lose(std::uint64_t context, int dest,
                         detail::ParkedMessage&& msg) {
   detail::FaultedMessage l;
   l.context = context;
-  l.dest_group = dest_group;
-  l.dest_world = dest_world;
+  l.dest = dest;
   l.attempt = 1;
   l.release_step = progress_step_.load(std::memory_order_acquire) +
                    static_cast<std::uint64_t>(fault_plan_.spec().retry_base_steps);
@@ -340,10 +333,10 @@ void Fabric::fault_lose(std::uint64_t context, int dest_group, int dest_world,
   fault_enqueue(std::move(l));
 }
 
-void Fabric::dedupe_tombstone(std::uint64_t context, int dest_group,
+void Fabric::dedupe_tombstone(std::uint64_t context, int dest,
                               int src_world, std::uint64_t dseq) {
   if (dseq == 0) return;
-  detail::Mailbox& mb = mailbox(context, dest_group);
+  detail::Mailbox& mb = mailbox(context, dest);
   std::scoped_lock lock(mb.mu);
   mb.dedupe[src_world].insert(dseq);
 }
@@ -357,7 +350,7 @@ void Fabric::fault_poll() {
   std::vector<std::shared_ptr<detail::ReqState>> failed_senders;
   struct Tombstone {
     std::uint64_t context;
-    int dest_group;
+    int dest;
     int src_world;
     std::uint64_t dseq;
   };
@@ -405,7 +398,7 @@ void Fabric::fault_poll() {
         // The message is permanently lost: tombstone its dedupe-stream
         // position so the destination's watermark can advance over it
         // instead of pinning the window open forever.
-        tombstones.push_back(Tombstone{fm.context, fm.dest_group,
+        tombstones.push_back(Tombstone{fm.context, fm.dest,
                                        fm.msg.src_world, fm.msg.dseq});
         fault_items_.erase(it);
         continue;
@@ -451,9 +444,9 @@ void Fabric::fault_poll() {
     sender->signal->notify();
   }
   for (const Tombstone& t : tombstones)
-    dedupe_tombstone(t.context, t.dest_group, t.src_world, t.dseq);
+    dedupe_tombstone(t.context, t.dest, t.src_world, t.dseq);
   for (auto& m : due)
-    route(m.context, m.dest_group, m.dest_world, std::move(m.msg));
+    route(m.context, m.dest, std::move(m.msg));
 }
 
 FaultStats Fabric::fault_stats() {

@@ -3,7 +3,7 @@
 //
 // Design (see DESIGN.md, src/mpp):
 //  * Ranks are threads. Each communicator context owns one `Mailbox` per
-//    group rank, holding a queue of posted receives and a queue of
+//    rank, holding a queue of posted receives and a queue of
 //    unexpected messages (standard MPI matching structure).
 //  * Small sends are buffered-eager: the payload is copied at the send
 //    call into a slab from the fabric's BufferPool, a modeled delivery time
@@ -22,10 +22,9 @@
 //    cost becomes visible wall-clock time in profiles.
 //  * Matching preserves MPI's non-overtaking order per (source, tag).
 //  * Collectives run over per-(context, rank) `HopSlot` relays: O(log n)
-//    tree algorithms (dissemination barrier, Bruck allgather/allgatherv,
-//    binomial bcast/reduce/allreduce) plus direct hops for gather and
-//    alltoall (DESIGN.md §10). One modeled delay is applied per rank on
-//    exit from every collective call.
+//    tree algorithms (dissemination barrier, binomial reduce + bcast for
+//    allreduce and dup; DESIGN.md §10). One modeled delay is applied per
+//    rank on exit from every collective call.
 //
 // The Fabric is internal; user code talks to mpp::Comm / mpp::Runtime.
 
@@ -56,7 +55,7 @@ inline constexpr int any_tag = -1;
 
 /// Completion information for a receive.
 struct Status {
-  int source = any_source;      ///< group rank of the sender
+  int source = any_source;      ///< rank of the sender
   int tag = any_tag;            ///< message tag
   std::size_t bytes = 0;        ///< payload size in bytes
 };
@@ -228,7 +227,7 @@ class DedupeWindow {
   std::uint64_t peak_span_ = 0;
 };
 
-/// Matching queues for one (context, group-rank).
+/// Matching queues for one (context, rank).
 class Mailbox {
  public:
   std::mutex mu;
@@ -251,15 +250,14 @@ class Mailbox {
 /// re-inject it without a Comm.
 struct FaultedMessage {
   std::uint64_t context = 0;
-  int dest_group = 0;
-  int dest_world = 0;
+  int dest = 0;
   ParkedMessage msg;
   std::uint64_t release_step = 0;  ///< held: release once progress reaches this
   bool release_on_next = false;    ///< reorder: release when the pair's next message routes
   std::uint32_t attempt = 0;       ///< ledger: delivery attempts so far (>= 1)
 };
 
-/// Per-(context, group-rank) relay slot for collectives. Peers deposit
+/// Per-(context, rank) relay slot for collectives. Peers deposit
 /// per-round payloads here, keyed by (generation, round): every rank
 /// executes the same collective sequence on a context, so the owner's
 /// generation counter and each sender's counter agree without shared
@@ -304,18 +302,17 @@ class Fabric {
     return c.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Reserves `n` consecutive context ids, returning the first
-  /// (thread-safe).
-  std::uint64_t allocate_context_block(std::size_t n) {
-    return next_context_.fetch_add(n, std::memory_order_relaxed);
+  /// Reserves a fresh context id (thread-safe).
+  std::uint64_t allocate_context() {
+    return next_context_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Ensures mailboxes and hop slots exist for `context` with
-  /// `group_size` members. Idempotent; thread-safe.
-  void ensure_context(std::uint64_t context, int group_size);
+  /// Ensures mailboxes and hop slots exist for `context`, one per rank.
+  /// Idempotent; thread-safe.
+  void ensure_context(std::uint64_t context);
 
-  detail::Mailbox& mailbox(std::uint64_t context, int group_rank);
-  /// The hop slots of `context`, indexed by group rank. The array lives as
+  detail::Mailbox& mailbox(std::uint64_t context, int rank);
+  /// The hop slots of `context`, indexed by rank. The array lives as
   /// long as the fabric and never moves once the context exists.
   const std::unique_ptr<detail::HopSlot>* hop_slots(std::uint64_t context);
   detail::BufferPool& pool() { return pool_; }
@@ -369,15 +366,15 @@ class Fabric {
   /// Routes a fault-layer message into `dest`'s mailbox: dedupe filter,
   /// then match-or-park (the faulty-path twin of Comm::deliver's matching
   /// block). Completes an attached reliable sender at match time.
-  void route(std::uint64_t context, int dest_group, int dest_world,
+  void route(std::uint64_t context, int dest,
              detail::ParkedMessage&& msg);
   /// Holds `msg` for `steps` progress steps (delay/duplicate), or until the
   /// pair's next message routes (reorder).
-  void fault_hold(std::uint64_t context, int dest_group, int dest_world,
+  void fault_hold(std::uint64_t context, int dest,
                   detail::ParkedMessage&& msg, int steps, bool release_on_next);
   /// Drops `msg` into the retransmission ledger (first attempt already
   /// counted as injected).
-  void fault_lose(std::uint64_t context, int dest_group, int dest_world,
+  void fault_lose(std::uint64_t context, int dest,
                   detail::ParkedMessage&& msg);
 
   /// Snapshot of fault/recovery counters plus delivery-state gauges (the
@@ -412,7 +409,7 @@ class Fabric {
   void fault_enqueue(detail::FaultedMessage&& fm);
   /// Records an accepted dedupe-stream position (watermark/window update)
   /// for `src_world` in the given mailbox; caller holds no mailbox lock.
-  void dedupe_tombstone(std::uint64_t context, int dest_group, int src_world,
+  void dedupe_tombstone(std::uint64_t context, int dest, int src_world,
                         std::uint64_t dseq);
   /// Fires a fault event on the calling rank's hooks (if any).
   static void fire_fault(const FaultEvent& e);

@@ -58,10 +58,8 @@ struct FaultEvent {
 /// One internal hop of a collective (every collective runs over the
 /// fabric's hop relays): reported on the rank initiating the hop, inside
 /// the enclosing collective's hook bracket. `op` is the outer MPI name
-/// ("MPI_Allgather()", ...), `round` the hop's key within the call (the
-/// 0-based algorithm round; the sender's group rank for the direct hops
-/// of gather and alltoall), `peer` the world rank the payload
-/// is handed to, `bytes` the payload carried by this hop. Hops are not
+/// ("MPI_Allreduce()", ...), `round` the hop's key within the call (the
+/// 0-based algorithm round), `peer` the rank the payload is handed to, `bytes` the payload carried by this hop. Hops are not
 /// messages: they fire no MsgEvent and draw no modeled delay. The tree
 /// collectives make O(log size) hops per rank, which is what makes the
 /// algorithm observable from the hooks.
@@ -82,8 +80,8 @@ class CommHooks {
   /// Called on exit. `bytes` is the payload size where meaningful, else 0.
   virtual void on_end(const char* mpi_name, std::size_t bytes) = 0;
   /// Message endpoints: fired on the sending rank when a send is initiated
-  /// (inside the MPI_Send/MPI_Isend bracket) and on the receiving rank when
-  /// the matching receive completes (inside the wait/test/recv bracket).
+  /// (inside the MPI_Isend bracket) and on the receiving rank when the
+  /// matching receive completes (inside the wait/test/waitsome bracket).
   /// Default no-ops keep byte-counting hooks source-compatible.
   virtual void on_message_send(const MsgEvent&) {}
   virtual void on_message_recv(const MsgEvent&) {}

@@ -39,14 +39,12 @@ void Runtime::run(int nranks, const RunOptions& options,
   fabric.set_fault_spec(opts.faults);
   fabric.set_wait_timeout_us(opts.wait_timeout_us);
   fabric.set_idle_limit_us(opts.idle_limit_us);
-  auto members = std::make_shared<std::vector<int>>();
-  for (int r = 0; r < nranks; ++r) members->push_back(r);
 
   std::exception_ptr first_error;
   std::mutex error_mu;
 
   auto body = [&](int rank) {
-    Comm world(&fabric, Fabric::world_context, members, rank);
+    Comm world(&fabric, Fabric::world_context, rank);
     try {
       rank_main(world);
     } catch (...) {

@@ -104,13 +104,13 @@ TEST(Mastermind, AttributesMpiTimePerInvocation) {
     if (world.rank() == 0) {
       while (!bracket_open.load()) std::this_thread::yield();
       int v = 1;
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
     } else {
       const core::MethodHandle h = rig.method("m::recv()");
       rig.mm->start(h, {});
       bracket_open.store(true);
       int v = 0;
-      world.recv_bytes(&v, sizeof v, 0, 0);
+      world.irecv_bytes(&v, sizeof v, 0, 0).wait();
       spin_ms(1.0);
       rig.mm->stop(h);
       const core::Record* rec = rig.mm->record("m::recv()");
@@ -132,7 +132,7 @@ TEST(Mastermind, SeparatesConsecutiveInvocationsMpiTime) {
     if (world.rank() == 0) {
       while (!bracket_open.load()) std::this_thread::yield();
       int v = 1;
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
       world.barrier();
     } else {
       const core::MethodHandle a = rig.method("m::a()");
@@ -140,7 +140,7 @@ TEST(Mastermind, SeparatesConsecutiveInvocationsMpiTime) {
       rig.mm->start(a, {});
       bracket_open.store(true);
       int v = 0;
-      world.recv_bytes(&v, sizeof v, 0, 0);
+      world.irecv_bytes(&v, sizeof v, 0, 0).wait();
       rig.mm->stop(a);
       rig.mm->start(b, {});
       spin_ms(0.5);  // no MPI at all

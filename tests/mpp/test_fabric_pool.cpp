@@ -55,13 +55,13 @@ TEST(BufferPool, UnexpectedTrafficReusesSlabs) {
     for (int round = 0; round < kRounds; ++round) {
       if (world.rank() == 0) {
         std::vector<std::uint32_t> payload(64, static_cast<std::uint32_t>(round));
-        for (int k = 0; k < kMsgs; ++k) world.send<std::uint32_t>(payload, 1, k);
+        for (int k = 0; k < kMsgs; ++k) world.isend<std::uint32_t>(payload, 1, k).wait();
       }
       world.barrier();  // all sends parked before any receive posts
       if (world.rank() == 1) {
         std::vector<std::uint32_t> buf(64);
         for (int k = 0; k < kMsgs; ++k) {
-          world.recv<std::uint32_t>(buf, 0, k);
+          world.irecv<std::uint32_t>(buf, 0, k).wait();
           EXPECT_EQ(buf[0], static_cast<std::uint32_t>(round));
         }
       }
@@ -88,7 +88,7 @@ TEST(Rendezvous, LargeUnexpectedMessageArrivesIntactWithoutStaging) {
     } else {
       world.barrier();
       std::vector<double> big(n);
-      world.recv<double>(big, 0, 0);
+      world.irecv<double>(big, 0, 0).wait();
       EXPECT_DOUBLE_EQ(big.front(), 0.5);
       EXPECT_DOUBLE_EQ(big.back(), static_cast<double>(n - 1) + 0.5);
     }
@@ -117,7 +117,7 @@ TEST(Rendezvous, MixedSizesStayNonOvertakingPerSourceAndTag) {
       world.barrier();
       std::vector<std::uint32_t> buf(large_n);
       for (int k = 0; k < kMsgs; ++k) {
-        const mpp::Status s = world.recv<std::uint32_t>(buf, 0, 5);
+        const mpp::Status s = world.irecv<std::uint32_t>(buf, 0, 5).wait();
         const std::size_t words = s.bytes / sizeof(std::uint32_t);
         EXPECT_EQ(words, k % 2 == 0 ? small_n : large_n);
         EXPECT_EQ(buf[0], static_cast<std::uint32_t>(k)) << "message overtook";
@@ -152,8 +152,8 @@ TEST(Rendezvous, WaitsomeDrainsMixedEagerAndRendezvousRecvs) {
         EXPECT_DOUBLE_EQ(inbox[i].back(), 42.0) << "slot " << i;
     } else {
       std::vector<double> large(large_n, 42.0), small(8, 42.0);
-      world.send<double>(large, 0, 0);
-      world.send<double>(small, 0, 1);
+      world.isend<double>(large, 0, 0).wait();
+      world.isend<double>(small, 0, 1).wait();
     }
   });
 }
@@ -177,16 +177,16 @@ TEST(Rendezvous, CancelledSendIsRemovedFromTheUnexpectedQueue) {
     } else {
       world.barrier();
       std::vector<double> buf(n);
-      world.recv<double>(buf, 0, 3);
+      world.irecv<double>(buf, 0, 3).wait();
       EXPECT_DOUBLE_EQ(buf.front(), 7.0);
       EXPECT_DOUBLE_EQ(buf.back(), 7.0);
     }
   });
 }
 
-TEST(Rendezvous, BlockingSendCompletesAgainstPostedReceive) {
+TEST(Rendezvous, WaitedSendCompletesAgainstPostedReceive) {
   // A posted receive matches a large send directly (one copy, no park):
-  // the blocking send must not hang.
+  // the send's wait must not hang.
   Runtime::run(2, [](Comm& world) {
     const std::size_t n = Fabric::kRendezvousBytes / sizeof(double) * 2;
     if (world.rank() == 0) {
@@ -198,7 +198,7 @@ TEST(Rendezvous, BlockingSendCompletesAgainstPostedReceive) {
     } else {
       std::vector<double> big(n, 3.25);
       world.barrier();
-      world.send<double>(big, 0, 0);
+      world.isend<double>(big, 0, 0).wait();
     }
   });
 }

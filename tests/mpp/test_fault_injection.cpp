@@ -162,7 +162,7 @@ ScriptResult run_script(const mpp::RunOptions& opts) {
       std::vector<bool> seen(kMsgs, false);
       for (int n = 0; n < kMsgs; ++n) {
         const mpp::Status st =
-            world.recv_bytes(buf.data(), buf.size(), mpp::any_source, mpp::any_tag);
+            world.irecv_bytes(buf.data(), buf.size(), mpp::any_source, mpp::any_tag).wait();
         int i = -1;
         std::memcpy(&i, buf.data(), sizeof i);
         ASSERT_GE(i, 0);

@@ -1,7 +1,7 @@
 // Message-endpoint hook events: every point-to-point message must be
 // reported to CommHooks on BOTH sides with the same (src, dst, seq)
-// identity, across all completion paths (blocking recv, wait, test,
-// wait_some, unexpected arrival). This identity is what core::TraceMerger
+// identity, across all completion paths (wait, test, wait_some,
+// unexpected arrival). This identity is what core::TraceMerger
 // uses to draw cross-rank flow arrows, so it has to be exact — never
 // inferred from timestamps.
 
@@ -39,15 +39,15 @@ bool same_identity(const MsgEvent& a, const MsgEvent& b) {
          a.bytes == b.bytes;
 }
 
-TEST(MsgEvents, BlockingSendRecvAgreeOnIdentity) {
+TEST(MsgEvents, WaitedSendRecvAgreeOnIdentity) {
   Recorders<2> rec;
   Runtime::run(2, [&](Comm& world) {
     mpp::HooksInstaller install(&rec[static_cast<std::size_t>(world.rank())]);
     double v = 3.5;
     if (world.rank() == 0)
-      world.send_bytes(&v, sizeof v, 1, 7);
+      world.isend_bytes(&v, sizeof v, 1, 7).wait();
     else
-      world.recv_bytes(&v, sizeof v, 0, 7);
+      world.irecv_bytes(&v, sizeof v, 0, 7).wait();
     world.barrier();
 
     if (world.rank() == 0) {
@@ -76,11 +76,11 @@ TEST(MsgEvents, PairSequenceIsMonotonicAndPerDirection) {
     // sequence space.
     for (int i = 0; i < 3; ++i) {
       if (world.rank() == 0) {
-        world.send_bytes(&v, sizeof v, peer, i);
-        world.recv_bytes(&v, sizeof v, peer, i);
+        world.isend_bytes(&v, sizeof v, peer, i).wait();
+        world.irecv_bytes(&v, sizeof v, peer, i).wait();
       } else {
-        world.recv_bytes(&v, sizeof v, peer, i);
-        world.send_bytes(&v, sizeof v, peer, i);
+        world.irecv_bytes(&v, sizeof v, peer, i).wait();
+        world.isend_bytes(&v, sizeof v, peer, i).wait();
       }
     }
     world.barrier();
@@ -128,8 +128,8 @@ TEST(MsgEvents, TestAndWaitsomeCompletionPathsReportRecv) {
     if (world.rank() == 0) {
       a = 10;
       b = 20;
-      world.send_bytes(&a, sizeof a, 1, 1);
-      world.send_bytes(&b, sizeof b, 1, 2);
+      world.isend_bytes(&a, sizeof a, 1, 1).wait();
+      world.isend_bytes(&b, sizeof b, 1, 2).wait();
     } else {
       Request r1 = world.irecv_bytes(&a, sizeof a, 0, 1);
       while (!r1.test()) {
@@ -156,11 +156,11 @@ TEST(MsgEvents, UnexpectedArrivalStillCarriesSenderIdentity) {
     mpp::HooksInstaller install(&rec[static_cast<std::size_t>(world.rank())]);
     int v = 99;
     if (world.rank() == 0) {
-      world.send_bytes(&v, sizeof v, 1, 5);
+      world.isend_bytes(&v, sizeof v, 1, 5).wait();
       world.barrier();  // message parks in rank 1's mailbox before the recv
     } else {
       world.barrier();
-      world.recv_bytes(&v, sizeof v, mpp::any_source, mpp::any_tag);
+      world.irecv_bytes(&v, sizeof v, mpp::any_source, mpp::any_tag).wait();
     }
     world.barrier();
     if (world.rank() == 0) {
@@ -180,9 +180,9 @@ TEST(MsgEvents, NoHooksInstalledMeansNoEvents) {
     int v = 1;
     if (world.rank() == 0) {
       mpp::HooksInstaller install(&rec[0]);
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
     } else {
-      world.recv_bytes(&v, sizeof v, 0, 0);  // no hooks on this rank
+      world.irecv_bytes(&v, sizeof v, 0, 0).wait();  // no hooks on this rank
     }
     world.barrier();
     if (world.rank() == 0) {

@@ -74,11 +74,11 @@ TEST(NetModel, ModeledDelaySlowsDelivery) {
   Runtime::run(2, m, [](Comm& world) {
     int v = world.rank();
     if (world.rank() == 0) {
-      world.send_bytes(&v, sizeof v, 1, 0);
-      world.recv_bytes(&v, sizeof v, 1, 1);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
+      world.irecv_bytes(&v, sizeof v, 1, 1).wait();
     } else {
-      world.recv_bytes(&v, sizeof v, 0, 0);
-      world.send_bytes(&v, sizeof v, 0, 1);
+      world.irecv_bytes(&v, sizeof v, 0, 0).wait();
+      world.isend_bytes(&v, sizeof v, 0, 1).wait();
     }
   });
   const double elapsed_ms =
@@ -94,11 +94,11 @@ TEST(NetModel, NullModelIsFast) {
     int v = 0;
     for (int i = 0; i < 200; ++i) {
       if (world.rank() == 0) {
-        world.send_bytes(&v, sizeof v, 1, 0);
-        world.recv_bytes(&v, sizeof v, 1, 1);
+        world.isend_bytes(&v, sizeof v, 1, 0).wait();
+        world.irecv_bytes(&v, sizeof v, 1, 1).wait();
       } else {
-        world.recv_bytes(&v, sizeof v, 0, 0);
-        world.send_bytes(&v, sizeof v, 0, 1);
+        world.irecv_bytes(&v, sizeof v, 0, 0).wait();
+        world.isend_bytes(&v, sizeof v, 0, 1).wait();
       }
     }
   });

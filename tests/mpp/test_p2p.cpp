@@ -17,14 +17,14 @@ using mpp::Request;
 using mpp::Runtime;
 using mpp::Status;
 
-TEST(P2P, BlockingSendRecvRoundTrip) {
+TEST(P2P, WaitedSendRecvRoundTrip) {
   Runtime::run(2, [](Comm& world) {
     std::vector<double> buf(8);
     if (world.rank() == 0) {
       std::iota(buf.begin(), buf.end(), 1.0);
-      world.send<double>(buf, 1, 7);
+      world.isend<double>(buf, 1, 7).wait();
     } else {
-      Status s = world.recv<double>(buf, 0, 7);
+      Status s = world.irecv<double>(buf, 0, 7).wait();
       EXPECT_EQ(s.source, 0);
       EXPECT_EQ(s.tag, 7);
       EXPECT_EQ(s.bytes, 8 * sizeof(double));
@@ -54,12 +54,12 @@ TEST(P2P, UnexpectedMessageIsBufferedUntilRecv) {
   Runtime::run(2, [](Comm& world) {
     if (world.rank() == 0) {
       const int v = 42;
-      world.send_bytes(&v, sizeof v, 1, 5);
+      world.isend_bytes(&v, sizeof v, 1, 5).wait();
       world.barrier();  // ensure the send landed before the recv is posted
     } else {
       world.barrier();
       int v = 0;
-      world.recv_bytes(&v, sizeof v, 0, 5);
+      world.irecv_bytes(&v, sizeof v, 0, 5).wait();
       EXPECT_EQ(v, 42);
     }
   });
@@ -69,12 +69,12 @@ TEST(P2P, AnySourceAndAnyTagMatch) {
   Runtime::run(3, [](Comm& world) {
     if (world.rank() != 0) {
       const int v = world.rank() * 100;
-      world.send_bytes(&v, sizeof v, 0, world.rank());
+      world.isend_bytes(&v, sizeof v, 0, world.rank()).wait();
     } else {
       int seen = 0;
       for (int i = 0; i < 2; ++i) {
         int v = 0;
-        Status s = world.recv_bytes(&v, sizeof v, mpp::any_source, mpp::any_tag);
+        Status s = world.irecv_bytes(&v, sizeof v, mpp::any_source, mpp::any_tag).wait();
         EXPECT_EQ(v, s.source * 100);
         EXPECT_EQ(s.tag, s.source);
         seen += s.source;
@@ -88,14 +88,14 @@ TEST(P2P, TagSelectivity) {
   Runtime::run(2, [](Comm& world) {
     if (world.rank() == 0) {
       const int a = 1, b = 2;
-      world.send_bytes(&a, sizeof a, 1, 10);
-      world.send_bytes(&b, sizeof b, 1, 20);
+      world.isend_bytes(&a, sizeof a, 1, 10).wait();
+      world.isend_bytes(&b, sizeof b, 1, 20).wait();
     } else {
       int v = 0;
       // Receive tag 20 first even though tag 10 arrived first.
-      world.recv_bytes(&v, sizeof v, 0, 20);
+      world.irecv_bytes(&v, sizeof v, 0, 20).wait();
       EXPECT_EQ(v, 2);
-      world.recv_bytes(&v, sizeof v, 0, 10);
+      world.irecv_bytes(&v, sizeof v, 0, 10).wait();
       EXPECT_EQ(v, 1);
     }
   });
@@ -106,11 +106,11 @@ TEST(P2P, NonOvertakingOrderPerSourceAndTag) {
   Runtime::run(2, [](Comm& world) {
     constexpr int kN = 200;
     if (world.rank() == 0) {
-      for (int i = 0; i < kN; ++i) world.send_bytes(&i, sizeof i, 1, 3);
+      for (int i = 0; i < kN; ++i) world.isend_bytes(&i, sizeof i, 1, 3).wait();
     } else {
       for (int i = 0; i < kN; ++i) {
         int v = -1;
-        world.recv_bytes(&v, sizeof v, 0, 3);
+        world.irecv_bytes(&v, sizeof v, 0, 3).wait();
         EXPECT_EQ(v, i);
       }
     }
@@ -123,10 +123,10 @@ TEST(P2P, TruncationThrows) {
                    [](Comm& world) {
                      if (world.rank() == 0) {
                        const std::vector<int> big(16, 1);
-                       world.send<int>(big, 1, 0);
+                       world.isend<int>(big, 1, 0).wait();
                      } else {
                        std::vector<int> small(4);
-                       world.recv<int>(small, 0, 0);
+                       world.irecv<int>(small, 0, 0).wait();
                      }
                    }),
       ccaperf::Error);
@@ -138,7 +138,7 @@ TEST(P2P, WaitSomeReturnsCompletedSubset) {
     if (world.rank() == 0) {
       for (int i = 0; i < kMsgs; ++i) {
         const int v = i;
-        world.send_bytes(&v, sizeof v, 1, i);
+        world.isend_bytes(&v, sizeof v, 1, i).wait();
       }
     } else {
       std::vector<int> values(kMsgs, -1);
@@ -165,7 +165,7 @@ TEST(P2P, WaitSomeReportsStatuses) {
   Runtime::run(2, [](Comm& world) {
     if (world.rank() == 0) {
       const double v = 3.5;
-      world.send_bytes(&v, sizeof v, 1, 9);
+      world.isend_bytes(&v, sizeof v, 1, 9).wait();
     } else {
       double v = 0;
       std::vector<Request> reqs;
@@ -195,7 +195,7 @@ TEST(P2P, WaitAllCompletesEverything) {
                                        sizeof(int), peer, i));
     }
     for (int i = 0; i < kMsgs; ++i)
-      world.send_bytes(&send[static_cast<std::size_t>(i)], sizeof(int), peer, i);
+      world.isend_bytes(&send[static_cast<std::size_t>(i)], sizeof(int), peer, i).wait();
     mpp::wait_all(reqs);
     EXPECT_EQ(recv, send);
     for (const Request& r : reqs) EXPECT_FALSE(r.valid());
@@ -207,7 +207,7 @@ TEST(P2P, TestPollsWithoutBlocking) {
     if (world.rank() == 0) {
       world.barrier();
       const int v = 1;
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
     } else {
       int v = 0;
       Request r = world.irecv_bytes(&v, sizeof v, 0, 0);
@@ -233,12 +233,12 @@ TEST(P2P, AbandonedRecvIsCancelledSafely) {
       }
       world.barrier();   // now let rank 0 send
       int v = 0;
-      world.recv_bytes(&v, sizeof v, 0, 77);
+      world.irecv_bytes(&v, sizeof v, 0, 77).wait();
       EXPECT_EQ(v, 5);
     } else {
       world.barrier();
       const int v = 5;
-      world.send_bytes(&v, sizeof v, 1, 77);
+      world.isend_bytes(&v, sizeof v, 1, 77).wait();
     }
   });
 }
@@ -248,7 +248,7 @@ TEST(P2P, SelfSendRecv) {
     const int out = 13;
     int in = 0;
     Request r = world.irecv_bytes(&in, sizeof in, 0, 1);
-    world.send_bytes(&out, sizeof out, 0, 1);
+    world.isend_bytes(&out, sizeof out, 0, 1).wait();
     r.wait();
     EXPECT_EQ(in, 13);
   });
@@ -260,7 +260,7 @@ TEST(P2P, RankFailurePropagatesInsteadOfDeadlocking) {
                    [](Comm& world) {
                      if (world.rank() == 0) ccaperf::raise("deliberate failure");
                      int v = 0;
-                     world.recv_bytes(&v, sizeof v, 0, 0);  // would block forever
+                     world.irecv_bytes(&v, sizeof v, 0, 0).wait();  // would block forever
                    }),
       ccaperf::Error);
 }
@@ -269,7 +269,7 @@ TEST(P2P, InvalidDestinationThrows) {
   EXPECT_THROW(Runtime::run(1,
                             [](Comm& world) {
                               const int v = 0;
-                              world.send_bytes(&v, sizeof v, 3, 0);
+                              world.isend_bytes(&v, sizeof v, 3, 0).wait();
                             }),
                ccaperf::Error);
 }

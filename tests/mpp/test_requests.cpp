@@ -32,7 +32,7 @@ TEST(Request, SendCompletesImmediately) {
       EXPECT_FALSE(r.valid());  // consumed
     } else {
       int v = 0;
-      world.recv_bytes(&v, sizeof v, 0, 0);
+      world.irecv_bytes(&v, sizeof v, 0, 0).wait();
     }
   });
 }
@@ -41,7 +41,7 @@ TEST(Request, MoveTransfersOwnership) {
   Runtime::run(2, [](Comm& world) {
     if (world.rank() == 0) {
       const int v = 2;
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
     } else {
       int v = 0;
       Request a = world.irecv_bytes(&v, sizeof v, 0, 0);
@@ -67,13 +67,13 @@ TEST(Request, MoveAssignReleasesPreviousOperation) {
       EXPECT_EQ(live, 22);
       // The tag-1 message parks in the unexpected queue; receive it fresh.
       int v = 0;
-      world.recv_bytes(&v, sizeof v, 0, 1);
+      world.irecv_bytes(&v, sizeof v, 0, 1).wait();
       EXPECT_EQ(v, 11);
     } else {
       world.barrier();
       const int a = 11, b = 22;
-      world.send_bytes(&a, sizeof a, 1, 1);
-      world.send_bytes(&b, sizeof b, 1, 2);
+      world.isend_bytes(&a, sizeof a, 1, 1).wait();
+      world.isend_bytes(&b, sizeof b, 1, 2).wait();
     }
   });
 }
@@ -83,7 +83,7 @@ TEST(Request, TestConsumesOnSuccessOnly) {
     if (world.rank() == 0) {
       world.barrier();
       const double v = 2.5;
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
     } else {
       double v = 0;
       Request r = world.irecv_bytes(&v, sizeof v, 0, 0);
@@ -110,7 +110,7 @@ TEST(Request, WaitSomeSkipsInvalidSlots) {
   Runtime::run(2, [](Comm& world) {
     if (world.rank() == 0) {
       const int v = 9;
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
     } else {
       int v = 0;
       std::vector<Request> reqs(3);  // two invalid placeholders
@@ -135,7 +135,7 @@ TEST(Request, StatusReportsSourceGroupRank) {
       EXPECT_EQ(s.tag, 5);
     } else if (world.rank() == 1) {
       const int v = 3;
-      world.send_bytes(&v, sizeof v, 2, 5);
+      world.isend_bytes(&v, sizeof v, 2, 5).wait();
     }
   });
 }

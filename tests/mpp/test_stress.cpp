@@ -41,7 +41,7 @@ TEST_P(RandomExchange, AllPayloadsArriveIntact) {
           sum ^= payload[i];
         }
         payload[1] = sum;
-        world.send<std::uint32_t>(payload, dest, k);
+        world.isend<std::uint32_t>(payload, dest, k).wait();
       }
     }
 
@@ -49,7 +49,7 @@ TEST_P(RandomExchange, AllPayloadsArriveIntact) {
     const int expected = (n - 1) * kmsgs;
     for (int got = 0; got < expected; ++got) {
       std::vector<std::uint32_t> buf(514 + 2);
-      mpp::Status s = world.recv<std::uint32_t>(buf, mpp::any_source, mpp::any_tag);
+      mpp::Status s = world.irecv<std::uint32_t>(buf, mpp::any_source, mpp::any_tag).wait();
       const std::size_t words = s.bytes / sizeof(std::uint32_t);
       ASSERT_GE(words, 3u);
       EXPECT_EQ(buf[0], static_cast<std::uint32_t>(s.source));
@@ -83,7 +83,7 @@ TEST(Stress, ManyOutstandingIrecvsCompleteViaWaitsome) {
       if (dest == world.rank()) continue;
       for (int k = 0; k < kPerPeer; ++k) {
         std::vector<int> msg{world.rank(), k, world.rank() * k, 7};
-        world.send<int>(msg, dest, k);
+        world.isend<int>(msg, dest, k).wait();
       }
     }
     std::vector<int> idx;
@@ -116,10 +116,10 @@ TEST(Stress, LargeMessages) {
     if (world.rank() == 0) {
       std::vector<double> big(n);
       std::iota(big.begin(), big.end(), 0.0);
-      world.send<double>(big, 1, 0);
+      world.isend<double>(big, 1, 0).wait();
     } else {
       std::vector<double> big(n);
-      world.recv<double>(big, 0, 0);
+      world.irecv<double>(big, 0, 0).wait();
       EXPECT_DOUBLE_EQ(big.front(), 0.0);
       EXPECT_DOUBLE_EQ(big[n / 2], static_cast<double>(n / 2));
       EXPECT_DOUBLE_EQ(big.back(), static_cast<double>(n - 1));
@@ -130,9 +130,9 @@ TEST(Stress, LargeMessages) {
 TEST(Stress, ZeroByteMessages) {
   Runtime::run(2, [](Comm& world) {
     if (world.rank() == 0) {
-      world.send_bytes(nullptr, 0, 1, 0);
+      world.isend_bytes(nullptr, 0, 1, 0).wait();
     } else {
-      mpp::Status s = world.recv_bytes(nullptr, 0, 0, 0);
+      mpp::Status s = world.irecv_bytes(nullptr, 0, 0, 0).wait();
       EXPECT_EQ(s.bytes, 0u);
       EXPECT_EQ(s.source, 0);
     }

@@ -26,7 +26,7 @@ TEST(Watchdog, AbortsAStuckReceive) {
     mpp::Runtime::run(2, [](mpp::Comm& world) {
       if (world.rank() == 0) {
         int v = 0;
-        world.recv_bytes(&v, sizeof v, 1, 0);  // never sent
+        world.irecv_bytes(&v, sizeof v, 1, 0).wait();  // never sent
       }
       // rank 1 exits immediately
     });

@@ -22,17 +22,18 @@ TEST(MpiAdapter, TimesPointToPointCalls) {
 
     std::vector<double> buf(64);
     if (world.rank() == 0) {
-      world.send<double>(buf, 1, 0);
+      world.isend<double>(buf, 1, 0).wait();
     } else {
-      world.recv<double>(buf, 0, 0);
+      world.irecv<double>(buf, 0, 0).wait();
     }
     world.barrier();
 
     if (world.rank() == 0) {
-      EXPECT_TRUE(reg.has_timer("MPI_Send()"));
-      EXPECT_EQ(reg.calls(reg.timer("MPI_Send()")), 1u);
+      EXPECT_TRUE(reg.has_timer("MPI_Isend()"));
+      EXPECT_EQ(reg.calls(reg.timer("MPI_Isend()")), 1u);
     } else {
-      EXPECT_TRUE(reg.has_timer("MPI_Recv()"));
+      EXPECT_TRUE(reg.has_timer("MPI_Irecv()"));
+      EXPECT_TRUE(reg.has_timer("MPI_Wait()"));
     }
     EXPECT_TRUE(reg.has_timer("MPI_Barrier()"));
     EXPECT_EQ(reg.stats_at(reg.timer("MPI_Barrier()", tau::kMpiGroup)).group,
@@ -48,9 +49,9 @@ TEST(MpiAdapter, RecordsMessageSizeEvents) {
 
     std::vector<double> buf(100);
     if (world.rank() == 0)
-      world.send<double>(buf, 1, 0);
+      world.isend<double>(buf, 1, 0).wait();
     else
-      world.recv<double>(buf, 0, 0);
+      world.irecv<double>(buf, 0, 0).wait();
 
     const auto& events = reg.events();
     auto it = events.find("Message size (bytes)");
@@ -76,10 +77,10 @@ TEST(MpiAdapter, GroupSumTracksCommunicationTime) {
     int v = 7;
     if (world.rank() == 0) {
       while (!receiving.load()) std::this_thread::yield();
-      world.send_bytes(&v, sizeof v, 1, 0);
+      world.isend_bytes(&v, sizeof v, 1, 0).wait();
     } else {
       receiving.store(true);
-      world.recv_bytes(&v, sizeof v, 0, 0);
+      world.irecv_bytes(&v, sizeof v, 0, 0).wait();
       EXPECT_GE(reg.group_inclusive_us(tau::kMpiGroup), 1800.0);
     }
   });
@@ -101,7 +102,7 @@ TEST(MpiAdapter, WaitsomeAppearsUnderItsOwnName) {
       EXPECT_TRUE(reg.has_timer("MPI_Waitsome()"));
       EXPECT_TRUE(reg.has_timer("MPI_Irecv()"));
     } else {
-      world.send_bytes(&v, sizeof v, 0, 0);
+      world.isend_bytes(&v, sizeof v, 0, 0).wait();
     }
     world.barrier();
   });
@@ -132,9 +133,9 @@ TEST(MpiAdapter, TracedRunRecordsMessageEndpoints) {
 
     std::vector<double> buf(32);
     if (world.rank() == 0)
-      world.send<double>(buf, 1, 9);
+      world.isend<double>(buf, 1, 9).wait();
     else
-      world.recv<double>(buf, 0, 9);
+      world.irecv<double>(buf, 0, 9).wait();
 
     const tau::TraceBuffer& tr = reg.trace();
     const tau::TraceKind want =
@@ -172,9 +173,9 @@ TEST(MpiAdapter, MessageTraceRespectsGroupAndTracingGates) {
     auto exchange = [&world] {
       int v = 0;
       if (world.rank() == 0)
-        world.send_bytes(&v, sizeof v, 1, 0);
+        world.isend_bytes(&v, sizeof v, 1, 0).wait();
       else
-        world.recv_bytes(&v, sizeof v, 0, 0);
+        world.irecv_bytes(&v, sizeof v, 0, 0).wait();
       world.barrier();
     };
 
