@@ -135,12 +135,15 @@ def main():
             tag = "INFO"
         measured = "absent" if r["measured"] is None else f"{r['measured']:g}"
         arrow = "higher=better" if r["higher_is_better"] else "lower=better"
+        bound = "" if r.get("tolerance") is None else \
+            f", tolerance {r['tolerance']:.0%}"
         print(f"[{tag}] {r['bench'] + '.' + r['metric']:<{width}}  "
-              f"baseline {r['baseline']:g}  measured {measured}  ({arrow})"
+              f"baseline {r['baseline']:g}  measured {measured}  "
+              f"({arrow}{bound})"
               + (f"  {r['status']}" if tag == "INFO" else ""))
     print(f"bench_gate: {'OK' if all_ok else 'REGRESSION'} "
           f"({sum(r['ok'] for r in results)}/{len(results)} metrics within "
-          f"{args.tolerance:.0%}), report -> {args.out}")
+          f"their tolerances), report -> {args.out}")
     return 0 if all_ok else 1
 
 

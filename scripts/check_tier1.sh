@@ -289,6 +289,17 @@ for isa in ("avx2", "native"):
 print(f"simd matrix: {len(ref)} density CSVs byte-identical across "
       "scalar/avx2/native dispatch")
 PY
+  # Every level runs the same per-line States algorithm, so agreeing with
+  # each other cannot catch a bug they share: pin each level to the
+  # case study's known density digests as well.
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_components
+  # The grep keeps a renamed test from passing as an empty selection.
+  for isa in scalar avx2 native; do
+    CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/components/test_components" \
+      --gtest_filter='App.CaseStudyDigestKnownAnswer' --gtest_brief=1 |
+      tee "${SMOKE_DIR}/known-answer-${isa}.out"
+    grep -q '^\[  PASSED  \] 1 test\.$' "${SMOKE_DIR}/known-answer-${isa}.out"
+  done
   echo "simd matrix: OK"
 fi
 
@@ -362,7 +373,8 @@ if want tsan; then
   # lane-dispatched monitor, proxies resolving their monitor once from
   # pool lanes, multi-threaded kernels), the telemetry
   # hub (shard rings under concurrent publishers racing the drainer
-  # ServiceThread), the case study at 1-3 ranks with regrids, whose
+  # ServiceThread), States' per-thread line strip under pool lanes
+  # (StatesReference.*), the case study at 1-3 ranks with regrids, whose
   # field must stay bit-identical while the fine levels are cut for
   # balance differently at each rank count, and InviscidFlux's per-thread
   # face-array scratch under concurrent pool lanes.
@@ -380,7 +392,7 @@ if want tsan; then
     --gtest_filter='ThreadedMonitor.*:ThreadedGovernor.*:ProxyContract.*'
   "${TSAN_DIR}/tests/core/test_telemetry_hub"
   "${TSAN_DIR}/tests/euler/test_euler" \
-    --gtest_filter='KernelsMt.*:SimdDispatch.*:SimdKernels.*'
+    --gtest_filter='KernelsMt.*:SimdDispatch.*:SimdKernels.*:StatesReference.*'
   "${TSAN_DIR}/tests/tau/test_tau" --gtest_filter='RegistryShards.*'
   "${TSAN_DIR}/tests/components/test_components" \
     --gtest_filter='App.FieldBitIdentical*:InviscidFluxScratch.*'

@@ -40,8 +40,8 @@ KernelCounts states_range(const amr::PatchData<double>& U,
     default:
       break;
   }
-  return detail::states_range_scalar(U, interior, dir, gas, left, right, probe,
-                                     o_begin, o_end);
+  return detail::states_range_lines<detail::ScalarStatesGroups>(
+      U, interior, dir, gas, left, right, probe, o_begin, o_end);
 }
 
 template <class Probe>

@@ -13,8 +13,8 @@ KernelCounts states_range_avx2(const amr::PatchData<double>& U,
                                const amr::Box& interior, Dir dir,
                                const GasModel& gas, Array2& left, Array2& right,
                                Probe& probe, int o_begin, int o_end) {
-  return states_range_vec<4>(U, interior, dir, gas, left, right, probe,
-                             o_begin, o_end);
+  return states_range_lines<VecStatesGroups<4>>(
+      U, interior, dir, gas, left, right, probe, o_begin, o_end);
 }
 
 template <class Probe>

@@ -14,8 +14,8 @@ KernelCounts states_range_avx512(const amr::PatchData<double>& U,
                                  const GasModel& gas, Array2& left,
                                  Array2& right, Probe& probe, int o_begin,
                                  int o_end) {
-  return states_range_vec<8>(U, interior, dir, gas, left, right, probe,
-                             o_begin, o_end);
+  return states_range_lines<VecStatesGroups<8>>(
+      U, interior, dir, gas, left, right, probe, o_begin, o_end);
 }
 
 template <class Probe>

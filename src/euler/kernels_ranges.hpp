@@ -1,14 +1,23 @@
 #pragma once
-// Scalar reference implementations of the sweep kernels over outer-index
-// ranges, shared between kernels.cpp (the dispatch layer and the scalar
-// ISA level) and the per-ISA SIMD translation units (which fall back to
-// the per-face scalar routines for vector-remainder faces). Everything
-// here is THE bit-exactness reference: the vector kernels must reproduce
-// these expressions lane for lane, and must issue the probe calls of
-// `reconstruct_one_face` / `efm_one_face` in exactly this per-face order
-// so traced cache counters stay bit-identical across ISA levels.
+// Scalar bodies of the sweep kernels over outer-index ranges, shared
+// between kernels.cpp (the dispatch layer and the scalar ISA level) and
+// the per-ISA SIMD translation units (which run these scalar bodies for
+// the cells and faces that do not fill a vector group). The expressions
+// here are the bit-exactness reference: the vector kernels must reproduce
+// them lane for lane, and must make the probe calls of one scalar face
+// at a time, in face order, so traced cache counters stay bit-identical
+// across ISA levels.
+//
+// States converts each sweep line once: the cells the line's faces read
+// go through cons_to_prim into a strip of face-normal primitives on the
+// calling thread's stack, and every face is then reconstructed from four
+// strip entries. The per-face textbook form (convert all four stencil
+// cells of every face) survives only as the frozen reference in
+// tests/euler/test_states_reference.cpp.
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "euler/kernels.hpp"
 
@@ -25,97 +34,158 @@ inline std::ptrdiff_t comp_stride_bytes(const Array2& a) {
   return a.comp_stride() * static_cast<std::ptrdiff_t>(sizeof(double));
 }
 
-/// Gathers the four stencil cells around a face (k = -2..+1 along `dir`)
-/// as primitive quintuples in the face-normal frame: w[k] = (rho, u_n,
-/// u_t, p, phi). The four reads per component form one strided run — unit
-/// stride for X sweeps — probed through the batched cache-sim API.
-template <class Probe>
-inline void load_prim_stencil(const amr::PatchData<double>& U, int i0, int j0,
-                              Dir dir, const GasModel& gas, Probe& probe,
-                              double w[4][kNcomp]) {
-  const int di = dir == Dir::x ? 1 : 0;
-  const int dj = dir == Dir::x ? 0 : 1;
-  const int im2 = i0 - 2 * di;
-  const int jm2 = j0 - 2 * dj;
-  const std::ptrdiff_t stride = (dir == Dir::x ? 1 : U.row_stride()) *
-                                static_cast<std::ptrdiff_t>(sizeof(double));
-  for (int c = 0; c < kNcomp; ++c)
-    probe.load_run(&U(im2, jm2, c), stride, 4, sizeof(double));
-  for (int k = 0; k < 4; ++k) {
-    double q[kNcomp];
-    for (int c = 0; c < kNcomp; ++c) q[c] = U(im2 + k * di, jm2 + k * dj, c);
-    const Prim p = cons_to_prim(q, gas);
-    probe.flops(18);  // conversion cost (divides, gamma closure)
-    w[k][0] = p.rho;
-    w[k][1] = dir == Dir::x ? p.u : p.v;
-    w[k][2] = dir == Dir::x ? p.v : p.u;
-    w[k][3] = p.p;
-    w[k][4] = p.phi;
-  }
-}
-
 /// Span of the sweep's OUTER loop in direction `dir`: rows (fj) for
 /// Dir::x, columns (fi) for Dir::y — the loop whose iterations are
-/// independent and can be split across lanes or counter shards.
+/// independent and can be split across lanes.
 inline int outer_extent(int nx, int ny, Dir dir) {
   return dir == Dir::x ? ny : nx;
 }
 
-/// MUSCL reconstruction of one face — the scalar reference the vector
-/// kernels mirror, and the remainder path they call directly.
-template <class Probe>
-inline void reconstruct_one_face(const amr::PatchData<double>& U, Dir dir,
-                                 const GasModel& gas, Array2& left,
-                                 Array2& right, Probe& probe, int fi, int fj,
-                                 int i0, int j0) {
-  // w[k]: primitive states at the four stencil cells around a face (face
-  // between cell -1 and cell 0 of the local numbering, k = -2..+1 mapped
-  // to 0..3).
-  double w[4][kNcomp];
-  const std::ptrdiff_t face_comp = comp_stride_bytes(left);
-  load_prim_stencil(U, i0, j0, dir, gas, probe, w);
+// --- States (MUSCL reconstruction) -------------------------------------------
+
+/// Strip elements kept on the stack (32 KiB: lines of up to 816 faces).
+/// The strip is not heap memory because the cache simulator maps sets
+/// from virtual addresses: an allocation here would move every array
+/// allocated after it, and traced counters of later sweeps with it.
+inline constexpr std::size_t kStackStripDoubles = 4096;
+
+/// One sweep line of the States kernel: outer index `o`, a row for Dir::x
+/// or a column for Dir::y. Face f of the line sits between cells f-1 and
+/// f (counted from the line's first interior cell) and its MUSCL stencil
+/// reads cells f-2 .. f+1, so the line needs cells -2 .. faces; strip
+/// cell k holds cell k-2 and face f reads strip cells f .. f+3. The strip
+/// keeps the face arrays' layout (components innermost), so component c
+/// of face f's stencil cell m sits at strip[(f + m) * kNcomp + c] and a
+/// run of faces is one flat elementwise loop: left and right element t
+/// read strip elements t, t+5, t+10, t+15.
+struct StatesLine {
+  Dir dir;
+  const double* cell0;        ///< &U(cell -2, component 0)
+  std::ptrdiff_t cell_step;   ///< doubles between neighbouring cells
+  std::ptrdiff_t comp_step;   ///< doubles between components of a cell
+  double* left0;              ///< face 0's left state (5 contiguous)
+  double* right0;             ///< face 0's right state
+  std::ptrdiff_t face_step;   ///< doubles between neighbouring faces
+  double* strip;              ///< ncells x kNcomp primitives
+  int ncells;                 ///< faces + 3
+};
+
+/// Converts strip cell k to face-normal primitives (rho, u_n, u_t, p, phi).
+inline void convert_cell(const StatesLine& line, const GasModel& gas, int k) {
+  const double* u = line.cell0 + k * line.cell_step;
+  double q[kNcomp];
+  for (int c = 0; c < kNcomp; ++c) q[c] = u[c * line.comp_step];
+  const Prim p = cons_to_prim(q, gas);
+  double* s = line.strip + k * kNcomp;
+  s[0] = p.rho;
+  s[1] = line.dir == Dir::x ? p.u : p.v;
+  s[2] = line.dir == Dir::x ? p.v : p.u;
+  s[3] = p.p;
+  s[4] = p.phi;
+}
+
+/// MUSCL reconstruction of face f from the converted strip.
+inline void states_face(const StatesLine& line, int f) {
+  double* lp = line.left0 + f * line.face_step;
+  double* rp = line.right0 + f * line.face_step;
+  const double* w = line.strip + f * kNcomp;
   for (int c = 0; c < kNcomp; ++c) {
-    const double sl = minmod(w[1][c] - w[0][c], w[2][c] - w[1][c]);
-    const double sr = minmod(w[2][c] - w[1][c], w[3][c] - w[2][c]);
-    left(fi, fj, c) = w[1][c] + 0.5 * sl;
-    right(fi, fj, c) = w[2][c] - 0.5 * sr;
+    const double w0 = w[c], w1 = w[c + kNcomp], w2 = w[c + 2 * kNcomp],
+                 w3 = w[c + 3 * kNcomp];
+    const double sl = minmod(w1 - w0, w2 - w1);
+    const double sr = minmod(w2 - w1, w3 - w2);
+    lp[c] = w1 + 0.5 * sl;
+    rp[c] = w2 - 0.5 * sr;
   }
-  probe.store_run(left.addr(fi, fj, 0), face_comp, kNcomp, sizeof(double));
-  probe.store_run(right.addr(fi, fj, 0), face_comp, kNcomp, sizeof(double));
+}
+
+/// Face f's probe sequence, as the per-face textbook kernel made it: one
+/// 4-element load run per conserved component of the stencil (unit stride
+/// for Dir::x, row stride for Dir::y), 18 flops per cell conversion, the
+/// two face store runs and the reconstruction flops.
+template <class Probe>
+inline void replay_states_face(const StatesLine& line, int f, Probe& probe) {
+  const double* u = line.cell0 + f * line.cell_step;
+  const auto elem = static_cast<std::ptrdiff_t>(sizeof(double));
+  for (int c = 0; c < kNcomp; ++c)
+    probe.load_run(u + c * line.comp_step, line.cell_step * elem, 4,
+                   sizeof(double));
+  for (int k = 0; k < 4; ++k) probe.flops(18);  // conversion cost per cell
+  probe.store_run(line.left0 + f * line.face_step, Array2::comp_stride() * elem,
+                  kNcomp, sizeof(double));
+  probe.store_run(line.right0 + f * line.face_step,
+                  Array2::comp_stride() * elem, kNcomp, sizeof(double));
   probe.flops(8 * kNcomp);
 }
 
-/// Reconstruction over outer indices [o_begin, o_end); the full-span call
-/// is the original serial kernel, a sub-span is one lane's (or one counter
-/// shard's) slice. Shape checks are the caller's job.
-template <class Probe>
-KernelCounts states_range_scalar(const amr::PatchData<double>& U,
-                                 const amr::Box& interior, Dir dir,
-                                 const GasModel& gas, Array2& left,
-                                 Array2& right, Probe& probe, int o_begin,
-                                 int o_end) {
-  const int nx = left.nx(), ny = left.ny();
+/// The scalar ISA level: no vector groups, every cell and face is a tail.
+struct ScalarStatesGroups {
+  static constexpr int kWidth = 1;
+};
+
+/// States over outer indices [o_begin, o_end); the full-span call is the
+/// serial kernel, a sub-span is one lane's slice. Each line converts its
+/// ncells cells into the strip, then reconstructs its faces from it.
+/// `Groups` supplies the ISA's vector bodies for full groups of
+/// Groups::kWidth cells (`convert`) and faces (`faces`); the rest run the
+/// scalar bodies above. Shape checks are the caller's job.
+template <class Groups, class Probe>
+KernelCounts states_range_lines(const amr::PatchData<double>& U,
+                                const amr::Box& interior, Dir dir,
+                                const GasModel& gas, Array2& left,
+                                Array2& right, Probe& probe, int o_begin,
+                                int o_end) {
+  constexpr int W = Groups::kWidth;
   KernelCounts counts;
-  if (dir == Dir::x) {
-    // Sequential mode: inner loop is unit stride in memory.
-    for (int fj = o_begin; fj < o_end; ++fj) {
-      const int j = interior.lo().j + fj;
-      for (int fi = 0; fi < nx; ++fi) {
-        reconstruct_one_face(U, dir, gas, left, right, probe, fi, fj,
-                             interior.lo().i + fi, j);
-        ++counts.faces;
+  const bool x = dir == Dir::x;
+  const int faces = x ? left.nx() : left.ny();
+  const std::size_t need = static_cast<std::size_t>(kNcomp) *
+                           static_cast<std::size_t>(faces + 3);
+  double stack_strip[kStackStripDoubles];
+  std::vector<double> heap_strip;
+  if (need > kStackStripDoubles) heap_strip.resize(need);
+
+  StatesLine line;
+  line.dir = dir;
+  line.cell_step = x ? 1 : U.row_stride();
+  line.comp_step = static_cast<std::ptrdiff_t>(U.pts_per_comp());
+  line.face_step = (x ? 1 : static_cast<std::ptrdiff_t>(left.nx())) * kNcomp;
+  line.strip = need > kStackStripDoubles ? heap_strip.data() : stack_strip;
+  line.ncells = faces + 3;
+  for (int o = o_begin; o < o_end; ++o) {
+    // Face 0 of the line, and its stencil's first cell two cells before.
+    const int fi = x ? 0 : o, fj = x ? o : 0;
+    line.cell0 = &U(interior.lo().i + fi - (x ? 2 : 0),
+                    interior.lo().j + fj - (x ? 0 : 2), 0);
+    line.left0 = &left(fi, fj, 0);
+    line.right0 = &right(fi, fj, 0);
+    int k = 0;
+    if constexpr (W > 1)
+      for (; k + W <= line.ncells; k += W) Groups::convert(line, gas, k);
+    for (; k < line.ncells; ++k) convert_cell(line, gas, k);
+
+    int f = 0;
+    if constexpr (W > 1) {
+      for (; f + W <= faces; f += W) {
+        Groups::faces(line, f);
+        // Traced runs replay each face's probe sequence in scalar order
+        // (addresses only — the values are already written). When the
+        // simulator's sampling gate would reject the whole group,
+        // skip_runs tallies the identical event totals in one step.
+        if constexpr (Probe::kCounting) {
+          if (!probe.skip_runs((kNcomp + 2) * static_cast<std::uint64_t>(W),
+                               4ull * kNcomp * W, 2ull * kNcomp * W,
+                               static_cast<std::uint64_t>(W) *
+                                   (4 * 18 + 8 * kNcomp)))
+            for (int l = 0; l < W; ++l) replay_states_face(line, f + l, probe);
+        }
       }
     }
-  } else {
-    // Strided mode: inner loop strides by the padded row length.
-    for (int fi = o_begin; fi < o_end; ++fi) {
-      const int i = interior.lo().i + fi;
-      for (int fj = 0; fj < ny; ++fj) {
-        reconstruct_one_face(U, dir, gas, left, right, probe, fi, fj, i,
-                             interior.lo().j + fj);
-        ++counts.faces;
-      }
+    for (; f < faces; ++f) {
+      states_face(line, f);
+      replay_states_face(line, f, probe);
     }
+    counts.faces += static_cast<std::uint64_t>(faces);
   }
   return counts;
 }

@@ -3,6 +3,9 @@
 // RK2 update loops, instantiated at W=4 (AVX2) and W=8 (AVX-512) by the
 // per-ISA translation units. Built on GCC/Clang vector extensions so one
 // template serves every ISA; the TU's -m flags pick the instruction set.
+// States has no sweep loop of its own here: VecStatesGroups plugs W-wide
+// cell conversion and face reconstruction into the per-line algorithm of
+// kernels_ranges.hpp, which the scalar level runs with no vector groups.
 //
 // BIT-EXACTNESS CONTRACT (DESIGN.md §11): every lane evaluates exactly the
 // expression DAG of the scalar reference in kernels_ranges.hpp —
@@ -21,6 +24,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <immintrin.h>
 
 #include "euler/kernels_ranges.hpp"
 
@@ -64,13 +68,32 @@ inline void vstoreu(double* p, Vec<W> v) {
   __builtin_memcpy(p, &v, sizeof v);
 }
 
-/// Strided gather: lane l reads p[l * stride] (stride in doubles).
+/// Strided gather: lane l reads p[l * stride] (stride in doubles), with
+/// the ISA's gather instruction. A lane-by-lane form compiles to W scalar
+/// loads and inserts, which made the Y (column) States conversion slower
+/// than the scalar level. Loads only, so exact. Both SIMD TUs have AVX2;
+/// the AVX-512 one uses the all-lanes masked form because GCC 12 flags
+/// the unmasked intrinsic's internal pass-through operand as
+/// uninitialized.
 template <int W>
-inline Vec<W> vgather(const double* p, std::ptrdiff_t stride) {
-  Vec<W> v;
-  for (int l = 0; l < W; ++l) v[l] = p[l * stride];
-  return v;
+Vec<W> vgather(const double* p, std::ptrdiff_t stride);
+
+template <>
+inline Vec<4> vgather<4>(const double* p, std::ptrdiff_t stride) {
+  const __m256i idx = _mm256_set_epi64x(3 * stride, 2 * stride, stride, 0);
+  return (Vec<4>)_mm256_i64gather_pd(p, idx, 8);
 }
+
+#if defined(__AVX512F__)
+template <>
+inline Vec<8> vgather<8>(const double* p, std::ptrdiff_t stride) {
+  const __m512i idx = _mm512_set_epi64(7 * stride, 6 * stride, 5 * stride,
+                                       4 * stride, 3 * stride, 2 * stride,
+                                       stride, 0);
+  return (Vec<8>)_mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xff, idx, p,
+                                          8);
+}
+#endif
 
 /// Blend: lane l gets a[l] where m[l] is all-ones (a vector comparison
 /// result), else b[l]. Pure bit ops — exact.
@@ -153,104 +176,69 @@ inline PrimV<W> vcons_to_prim(const Vec<W> q[kNcomp], const GasModel& gas) {
 
 // --- States (MUSCL reconstruction) -------------------------------------------
 
-template <int W, class Probe>
-KernelCounts states_range_vec(const amr::PatchData<double>& U,
-                              const amr::Box& interior, Dir dir,
-                              const GasModel& gas, Array2& left, Array2& right,
-                              Probe& probe, int o_begin, int o_end) {
-  const int nx = left.nx(), ny = left.ny();
-  const int inner = dir == Dir::x ? nx : ny;
-  const int di = dir == Dir::x ? 1 : 0;
-  const int dj = 1 - di;
-  const std::ptrdiff_t urow = U.row_stride();
-  // Lane strides (in doubles): where face f+1 sits relative to face f.
-  const std::ptrdiff_t face_lane =
-      dir == Dir::x ? kNcomp : static_cast<std::ptrdiff_t>(nx) * kNcomp;
-  const std::ptrdiff_t load_stride =
-      (dir == Dir::x ? 1 : U.row_stride()) *
-      static_cast<std::ptrdiff_t>(sizeof(double));
-  const std::ptrdiff_t face_comp = comp_stride_bytes(left);
-  KernelCounts counts;
+/// The vector bodies of states_range_lines (kernels_ranges.hpp): W strip
+/// cells converted at once (lane l holding cell k+l), and W faces
+/// reconstructed as kNcomp vectors over their flat component-innermost
+/// elements.
+template <int W>
+struct VecStatesGroups {
+  static constexpr int kWidth = W;
 
-  for (int o = o_begin; o < o_end; ++o) {
-    int f = 0;
-    for (; f + W <= inner; f += W) {
-      const int fi0 = dir == Dir::x ? f : o;
-      const int fj0 = dir == Dir::x ? o : f;
-      const int i0 = interior.lo().i + fi0;
-      const int j0 = interior.lo().j + fj0;
-      const int im2 = i0 - 2 * di;
-      const int jm2 = j0 - 2 * dj;
-
-      // Primitive stencil: one vector per (stencil cell k, component),
-      // lane l holding face f+l — load_prim_stencil, W faces at a time.
-      Vec<W> w[4][kNcomp];
-      for (int k = 0; k < 4; ++k) {
-        Vec<W> q[kNcomp];
-        for (int c = 0; c < kNcomp; ++c) {
-          const double* base = &U(im2 + k * di, jm2 + k * dj, c);
-          q[c] = dir == Dir::x ? vloadu<W>(base) : vgather<W>(base, urow);
-        }
-        const PrimV<W> p = vcons_to_prim<W>(q, gas);
-        w[k][0] = p.rho;
-        w[k][1] = dir == Dir::x ? p.u : p.v;
-        w[k][2] = dir == Dir::x ? p.v : p.u;
-        w[k][3] = p.p;
-        w[k][4] = p.phi;
-      }
-
-      for (int c = 0; c < kNcomp; ++c) {
-        const Vec<W> dm = w[2][c] - w[1][c];
-        const Vec<W> sl = vminmod<W>(w[1][c] - w[0][c], dm);
-        const Vec<W> sr = vminmod<W>(dm, w[3][c] - w[2][c]);
-        const Vec<W> lv = w[1][c] + vbc<W>(0.5) * sl;
-        const Vec<W> rv = w[2][c] - vbc<W>(0.5) * sr;
-        double* lp = &left(fi0, fj0, c);
-        double* rp = &right(fi0, fj0, c);
-        for (int l = 0; l < W; ++l) {
-          lp[l * face_lane] = lv[l];
-          rp[l * face_lane] = rv[l];
-        }
-      }
-
-      // Traced runs replay each face's probe sequence in scalar order
-      // (addresses only — the math above already produced the values).
-      // Per face that is kNcomp stencil load runs of 4 elements plus two
-      // face store runs; when the simulator's sampling gate would reject
-      // the whole group, skip_runs tallies the identical event totals in
-      // one step instead (the replay loop is pure overhead then).
-      if constexpr (Probe::kCounting) {
-        if (!probe.skip_runs((kNcomp + 2) * static_cast<std::uint64_t>(W),
-                             4ull * kNcomp * W, 2ull * kNcomp * W,
-                             static_cast<std::uint64_t>(W) *
-                                 (4 * 18 + 8 * kNcomp))) {
-          for (int l = 0; l < W; ++l) {
-            const int fi = fi0 + l * di, fj = fj0 + l * dj;
-            const int li = im2 + l * di, lj = jm2 + l * dj;
-            for (int c = 0; c < kNcomp; ++c)
-              probe.load_run(&U(li, lj, c), load_stride, 4, sizeof(double));
-            for (int k = 0; k < 4; ++k) probe.flops(18);
-            probe.store_run(left.addr(fi, fj, 0), face_comp, kNcomp,
-                            sizeof(double));
-            probe.store_run(right.addr(fi, fj, 0), face_comp, kNcomp,
-                            sizeof(double));
-            probe.flops(8 * kNcomp);
-          }
-        }
-      }
-      counts.faces += W;
+  /// convert_cell for cells k .. k+W-1: one load (Dir::x) or strided
+  /// gather (Dir::y) per component, one vcons_to_prim, and the lanes
+  /// stored cell by cell into the component-innermost strip.
+  static void convert(const StatesLine& line, const GasModel& gas, int k) {
+    const double* u = line.cell0 + k * line.cell_step;
+    Vec<W> q[kNcomp];
+    for (int c = 0; c < kNcomp; ++c) {
+      const double* base = u + c * line.comp_step;
+      q[c] = line.dir == Dir::x ? vloadu<W>(base)
+                                : vgather<W>(base, line.cell_step);
     }
-    // Remainder faces: the scalar reference, same values and probe order.
-    for (; f < inner; ++f) {
-      const int fi = dir == Dir::x ? f : o;
-      const int fj = dir == Dir::x ? o : f;
-      reconstruct_one_face(U, dir, gas, left, right, probe, fi, fj,
-                           interior.lo().i + fi, interior.lo().j + fj);
-      ++counts.faces;
+    const PrimV<W> p = vcons_to_prim<W>(q, gas);
+    const Vec<W> un = line.dir == Dir::x ? p.u : p.v;
+    const Vec<W> ut = line.dir == Dir::x ? p.v : p.u;
+    double* s = line.strip + k * kNcomp;
+    for (int l = 0; l < W; ++l) {
+      s[l * kNcomp + 0] = p.rho[l];
+      s[l * kNcomp + 1] = un[l];
+      s[l * kNcomp + 2] = ut[l];
+      s[l * kNcomp + 3] = p.p[l];
+      s[l * kNcomp + 4] = p.phi[l];
     }
   }
-  return counts;
-}
+
+  /// states_face for faces f .. f+W-1. Their kNcomp*W left (right)
+  /// elements are contiguous in the strip's layout, and element t's
+  /// stencil is strip[t], [t+5], [t+10], [t+15], so each of the kNcomp
+  /// vectors takes four unaligned loads and the same dm / minmod /
+  /// +-0.5*s expressions. Dir::x faces are contiguous in the face arrays
+  /// too; Dir::y faces are copied out one 5-element state at a time.
+  static void faces(const StatesLine& line, int f) {
+    const double* w = line.strip + f * kNcomp;
+    double lbuf[kNcomp * W], rbuf[kNcomp * W];
+    const bool direct = line.face_step == kNcomp;
+    double* lp = direct ? line.left0 + f * line.face_step : lbuf;
+    double* rp = direct ? line.right0 + f * line.face_step : rbuf;
+    for (int v = 0; v < kNcomp * W; v += W) {
+      const Vec<W> w0 = vloadu<W>(w + v), w1 = vloadu<W>(w + v + kNcomp),
+                   w2 = vloadu<W>(w + v + 2 * kNcomp),
+                   w3 = vloadu<W>(w + v + 3 * kNcomp);
+      const Vec<W> dm = w2 - w1;
+      const Vec<W> sl = vminmod<W>(w1 - w0, dm);
+      const Vec<W> sr = vminmod<W>(dm, w3 - w2);
+      vstoreu<W>(lp + v, w1 + vbc<W>(0.5) * sl);
+      vstoreu<W>(rp + v, w2 - vbc<W>(0.5) * sr);
+    }
+    if (direct) return;
+    for (int l = 0; l < W; ++l) {
+      std::memcpy(line.left0 + (f + l) * line.face_step, lbuf + l * kNcomp,
+                  sizeof(double) * kNcomp);
+      std::memcpy(line.right0 + (f + l) * line.face_step, rbuf + l * kNcomp,
+                  sizeof(double) * kNcomp);
+    }
+  }
+};
 
 // --- EFM flux ----------------------------------------------------------------
 
@@ -338,7 +326,7 @@ KernelCounts efm_range_vec(const Array2& left, const Array2& right, Dir dir,
 
       // Per face: two state load runs + one flux store run; bulk-skip the
       // group when the sampling gate would reject every batch (see
-      // states_range_vec).
+      // states_range_lines).
       if constexpr (Probe::kCounting) {
         if (!probe.skip_runs(3ull * W, 2ull * kNcomp * W,
                              static_cast<std::uint64_t>(kNcomp) * W,
