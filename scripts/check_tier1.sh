@@ -85,6 +85,24 @@ if want tier1; then
   echo "== tier-1 suites (${BUILD_DIR}, warnings as errors) =="
   cmake -B "${BUILD_DIR}" -S . -DCCAPERF_WERROR=ON >/dev/null
   cmake --build "${BUILD_DIR}" -j "${JOBS}"
+  echo "== ODR guard: no weak symbol of a SIMD object is defined twice =="
+  # kernels_avx2.cpp / kernels_avx512.cpp compile with -m flags. An inline
+  # function they do not inline becomes a weak symbol, and when another
+  # object of the library defines it too the linker keeps one copy for
+  # every caller — possibly the AVX-512 one, which faults on hosts
+  # without it. DW.ref.* are data (the unwinder's personality pointer).
+  odr=$(nm --defined-only "${BUILD_DIR}/src/euler/libccaperf_euler.a" | awk '
+    /\.o:$/ { obj = $1; simd = obj ~ /^kernels_avx(2|512)\.cpp\.o:$/; next }
+    NF == 3 && $3 !~ /^DW\.ref\./ {
+      defs[$3]++
+      if (simd && $2 ~ /^[WVu]$/) weak[$3] = obj
+    }
+    END { for (s in weak) if (defs[s] > 1) print weak[s], s }')
+  if [ -n "${odr}" ]; then
+    echo "check_tier1.sh: weak symbols of SIMD objects defined in other objects too:" >&2
+    echo "${odr}" | c++filt >&2
+    exit 1
+  fi
   ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
 fi
 
@@ -291,14 +309,20 @@ print(f"simd matrix: {len(ref)} density CSVs byte-identical across "
 PY
   # Every level runs the same per-line States algorithm, so agreeing with
   # each other cannot catch a bug they share: pin each level to the
-  # case study's known density digests as well.
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_components
+  # case study's known density digests as well. The Godunov vector solve
+  # is checked against exact_riemann face by face on seeded inputs that
+  # reach every wave pattern, at each forced level.
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_components test_euler
   # The grep keeps a renamed test from passing as an empty selection.
   for isa in scalar avx2 native; do
     CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/components/test_components" \
       --gtest_filter='App.CaseStudyDigestKnownAnswer' --gtest_brief=1 |
       tee "${SMOKE_DIR}/known-answer-${isa}.out"
     grep -q '^\[  PASSED  \] 1 test\.$' "${SMOKE_DIR}/known-answer-${isa}.out"
+    CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/euler/test_euler" \
+      --gtest_filter='SimdKernels.GodunovFluxBitIdenticalAcrossIsa' \
+      --gtest_brief=1 | tee "${SMOKE_DIR}/godunov-${isa}.out"
+    grep -q '^\[  PASSED  \] 1 test\.$' "${SMOKE_DIR}/godunov-${isa}.out"
   done
   echo "simd matrix: OK"
 fi
@@ -374,10 +398,12 @@ if want tsan; then
   # pool lanes, multi-threaded kernels), the telemetry
   # hub (shard rings under concurrent publishers racing the drainer
   # ServiceThread), States' per-thread line strip under pool lanes
-  # (StatesReference.*), the case study at 1-3 ranks with regrids, whose
-  # field must stay bit-identical while the fine levels are cut for
-  # balance differently at each rank count, and InviscidFlux's per-thread
-  # face-array scratch under concurrent pool lanes.
+  # (StatesReference.*), the Godunov vector solve's stack batches under
+  # pool lanes (SimdKernels.Godunov*), the case study at 1-3 ranks with
+  # regrids, whose field must stay bit-identical while the fine levels
+  # are cut for balance differently at each rank count, and
+  # InviscidFlux's per-thread face-array scratch under concurrent pool
+  # lanes.
   cmake -B "${TSAN_DIR}" -S . -DCCAPERF_SANITIZE=thread >/dev/null
   cmake --build "${TSAN_DIR}" -j "${JOBS}" \
     --target test_mpp test_amr test_support test_core test_euler test_tau \

@@ -66,12 +66,27 @@ KernelCounts efm_range(const Array2& left, const Array2& right, Dir dir,
                                   o_end);
 }
 
-// Godunov's exact Riemann solve iterates data-dependently per face, so it
-// stays scalar at every ISA level.
+// The vector levels run Godunov's Newton iteration in lock-step under
+// per-lane masks and call libm's pow per lane, so every face gets the
+// bits of the scalar exact_riemann (kernels_simd_impl.hpp).
 template <class Probe>
 KernelCounts godunov_range(const Array2& left, const Array2& right, Dir dir,
                            const GasModel& gas, Array2& flux, Probe& probe,
                            int o_begin, int o_end) {
+  switch (simd::active()) {
+#if defined(CCAPERF_SIMD_AVX512)
+    case simd::Isa::avx512:
+      return detail::godunov_range_avx512(left, right, dir, gas, flux, probe,
+                                          o_begin, o_end);
+#endif
+#if defined(CCAPERF_SIMD_AVX2)
+    case simd::Isa::avx2:
+      return detail::godunov_range_avx2(left, right, dir, gas, flux, probe,
+                                        o_begin, o_end);
+#endif
+    default:
+      break;
+  }
   return detail::godunov_range_scalar(left, right, dir, gas, flux, probe,
                                       o_begin, o_end);
 }

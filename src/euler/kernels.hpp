@@ -16,18 +16,18 @@
 // deterministic hardware metrics). Explicit instantiations live in
 // kernels.cpp.
 //
-// States and EFM sweeps (and the RK2 updates below) dispatch at runtime to
-// AVX2/AVX-512 vector bodies when the host supports them — see simd.hpp
-// for the CCAPERF_SIMD knob. Every ISA level produces bit-identical faces,
-// fluxes and traced cache counters.
+// States, EFM and Godunov sweeps (and the RK2 updates below) dispatch at
+// runtime to AVX2/AVX-512 vector bodies when the host supports them — see
+// simd.hpp for the CCAPERF_SIMD knob. Every ISA level produces
+// bit-identical faces, fluxes and traced cache counters.
 //
-// Godunov is scalar at every ISA level: its Riemann solve iterates
-// data-dependently per face, and a vector pow would not round like libm's.
-// Its fast path lives in exact_riemann (riemann.hpp): faces whose two
+// Godunov's reference is exact_riemann (riemann.hpp): faces whose two
 // states are bitwise identical return without iterating, and the
 // iteration computes each side's constants once — the same expressions,
 // so the fluxes, iteration counts and traced counters are the bits the
-// plain solve produces.
+// plain solve produces. The vector levels run that solve for W faces at
+// once, Newton in lock-step under per-lane masks, with the scalar libm
+// pow for every lane that calls it (kernels_simd_impl.hpp).
 
 #include <cstdint>
 #include <vector>

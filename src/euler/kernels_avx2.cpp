@@ -24,6 +24,14 @@ KernelCounts efm_range_avx2(const Array2& left, const Array2& right, Dir dir,
   return efm_range_vec<4>(left, right, dir, gas, flux, probe, o_begin, o_end);
 }
 
+template <class Probe>
+KernelCounts godunov_range_avx2(const Array2& left, const Array2& right,
+                                Dir dir, const GasModel& gas, Array2& flux,
+                                Probe& probe, int o_begin, int o_end) {
+  return godunov_range_vec<4>(left, right, dir, gas, flux, probe, o_begin,
+                              o_end);
+}
+
 void rk2_axpy_avx2(double* y, const double* x, double a, std::size_t n) {
   rk2_axpy_vec<4>(y, x, a, n);
 }
@@ -50,6 +58,15 @@ template KernelCounts efm_range_avx2<hwc::CacheProbe>(
     const Array2&, const Array2&, Dir, const GasModel&, Array2&,
     hwc::CacheProbe&, int, int);
 template KernelCounts efm_range_avx2<hwc::ScalarReplayProbe>(
+    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
+    hwc::ScalarReplayProbe&, int, int);
+template KernelCounts godunov_range_avx2<hwc::NullProbe>(
+    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
+    hwc::NullProbe&, int, int);
+template KernelCounts godunov_range_avx2<hwc::CacheProbe>(
+    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
+    hwc::CacheProbe&, int, int);
+template KernelCounts godunov_range_avx2<hwc::ScalarReplayProbe>(
     const Array2&, const Array2&, Dir, const GasModel&, Array2&,
     hwc::ScalarReplayProbe&, int, int);
 

@@ -21,6 +21,10 @@ template <class Probe>
 KernelCounts efm_range_avx2(const Array2& left, const Array2& right, Dir dir,
                             const GasModel& gas, Array2& flux, Probe& probe,
                             int o_begin, int o_end);
+template <class Probe>
+KernelCounts godunov_range_avx2(const Array2& left, const Array2& right,
+                                Dir dir, const GasModel& gas, Array2& flux,
+                                Probe& probe, int o_begin, int o_end);
 void rk2_axpy_avx2(double* y, const double* x, double a, std::size_t n);
 void rk2_heun_avx2(double* u, const double* u_old, const double* dudt,
                    double dt, std::size_t n);
@@ -35,6 +39,10 @@ template <class Probe>
 KernelCounts efm_range_avx512(const Array2& left, const Array2& right, Dir dir,
                               const GasModel& gas, Array2& flux, Probe& probe,
                               int o_begin, int o_end);
+template <class Probe>
+KernelCounts godunov_range_avx512(const Array2& left, const Array2& right,
+                                  Dir dir, const GasModel& gas, Array2& flux,
+                                  Probe& probe, int o_begin, int o_end);
 void rk2_axpy_avx512(double* y, const double* x, double a, std::size_t n);
 void rk2_heun_avx512(double* u, const double* u_old, const double* dudt,
                      double dt, std::size_t n);

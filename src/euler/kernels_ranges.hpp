@@ -14,10 +14,17 @@
 // strip entries. The per-face textbook form (convert all four stencil
 // cells of every face) survives only as the frozen reference in
 // tests/euler/test_states_reference.cpp.
+//
+// The SIMD translation units include this header too, so every inline
+// function here also compiles with their -m flags. One that is not
+// inlined becomes a weak symbol the linker may take from either object,
+// so an AVX-512 copy could serve every caller. Nothing here may emit one
+// (scripts/check_tier1.sh checks the library): no std::vector, and the
+// per-face helpers the vector kernels call are forced inline.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <vector>
 
 #include "euler/kernels.hpp"
 
@@ -43,11 +50,14 @@ inline int outer_extent(int nx, int ny, Dir dir) {
 
 // --- States (MUSCL reconstruction) -------------------------------------------
 
-/// Strip elements kept on the stack (32 KiB: lines of up to 816 faces).
-/// The strip is not heap memory because the cache simulator maps sets
-/// from virtual addresses: an allocation here would move every array
-/// allocated after it, and traced counters of later sweeps with it.
+/// Strip elements kept on the stack (32 KiB: 816 faces); longer lines are
+/// converted and reconstructed in chunks of kStripFaces faces. The strip
+/// is not heap memory because the cache simulator maps sets from virtual
+/// addresses: an allocation here would move every array allocated after
+/// it, and traced counters of later sweeps with it.
 inline constexpr std::size_t kStackStripDoubles = 4096;
+inline constexpr int kStripFaces =
+    static_cast<int>(kStackStripDoubles / kNcomp) - 3;
 
 /// One sweep line of the States kernel: outer index `o`, a row for Dir::x
 /// or a column for Dir::y. Face f of the line sits between cells f-1 and
@@ -104,7 +114,8 @@ inline void states_face(const StatesLine& line, int f) {
 /// for Dir::x, row stride for Dir::y), 18 flops per cell conversion, the
 /// two face store runs and the reconstruction flops.
 template <class Probe>
-inline void replay_states_face(const StatesLine& line, int f, Probe& probe) {
+CCAPERF_FORCE_INLINE void replay_states_face(const StatesLine& line, int f,
+                                             Probe& probe) {
   const double* u = line.cell0 + f * line.cell_step;
   const auto elem = static_cast<std::ptrdiff_t>(sizeof(double));
   for (int c = 0; c < kNcomp; ++c)
@@ -124,11 +135,14 @@ struct ScalarStatesGroups {
 };
 
 /// States over outer indices [o_begin, o_end); the full-span call is the
-/// serial kernel, a sub-span is one lane's slice. Each line converts its
-/// ncells cells into the strip, then reconstructs its faces from it.
-/// `Groups` supplies the ISA's vector bodies for full groups of
-/// Groups::kWidth cells (`convert`) and faces (`faces`); the rest run the
-/// scalar bodies above. Shape checks are the caller's job.
+/// serial kernel, a sub-span is one lane's slice. Each line, or each
+/// kStripFaces-face chunk of a longer one, converts its cells into the
+/// strip, then reconstructs its faces from it. Every face depends only on
+/// its own four cells, so chunking changes no bit, and faces keep their
+/// order, so traced counters do not move either. `Groups` supplies the
+/// ISA's vector bodies for full groups of Groups::kWidth cells (`convert`)
+/// and faces (`faces`); the rest run the scalar bodies above. Shape checks
+/// are the caller's job.
 template <class Groups, class Probe>
 KernelCounts states_range_lines(const amr::PatchData<double>& U,
                                 const amr::Box& interior, Dir dir,
@@ -139,51 +153,51 @@ KernelCounts states_range_lines(const amr::PatchData<double>& U,
   KernelCounts counts;
   const bool x = dir == Dir::x;
   const int faces = x ? left.nx() : left.ny();
-  const std::size_t need = static_cast<std::size_t>(kNcomp) *
-                           static_cast<std::size_t>(faces + 3);
-  double stack_strip[kStackStripDoubles];
-  std::vector<double> heap_strip;
-  if (need > kStackStripDoubles) heap_strip.resize(need);
+  double strip[kStackStripDoubles];
 
   StatesLine line;
   line.dir = dir;
   line.cell_step = x ? 1 : U.row_stride();
   line.comp_step = static_cast<std::ptrdiff_t>(U.pts_per_comp());
   line.face_step = (x ? 1 : static_cast<std::ptrdiff_t>(left.nx())) * kNcomp;
-  line.strip = need > kStackStripDoubles ? heap_strip.data() : stack_strip;
-  line.ncells = faces + 3;
+  line.strip = strip;
   for (int o = o_begin; o < o_end; ++o) {
-    // Face 0 of the line, and its stencil's first cell two cells before.
-    const int fi = x ? 0 : o, fj = x ? o : 0;
-    line.cell0 = &U(interior.lo().i + fi - (x ? 2 : 0),
-                    interior.lo().j + fj - (x ? 0 : 2), 0);
-    line.left0 = &left(fi, fj, 0);
-    line.right0 = &right(fi, fj, 0);
-    int k = 0;
-    if constexpr (W > 1)
-      for (; k + W <= line.ncells; k += W) Groups::convert(line, gas, k);
-    for (; k < line.ncells; ++k) convert_cell(line, gas, k);
+    for (int f0 = 0; f0 < faces; f0 += kStripFaces) {
+      const int nf = std::min(kStripFaces, faces - f0);
+      // Face f0 of the line, and its stencil's first cell two cells before.
+      const int fi = x ? f0 : o, fj = x ? o : f0;
+      line.cell0 = &U(interior.lo().i + fi - (x ? 2 : 0),
+                      interior.lo().j + fj - (x ? 0 : 2), 0);
+      line.left0 = &left(fi, fj, 0);
+      line.right0 = &right(fi, fj, 0);
+      line.ncells = nf + 3;
+      int k = 0;
+      if constexpr (W > 1)
+        for (; k + W <= line.ncells; k += W) Groups::convert(line, gas, k);
+      for (; k < line.ncells; ++k) convert_cell(line, gas, k);
 
-    int f = 0;
-    if constexpr (W > 1) {
-      for (; f + W <= faces; f += W) {
-        Groups::faces(line, f);
-        // Traced runs replay each face's probe sequence in scalar order
-        // (addresses only — the values are already written). When the
-        // simulator's sampling gate would reject the whole group,
-        // skip_runs tallies the identical event totals in one step.
-        if constexpr (Probe::kCounting) {
-          if (!probe.skip_runs((kNcomp + 2) * static_cast<std::uint64_t>(W),
-                               4ull * kNcomp * W, 2ull * kNcomp * W,
-                               static_cast<std::uint64_t>(W) *
-                                   (4 * 18 + 8 * kNcomp)))
-            for (int l = 0; l < W; ++l) replay_states_face(line, f + l, probe);
+      int f = 0;
+      if constexpr (W > 1) {
+        for (; f + W <= nf; f += W) {
+          Groups::faces(line, f);
+          // Traced runs replay each face's probe sequence in scalar order
+          // (addresses only — the values are already written). When the
+          // simulator's sampling gate would reject the whole group,
+          // skip_runs tallies the identical event totals in one step.
+          if constexpr (Probe::kCounting) {
+            if (!probe.skip_runs((kNcomp + 2) * static_cast<std::uint64_t>(W),
+                                 4ull * kNcomp * W, 2ull * kNcomp * W,
+                                 static_cast<std::uint64_t>(W) *
+                                     (4 * 18 + 8 * kNcomp)))
+              for (int l = 0; l < W; ++l)
+                replay_states_face(line, f + l, probe);
+          }
         }
       }
-    }
-    for (; f < faces; ++f) {
-      states_face(line, f);
-      replay_states_face(line, f, probe);
+      for (; f < nf; ++f) {
+        states_face(line, f);
+        replay_states_face(line, f, probe);
+      }
     }
     counts.faces += static_cast<std::uint64_t>(faces);
   }
@@ -192,7 +206,8 @@ KernelCounts states_range_lines(const amr::PatchData<double>& U,
 
 /// Reads the 5 primitive face components, probed as one contiguous run.
 template <class Probe>
-inline Prim load_face_state(const Array2& a, int fi, int fj, Probe& probe) {
+CCAPERF_FORCE_INLINE Prim load_face_state(const Array2& a, int fi, int fj,
+                                          Probe& probe) {
   probe.load_run(a.addr(fi, fj, 0), comp_stride_bytes(a), kNcomp, sizeof(double));
   Prim w;
   w.rho = a(fi, fj, 0);
@@ -204,8 +219,8 @@ inline Prim load_face_state(const Array2& a, int fi, int fj, Probe& probe) {
 }
 
 template <class Probe>
-inline void store_face_flux(Array2& flux, int fi, int fj, const FaceFlux& f,
-                            Probe& probe) {
+CCAPERF_FORCE_INLINE void store_face_flux(Array2& flux, int fi, int fj,
+                                          const FaceFlux& f, Probe& probe) {
   flux(fi, fj, 0) = f.mass;
   flux(fi, fj, 1) = f.mom_n;
   flux(fi, fj, 2) = f.mom_t;
@@ -231,9 +246,9 @@ void sweep_faces(const Array2& left, Dir dir, int o_begin, int o_end,
 
 /// EFM flux of one face — scalar reference and vector-remainder path.
 template <class Probe>
-inline void efm_one_face(const Array2& left, const Array2& right, Dir,
-                         const GasModel& gas, Array2& flux, Probe& probe,
-                         int fi, int fj) {
+CCAPERF_FORCE_INLINE void efm_one_face(const Array2& left, const Array2& right,
+                                       Dir, const GasModel& gas, Array2& flux,
+                                       Probe& probe, int fi, int fj) {
   const Prim l = load_face_state(left, fi, fj, probe);
   const Prim r = load_face_state(right, fi, fj, probe);
   const FaceFlux f = efm_face_flux(l, r, gas);
@@ -253,21 +268,37 @@ KernelCounts efm_range_scalar(const Array2& left, const Array2& right, Dir dir,
   return counts;
 }
 
+/// FLOPs a Godunov face charges: sampling plus the Newton iterations.
+inline std::uint64_t godunov_face_flops(int iterations) {
+  return kGodunovFlopsPerFace +
+         kGodunovFlopsPerIteration * static_cast<std::uint64_t>(iterations);
+}
+
+/// Godunov flux of one face through exact_riemann — the scalar reference,
+/// and the vector kernels' path for group tails and for groups that hold
+/// a non-physical face (exact_riemann raises the error). Returns the
+/// Newton iterations.
+template <class Probe>
+CCAPERF_FORCE_INLINE int godunov_one_face(const Array2& left,
+                                          const Array2& right,
+                                          const GasModel& gas, Array2& flux,
+                                          Probe& probe, int fi, int fj) {
+  const Prim l = load_face_state(left, fi, fj, probe);
+  const Prim r = load_face_state(right, fi, fj, probe);
+  const RiemannResult rr = exact_riemann(l, r, gas);
+  probe.flops(godunov_face_flops(rr.iterations));
+  store_face_flux(flux, fi, fj, godunov_face_flux(rr.sampled, gas), probe);
+  return rr.iterations;
+}
+
 template <class Probe>
 KernelCounts godunov_range_scalar(const Array2& left, const Array2& right,
                                   Dir dir, const GasModel& gas, Array2& flux,
                                   Probe& probe, int o_begin, int o_end) {
   KernelCounts counts;
   sweep_faces(left, dir, o_begin, o_end, [&](int fi, int fj) {
-    const Prim l = load_face_state(left, fi, fj, probe);
-    const Prim r = load_face_state(right, fi, fj, probe);
-    const RiemannResult rr = exact_riemann(l, r, gas);
-    const FaceFlux f = godunov_face_flux(rr.sampled, gas);
-    counts.riemann_iterations += static_cast<std::uint64_t>(rr.iterations);
-    probe.flops(kGodunovFlopsPerFace +
-                kGodunovFlopsPerIteration *
-                    static_cast<std::uint64_t>(rr.iterations));
-    store_face_flux(flux, fi, fj, f, probe);
+    counts.riemann_iterations += static_cast<std::uint64_t>(
+        godunov_one_face(left, right, gas, flux, probe, fi, fj));
     ++counts.faces;
   });
   return counts;

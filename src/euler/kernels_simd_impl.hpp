@@ -1,22 +1,26 @@
 #pragma once
-// Width-generic SIMD bodies of the States and EFM sweep kernels plus the
-// RK2 update loops, instantiated at W=4 (AVX2) and W=8 (AVX-512) by the
-// per-ISA translation units. Built on GCC/Clang vector extensions so one
-// template serves every ISA; the TU's -m flags pick the instruction set.
+// Width-generic SIMD bodies of the States, EFM and Godunov sweep kernels
+// plus the RK2 update loops, instantiated at W=4 (AVX2) and W=8 (AVX-512)
+// by the per-ISA translation units. Built on GCC/Clang vector extensions
+// so one template serves every ISA; the TU's -m flags pick the
+// instruction set.
 // States has no sweep loop of its own here: VecStatesGroups plugs W-wide
 // cell conversion and face reconstruction into the per-line algorithm of
 // kernels_ranges.hpp, which the scalar level runs with no vector groups.
 //
 // BIT-EXACTNESS CONTRACT (DESIGN.md §11): every lane evaluates exactly the
-// expression DAG of the scalar reference in kernels_ranges.hpp —
+// expression DAG of the scalar reference in kernels_ranges.hpp (and, for
+// Godunov, exact_riemann in riemann.cpp) —
 //  * same operand order and associativity in every expression;
 //  * IEEE add/sub/mul/div/sqrt are correctly rounded, so the packed forms
 //    equal the scalar forms bit for bit;
 //  * no FMA contraction (these TUs compile with -ffp-contract=off —
 //    a contracted a*b+c would round once instead of twice);
-//  * erf/exp go through the same scalar libm call per lane;
-//  * branches (minmod, the phi clamp) become compare+blend, which selects
-//    between the identical candidate values.
+//  * erf/exp/pow go through the same scalar libm call per lane;
+//  * branches (minmod, the phi clamp, every branch of the Riemann solve)
+//    become compare+blend, which selects between the identical candidate
+//    values; Godunov's Newton loop runs in lock-step, and a lane that has
+//    converged keeps its pressure and iteration count.
 // Probe replay: traced instantiations issue the probe calls of exactly one
 // scalar face at a time, in scalar face order, so CacheSim counters are
 // bit-identical to the scalar kernel. For NullProbe the replay loop
@@ -68,30 +72,45 @@ inline void vstoreu(double* p, Vec<W> v) {
   __builtin_memcpy(p, &v, sizeof v);
 }
 
-/// Strided gather: lane l reads p[l * stride] (stride in doubles), with
-/// the ISA's gather instruction. A lane-by-lane form compiles to W scalar
-/// loads and inserts, which made the Y (column) States conversion slower
-/// than the scalar level. Loads only, so exact. Both SIMD TUs have AVX2;
-/// the AVX-512 one uses the all-lanes masked form because GCC 12 flags
-/// the unmasked intrinsic's internal pass-through operand as
-/// uninitialized.
+/// Gather: lane l reads p[idx[l]] (idx in doubles), with the ISA's
+/// gather instruction. A lane-by-lane form compiles to W scalar loads and
+/// inserts, which made the Y (column) States conversion slower than the
+/// scalar level. Loads only, so exact. Both SIMD TUs have AVX2; the
+/// AVX-512 one uses the all-lanes masked form because GCC 12 flags the
+/// unmasked intrinsic's internal pass-through operand as uninitialized.
+template <int W>
+Vec<W> vgather_at(const double* p, Mask<W> idx);
+
+template <>
+inline Vec<4> vgather_at<4>(const double* p, Mask<4> idx) {
+  return (Vec<4>)_mm256_i64gather_pd(p, (__m256i)idx, 8);
+}
+
+#if defined(__AVX512F__)
+template <>
+inline Vec<8> vgather_at<8>(const double* p, Mask<8> idx) {
+  return (Vec<8>)_mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xff,
+                                          (__m512i)idx, p, 8);
+}
+#endif
+
+/// Strided gather: lane l reads p[l * stride] (stride in doubles).
 template <int W>
 Vec<W> vgather(const double* p, std::ptrdiff_t stride);
 
 template <>
 inline Vec<4> vgather<4>(const double* p, std::ptrdiff_t stride) {
-  const __m256i idx = _mm256_set_epi64x(3 * stride, 2 * stride, stride, 0);
-  return (Vec<4>)_mm256_i64gather_pd(p, idx, 8);
+  return vgather_at<4>(p, (Mask<4>)_mm256_set_epi64x(3 * stride, 2 * stride,
+                                                     stride, 0));
 }
 
 #if defined(__AVX512F__)
 template <>
 inline Vec<8> vgather<8>(const double* p, std::ptrdiff_t stride) {
-  const __m512i idx = _mm512_set_epi64(7 * stride, 6 * stride, 5 * stride,
-                                       4 * stride, 3 * stride, 2 * stride,
-                                       stride, 0);
-  return (Vec<8>)_mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xff, idx, p,
-                                          8);
+  return vgather_at<8>(
+      p, (Mask<8>)_mm512_set_epi64(7 * stride, 6 * stride, 5 * stride,
+                                   4 * stride, 3 * stride, 2 * stride,
+                                   stride, 0));
 }
 #endif
 
@@ -110,13 +129,22 @@ inline Vec<W> vabs(Vec<W> x) {
   return (Vec<W>)((Mask<W>)x & m);
 }
 
-/// Correctly rounded per IEEE-754, so packed == scalar bit for bit.
+/// Correctly rounded per IEEE-754, so packed == scalar bit for bit. The
+/// AVX-512 form is masked for the reason vgather's is.
 template <int W>
-inline Vec<W> vsqrt(Vec<W> x) {
-  Vec<W> r;
-  for (int l = 0; l < W; ++l) r[l] = std::sqrt(x[l]);
-  return r;
+Vec<W> vsqrt(Vec<W> x);
+
+template <>
+inline Vec<4> vsqrt<4>(Vec<4> x) {
+  return (Vec<4>)_mm256_sqrt_pd((__m256d)x);
 }
+
+#if defined(__AVX512F__)
+template <>
+inline Vec<8> vsqrt<8>(Vec<8> x) {
+  return (Vec<8>)_mm512_mask_sqrt_pd(_mm512_setzero_pd(), 0xff, (__m512d)x);
+}
+#endif
 
 // erf/exp are NOT correctly-rounded vector primitives anywhere — a packed
 // polynomial would diverge from libm in the last ulp and break the
@@ -351,6 +379,504 @@ KernelCounts efm_range_vec(const Array2& left, const Array2& right, Dir dir,
       efm_one_face(left, right, dir, gas, flux, probe, fi, fj);
       ++counts.faces;
     }
+  }
+  return counts;
+}
+
+// --- Godunov flux ------------------------------------------------------------
+//
+// exact_riemann (riemann.cpp) solved for W faces per vector, Newton in
+// lock-step: a lane freezes its pressure and its iteration count when it
+// converges, and the loop runs while any lane is still iterating. Every
+// data-dependent branch of the scalar solve becomes a per-lane mask that
+// blends between candidates each computed with the scalar expression, and
+// every pow the scalar solve calls is made, by std::pow on the same
+// arguments, for exactly the lanes that call it. So each lane returns the
+// bits exact_riemann returns, NaN routing included.
+
+/// Groups of W faces one batch solves together. The groups are
+/// independent, so their divide and sqrt chains overlap in the pipeline.
+inline constexpr int kGodunovGroups = 4;
+
+/// Bit l set where lane l of `m` is set (movemask).
+template <int W>
+unsigned lane_bits(Mask<W> m);
+
+template <>
+inline unsigned lane_bits<4>(Mask<4> m) {
+  return static_cast<unsigned>(_mm256_movemask_pd((__m256d)m));
+}
+
+#if defined(__AVX512F__)
+template <>
+inline unsigned lane_bits<8>(Mask<8> m) {
+  return static_cast<unsigned>(_mm512_movepi64_mask((__m512i)m));
+}
+#endif
+
+/// out[i] = std::pow(base[i], expo[i]) for every set bit i of `lanes`:
+/// one phase's pow calls, for exactly the lanes that make them, back to
+/// back so that independent calls overlap.
+inline void pow_lanes(unsigned lanes, const double* base, const double* expo,
+                      double* out) {
+  for (; lanes != 0; lanes &= lanes - 1) {
+    const int i = __builtin_ctz(lanes);
+    out[i] = std::pow(base[i], expo[i]);
+  }
+}
+
+/// std::max(x, 1e-12), i.e. x < 1e-12 ? 1e-12 : x (NaN stays NaN).
+template <int W>
+inline Vec<W> vfloor_p(Vec<W> x) {
+  const Vec<W> lo = vbc<W>(1e-12);
+  return vselect<W>(x < lo, lo, x);
+}
+
+/// Lane-wise bitwise equality (std::memcmp of one double).
+template <int W>
+inline Mask<W> vsame_bits(Vec<W> a, Vec<W> b) {
+  return (Mask<W>)a == (Mask<W>)b;
+}
+
+/// Mask blend: lane l gets a[l] where m[l] is set, else b[l].
+template <int W>
+inline Mask<W> mselect(Mask<W> m, Mask<W> a, Mask<W> b) {
+  return (m & a) | (~m & b);
+}
+
+/// One side's constants of the pressure function (riemann.cpp's Side);
+/// the two pow exponents live in the batch's per-lane arrays.
+///
+/// Divides bound the vector solve (a packed divide gains only about 2x
+/// per lane over a scalar one), so a lane's two branches share them: the
+/// shock branch's A/(B+p) and the rarefaction branch's p/pk are one
+/// divide of blended operands, and so are the shock's 0.5(p-pk)/(B+p)
+/// and the rarefaction's pow/(rho a). Each lane's quotient is the one its
+/// own branch computes, correctly rounded, so the bits do not change.
+template <int W>
+struct SideV {
+  Vec<W> pk, A, B, C, rho_a;
+
+  void init(const PrimV<W>& w, Vec<W> g, Vec<W> a, double* e_f,
+            double* e_fd) {
+    const Vec<W> one = vbc<W>(1.0), two = vbc<W>(2.0);
+    pk = w.p;
+    A = two / ((g + one) * w.rho);
+    B = (g - one) / (g + one) * w.p;
+    C = two * a / (g - one);
+    vstoreu<W>(e_f, (g - one) / (two * g));
+    vstoreu<W>(e_fd, -(g + one) / (two * g));
+    rho_a = w.rho * a;
+  }
+
+  /// A/(B+p) on shock lanes, p/pk (the pow base) on the others.
+  Vec<W> quotient(Vec<W> p, Mask<W> shock) const {
+    return vselect<W>(shock, A, p) / vselect<W>(shock, B + p, pk);
+  }
+
+  /// f_K(p) from quotient() `q` and, on rarefaction lanes, `pf` =
+  /// pow(p/pk, e_f); shock lanes are evaluated only if `any_shock`.
+  Vec<W> f(Vec<W> p, Mask<W> shock, bool any_shock, Vec<W> q,
+           Vec<W> pf) const {
+    const Vec<W> rare = C * (pf - vbc<W>(1.0));
+    return any_shock ? vselect<W>(shock, (p - pk) * vsqrt<W>(q), rare) : rare;
+  }
+
+  /// f_K(p) and f_K'(p) for the Newton step; `pfd` = pow(p/pk, e_fd).
+  void eval(Vec<W> p, Mask<W> shock, bool any_shock, Vec<W> q, Vec<W> pf,
+            Vec<W> pfd, Vec<W>& f_out, Vec<W>& fd_out) const {
+    const Vec<W> one = vbc<W>(1.0);
+    const Vec<W> d = vselect<W>(shock, vbc<W>(0.5) * (p - pk), pfd) /
+                     vselect<W>(shock, B + p, rho_a);
+    if (!any_shock) {
+      f_out = C * (pf - one);
+      fd_out = d;
+      return;
+    }
+    const Vec<W> sqrt_term = vsqrt<W>(q);
+    f_out = vselect<W>(shock, (p - pk) * sqrt_term, C * (pf - one));
+    fd_out = vselect<W>(shock, sqrt_term * (one - d), d);
+  }
+};
+
+/// Up to kGodunovGroups groups of W faces: loaded, solved and stored.
+/// Per-lane values that pow calls read or write sit in double arrays,
+/// lane g*W + l for lane l of group g.
+template <int W>
+struct GodunovBatch {
+  static constexpr int kLanes = kGodunovGroups * W;
+
+  /// Face of lane l of group g, as an offset in doubles into the
+  /// (identically shaped) left, right and flux arrays.
+  Mask<W> off[kGodunovGroups];
+  PrimV<W> l[kGodunovGroups], r[kGodunovGroups];
+  int iters[kLanes];
+
+  /// Gathers group g's states; false if a lane is non-physical (the
+  /// condition on which exact_riemann raises).
+  bool load(int g, const double* lbase, const double* rbase) {
+    auto gather = [&](const double* base) {
+      PrimV<W> w;
+      w.rho = vgather_at<W>(base + 0, off[g]);
+      w.u = vgather_at<W>(base + 1, off[g]);
+      w.v = vgather_at<W>(base + 2, off[g]);
+      w.p = vgather_at<W>(base + 3, off[g]);
+      w.phi = vgather_at<W>(base + 4, off[g]);
+      return w;
+    };
+    l[g] = gather(lbase);
+    r[g] = gather(rbase);
+    const Vec<W> zero = vbc<W>(0.0);
+    const Mask<W> ok = (l[g].rho > zero) & (r[g].rho > zero) &
+                       (l[g].p > zero) & (r[g].p > zero);
+    return lane_bits<W>(ok) == (1u << W) - 1;
+  }
+
+  /// exact_riemann + godunov_face_flux for the first ng groups; writes
+  /// the fluxes at `flux` + off and each lane's iterations to iters.
+  void solve(int ng, const GasModel& gas, double* flux) {
+    const RiemannParams params;
+    const Vec<W> zero = vbc<W>(0.0), half = vbc<W>(0.5), one = vbc<W>(1.0),
+                 two = vbc<W>(2.0);
+    Vec<W> gl[kGodunovGroups], gr[kGodunovGroups], al[kGodunovGroups],
+        ar[kGodunovGroups], du[kGodunovGroups], p[kGodunovGroups];
+    SideV<W> L[kGodunovGroups], R[kGodunovGroups];
+    Mask<W> shortcut[kGodunovGroups], active[kGodunovGroups],
+        it[kGodunovGroups];
+    // Per side: quotient() (p/pk on rarefaction lanes, the pow base), the
+    // exponents, and the pows of f_K and f_K'.
+    alignas(64) double q_l[kLanes], q_r[kLanes], ef_l[kLanes], efd_l[kLanes],
+        ef_r[kLanes], efd_r[kLanes];
+    alignas(64) double pf_l[kLanes] = {}, pfd_l[kLanes] = {},
+                       pf_r[kLanes] = {}, pfd_r[kLanes] = {};
+
+    for (int g = 0; g < ng; ++g) {
+      const PrimV<W>& lw = l[g];
+      const PrimV<W>& rw = r[g];
+      gl[g] = vgamma_of<W>(gas, lw.phi);
+      // Equal phi (most faces) gives equal gamma: skip the divides.
+      gr[g] = lane_bits<W>(vsame_bits<W>(lw.phi, rw.phi)) == (1u << W) - 1
+                  ? gl[g]
+                  : vgamma_of<W>(gas, rw.phi);
+      // The identical-state shortcut and its guard
+      // (identical_state_shortcut_holds; the default params pass theirs).
+      const Mask<W> same = vsame_bits<W>(lw.rho, rw.rho) &
+                           vsame_bits<W>(lw.u, rw.u) &
+                           vsame_bits<W>(lw.v, rw.v) &
+                           vsame_bits<W>(lw.p, rw.p) &
+                           vsame_bits<W>(lw.phi, rw.phi);
+      const Mask<W> holds =
+          (lw.rho >= vbc<W>(1e-100)) & (lw.rho <= vbc<W>(1e100)) &
+          (lw.p >= vbc<W>(1e-12)) & (lw.p <= vbc<W>(1e100)) &
+          (vabs<W>(lw.u) <= vbc<W>(1e100)) & (gl[g] > one) &
+          (gl[g] <= vbc<W>(1e10));
+      shortcut[g] = same & holds;
+      active[g] = ~shortcut[g];
+      it[g] = Mask<W>{};
+
+      al[g] = vsqrt<W>(gl[g] * lw.p / lw.rho);
+      ar[g] = vsqrt<W>(gr[g] * rw.p / rw.rho);
+      du[g] = rw.u - lw.u;
+      L[g].init(lw, gl[g], al[g], ef_l + g * W, efd_l + g * W);
+      R[g].init(rw, gr[g], ar[g], ef_r + g * W, efd_r + g * W);
+      // PVRS initial guess, floored.
+      p[g] = vfloor_p<W>(half * (lw.p + rw.p) -
+                         vbc<W>(0.125) * du[g] * (lw.rho + rw.rho) *
+                             (al[g] + ar[g]));
+    }
+
+    // Newton, in lock-step over the groups that still have an iterating
+    // lane. A lane on the rarefaction branch (p <= pk, or NaN) needs two
+    // pows per side.
+    for (int k = 0; k < params.max_iter; ++k) {
+      unsigned live = 0, rare_l = 0, rare_r = 0;
+      Mask<W> shock_l[kGodunovGroups], shock_r[kGodunovGroups];
+      for (int g = 0; g < ng; ++g) {
+        if (lane_bits<W>(active[g]) == 0) continue;
+        live |= 1u << g;
+        shock_l[g] = p[g] > L[g].pk;
+        shock_r[g] = p[g] > R[g].pk;
+        vstoreu<W>(q_l + g * W, L[g].quotient(p[g], shock_l[g]));
+        vstoreu<W>(q_r + g * W, R[g].quotient(p[g], shock_r[g]));
+        rare_l |= lane_bits<W>(active[g] & ~shock_l[g]) << (g * W);
+        rare_r |= lane_bits<W>(active[g] & ~shock_r[g]) << (g * W);
+      }
+      if (live == 0) break;
+      pow_lanes(rare_l, q_l, ef_l, pf_l);
+      pow_lanes(rare_l, q_l, efd_l, pfd_l);
+      pow_lanes(rare_r, q_r, ef_r, pf_r);
+      pow_lanes(rare_r, q_r, efd_r, pfd_r);
+
+      for (int g = 0; g < ng; ++g) {
+        if ((live >> g & 1u) == 0) continue;
+        const int o = g * W;
+        Vec<W> fl, fld, fr, frd;
+        L[g].eval(p[g], shock_l[g],
+                  lane_bits<W>(active[g] & shock_l[g]) != 0,
+                  vloadu<W>(q_l + o), vloadu<W>(pf_l + o),
+                  vloadu<W>(pfd_l + o), fl, fld);
+        R[g].eval(p[g], shock_r[g],
+                  lane_bits<W>(active[g] & shock_r[g]) != 0,
+                  vloadu<W>(q_r + o), vloadu<W>(pf_r + o),
+                  vloadu<W>(pfd_r + o), fr, frd);
+        const Vec<W> delta = (fl + fr + du[g]) / (fld + frd);
+        const Vec<W> pnew = vfloor_p<W>(p[g] - delta);
+        const Vec<W> change = two * vabs<W>(pnew - p[g]) / (pnew + p[g]);
+        p[g] = vselect<W>(active[g], pnew, p[g]);
+        it[g] -= active[g];  // active lanes are -1
+        active[g] &= ~(change < vbc<W>(params.tol));
+      }
+    }
+
+    // Final f_K(p) of both sides; the rarefaction branch's
+    // (p/pk)^((g-1)/2g) is also the sampler's a*/a_K (pf_* now hold it).
+    unsigned rare_l = 0, rare_r = 0;
+    Mask<W> shock_l[kGodunovGroups], shock_r[kGodunovGroups];
+    for (int g = 0; g < ng; ++g) {
+      shock_l[g] = p[g] > L[g].pk;
+      shock_r[g] = p[g] > R[g].pk;
+      vstoreu<W>(q_l + g * W, L[g].quotient(p[g], shock_l[g]));
+      vstoreu<W>(q_r + g * W, R[g].quotient(p[g], shock_r[g]));
+      rare_l |= lane_bits<W>(~shortcut[g] & ~shock_l[g]) << (g * W);
+      rare_r |= lane_bits<W>(~shortcut[g] & ~shock_r[g]) << (g * W);
+    }
+    pow_lanes(rare_l, q_l, ef_l, pf_l);
+    pow_lanes(rare_r, q_r, ef_r, pf_r);
+
+    // Sample at x/t = 0 from the side the contact puts it on (ustar >= 0:
+    // left). Side-symmetric expressions run once on the chosen side's
+    // values; the ones whose left and right forms differ run both and
+    // blend. A star or fan state is computed only if a lane samples it,
+    // and its pows read their arguments from ratio_a/gs_a/fac_a.
+    alignas(64) double ratio_a[kLanes], gs_a[kLanes], fac_a[kLanes];
+    alignas(64) double p_tail[kLanes] = {}, p_rho[kLanes] = {},
+                       p_p[kLanes] = {};
+    Vec<W> ustar[kGodunovGroups], as[kGodunovGroups];
+    PrimV<W> s[kGodunovGroups];
+    Mask<W> left_side[kGodunovGroups], keep[kGodunovGroups],
+        shock[kGodunovGroups], tail[kGodunovGroups];
+    unsigned tail_bits = 0, fan_bits = 0, star_shock_bits = 0;
+    for (int g = 0; g < ng; ++g) {
+      const int o = g * W;
+      const Mask<W> live = ~shortcut[g];
+      const Vec<W> fl = L[g].f(p[g], shock_l[g],
+                               lane_bits<W>(live & shock_l[g]) != 0,
+                               vloadu<W>(q_l + o), vloadu<W>(pf_l + o));
+      const Vec<W> fr = R[g].f(p[g], shock_r[g],
+                               lane_bits<W>(live & shock_r[g]) != 0,
+                               vloadu<W>(q_r + o), vloadu<W>(pf_r + o));
+      ustar[g] = half * (l[g].u + r[g].u) + half * (fr - fl);
+
+      const Mask<W> sl = ustar[g] >= zero;
+      left_side[g] = sl;
+      s[g].rho = vselect<W>(sl, l[g].rho, r[g].rho);
+      s[g].u = vselect<W>(sl, l[g].u, r[g].u);
+      s[g].v = vselect<W>(sl, l[g].v, r[g].v);
+      s[g].p = vselect<W>(sl, l[g].p, r[g].p);
+      s[g].phi = vselect<W>(sl, l[g].phi, r[g].phi);
+      const Vec<W> gsv = vselect<W>(sl, gl[g], gr[g]);
+      as[g] = vselect<W>(sl, al[g], ar[g]);
+      const Vec<W> asv = as[g], us = s[g].u;
+
+      shock[g] = p[g] > s[g].p;
+      const Vec<W> ratio = p[g] / s[g].p;
+      // keep: the wave (shock, or rarefaction head) has not reached
+      // x/t = 0, so the sample is the side's own state.
+      Mask<W> shock_keep = Mask<W>{};
+      if (lane_bits<W>(live & shock[g]) != 0) {
+        // (g+1)/2g is -e_fd and (g-1)/2g is e_f, bit for bit (negation
+        // is exact; a NaN's sign only reaches the comparisons).
+        const Vec<W> e_f = vselect<W>(sl, vloadu<W>(ef_l + o),
+                                      vloadu<W>(ef_r + o));
+        const Vec<W> e_fd = vselect<W>(sl, vloadu<W>(efd_l + o),
+                                       vloadu<W>(efd_r + o));
+        const Vec<W> q = vsqrt<W>(-e_fd * ratio + e_f);
+        shock_keep =
+            mselect<W>(sl, us - asv * q >= zero, us + asv * q <= zero);
+      }
+      const Mask<W> head_keep =
+          mselect<W>(sl, us - asv >= zero, us + asv <= zero);
+      const Vec<W> astar =
+          asv * vselect<W>(sl, vloadu<W>(pf_l + o), vloadu<W>(pf_r + o));
+      tail[g] = mselect<W>(sl, ustar[g] - astar <= zero,
+                           ustar[g] + astar >= zero);
+      keep[g] = mselect<W>(shock[g], shock_keep, head_keep);
+
+      const Mask<W> moved = live & ~keep[g];
+      star_shock_bits |= lane_bits<W>(moved & shock[g]) << o;
+      tail_bits |= lane_bits<W>(moved & ~shock[g] & tail[g]) << o;
+      const unsigned fan = lane_bits<W>(moved & ~shock[g] & ~tail[g]);
+      fan_bits |= fan << o;
+      if (fan != 0) {
+        const Vec<W> f_common = (gsv - one) / ((gsv + one) * asv) * us;
+        vstoreu<W>(fac_a + o, vselect<W>(sl, two / (gsv + one) + f_common,
+                                         two / (gsv + one) - f_common));
+      }
+      vstoreu<W>(ratio_a + o, ratio);
+      vstoreu<W>(gs_a + o, gsv);
+    }
+    for (unsigned m = tail_bits; m != 0; m &= m - 1) {
+      const int i = __builtin_ctz(m);
+      p_tail[i] = std::pow(ratio_a[i], 1.0 / gs_a[i]);
+    }
+    for (unsigned m = fan_bits; m != 0; m &= m - 1) {
+      const int i = __builtin_ctz(m);
+      p_rho[i] = std::pow(fac_a[i], 2.0 / (gs_a[i] - 1.0));
+      p_p[i] = std::pow(fac_a[i], 2.0 * gs_a[i] / (gs_a[i] - 1.0));
+    }
+
+    for (int g = 0; g < ng; ++g) {
+      const int o = g * W;
+      const Vec<W> gsv = vloadu<W>(gs_a + o);
+      const PrimV<W>& sw = s[g];
+      // The side's own state, then the star states (shock, rarefaction
+      // tail) and the fan's.
+      PrimV<W> w = sw;
+      const Mask<W> star = shock[g] | tail[g];
+      w.u = vselect<W>(keep[g], sw.u, ustar[g]);
+      w.p = vselect<W>(keep[g], sw.p, p[g]);
+      if ((star_shock_bits >> o & ((1u << W) - 1)) != 0) {
+        const Vec<W> gm = (gsv - one) / (gsv + one);
+        const Vec<W> ratio = vloadu<W>(ratio_a + o);
+        const Vec<W> rho_shock = sw.rho * (ratio + gm) / (gm * ratio + one);
+        w.rho = vselect<W>(~keep[g] & shock[g], rho_shock, w.rho);
+      }
+      if ((tail_bits >> o & ((1u << W) - 1)) != 0)
+        w.rho = vselect<W>(~keep[g] & ~shock[g] & tail[g],
+                           sw.rho * vloadu<W>(p_tail + o), w.rho);
+      if ((fan_bits >> o & ((1u << W) - 1)) != 0) {
+        const Mask<W> fan = ~keep[g] & ~star;
+        const Vec<W> asv = as[g];
+        const Vec<W> c = (gsv - one) / two * sw.u;
+        const Vec<W> u_fan =
+            vselect<W>(left_side[g], two / (gsv + one) * (asv + c),
+                       two / (gsv + one) * (-asv + c));
+        w.rho = vselect<W>(fan, sw.rho * vloadu<W>(p_rho + o), w.rho);
+        w.u = vselect<W>(fan, u_fan, w.u);
+        w.p = vselect<W>(fan, sw.p * vloadu<W>(p_p + o), w.p);
+      }
+      Vec<W> gamma = gsv;
+      // Identical states: the left state with u + 0.0.
+      const Mask<W> sc = shortcut[g];
+      w.rho = vselect<W>(sc, l[g].rho, w.rho);
+      w.u = vselect<W>(sc, l[g].u + zero, w.u);
+      w.v = vselect<W>(sc, l[g].v, w.v);
+      w.p = vselect<W>(sc, l[g].p, w.p);
+      w.phi = vselect<W>(sc, l[g].phi, w.phi);
+      gamma = vselect<W>(sc, gl[g], gamma);
+      it[g] = (sc & 1) | (~sc & it[g]);
+
+      // godunov_face_flux; w.phi is one side's phi, so gamma_of(w.phi)
+      // is that side's gamma.
+      const Vec<W> E =
+          w.p / (gamma - one) + half * w.rho * (w.u * w.u + w.v * w.v);
+      const Vec<W> mass = w.rho * w.u;
+      const Vec<W> mom_n = w.rho * w.u * w.u + w.p;
+      const Vec<W> mom_t = w.rho * w.u * w.v;
+      const Vec<W> energy = w.u * (E + w.p);
+      const Vec<W> phi_mass = w.rho * w.u * w.phi;
+      for (int k = 0; k < W; ++k) {
+        double* fp = flux + off[g][k];
+        fp[0] = mass[k];
+        fp[1] = mom_n[k];
+        fp[2] = mom_t[k];
+        fp[3] = energy[k];
+        fp[4] = phi_mass[k];
+        iters[g * W + k] = static_cast<int>(it[g][k]);
+      }
+    }
+  }
+};
+
+/// Godunov over outer indices [o_begin, o_end). The range's faces are
+/// taken in scalar sweep order, flattened across lines (groups span line
+/// ends), and solved kGodunovGroups groups at a time. A group holding a
+/// non-physical face, and the last n mod W faces, go through
+/// godunov_one_face. Traced probes replay each face's scalar probe
+/// sequence in face order.
+template <int W, class Probe>
+KernelCounts godunov_range_vec(const Array2& left, const Array2& right,
+                               Dir dir, const GasModel& gas, Array2& flux,
+                               Probe& probe, int o_begin, int o_end) {
+  const int nx = left.nx();
+  const bool x = dir == Dir::x;
+  const int inner = x ? nx : left.ny();
+  const double* lbase = left.raw().data();
+  const double* rbase = right.raw().data();
+  double* fbase = flux.raw().data();
+  const std::ptrdiff_t face_comp = comp_stride_bytes(left);
+  KernelCounts counts;
+
+  // Face cursor in sweep order: face f of line o.
+  int f = 0, o = o_begin;
+  auto fi = [&] { return x ? f : o; };
+  auto fj = [&] { return x ? o : f; };
+  auto advance = [&] {
+    if (++f == inner) {
+      f = 0;
+      ++o;
+    }
+  };
+  std::int64_t remaining = static_cast<std::int64_t>(o_end - o_begin) * inner;
+
+  GodunovBatch<W> b;
+  while (remaining >= W) {
+    int ng = 0;
+    bool nonphysical = false;
+    for (; ng < kGodunovGroups && remaining >= W; ++ng) {
+      for (int k = 0; k < W; ++k) {
+        b.off[ng][k] =
+            (static_cast<std::ptrdiff_t>(fj()) * nx + fi()) * kNcomp;
+        advance();
+      }
+      remaining -= W;
+      if (!b.load(ng, lbase, rbase)) {
+        nonphysical = true;
+        break;
+      }
+    }
+    if (ng > 0) b.solve(ng, gas, fbase);
+    for (int g = 0; g < ng; ++g) {
+      std::uint64_t flops = 0;
+      for (int k = 0; k < W; ++k) {
+        const int n = b.iters[g * W + k];
+        counts.riemann_iterations += static_cast<std::uint64_t>(n);
+        flops += godunov_face_flops(n);
+      }
+      counts.faces += W;
+      // Per face: two state load runs, the flops, one flux store run;
+      // bulk-skip the group when the sampling gate would reject every
+      // batch (see states_range_lines).
+      if constexpr (Probe::kCounting) {
+        if (!probe.skip_runs(3ull * W, 2ull * kNcomp * W,
+                             static_cast<std::uint64_t>(kNcomp) * W, flops)) {
+          for (int k = 0; k < W; ++k) {
+            const std::ptrdiff_t at = b.off[g][k];
+            probe.load_run(lbase + at, face_comp, kNcomp, sizeof(double));
+            probe.load_run(rbase + at, face_comp, kNcomp, sizeof(double));
+            probe.flops(godunov_face_flops(b.iters[g * W + k]));
+            probe.store_run(fbase + at, face_comp, kNcomp, sizeof(double));
+          }
+        }
+      }
+    }
+    if (nonphysical) {
+      // exact_riemann raises on the first non-physical face.
+      for (int k = 0; k < W; ++k) {
+        const std::ptrdiff_t at = b.off[ng][k] / kNcomp;
+        counts.riemann_iterations += static_cast<std::uint64_t>(
+            godunov_one_face(left, right, gas, flux, probe,
+                             static_cast<int>(at % nx),
+                             static_cast<int>(at / nx)));
+        ++counts.faces;
+      }
+    }
+  }
+  for (; remaining > 0; --remaining) {
+    counts.riemann_iterations += static_cast<std::uint64_t>(
+        godunov_one_face(left, right, gas, flux, probe, fi(), fj()));
+    ++counts.faces;
+    advance();
   }
   return counts;
 }

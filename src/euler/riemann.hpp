@@ -25,8 +25,14 @@
 //  * The final pressure evaluation skips the unused derivative, and the
 //    rarefaction sampler reuses its (p/p_K)^((g-1)/2g) — same arguments,
 //    same libm call, same bits.
-// tests/euler/test_riemann_differential.cpp compares the result with a
+// tests/euler/test_godunov_differential.cpp compares the result with a
 // frozen copy of the plain solve bit for bit.
+//
+// This is also the reference of the AVX2/AVX-512 Godunov sweep
+// (godunov_range_vec in kernels_simd_impl.hpp), which solves W faces per
+// vector: Newton in lock-step, each branch a per-lane blend of the
+// scalar expressions, each pow the same std::pow call on the same
+// arguments. Edit the two together.
 
 #include "euler/state.hpp"
 

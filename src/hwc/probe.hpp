@@ -62,14 +62,21 @@ class CacheProbe {
     cache_->access(reinterpret_cast<std::uintptr_t>(p), bytes, true);
   }
   /// Batched: `count` loads of `elem_bytes`, the k-th at p + k*stride_bytes.
-  void load_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-                std::size_t elem_bytes) {
+  /// Forced inline, like access_run: the euler kernels call the run hooks
+  /// from TUs built with AVX flags, and an out-of-line copy would be a
+  /// weak symbol the linker could hand to every other caller.
+  CCAPERF_FORCE_INLINE void load_run(const void* p,
+                                     std::ptrdiff_t stride_bytes,
+                                     std::size_t count,
+                                     std::size_t elem_bytes) {
     counts_.loads += count;
     cache_->access_run(reinterpret_cast<std::uintptr_t>(p), stride_bytes, count,
                        elem_bytes, false);
   }
-  void store_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-                 std::size_t elem_bytes) {
+  CCAPERF_FORCE_INLINE void store_run(const void* p,
+                                      std::ptrdiff_t stride_bytes,
+                                      std::size_t count,
+                                      std::size_t elem_bytes) {
     counts_.stores += count;
     cache_->access_run(reinterpret_cast<std::uintptr_t>(p), stride_bytes, count,
                        elem_bytes, true);
@@ -122,13 +129,17 @@ class ScalarReplayProbe {
     ++counts_.stores;
     cache_->access_prebatch(reinterpret_cast<std::uintptr_t>(p), bytes, true);
   }
-  void load_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-                std::size_t elem_bytes) {
+  CCAPERF_FORCE_INLINE void load_run(const void* p,
+                                     std::ptrdiff_t stride_bytes,
+                                     std::size_t count,
+                                     std::size_t elem_bytes) {
     replay(p, stride_bytes, count, elem_bytes, false);
     counts_.loads += count;
   }
-  void store_run(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-                 std::size_t elem_bytes) {
+  CCAPERF_FORCE_INLINE void store_run(const void* p,
+                                      std::ptrdiff_t stride_bytes,
+                                      std::size_t count,
+                                      std::size_t elem_bytes) {
     replay(p, stride_bytes, count, elem_bytes, true);
     counts_.stores += count;
   }
@@ -144,8 +155,9 @@ class ScalarReplayProbe {
   void reset() { counts_ = ProbeCounts{}; }
 
  private:
-  void replay(const void* p, std::ptrdiff_t stride_bytes, std::size_t count,
-              std::size_t elem_bytes, bool is_write) {
+  CCAPERF_FORCE_INLINE void replay(const void* p, std::ptrdiff_t stride_bytes,
+                                   std::size_t count, std::size_t elem_bytes,
+                                   bool is_write) {
     auto addr = reinterpret_cast<std::uintptr_t>(p);
     for (std::size_t k = 0; k < count; ++k)
       cache_->access_prebatch(

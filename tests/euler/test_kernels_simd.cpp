@@ -8,11 +8,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "euler/kernels.hpp"
 #include "euler/simd.hpp"
 #include "hwc/cache_sim.hpp"
+#include "riemann_inputs.hpp"
+#include "support/error.hpp"
+#include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -61,6 +67,12 @@ PatchData<double> wavy_patch(const Box& interior, const GasModel& gas) {
       for (int c = 0; c < kNcomp; ++c) p(i, j, c) = U[c];
     }
   return p;
+}
+
+Array2 filled(int nx, int ny, double v) {
+  Array2 a(nx, ny, kNcomp);
+  for (double& x : a.raw()) x = v;
+  return a;
 }
 
 bool bit_equal(const Array2& a, const Array2& b) {
@@ -156,6 +168,120 @@ TEST(SimdKernels, EfmFluxBitIdenticalAcrossIsa) {
   }
 }
 
+/// Fills every face with a state pair from the differential tests'
+/// generator: half identical (the shortcut and its guard edges), a tenth
+/// one ulp apart, the rest independent.
+void fill_riemann_pairs(ccaperf::Rng& rng, Array2& left, Array2& right) {
+  for (int j = 0; j < left.ny(); ++j)
+    for (int i = 0; i < left.nx(); ++i) {
+      const Prim l = riemann_inputs::random_state(rng);
+      const double mode = rng.uniform();
+      const Prim r = mode < 0.5   ? l
+                     : mode < 0.6 ? riemann_inputs::nudge(rng, l)
+                                  : riemann_inputs::random_state(rng);
+      const double lv[kNcomp] = {l.rho, l.u, l.v, l.p, l.phi};
+      const double rv[kNcomp] = {r.rho, r.u, r.v, r.p, r.phi};
+      for (int c = 0; c < kNcomp; ++c) {
+        left(i, j, c) = lv[c];
+        right(i, j, c) = rv[c];
+      }
+    }
+}
+
+TEST(SimdKernels, GodunovFluxBitIdenticalAcrossIsa) {
+  // The lock-step vector solve must return exact_riemann's bits on every
+  // lane: seeded inputs reaching every wave pattern, the paper's gas pair
+  // plus closures that give gamma = 1, 0 and < 1, face arrays 1..19 wide
+  // and high (groups straddle line ends and batch tails), both sweep
+  // directions, and the _mt wrapper at 1 and 3 lanes.
+  IsaGuard guard;
+  const auto isas = available_isas();
+  const GasModel gases[] = {GasModel{}, GasModel{1.4, 1.4}, GasModel{1.0, 1.4},
+                            GasModel{0.0, 1.4}, GasModel{0.5, 0.8}};
+  ccaperf::ThreadPool one(1), three(3);
+  ccaperf::Rng rng(0x60d0'51adULL);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int nx = 1; nx <= 19; ++nx)
+    for (int ny = 1; ny <= 19; ++ny) {
+      const GasModel& gas =
+          rng.uniform() < 0.7 ? gases[0] : gases[rng.uniform_int(1, 4)];
+      Array2 left(nx, ny, kNcomp), right(nx, ny, kNcomp);
+      fill_riemann_pairs(rng, left, right);
+      for (Dir dir : {Dir::x, Dir::y}) {
+        hwc::NullProbe probe;
+        euler::simd::set_isa(Isa::scalar);
+        Array2 ref(nx, ny, kNcomp);
+        const euler::KernelCounts want =
+            euler::godunov_flux_sweep(left, right, dir, gas, ref, probe);
+        ASSERT_EQ(want.faces, static_cast<std::uint64_t>(nx) * ny);
+        for (Isa isa : isas) {
+          euler::simd::set_isa(isa);
+          const std::string at = std::string(euler::simd::isa_name(isa)) +
+                                 " " + std::to_string(nx) + "x" +
+                                 std::to_string(ny) +
+                                 (dir == Dir::x ? " x" : " y");
+          Array2 f = filled(nx, ny, nan);
+          const euler::KernelCounts got =
+              euler::godunov_flux_sweep(left, right, dir, gas, f, probe);
+          EXPECT_TRUE(bit_equal(ref, f)) << at;
+          EXPECT_EQ(want.faces, got.faces) << at;
+          EXPECT_EQ(want.riemann_iterations, got.riemann_iterations) << at;
+          for (ccaperf::ThreadPool* pool : {&one, &three}) {
+            Array2 fm = filled(nx, ny, nan);
+            const euler::KernelCounts mt = euler::godunov_flux_sweep_mt(
+                *pool, left, right, dir, gas, fm);
+            EXPECT_TRUE(bit_equal(ref, fm)) << at << " " << pool->size()
+                                            << " lanes";
+            EXPECT_EQ(want.faces, mt.faces) << at;
+            EXPECT_EQ(want.riemann_iterations, mt.riemann_iterations) << at;
+          }
+        }
+      }
+    }
+}
+
+TEST(SimdKernels, GodunovNonPhysicalFaceRaisesAtEveryIsa) {
+  // A non-physical face raises exact_riemann's error at every level, after
+  // writing the same fluxes: every face before it and none after.
+  IsaGuard guard;
+  const auto isas = available_isas();
+  const GasModel gas = two_gas();
+  ccaperf::Rng rng(0xbad'face'5ULL);
+  const double bad[] = {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()};
+  for (int rep = 0; rep < 40; ++rep) {
+    const int nx = 1 + static_cast<int>(rng.uniform_int(0, 18));
+    const int ny = 1 + static_cast<int>(rng.uniform_int(0, 18));
+    Array2 left(nx, ny, kNcomp), right(nx, ny, kNcomp);
+    fill_riemann_pairs(rng, left, right);
+    Array2& side = rng.uniform() < 0.5 ? left : right;
+    side(static_cast<int>(rng.uniform_int(0, nx - 1)),
+         static_cast<int>(rng.uniform_int(0, ny - 1)),
+         rng.uniform() < 0.5 ? 0 : 3) = bad[rng.uniform_int(0, 2)];
+    const Dir dir = rep % 2 == 0 ? Dir::x : Dir::y;
+    std::string ref_what;
+    Array2 ref = filled(nx, ny, 7.0);
+    hwc::NullProbe probe;
+    for (Isa isa : isas) {
+      euler::simd::set_isa(isa);
+      Array2 f = filled(nx, ny, 7.0);
+      std::string what;
+      try {
+        euler::godunov_flux_sweep(left, right, dir, gas, f, probe);
+      } catch (const ccaperf::Error& e) {
+        what = e.what();
+      }
+      if (isa == Isa::scalar) {
+        ref_what = what;
+        ref = f;
+        EXPECT_NE(ref_what.find("non-physical"), std::string::npos) << what;
+      } else {
+        EXPECT_EQ(ref_what, what) << euler::simd::isa_name(isa);
+        EXPECT_TRUE(bit_equal(ref, f)) << euler::simd::isa_name(isa);
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, TracedCacheCountersBitIdenticalAcrossIsa) {
   // The vector kernels replay each face's probe sequence in scalar order,
   // so CacheSim totals — not just the numerics — must match exactly.
@@ -171,37 +297,60 @@ TEST(SimdKernels, TracedCacheCountersBitIdenticalAcrossIsa) {
     // One set of output buffers for every ISA level: CacheSim hit/miss
     // behaviour depends on the buffers' virtual addresses (set mapping),
     // so cross-ISA counter comparison requires identical allocations.
-    Array2 l(nx, ny, kNcomp), r(nx, ny, kNcomp), f(nx, ny, kNcomp);
+    Array2 l(nx, ny, kNcomp), r(nx, ny, kNcomp), f(nx, ny, kNcomp),
+        g(nx, ny, kNcomp);
 
-    auto traced = [&](Isa isa, hwc::CacheCounters& l1, hwc::CacheCounters& l2,
-                      hwc::ProbeCounts& pc) {
+    // States, then EFM and Godunov on its faces; the default CacheProbe
+    // and the element-by-element ScalarReplayProbe.
+    auto traced = [&](Isa isa, bool replay, hwc::CacheCounters& l1,
+                      hwc::CacheCounters& l2, hwc::ProbeCounts& pc,
+                      std::uint64_t& iterations) {
       euler::simd::set_isa(isa);
       hwc::XeonHierarchy mem;
-      hwc::CacheProbe probe(&mem.l1);
-      euler::compute_states(u, interior, dir, gas, l, r, probe);
-      euler::efm_flux_sweep(l, r, dir, gas, f, probe);
+      auto run = [&](auto& probe) {
+        euler::compute_states(u, interior, dir, gas, l, r, probe);
+        euler::efm_flux_sweep(l, r, dir, gas, f, probe);
+        iterations =
+            euler::godunov_flux_sweep(l, r, dir, gas, g, probe)
+                .riemann_iterations;
+        pc = probe.counts();
+      };
+      if (replay) {
+        hwc::ScalarReplayProbe probe(&mem.l1);
+        run(probe);
+      } else {
+        hwc::CacheProbe probe(&mem.l1);
+        run(probe);
+      }
       l1 = mem.l1.counters();
       l2 = mem.l2.counters();
-      pc = probe.counts();
     };
 
-    hwc::CacheCounters ref_l1, ref_l2;
-    hwc::ProbeCounts ref_pc;
-    traced(Isa::scalar, ref_l1, ref_l2, ref_pc);
-    const std::vector<double> ref_flux = f.raw();
+    for (bool replay : {false, true}) {
+      hwc::CacheCounters ref_l1, ref_l2;
+      hwc::ProbeCounts ref_pc;
+      std::uint64_t ref_iters = 0;
+      traced(Isa::scalar, replay, ref_l1, ref_l2, ref_pc, ref_iters);
+      const std::vector<double> ref_flux = f.raw();
+      const std::vector<double> ref_godunov = g.raw();
 
-    for (std::size_t k = 1; k < isas.size(); ++k) {
-      hwc::CacheCounters l1, l2;
-      hwc::ProbeCounts pc;
-      traced(isas[k], l1, l2, pc);
-      EXPECT_EQ(ref_flux, f.raw());
-      EXPECT_EQ(ref_pc.loads, pc.loads) << euler::simd::isa_name(isas[k]);
-      EXPECT_EQ(ref_pc.stores, pc.stores) << euler::simd::isa_name(isas[k]);
-      EXPECT_EQ(ref_pc.flops, pc.flops) << euler::simd::isa_name(isas[k]);
-      EXPECT_EQ(ref_l1.accesses, l1.accesses) << euler::simd::isa_name(isas[k]);
-      EXPECT_EQ(ref_l1.misses, l1.misses) << euler::simd::isa_name(isas[k]);
-      EXPECT_EQ(ref_l1.hits, l1.hits) << euler::simd::isa_name(isas[k]);
-      EXPECT_EQ(ref_l2.misses, l2.misses) << euler::simd::isa_name(isas[k]);
+      for (std::size_t k = 1; k < isas.size(); ++k) {
+        hwc::CacheCounters l1, l2;
+        hwc::ProbeCounts pc;
+        std::uint64_t iters = 0;
+        traced(isas[k], replay, l1, l2, pc, iters);
+        const char* name = euler::simd::isa_name(isas[k]);
+        EXPECT_EQ(ref_flux, f.raw()) << name;
+        EXPECT_EQ(ref_godunov, g.raw()) << name;
+        EXPECT_EQ(ref_iters, iters) << name;
+        EXPECT_EQ(ref_pc.loads, pc.loads) << name;
+        EXPECT_EQ(ref_pc.stores, pc.stores) << name;
+        EXPECT_EQ(ref_pc.flops, pc.flops) << name;
+        EXPECT_EQ(ref_l1.accesses, l1.accesses) << name;
+        EXPECT_EQ(ref_l1.misses, l1.misses) << name;
+        EXPECT_EQ(ref_l1.hits, l1.hits) << name;
+        EXPECT_EQ(ref_l2.misses, l2.misses) << name;
+      }
     }
   }
 }
