@@ -1,23 +1,19 @@
-// Ablation — tracing fast paths: batched cache simulation, SIMD raw
-// kernels, and sampled-mode simulation (DESIGN.md §11).
+// Ablation — tracing fast paths: batched cache simulation and SIMD raw
+// kernels (DESIGN.md §11).
 //
 // The paper's measurement harness must not distort what it measures:
-// "these instrumentation related overheads are small" (§4). Three layers
-// close the traced-vs-raw gap, each gated against bench/baselines/:
+// "these instrumentation related overheads are small" (§4). Two layers
+// shape the traced-vs-raw gap, each gated against bench/baselines/:
 //
 //   batched  — access_run collapses strided element replay into per-line
 //              work with bit-identical counters (PR 3; still asserted);
 //   SIMD     — the raw path dispatches to AVX2/AVX-512 kernels selected at
 //              startup (CCAPERF_SIMD), bit-identical to the scalar
-//              reference, so the raw denominator itself speeds up;
-//   sampled  — CacheSim::set_sample_stride(N) simulates 1-in-N windows
-//              of access_run batches and rescales counters by the realized
-//              fraction, trading a bounded miss-count error (gated here)
-//              for most of the remaining simulation cost.
+//              reference, so the raw denominator itself speeds up.
 //
 // This bench times the States sequential (X) sweep at Q ~ 1e5 under raw
-// (per compiled ISA), scalar-replay traced, batched-exact traced and
-// batched-sampled traced, and records the gated series in
+// (per compiled ISA), scalar-replay traced and batched traced, and
+// records the gated series in
 // bench_out/tracing_fastpath.json. Timing is best-of-5 blocks per
 // configuration with the blocks round-robin interleaved across
 // configurations (the bench_ablation_ranks minimum-of-blocks protocol,
@@ -84,14 +80,6 @@ int main() {
             << shape.q << "\n\n";
 
   const int blocks = 5, reps = 3;
-  constexpr std::uint32_t kSampleStride = 16;
-  // Burst 2^13 batches: each active window re-entry starts with the sim's
-  // way metadata evicted from the *real* caches, so bigger bursts amortise
-  // that cold-window cost — and the longer contiguous windows also track
-  // the exact miss rate better (rel. err 0.0031 vs 0.014 at 2^11). Going
-  // much higher stops helping: at 2^15 only ~1 sampling period fits in a
-  // sweep (~651k runs), so window placement dominates the estimate.
-  constexpr unsigned kSampleBurstLog2 = 13;
 
   const simd::Isa top = simd::highest_supported();
 
@@ -106,9 +94,6 @@ int main() {
   hwc::ScalarReplayProbe scalar_probe(&scalar_cache);
   hwc::CacheSim batched_cache(512 * 1024, 64, 8);
   hwc::CacheProbe batched_probe(&batched_cache);
-  hwc::CacheSim sampled_cache(512 * 1024, 64, 8);
-  sampled_cache.set_sample_stride(kSampleStride, /*seed=*/0, kSampleBurstLog2);
-  hwc::CacheProbe sampled_probe(&sampled_cache);
 
   std::vector<TimedConfig> cfgs;
   for (simd::Isa isa : {simd::Isa::scalar, simd::Isa::avx2, simd::Isa::avx512}) {
@@ -127,7 +112,6 @@ int main() {
   };
   cfgs.push_back({"scalar", traced(scalar_probe)});
   cfgs.push_back({"batched", traced(batched_probe)});
-  cfgs.push_back({"sampled", traced(sampled_probe)});
   time_all(cfgs, blocks, reps);
   simd::set_isa(top);
 
@@ -142,7 +126,6 @@ int main() {
   const double simd_speedup = raw_scalar_us / raw_us;
   const double scalar_us = best("scalar");
   const double batched_us = best("batched");
-  const double sampled_us = best("sampled");
   std::vector<std::pair<std::string, double>> raw_by_isa;
   for (const auto& c : cfgs)
     if (c.name.rfind("raw_", 0) == 0)
@@ -154,16 +137,9 @@ int main() {
   CCAPERF_REQUIRE(sc.accesses == bc.accesses && sc.hits == bc.hits &&
                       sc.misses == bc.misses && sc.writebacks == bc.writebacks,
                   "batched counters diverged from the scalar replay");
-  // Sampled mode rescales; its miss-rate error against exact is gated.
-  const auto sampled = sampled_cache.scaled_counters();
-  const double exact_rate = bc.miss_rate();
-  const double sampled_rate = static_cast<double>(sampled.misses) /
-                              static_cast<double>(sampled.accesses);
-  const double missrate_rel_err = std::abs(sampled_rate - exact_rate) / exact_rate;
 
   const double slowdown_scalar = scalar_us / raw_us;
   const double slowdown_batched = batched_us / raw_us;
-  const double slowdown_sampled = sampled_us / raw_us;
   const double speedup = scalar_us / batched_us;
 
   ccaperf::TextTable t;
@@ -175,24 +151,16 @@ int main() {
              ccaperf::fmt_double(slowdown_scalar, 4)});
   t.add_row({"traced, batched runs", ccaperf::fmt_double(batched_us, 6),
              ccaperf::fmt_double(slowdown_batched, 4)});
-  t.add_row({"traced, sampled 1/" + std::to_string(kSampleStride),
-             ccaperf::fmt_double(sampled_us, 6),
-             ccaperf::fmt_double(slowdown_sampled, 4)});
   t.render(std::cout);
   std::cout << "\nraw SIMD speedup (" << simd::isa_name(top)
             << " vs scalar): " << ccaperf::fmt_double(simd_speedup, 4) << "x\n"
             << "batched/scalar traced throughput: "
-            << ccaperf::fmt_double(speedup, 4) << "x\n"
-            << "sampled miss-rate rel. error vs exact: "
-            << ccaperf::fmt_double(missrate_rel_err, 5) << " ("
-            << bc.misses << " exact vs " << sampled.misses
-            << " scaled misses)\n";
+            << ccaperf::fmt_double(speedup, 4) << "x\n";
 
   bench::print_comparison(
       "tracing overhead",
       {{"instrumentation overhead", "\"small\" (paper section 4)",
-        ccaperf::fmt_double(slowdown_sampled, 3) + "x traced-vs-raw sampled, " +
-            ccaperf::fmt_double(slowdown_batched, 3) + "x exact (was " +
+        ccaperf::fmt_double(slowdown_batched, 3) + "x traced-vs-raw (was " +
             ccaperf::fmt_double(slowdown_scalar, 3) + "x before batching)"}});
 
   std::vector<bench::JsonEntry> entries{
@@ -202,12 +170,8 @@ int main() {
       {"tracing_fastpath", "simd_raw_speedup", simd_speedup},
       {"tracing_fastpath", "scalar_traced_us_per_sweep", scalar_us},
       {"tracing_fastpath", "batched_traced_us_per_sweep", batched_us},
-      {"tracing_fastpath", "sampled_traced_us_per_sweep", sampled_us},
       {"tracing_fastpath", "slowdown_scalar_vs_raw", slowdown_scalar},
       {"tracing_fastpath", "slowdown_batched_vs_raw", slowdown_batched},
-      {"tracing_fastpath", "sampled_traced_slowdown_vs_raw", slowdown_sampled},
-      {"tracing_fastpath", "sampled_missrate_rel_err", missrate_rel_err},
-      {"tracing_fastpath", "sample_stride", static_cast<double>(kSampleStride)},
       {"tracing_fastpath", "batched_vs_scalar_speedup", speedup}};
   for (const auto& [name, us] : raw_by_isa)
     entries.push_back(

@@ -16,13 +16,15 @@ import sys
 ADD_TEST = re.compile(r'add_test\(\s*(?:\[=*\[)?"?([A-Za-z0-9_.-]+)"?\]?')
 
 # Binaries that must stay in the tier-1 lane specifically: they carry the
-# overhead-governor contract suites (Governor*/ThreadedGovernor
-# in test_core, TraceTiers in test_tau, CacheSampling governor-stride tests
-# in test_hwc), the multi-tenant hub contract (session isolation, drop
-# accounting, and the HubProperty stream-identity tests in
-# test_telemetry_hub), and the LU session workload's correctness suite
-# (test_lu_workload). A demotion to tier2 would silently drop those
-# checks from the gate in check_tier1.sh.
+# overhead-governor contract suites (Governor*/ThreadedGovernor in
+# test_core, TraceTiers in test_tau), the exact cache simulator that every
+# traced counter rests on (test_hwc: AccessRun's batched runs bit-identical
+# to the per-element loop, CacheVsReference's miss stream against a
+# reference LRU, the CacheSim replacement and flush cases), the
+# multi-tenant hub contract (session isolation, drop accounting, and the
+# HubProperty stream-identity tests in test_telemetry_hub), and the LU
+# session workload's correctness suite (test_lu_workload). A demotion to
+# tier2 would silently drop those checks from the gate in check_tier1.sh.
 REQUIRED_TIER1 = {"test_core", "test_tau", "test_hwc", "test_pattern",
                   "test_telemetry_hub", "test_lu_workload"}
 PROPS = re.compile(

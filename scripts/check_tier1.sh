@@ -385,6 +385,22 @@ PY
   echo "hub soak: OK"
 fi
 
+# Runs a gtest binary under a ':'-separated --gtest_filter, failing first
+# when any term of the filter selects no test: a suite renamed or deleted
+# would otherwise drop out of the run without a word.
+gtest_filtered() {
+  local bin=$1 filter=$2 term listed
+  local IFS=':'
+  for term in ${filter}; do
+    listed=$("${bin}" --gtest_list_tests --gtest_filter="${term}")
+    if ! grep -q '^  ' <<<"${listed}"; then
+      echo "check_tier1.sh: ${bin##*/} filter term '${term}' matches no test" >&2
+      return 1
+    fi
+  done
+  "${bin}" --gtest_filter="${filter}"
+}
+
 if want tsan; then
   echo "== thread-sanitized concurrency suites (${TSAN_DIR}) =="
   # Lock-ordering-sensitive paths: the mpp fault layer (indexed fault
@@ -408,20 +424,19 @@ if want tsan; then
   cmake --build "${TSAN_DIR}" -j "${JOBS}" \
     --target test_mpp test_amr test_support test_core test_euler test_tau \
              test_telemetry_hub test_components
-  "${TSAN_DIR}/tests/mpp/test_mpp" \
-    --gtest_filter='FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*DeterministicReductions.*:*AbortInCollective.*'
-  "${TSAN_DIR}/tests/amr/test_amr" \
-    --gtest_filter='ExchangeFaults.*'
-  "${TSAN_DIR}/tests/support/test_support" \
-    --gtest_filter='ThreadPool.*:ServiceThread.*'
-  "${TSAN_DIR}/tests/core/test_core" \
-    --gtest_filter='ThreadedMonitor.*:ThreadedGovernor.*:ProxyContract.*'
+  gtest_filtered "${TSAN_DIR}/tests/mpp/test_mpp" \
+    'FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*DeterministicReductions.*:*AbortInCollective.*'
+  gtest_filtered "${TSAN_DIR}/tests/amr/test_amr" 'ExchangeFaults.*'
+  gtest_filtered "${TSAN_DIR}/tests/support/test_support" \
+    'ThreadPool.*:ServiceThread.*'
+  gtest_filtered "${TSAN_DIR}/tests/core/test_core" \
+    'ThreadedMonitor.*:ThreadedGovernor.*:ProxyContract.*'
   "${TSAN_DIR}/tests/core/test_telemetry_hub"
-  "${TSAN_DIR}/tests/euler/test_euler" \
-    --gtest_filter='KernelsMt.*:SimdDispatch.*:SimdKernels.*:StatesReference.*'
-  "${TSAN_DIR}/tests/tau/test_tau" --gtest_filter='RegistryShards.*'
-  "${TSAN_DIR}/tests/components/test_components" \
-    --gtest_filter='App.FieldBitIdentical*:InviscidFluxScratch.*'
+  gtest_filtered "${TSAN_DIR}/tests/euler/test_euler" \
+    'KernelsMt.*:SimdDispatch.*:SimdKernels.*:StatesReference.*'
+  gtest_filtered "${TSAN_DIR}/tests/tau/test_tau" 'RegistryShards.*'
+  gtest_filtered "${TSAN_DIR}/tests/components/test_components" \
+    'App.FieldBitIdentical*:InviscidFluxScratch.*'
 fi
 
 if want asan; then

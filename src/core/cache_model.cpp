@@ -112,24 +112,4 @@ std::unique_ptr<CacheAwareModel> retarget(const CacheAwareModel& calibrated,
   return retarget(calibrated, std::move(table));
 }
 
-double max_relative_prediction_error(const PerfModel& a, const PerfModel& b,
-                                     const std::vector<double>& qs) {
-  CCAPERF_REQUIRE(!qs.empty(), "max_relative_prediction_error: no Q values");
-  double worst = 0.0;
-  for (double q : qs) {
-    const double ref = b.predict(q);
-    if (std::abs(ref) < 1e-30) continue;
-    worst = std::max(worst, std::abs(a.predict(q) - ref) / std::abs(ref));
-  }
-  return worst;
-}
-
-double max_relative_prediction_error(const CacheAwareModel& a,
-                                     const CacheAwareModel& reference) {
-  std::vector<double> qs;
-  qs.reserve(reference.table().size());
-  for (const WorkCounts& w : reference.table()) qs.push_back(w.q);
-  return max_relative_prediction_error(a, reference, qs);
-}
-
 }  // namespace core

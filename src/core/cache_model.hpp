@@ -84,15 +84,4 @@ std::unique_ptr<CacheAwareModel> retarget(const CacheAwareModel& calibrated,
                                           const WorkCounter& counter,
                                           const hwc::CacheSim& geometry);
 
-/// Largest relative gap |a.predict(q) - b.predict(q)| / |b.predict(q)|
-/// over `qs` (b is the reference; points where b predicts ~0 are skipped).
-/// This is the agreement gate between a model fitted from sampled-mode
-/// work counts and one fitted from exact counts (DESIGN.md §11).
-double max_relative_prediction_error(const PerfModel& a, const PerfModel& b,
-                                     const std::vector<double>& qs);
-
-/// Overload evaluating at the reference model's tabulated Q values.
-double max_relative_prediction_error(const CacheAwareModel& a,
-                                     const CacheAwareModel& reference);
-
 }  // namespace core

@@ -21,9 +21,9 @@ GovernorConfig GovernorConfig::from_env() {
   CCAPERF_REQUIRE(v > 0.0, "CCAPERF_OVERHEAD_PCT: want a positive percentage");
   cfg.enabled = true;
   cfg.budget_pct = v;
-  // Keep the hysteresis band proportional for large budgets but never wider
-  // than the default so a 2% budget still means "converged by 2.5%".
-  cfg.band_pct = std::min(0.25, v * 0.125) + (v >= 2.0 ? 0.25 : v * 0.125);
+  // The hysteresis half-band is a quarter of the budget, capped at 0.5
+  // points: a 2% budget throttles above 2.5% and relaxes below 1.5%.
+  cfg.band_pct = std::min(0.5, 0.25 * v);
   return cfg;
 }
 
@@ -34,18 +34,18 @@ GovernorConfig GovernorConfig::from_env() {
 OverheadGovernor::Settings OverheadGovernor::settings_for(int level) {
   // The ladder trades information for cost in order of regret: stretching
   // the telemetry interval loses nothing but resolution, dropping trace
-  // verbosity loses post-hoc detail, coarsening the counter stride widens
-  // sampled-counter error bars, and thinning monitor records slows (but,
-  // thanks to realized-fraction rescaling, never biases) the streaming fits.
+  // verbosity loses post-hoc detail, and thinning monitor records slows
+  // (but, thanks to realized-fraction rescaling, never biases) the
+  // streaming fits.
   static constexpr Settings kLadder[kMaxLevel + 1] = {
-      /*0*/ {1, tau::TraceTier::full, 1, 1},
-      /*1*/ {2, tau::TraceTier::full, 1, 4},
-      /*2*/ {4, tau::TraceTier::slices, 1, 8},
-      /*3*/ {4, tau::TraceTier::slices, 2, 16},
-      /*4*/ {8, tau::TraceTier::counters, 4, 32},
-      /*5*/ {8, tau::TraceTier::counters, 8, 64},
-      /*6*/ {16, tau::TraceTier::off, 16, 64},
-      /*7*/ {16, tau::TraceTier::off, 32, 128},
+      /*0*/ {1, tau::TraceTier::full, 1},
+      /*1*/ {2, tau::TraceTier::full, 1},
+      /*2*/ {4, tau::TraceTier::slices, 1},
+      /*3*/ {4, tau::TraceTier::slices, 2},
+      /*4*/ {8, tau::TraceTier::counters, 4},
+      /*5*/ {8, tau::TraceTier::counters, 8},
+      /*6*/ {16, tau::TraceTier::off, 16},
+      /*7*/ {16, tau::TraceTier::off, 32},
   };
   if (level < 0) level = 0;
   if (level > kMaxLevel) level = kMaxLevel;

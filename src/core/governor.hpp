@@ -7,9 +7,8 @@
 // overheads are small", §4 — a property asserted, not enforced). The
 // governor enforces it: a per-rank feedback controller samples the
 // monitoring stack's self-cost against wall time in sliding windows and
-// steers the observability tiers — trace verbosity, counter sampling
-// stride, telemetry emission interval, monitor record sampling — to keep
-// realized overhead under a target budget (CCAPERF_OVERHEAD_PCT, default
+// steers the observability tiers — trace verbosity, telemetry emission
+// interval, monitor record sampling — to keep realized overhead under a target budget (CCAPERF_OVERHEAD_PCT, default
 // 2%) with hysteresis bands so the controller never oscillates.
 //
 // The controller is PURE and deterministic: observe() consumes one
@@ -46,8 +45,8 @@ struct GovernorConfig {
 
 /// One per-rank feedback controller. Levels form a ladder of actuation
 /// steps ordered by information loss (cheapest loss first): telemetry
-/// interval stretches, then trace verbosity drops, then counter sampling
-/// coarsens, then monitor record sampling thins.
+/// interval stretches, then trace verbosity drops, then monitor record
+/// sampling thins.
 class OverheadGovernor {
  public:
   /// One decision window as measured by the plumbing layer.
@@ -61,8 +60,7 @@ class OverheadGovernor {
   struct Settings {
     std::uint32_t telem_interval_mult = 1;  ///< telemetry interval multiplier
     tau::TraceTier trace_tier = tau::TraceTier::full;
-    std::uint32_t monitor_stride = 1;   ///< record 1-in-N monitored calls
-    std::uint32_t cachesim_stride = 1;  ///< cache-sim batch sampling stride
+    std::uint32_t monitor_stride = 1;  ///< record 1-in-N monitored calls
   };
 
   /// Outcome of one observe() call.

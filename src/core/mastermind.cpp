@@ -708,16 +708,14 @@ void MastermindComponent::governor_window_unlocked(tau::Registry& reg) {
     // the new level) under the *outgoing* verbosity, actuate, then drop an
     // instant marker — instants survive every tier.
     reg.trace_counter_samples();
-    apply_governor_settings_unlocked(reg, d);
+    apply_governor_settings_unlocked(reg);
     reg.trace_instant(
         governor_instant_string(reg, d.level > d.prev_level, d.level));
     emit_governor_line_unlocked(d);
   }
 }
 
-void MastermindComponent::apply_governor_settings_unlocked(
-    tau::Registry& reg, const OverheadGovernor::Decision& d) {
-  (void)d;
+void MastermindComponent::apply_governor_settings_unlocked(tau::Registry& reg) {
   const OverheadGovernor::Settings s = gov_->settings();
   reg.set_trace_tier(s.trace_tier);
   telem_interval_ = telem_interval_base_ * s.telem_interval_mult;
@@ -739,8 +737,7 @@ void MastermindComponent::emit_governor_line_unlocked(
      << ",\"headroom_pct\":" << ccaperf::json_number(d.headroom_pct, 3)
      << ",\"trace_tier\":\"" << tau::trace_tier_name(s.trace_tier)
      << "\",\"monitor_stride\":" << s.monitor_stride
-     << ",\"telem_interval\":" << telem_interval_
-     << ",\"cachesim_stride\":" << s.cachesim_stride << "}}\n";
+     << ",\"telem_interval\":" << telem_interval_ << "}}\n";
   ++telem_lines_;
 }
 

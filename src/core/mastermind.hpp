@@ -187,10 +187,9 @@ class MastermindComponent final : public cca::Component,
   // self-cost (clock brackets around its own monitoring work plus any
   // registered cost sources), feeds (wall, self, records) windows to the
   // controller at outermost-stop boundaries, and applies the returned
-  // Settings — telemetry interval, registry trace tier, monitor record
-  // sampling, and the cache-sim stride via the actuator callback. Nothing
-  // here runs unless a governor is attached, so ungoverned runs stay
-  // byte-identical.
+  // Settings — telemetry interval, registry trace tier and monitor record
+  // sampling. Nothing here runs unless a governor is attached, so
+  // ungoverned runs stay byte-identical.
 
   /// Attaches the controller (borrowed; must outlive the component) and
   /// registers the GOVERNOR_* counter sources with the registry. Requires
@@ -316,8 +315,7 @@ class MastermindComponent final : public cca::Component,
   }
   double self_total_unlocked() const;
   void governor_window_unlocked(tau::Registry& reg);
-  void apply_governor_settings_unlocked(tau::Registry& reg,
-                                        const OverheadGovernor::Decision& d);
+  void apply_governor_settings_unlocked(tau::Registry& reg);
   void emit_governor_line_unlocked(const OverheadGovernor::Decision& d);
   std::uint32_t governor_instant_string(tau::Registry& reg, bool throttle,
                                         int level);

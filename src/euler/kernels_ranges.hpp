@@ -181,17 +181,9 @@ KernelCounts states_range_lines(const amr::PatchData<double>& U,
         for (; f + W <= nf; f += W) {
           Groups::faces(line, f);
           // Traced runs replay each face's probe sequence in scalar order
-          // (addresses only — the values are already written). When the
-          // simulator's sampling gate would reject the whole group,
-          // skip_runs tallies the identical event totals in one step.
-          if constexpr (Probe::kCounting) {
-            if (!probe.skip_runs((kNcomp + 2) * static_cast<std::uint64_t>(W),
-                                 4ull * kNcomp * W, 2ull * kNcomp * W,
-                                 static_cast<std::uint64_t>(W) *
-                                     (4 * 18 + 8 * kNcomp)))
-              for (int l = 0; l < W; ++l)
-                replay_states_face(line, f + l, probe);
-          }
+          // (addresses only — the values are already written).
+          if constexpr (Probe::kCounting)
+            for (int l = 0; l < W; ++l) replay_states_face(line, f + l, probe);
         }
       }
       for (; f < nf; ++f) {

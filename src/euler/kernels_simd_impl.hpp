@@ -352,23 +352,17 @@ KernelCounts efm_range_vec(const Array2& left, const Array2& right, Dir dir,
         fp[4] = ff.phi_mass[l2];
       }
 
-      // Per face: two state load runs + one flux store run; bulk-skip the
-      // group when the sampling gate would reject every batch (see
-      // states_range_lines).
+      // Per face: two state load runs + one flux store run.
       if constexpr (Probe::kCounting) {
-        if (!probe.skip_runs(3ull * W, 2ull * kNcomp * W,
-                             static_cast<std::uint64_t>(kNcomp) * W,
-                             static_cast<std::uint64_t>(kEfmFlopsPerFace) * W)) {
-          for (int l2 = 0; l2 < W; ++l2) {
-            const int fi = fi0 + l2 * di, fj = fj0 + l2 * dj;
-            probe.load_run(left.addr(fi, fj, 0), face_comp, kNcomp,
-                           sizeof(double));
-            probe.load_run(right.addr(fi, fj, 0), face_comp, kNcomp,
-                           sizeof(double));
-            probe.flops(kEfmFlopsPerFace);
-            probe.store_run(flux.addr(fi, fj, 0), face_comp, kNcomp,
-                            sizeof(double));
-          }
+        for (int l2 = 0; l2 < W; ++l2) {
+          const int fi = fi0 + l2 * di, fj = fj0 + l2 * dj;
+          probe.load_run(left.addr(fi, fj, 0), face_comp, kNcomp,
+                         sizeof(double));
+          probe.load_run(right.addr(fi, fj, 0), face_comp, kNcomp,
+                         sizeof(double));
+          probe.flops(kEfmFlopsPerFace);
+          probe.store_run(flux.addr(fi, fj, 0), face_comp, kNcomp,
+                          sizeof(double));
         }
       }
       counts.faces += W;
@@ -837,26 +831,18 @@ KernelCounts godunov_range_vec(const Array2& left, const Array2& right,
     }
     if (ng > 0) b.solve(ng, gas, fbase);
     for (int g = 0; g < ng; ++g) {
-      std::uint64_t flops = 0;
-      for (int k = 0; k < W; ++k) {
-        const int n = b.iters[g * W + k];
-        counts.riemann_iterations += static_cast<std::uint64_t>(n);
-        flops += godunov_face_flops(n);
-      }
+      for (int k = 0; k < W; ++k)
+        counts.riemann_iterations +=
+            static_cast<std::uint64_t>(b.iters[g * W + k]);
       counts.faces += W;
-      // Per face: two state load runs, the flops, one flux store run;
-      // bulk-skip the group when the sampling gate would reject every
-      // batch (see states_range_lines).
+      // Per face: two state load runs, the flops, one flux store run.
       if constexpr (Probe::kCounting) {
-        if (!probe.skip_runs(3ull * W, 2ull * kNcomp * W,
-                             static_cast<std::uint64_t>(kNcomp) * W, flops)) {
-          for (int k = 0; k < W; ++k) {
-            const std::ptrdiff_t at = b.off[g][k];
-            probe.load_run(lbase + at, face_comp, kNcomp, sizeof(double));
-            probe.load_run(rbase + at, face_comp, kNcomp, sizeof(double));
-            probe.flops(godunov_face_flops(b.iters[g * W + k]));
-            probe.store_run(fbase + at, face_comp, kNcomp, sizeof(double));
-          }
+        for (int k = 0; k < W; ++k) {
+          const std::ptrdiff_t at = b.off[g][k];
+          probe.load_run(lbase + at, face_comp, kNcomp, sizeof(double));
+          probe.load_run(rbase + at, face_comp, kNcomp, sizeof(double));
+          probe.flops(godunov_face_flops(b.iters[g * W + k]));
+          probe.store_run(fbase + at, face_comp, kNcomp, sizeof(double));
         }
       }
     }

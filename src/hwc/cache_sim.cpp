@@ -199,34 +199,4 @@ void CacheSim::flush() {
 
 void CacheSim::reset_counters() { counters_ = CacheCounters{}; }
 
-void CacheSim::set_sample_stride(std::uint32_t stride, std::uint64_t seed,
-                                 unsigned burst_log2) {
-  CCAPERF_REQUIRE(stride >= 1, "CacheSim: sample stride must be >= 1");
-  CCAPERF_REQUIRE(burst_log2 <= 30, "CacheSim: sample burst must be <= 2^30");
-  sample_stride_ = stride;
-  sample_tick_ = 0;
-  sample_seen_ = 0;
-  sample_phase_ = stride > 1 ? seed % stride : 0;
-  sample_burst_log2_ = burst_log2;
-  sample_window_mask_ = (std::uint64_t{1} << burst_log2) - 1;
-  sample_window_active_ = false;  // recomputed at tick 0 (a window boundary)
-  // Lower levels only ever see the sampled fraction of the traffic, so
-  // their counters carry this level's scale even though they don't gate.
-  for (CacheSim* c = this; c != nullptr; c = c->lower_) c->sampler_ = this;
-}
-
-CacheCounters CacheSim::scaled_counters() const {
-  const double f = sampler_->sample_factor();
-  auto scale = [f](std::uint64_t v) {
-    return static_cast<std::uint64_t>(static_cast<double>(v) * f + 0.5);
-  };
-  CacheCounters s;
-  s.accesses = scale(counters_.accesses);
-  s.hits = scale(counters_.hits);
-  s.misses = scale(counters_.misses);
-  s.evictions = scale(counters_.evictions);
-  s.writebacks = scale(counters_.writebacks);
-  return s;
-}
-
 }  // namespace hwc

@@ -26,19 +26,6 @@
 //    without rewriting the way array.
 // All three are exact: counters are bit-identical to an element-by-element
 // `access` loop (tests/hwc/test_access_run.cpp asserts this property).
-//
-// On top of the exact machinery sits a pay-per-sample estimation mode
-// (DESIGN.md §11): `set_sample_stride(N, seed)` makes `access_run`
-// simulate only batches falling in every 1-in-N *window* of 2^burst_log2
-// consecutive batches (deterministic seeded phase) and skip the rest
-// entirely; `scaled_counters()` multiplies the sampled tallies back up by
-// N. Windows rather than individual batches because sweep kernels emit
-// heavily cross-correlated batches (consecutive faces share stencil
-// lines): sampling lone batches would read almost every access as a cold
-// miss, while a multi-hundred-batch burst reaches the warm steady state
-// after a few faces and amortizes its boundary. Exact mode (stride 1) is
-// the default and is bit-identical to today — CI and paper runs never
-// change.
 
 #include <algorithm>
 #include <cstddef>
@@ -70,12 +57,6 @@ struct CacheCounters {
     return accesses ? static_cast<double>(misses) / static_cast<double>(accesses) : 0.0;
   }
 };
-
-/// Sampled-mode window size: 2^9 = 512 consecutive access_run batches per
-/// window (~70 sweep faces) — long enough for the L1 working set to warm
-/// up within a handful of faces, short enough that realistic sweeps span
-/// hundreds of windows per sampling stride.
-inline constexpr unsigned kDefaultSampleBurstLog2 = 9;
 
 /// One level of set-associative, write-back/write-allocate LRU cache.
 class CacheSim {
@@ -116,56 +97,6 @@ class CacheSim {
   /// counters.
   void flush();
   void reset_counters();
-
-  /// Sampled mode: batches are grouped into windows of 2^burst_log2
-  /// consecutive access_run calls; only windows whose index is congruent
-  /// to `seed % stride` (mod stride) are simulated, the rest return 0
-  /// without touching any state. Counters then tally roughly 1/stride of
-  /// the traffic; read them back through `scaled_counters()`. Lower levels
-  /// chained via set_lower() inherit the scale (they only ever see the
-  /// sampled traffic). Stride 1 restores exact mode. Resets the batch
-  /// phase; call before (not during) a traced sweep.
-  void set_sample_stride(std::uint32_t stride, std::uint64_t seed = 0,
-                         unsigned burst_log2 = kDefaultSampleBurstLog2);
-  std::uint32_t sample_stride() const { return sample_stride_; }
-
-  /// Scale-up factor for sampled counters: the MEASURED fraction of
-  /// batches simulated (total seen / simulated), not the nominal stride —
-  /// the window grid rarely divides the stream evenly, and using the
-  /// realized fraction removes that granularity error entirely. 1.0 in
-  /// exact mode; the nominal stride if sampling skipped every batch.
-  double sample_factor() const {
-    if (sample_tick_ == sample_seen_) return 1.0;  // nothing ever skipped
-    if (sample_seen_ == 0) return static_cast<double>(sample_stride_);
-    return static_cast<double>(sample_tick_) /
-           static_cast<double>(sample_seen_);
-  }
-
-  /// Counters scaled by the gating level's sample_factor() — the estimate
-  /// of what exact mode would have counted. Identical to counters() in
-  /// exact mode.
-  CacheCounters scaled_counters() const;
-
-  /// Sampled-mode group fast path: if the next `batches` access_run calls
-  /// would all be rejected by the gate (they fit inside the current,
-  /// inactive window), consume their ticks in one step and return true.
-  /// Returns false in exact mode, in active windows, and when the group
-  /// straddles a window boundary — callers then replay batch by batch,
-  /// which is bit-identical; this only exists so traced kernels can skip
-  /// the per-batch replay bookkeeping wholesale between sampled windows.
-  bool sample_skip(std::uint64_t batches) {
-    if (sample_stride_ <= 1 || batches == 0) return false;
-    if ((sample_tick_ & sample_window_mask_) == 0)
-      sample_window_active_ =
-          (sample_tick_ >> sample_burst_log2_) % sample_stride_ ==
-          sample_phase_;
-    if (sample_window_active_) return false;
-    if ((sample_tick_ & sample_window_mask_) + batches >
-        sample_window_mask_ + 1)
-      return false;
-    sample_tick_ += batches;
-    return true;
-  }
 
   const CacheCounters& counters() const { return counters_; }
   std::size_t size_bytes() const { return size_bytes_; }
@@ -225,14 +156,6 @@ class CacheSim {
   std::vector<std::uint32_t> mru_;     // per-set most-recently-used way hint
   std::uint64_t stamp_ = 0;
   std::uint64_t gen_ = 1;              // flush() increments; Way::gen matches
-  std::uint32_t sample_stride_ = 1;    // 1 = exact mode
-  std::uint64_t sample_tick_ = 0;      // access_run batches seen (sampled)
-  std::uint64_t sample_seen_ = 0;      // of those, batches simulated
-  std::uint64_t sample_phase_ = 0;     // window residue that gets simulated
-  unsigned sample_burst_log2_ = kDefaultSampleBurstLog2;
-  std::uint64_t sample_window_mask_ = (1ull << kDefaultSampleBurstLog2) - 1;
-  bool sample_window_active_ = false;  // cached verdict for current window
-  const CacheSim* sampler_ = this;     // level whose gate scales our counters
   CacheCounters counters_;
   CacheSim* lower_ = nullptr;
 };
@@ -242,22 +165,6 @@ inline std::uint64_t CacheSim::access_run(std::uintptr_t addr,
                                           std::size_t count, std::size_t elem_bytes,
                                           bool is_write) {
   if (count == 0 || elem_bytes == 0) return 0;
-  // Sampled mode: only 1-in-stride windows of consecutive batches are
-  // simulated; the rest return before touching counters or replacement
-  // state. Exact mode (stride 1) takes one predicted-not-taken branch
-  // here and nothing else. The window verdict (a modulo) is computed once
-  // per window boundary and cached — the steady-state skip path is an
-  // increment and two predictable branches, cheap enough to leave on in
-  // the traced production path.
-  if (sample_stride_ > 1) {
-    if ((sample_tick_ & sample_window_mask_) == 0)
-      sample_window_active_ =
-          (sample_tick_ >> sample_burst_log2_) % sample_stride_ ==
-          sample_phase_;
-    ++sample_tick_;
-    if (!sample_window_active_) return 0;
-    ++sample_seen_;
-  }
   std::uint64_t misses = 0;
 
   // Contiguous aligned runs (the kernels' stencil and state batches) take

@@ -83,20 +83,6 @@ class CacheProbe {
   }
   void flops(std::uint64_t n) { counts_.flops += n; }
 
-  /// Group fast path for sampled simulation (DESIGN.md §11): if the
-  /// simulator will reject the next `runs` batch calls wholesale (inactive
-  /// sampling window), tally the aggregate event counts here and return
-  /// true — the caller skips its per-run replay. Event totals are
-  /// identical either way; this only removes per-run call overhead.
-  bool skip_runs(std::uint64_t runs, std::uint64_t loads, std::uint64_t stores,
-                 std::uint64_t flop_count) {
-    if (!cache_->sample_skip(runs)) return false;
-    counts_.loads += loads;
-    counts_.stores += stores;
-    counts_.flops += flop_count;
-    return true;
-  }
-
   const ProbeCounts& counts() const { return counts_; }
   CacheSim* cache() const { return cache_; }
   void reset() { counts_ = ProbeCounts{}; }
@@ -144,11 +130,6 @@ class ScalarReplayProbe {
     counts_.stores += count;
   }
   void flops(std::uint64_t n) { counts_.flops += n; }
-
-  /// The element path never samples; groups are always replayed.
-  bool skip_runs(std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t) {
-    return false;
-  }
 
   const ProbeCounts& counts() const { return counts_; }
   CacheSim* cache() const { return cache_; }
