@@ -403,10 +403,13 @@ gtest_filtered() {
 
 if want tsan; then
   echo "== thread-sanitized concurrency suites (${TSAN_DIR}) =="
-  # Lock-ordering-sensitive paths: the mpp fault layer (indexed fault
-  # queues, dedupe windows under the mailbox lock), every collective on
-  # the per-rank hop slots (1-8 ranks, 64/129 ranks, dup, deterministic
-  # reductions, aborts mid-collective), the threaded-rank
+  # Lock-ordering-sensitive paths: the mpp delivery path on clean runs
+  # (Fabric::route matching against receives posted from another rank's
+  # thread, borrowed sender buffers, ack-at-match senders completed and
+  # de-parked across threads, the one wait loop), the mpp fault layer
+  # (indexed fault queues, dedupe windows under the mailbox lock), every
+  # collective on the per-rank hop slots (1-8 ranks, 64/129 ranks, dup,
+  # deterministic reductions, aborts mid-collective), the threaded-rank
   # layer (work-stealing pool and its nested helping: ThreadPool.* holds
   # the nested-call contract cases, KernelsMt.* the kernels called from
   # one-job and many-job outer regions; sharded registries,
@@ -425,7 +428,7 @@ if want tsan; then
     --target test_mpp test_amr test_support test_core test_euler test_tau \
              test_telemetry_hub test_components
   gtest_filtered "${TSAN_DIR}/tests/mpp/test_mpp" \
-    'FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*DeterministicReductions.*:*AbortInCollective.*'
+    'P2P.*:Request.*:MsgEvents.*:BufferPool.*:Rendezvous.*:*RandomExchange.*:FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*DeterministicReductions.*:*AbortInCollective.*'
   gtest_filtered "${TSAN_DIR}/tests/amr/test_amr" 'ExchangeFaults.*'
   gtest_filtered "${TSAN_DIR}/tests/support/test_support" \
     'ThreadPool.*:ServiceThread.*'
@@ -445,14 +448,18 @@ if want asan; then
   # drive them: InviscidFlux reshapes per-thread face arrays without
   # clearing, and the address build defines _GLIBCXX_SANITIZE_VECTOR, so
   # a read past a reshaped vector's size() is reported even where its
-  # capacity still covers it.
+  # capacity still covers it. The mpp and amr suites cover the delivery
+  # path's memory handling: a clean message is copied from the sender's
+  # borrowed buffer, and dropping a send handle de-parks its message.
   cmake -B "${ASAN_DIR}" -S . -DCCAPERF_SANITIZE=address >/dev/null
   cmake --build "${ASAN_DIR}" -j "${JOBS}" \
-    --target test_tau test_core test_euler test_components
+    --target test_tau test_core test_euler test_components test_mpp test_amr
   "${ASAN_DIR}/tests/tau/test_tau"
   "${ASAN_DIR}/tests/core/test_core"
   "${ASAN_DIR}/tests/euler/test_euler"
   "${ASAN_DIR}/tests/components/test_components"
+  "${ASAN_DIR}/tests/mpp/test_mpp"
+  "${ASAN_DIR}/tests/amr/test_amr"
 fi
 
 echo "stages [${STAGES}]: OK"

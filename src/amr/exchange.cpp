@@ -168,7 +168,7 @@ ExchangeStats exchange_copy(mpp::Comm& comm,
         err.code() != mpp::CommErrc::retry_exhausted)
       throw;
     // A send the peer will never acknowledge: drop the remaining handles
-    // (parked descriptors are cancelled) and count the failure.
+    // (parked messages are cancelled) and count the failure.
     ++stats.send_failures;
     for (mpp::Request& r : send_reqs) r = mpp::Request();
   }
@@ -177,14 +177,12 @@ ExchangeStats exchange_copy(mpp::Comm& comm,
 
 ExchangeStats exchange_ghosts(mpp::Comm& comm, Level& level, int nghost,
                               int tag_base) {
-  const int me = comm.rank();
   auto src = [&](int id) -> const PatchData<double>* {
     return level.has_data(id) ? &level.data(id) : nullptr;
   };
   auto dst = [&](int id) -> PatchData<double>* {
     return level.has_data(id) ? &level.data(id) : nullptr;
   };
-  (void)me;
   return exchange_copy(
       comm, level.patches(), src, level.patches(), dst,
       [nghost](const PatchInfo& p) { return p.box.grown(nghost); },

@@ -10,20 +10,9 @@ namespace mpp {
 
 namespace {
 
-Clock::time_point stamp_delay(double delay_us) {
-  return Clock::now() +
-         std::chrono::duration_cast<Clock::duration>(
-             std::chrono::duration<double, std::micro>(delay_us));
-}
-
 void sleep_us(double us) {
   if (us > 0.0)
     std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(us));
-}
-
-bool matches(int want_src, int want_tag, int src, int tag) {
-  return (want_src == any_source || want_src == src) &&
-         (want_tag == any_tag || want_tag == tag);
 }
 
 /// Fires the receive-side message hook for a completed receive. Called at
@@ -37,12 +26,17 @@ void emit_recv_event(const detail::ReqState& st) {
 }
 
 /// Fires the send-side message hook once a send has been handed to the
-/// fabric (identity fields stamped by Comm::deliver).
+/// fabric (identity fields stamped by Fabric::send).
 void emit_send_event(const detail::ReqState& st) {
   if (st.src_world < 0) return;
   if (CommHooks* h = hooks())
     h->on_message_send(MsgEvent{st.src_world, st.dst_world, st.status.tag,
                                 st.status.bytes, st.seq});
+}
+
+bool any_valid(std::span<const Request> reqs) {
+  return std::any_of(reqs.begin(), reqs.end(),
+                     [](const Request& r) { return r.valid(); });
 }
 
 [[noreturn]] void raise_failed(const detail::ReqState& st, const char* what) {
@@ -87,15 +81,10 @@ class WaitBudget {
     const double timeout_us = fab_->wait_timeout_us();
     if (timeout_us > 0.0 &&
         std::chrono::duration<double, std::micro>(now - start_).count() >
-            timeout_us) {
-      fab_->count_timeout();
-      if (CommHooks* h = hooks())
-        h->on_fault(FaultEvent{FaultEvent::Type::timeout, FaultKind::none, -1,
-                               -1, 0, 0});
-      throw CommError(CommErrc::timeout,
-                      std::string("mpp: ") + what + ": timed out after " +
-                          std::to_string(timeout_us) + " us");
-    }
+            timeout_us)
+      expire(CommErrc::timeout, std::string("mpp: ") + what +
+                                    ": timed out after " +
+                                    std::to_string(timeout_us) + " us");
     const std::uint64_t activity = fab_->activity();
     if (activity != last_activity_) {
       last_activity_ = activity;
@@ -105,19 +94,22 @@ class WaitBudget {
     const double idle_us = fab_->idle_limit_us();
     if (idle_us > 0.0 &&
         std::chrono::duration<double, std::micro>(now - activity_at_).count() >
-            idle_us) {
-      fab_->count_timeout();
-      if (CommHooks* h = hooks())
-        h->on_fault(FaultEvent{FaultEvent::Type::timeout, FaultKind::none, -1,
-                               -1, 0, 0});
-      throw CommError(CommErrc::no_progress,
-                      std::string("mpp: ") + what +
-                          ": no fabric progress for " +
-                          std::to_string(idle_us) + " us");
-    }
+            idle_us)
+      expire(CommErrc::no_progress, std::string("mpp: ") + what +
+                                        ": no fabric progress for " +
+                                        std::to_string(idle_us) + " us");
   }
 
  private:
+  /// Counts the expired wait, reports it to this rank's hooks and throws.
+  [[noreturn]] void expire(CommErrc code, const std::string& why) {
+    fab_->count_timeout();
+    if (CommHooks* h = hooks())
+      h->on_fault(FaultEvent{FaultEvent::Type::timeout, FaultKind::none, -1,
+                             -1, 0, 0});
+    throw CommError(code, why);
+  }
+
   Fabric* fab_;
   Clock::time_point start_ = Clock::now();
   Clock::time_point activity_at_ = start_;
@@ -130,44 +122,80 @@ class WaitBudget {
 // Request
 // ---------------------------------------------------------------------------
 
-Status Request::wait_no_hook() {
-  CCAPERF_REQUIRE(state_, "Request::wait on an invalid request");
-  detail::ReqState& st = *state_;
-  if (!st.matched.load(std::memory_order_acquire)) {
-    // Bounded quanta instead of an open-ended block: each expiry drives the
-    // fault layer and checks the timeout / no-progress bounds, so a message
-    // that never arrives surfaces a CommError instead of hanging.
-    WaitBudget budget(st.fabric);
-    for (;;) {
-      {
-        std::unique_lock lock(st.signal->mu);
-        st.signal->cv.wait_for(lock, budget.quantum(), [&st] {
-          return st.matched.load(std::memory_order_acquire) || st.aborted() ||
-                 st.failed.load(std::memory_order_acquire) != 0;
-        });
+template <class OnDone>
+void Request::wait_any(std::span<Request> reqs, const char* what,
+                       OnDone&& on_done) {
+  // Classifies every request against a SINGLE time sample: requests whose
+  // modeled delivery time has passed complete; matched-but-undelivered
+  // ones bound the sleep. Using one `now` for both decisions is essential:
+  // with two samples a request can fall between "not ready yet" and "no
+  // longer pending", leaving the thread in an unbounded wait that no
+  // future notification ends.
+  Clock::time_point nearest;
+  auto harvest = [&]() -> bool {
+    bool any = false;
+    nearest = Clock::time_point::max();
+    const Clock::time_point now = Clock::now();
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      auto& st = reqs[i].state_;
+      if (!st || !st->matched.load(std::memory_order_acquire)) continue;
+      if (st->deliver_at <= now) {
+        on_done(i, st->status);
+        emit_recv_event(*st);
+        st.reset();
+        any = true;
+      } else {
+        nearest = std::min(nearest, st->deliver_at);
       }
-      if (st.matched.load(std::memory_order_acquire)) break;
-      if (st.failed.load(std::memory_order_acquire) != 0)
-        raise_failed(st, "wait");
-      if (st.aborted())
-        throw CommError(CommErrc::aborted,
-                        "mpp: wait aborted (a peer rank failed)");
-      budget.poll_and_check("wait");
     }
+    return any;
+  };
+
+  // Sends (and already-arrived receives) complete immediately.
+  if (harvest()) return;
+
+  detail::RankSignal* signal = nullptr;
+  Fabric* fab = nullptr;
+  for (const Request& r : reqs) {
+    if (!r.state_) continue;
+    if (r.state_->signal != nullptr) signal = r.state_->signal;
+    if (fab == nullptr) fab = r.state_->fabric;
   }
-  const auto now = Clock::now();
-  if (now < st.deliver_at) std::this_thread::sleep_until(st.deliver_at);
-  Status result = st.status;
-  emit_recv_event(st);
-  state_.reset();
-  return result;
+  CCAPERF_REQUIRE(signal != nullptr,
+                  std::string(what) + ": request without owner signal");
+  // Bounded quanta instead of an open-ended block: each expiry drives the
+  // fault layer and checks the timeout / no-progress bounds, so a message
+  // that never arrives surfaces a CommError instead of hanging.
+  WaitBudget budget(fab);
+  for (;;) {
+    {
+      std::unique_lock lock(signal->mu);
+      if (harvest()) return;
+      for (const Request& r : reqs) {
+        if (!r.state_) continue;
+        if (r.state_->failed.load(std::memory_order_acquire) != 0)
+          raise_failed(*r.state_, what);
+        if (r.state_->aborted())
+          throw CommError(CommErrc::aborted, std::string("mpp: ") + what +
+                                                 " aborted (a peer rank failed)");
+      }
+      Clock::time_point until = Clock::now() + budget.quantum();
+      if (nearest != Clock::time_point::max()) until = std::min(until, nearest);
+      signal->cv.wait_until(lock, until);
+      if (harvest()) return;
+    }
+    budget.poll_and_check(what);
+  }
 }
 
 Status Request::wait() {
   HookScope hook("MPI_Wait()");
-  Status s = wait_no_hook();
-  hook.set_bytes(s.bytes);
-  return s;
+  CCAPERF_REQUIRE(state_, "Request::wait on an invalid request");
+  Status result;
+  wait_any(std::span<Request>(this, 1), "wait",
+           [&result](std::size_t, const Status& s) { result = s; });
+  hook.set_bytes(result.bytes);
+  return result;
 }
 
 std::optional<Status> Request::test() {
@@ -191,7 +219,7 @@ void Request::release() {
   // Dropping the (unique) handle to an unmatched operation must remove its
   // mailbox entry, so the fabric does not later read/write through a
   // pointer into memory the caller may have freed: a posted receive for
-  // recv requests, a parked rendezvous descriptor for send requests.
+  // recv requests, a parked ack-at-match message for send requests.
   // Re-check `matched` under the mailbox lock: the peer matches under the
   // same lock.
   if (!state_) return;
@@ -210,7 +238,7 @@ void Request::release() {
       } else {
         auto& unexpected = st.mailbox->unexpected;
         for (auto it = unexpected.begin(); it != unexpected.end(); ++it) {
-          if (it->rdv_send != nullptr && it->park_id == st.post_id) {
+          if (it->ack != nullptr && it->park_id == st.post_id) {
             unexpected.erase(it);
             break;
           }
@@ -226,78 +254,13 @@ std::size_t wait_some(std::span<Request> reqs, std::vector<int>& indices,
   HookScope hook("MPI_Waitsome()");
   indices.clear();
   if (statuses) statuses->clear();
-
-  detail::RankSignal* signal = nullptr;
-  bool any_valid = false;
-  for (const Request& r : reqs) {
-    if (r.state_) {
-      any_valid = true;
-      if (r.state_->signal != nullptr) signal = r.state_->signal;
-    }
-  }
-  if (!any_valid) return 0;
-
+  if (!any_valid(reqs)) return 0;
   std::size_t total_bytes = 0;
-  // Classifies every request against a SINGLE time sample: requests whose
-  // modeled delivery time has passed complete; matched-but-undelivered
-  // ones bound the sleep. Using one `now` for both decisions is essential:
-  // with two samples a request can fall between "not ready yet" and "no
-  // longer pending", leaving the thread in an unbounded wait that no
-  // future notification ends.
-  Clock::time_point nearest;
-  auto harvest = [&]() -> bool {
-    nearest = Clock::time_point::max();
-    const Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      auto& st = reqs[i].state_;
-      if (!st || !st->matched.load(std::memory_order_acquire)) continue;
-      if (st->deliver_at <= now) {
-        indices.push_back(static_cast<int>(i));
-        if (statuses) statuses->push_back(st->status);
-        total_bytes += st->status.bytes;
-        emit_recv_event(*st);
-        st.reset();
-      } else {
-        nearest = std::min(nearest, st->deliver_at);
-      }
-    }
-    return !indices.empty();
-  };
-
-  // Sends (and already-arrived receives) complete immediately.
-  if (harvest()) {
-    hook.set_bytes(total_bytes);
-    return indices.size();
-  }
-
-  CCAPERF_REQUIRE(signal != nullptr, "wait_some: receive request without owner signal");
-  Fabric* fab = nullptr;
-  for (const Request& r : reqs) {
-    if (r.state_ && r.state_->fabric != nullptr) {
-      fab = r.state_->fabric;
-      break;
-    }
-  }
-  WaitBudget budget(fab);
-  for (;;) {
-    {
-      std::unique_lock lock(signal->mu);
-      if (harvest()) break;
-      for (const Request& r : reqs) {
-        if (!r.state_) continue;
-        if (r.state_->failed.load(std::memory_order_acquire) != 0)
-          raise_failed(*r.state_, "wait_some");
-        if (r.state_->aborted())
-          throw CommError(CommErrc::aborted,
-                          "mpp: wait_some aborted (a peer rank failed)");
-      }
-      Clock::time_point until = Clock::now() + budget.quantum();
-      if (nearest != Clock::time_point::max()) until = std::min(until, nearest);
-      signal->cv.wait_until(lock, until);
-      if (harvest()) break;
-    }
-    budget.poll_and_check("wait_some");
-  }
+  Request::wait_any(reqs, "wait_some", [&](std::size_t i, const Status& s) {
+    indices.push_back(static_cast<int>(i));
+    if (statuses) statuses->push_back(s);
+    total_bytes += s.bytes;
+  });
   hook.set_bytes(total_bytes);
   return indices.size();
 }
@@ -305,11 +268,9 @@ std::size_t wait_some(std::span<Request> reqs, std::vector<int>& indices,
 void wait_all(std::span<Request> reqs) {
   HookScope hook("MPI_Waitall()");
   std::size_t total = 0;
-  for (Request& r : reqs) {
-    if (!r.state_) continue;
-    Status s = r.wait_no_hook();
-    total += s.bytes;
-  }
+  while (any_valid(reqs))
+    Request::wait_any(reqs, "wait_all",
+                      [&total](std::size_t, const Status& s) { total += s.bytes; });
   hook.set_bytes(total);
 }
 
@@ -325,176 +286,6 @@ void Comm::report_stale_fallback(std::size_t segments) {
                            static_cast<std::uint32_t>(segments)});
 }
 
-void Comm::deliver(int dest, int tag, const void* data, std::size_t bytes,
-                   const std::shared_ptr<detail::ReqState>& sender) {
-  if (fabric_->faults_active()) {
-    deliver_faulty(dest, tag, data, bytes, sender);
-    return;
-  }
-  const double delay = fabric_->delay_us(rank_, bytes);
-  const Clock::time_point deliver_at = stamp_delay(delay);
-
-  // Message identity for hooks/tracing: stamped on the sender state before
-  // it is shared, copied to the receiver state at match time (under the
-  // mailbox lock / before the matched release-store).
-  sender->src_world = rank_;
-  sender->dst_world = dest;
-  sender->seq = fabric_->next_pair_seq(rank_, dest);
-
-  detail::Mailbox& mb = fabric_->mailbox(context_, dest);
-  std::shared_ptr<detail::ReqState> completed;
-  bool rendezvous = false;
-  {
-    std::scoped_lock lock(mb.mu);
-    for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-      if (matches(it->src, it->tag, rank_, tag)) {
-        CCAPERF_REQUIRE(bytes <= it->capacity,
-                        "message truncation: receive buffer too small");
-        if (bytes > 0) std::memcpy(it->buffer, data, bytes);
-        it->state->status = Status{rank_, tag, bytes};
-        it->state->deliver_at = deliver_at;
-        it->state->src_world = rank_;
-        it->state->dst_world = dest;
-        it->state->seq = sender->seq;
-        completed = it->state;
-        mb.posted.erase(it);
-        break;
-      }
-    }
-    if (!completed) {
-      detail::ParkedMessage msg;
-      msg.src = rank_;
-      msg.tag = tag;
-      msg.deliver_at = deliver_at;
-      msg.src_world = rank_;
-      msg.dst_world = dest;
-      msg.seq = sender->seq;
-      if (bytes >= Fabric::kRendezvousBytes) {
-        // Rendezvous: park a descriptor into the sender's buffer; the
-        // matching receive copies once and completes the send.
-        msg.rdv_data = static_cast<const std::byte*>(data);
-        msg.rdv_bytes = bytes;
-        msg.rdv_send = sender;
-        msg.park_id = mb.next_post_id++;
-        sender->mailbox = &mb;
-        sender->post_id = msg.park_id;
-        rendezvous = true;
-      } else if (bytes > 0) {
-        msg.payload = fabric_->pool().acquire(bytes);
-        std::memcpy(msg.payload.data(), data, bytes);
-      }
-      mb.unexpected.push_back(std::move(msg));
-    }
-  }
-  if (!rendezvous)
-    sender->matched.store(true, std::memory_order_release);  // buffered-eager
-  fabric_->note_activity();
-  if (completed) {
-    completed->matched.store(true, std::memory_order_release);
-    fabric_->signal(dest).notify();
-  }
-}
-
-void Comm::deliver_faulty(int dest, int tag, const void* data, std::size_t bytes,
-                          const std::shared_ptr<detail::ReqState>& sender) {
-  // Sends drive fault-layer progress too, so a pure send phase still
-  // releases earlier held messages deterministically.
-  fabric_->fault_poll();
-  fabric_->maybe_stall(rank_);
-
-  const double delay = fabric_->delay_us(rank_, bytes);
-  const Clock::time_point deliver_at = stamp_delay(delay);
-  sender->src_world = rank_;
-  sender->dst_world = dest;
-  sender->seq = fabric_->next_pair_seq(rank_, dest);
-
-  detail::ParkedMessage msg;
-  msg.src = rank_;
-  msg.tag = tag;
-  msg.deliver_at = deliver_at;
-  msg.src_world = rank_;
-  msg.dst_world = dest;
-  msg.seq = sender->seq;
-  if (bytes > 0) {
-    // Always a staged copy: the message may outlive this call in the hold
-    // queue or retry ledger, so zero-copy rendezvous is off the table.
-    msg.payload = fabric_->pool().acquire(bytes);
-    std::memcpy(msg.payload.data(), data, bytes);
-  }
-  // Rendezvous-class messages keep the sender attached: the send completes
-  // ("is acknowledged") only when a receive matches, and retry exhaustion
-  // fails it with CommErrc::retry_exhausted.
-  const bool reliable = bytes >= Fabric::kRendezvousBytes;
-  if (reliable) msg.rdv_send = sender;
-
-  // Dedupe stream position: contiguous per (context, source, destination
-  // mailbox), unlike the global pair sequence, which interleaves every
-  // context of the rank pair. The destination's DedupeWindow watermarks
-  // this stream; duplicates and retries reuse the value assigned here.
-  {
-    detail::Mailbox& mb = fabric_->mailbox(context_, dest);
-    std::scoped_lock lock(mb.mu);
-    msg.dseq = ++mb.dedupe_next[rank_];
-  }
-
-  const FaultDecision d =
-      fabric_->fault_plan().decide(rank_, dest, sender->seq, 1);
-  switch (d.kind) {
-    case FaultKind::none:
-      fabric_->route(context_, dest, std::move(msg));
-      break;
-    case FaultKind::drop:
-      fabric_->injected_drops_.fetch_add(1, std::memory_order_relaxed);
-      Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::drop,
-                                    rank_, dest, sender->seq, 0});
-      fabric_->fault_lose(context_, dest, std::move(msg));
-      break;
-    case FaultKind::delay:
-      fabric_->injected_delays_.fetch_add(1, std::memory_order_relaxed);
-      Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::delay,
-                                    rank_, dest, sender->seq,
-                                    static_cast<std::uint32_t>(d.delay_steps)});
-      fabric_->fault_hold(context_, dest, std::move(msg), d.delay_steps,
-                          false);
-      break;
-    case FaultKind::duplicate: {
-      fabric_->injected_duplicates_.fetch_add(1, std::memory_order_relaxed);
-      Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected,
-                                    FaultKind::duplicate, rank_, dest,
-                                    sender->seq, 0});
-      detail::ParkedMessage clone;
-      clone.src = msg.src;
-      clone.tag = msg.tag;
-      clone.deliver_at = msg.deliver_at;
-      clone.src_world = msg.src_world;
-      clone.dst_world = msg.dst_world;
-      clone.seq = msg.seq;  // same identity: the dedupe filter's job
-      clone.dseq = msg.dseq;
-      if (!msg.payload.empty()) {
-        clone.payload = fabric_->pool().acquire(msg.payload.size());
-        std::memcpy(clone.payload.data(), msg.payload.data(), msg.payload.size());
-      }
-      fabric_->route(context_, dest, std::move(msg));
-      fabric_->fault_hold(context_, dest, std::move(clone), 1, false);
-      break;
-    }
-    case FaultKind::reorder:
-      fabric_->injected_reorders_.fetch_add(1, std::memory_order_relaxed);
-      Fabric::fire_fault(FaultEvent{FaultEvent::Type::injected,
-                                    FaultKind::reorder, rank_, dest,
-                                    sender->seq, 0});
-      // Overtaken by the pair's next routed message, with a step-count
-      // fallback so the last message of a pair is never stranded.
-      fabric_->fault_hold(context_, dest, std::move(msg),
-                          fabric_->fault_plan().spec().max_delay_steps + 2, true);
-      break;
-    case FaultKind::stall:
-      break;  // decide() never returns stall; stalls come from maybe_stall()
-  }
-  if (!reliable)
-    sender->matched.store(true, std::memory_order_release);  // buffered-eager
-}
-
 Request Comm::isend_bytes(const void* data, std::size_t bytes, int dest, int tag) {
   HookScope hook("MPI_Isend()");
   hook.set_bytes(bytes);
@@ -507,7 +298,7 @@ Request Comm::isend_bytes(const void* data, std::size_t bytes, int dest, int tag
   st->signal = &fabric_->signal(rank_);
   st->abort_flag = fabric_->abort_flag();
   st->fabric = fabric_;
-  deliver(dest, tag, data, bytes, st);
+  fabric_->send(context_, rank_, dest, tag, data, bytes, st);
   emit_send_event(*st);
   return Request(std::move(st));
 }
@@ -525,28 +316,21 @@ Request Comm::irecv_bytes(void* buffer, std::size_t capacity, int src, int tag) 
   st->fabric = fabric_;
   detail::Mailbox& mb = fabric_->mailbox(context_, rank_);
   st->mailbox = &mb;
-  std::shared_ptr<detail::ReqState> sender;  // rendezvous send to complete
+  std::shared_ptr<detail::ReqState> sender;  // ack-at-match send to complete
   {
     std::scoped_lock lock(mb.mu);
     for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
-      if (matches(src, tag, it->src, it->tag)) {
-        // Zero-copy rendezvous descriptors read from the sender's buffer;
-        // everything else (eager and fault-staged messages, which may carry
-        // an attached sender too) reads from the parked payload.
-        const bool zero_copy = (it->rdv_data != nullptr);
-        const std::size_t msg_bytes = zero_copy ? it->rdv_bytes : it->payload.size();
+      if (detail::matches(src, tag, it->src, it->tag)) {
+        const std::size_t msg_bytes = it->payload.size();
         CCAPERF_REQUIRE(msg_bytes <= capacity,
                         "message truncation: receive buffer too small");
-        if (zero_copy) {
-          // Rendezvous: the one and only copy, sender buffer -> ours.
-          std::memcpy(buffer, it->rdv_data, msg_bytes);
-        } else if (msg_bytes > 0) {
+        if (msg_bytes > 0) {
           std::memcpy(buffer, it->payload.data(), msg_bytes);
           fabric_->pool().release(std::move(it->payload));
         }
-        if (it->rdv_send != nullptr) {
+        if (it->ack != nullptr) {
           // The send completes now; stamp its delivery time before `matched`.
-          sender = std::move(it->rdv_send);
+          sender = std::move(it->ack);
           sender->deliver_at = it->deliver_at;
         }
         st->status = Status{it->src, it->tag, msg_bytes};
@@ -575,7 +359,7 @@ Request Comm::irecv_bytes(void* buffer, std::size_t capacity, int src, int tag) 
     sender->matched.store(true, std::memory_order_release);
     sender->signal->notify();
   }
-  // Acquire: once the recv is posted into the mailbox, a peer's deliver()
+  // Acquire: once the recv is posted into the mailbox, a peer's route()
   // may write st->status and release-store `matched` concurrently, and the
   // status read below must synchronize with that store.
   if (st->matched.load(std::memory_order_acquire)) {

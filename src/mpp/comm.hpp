@@ -61,7 +61,12 @@ class Request {
 
   explicit Request(std::shared_ptr<detail::ReqState> st) : state_(std::move(st)) {}
 
-  Status wait_no_hook();
+  /// The one blocking wait loop behind wait, wait_all and wait_some:
+  /// blocks until at least one valid request of `reqs` (there must be
+  /// one) completes, hands each completed (index, Status) to `on_done` and
+  /// invalidates its handle. `what` names the caller in errors.
+  template <class OnDone>
+  static void wait_any(std::span<Request> reqs, const char* what, OnDone&& on_done);
   /// Cancels a still-posted receive when the last handle is dropped.
   void release();
 
@@ -183,20 +188,6 @@ class Comm {
     Op op{};
     for (std::size_t i = 0; i < count; ++i) a[i] = op(a[i], b[i]);
   }
-
-  /// Routes `bytes` to `dest`'s mailbox: matches a posted receive (one
-  /// direct copy), else parks a pooled eager copy (small messages) or a
-  /// zero-copy rendezvous descriptor holding `sender` (large messages).
-  /// Completes `sender` on the eager paths; rendezvous leaves it pending.
-  void deliver(int dest, int tag, const void* data, std::size_t bytes,
-               const std::shared_ptr<detail::ReqState>& sender);
-  /// The fault-injecting twin of `deliver`, taken when a FaultPlan is
-  /// active: always stages a pooled copy, asks the plan for a decision, and
-  /// routes/holds/loses the message accordingly. Rendezvous-class messages
-  /// keep `sender` attached so the match acknowledges the send and a
-  /// retry-exhausted drop can fail it.
-  void deliver_faulty(int dest, int tag, const void* data, std::size_t bytes,
-                      const std::shared_ptr<detail::ReqState>& sender);
 
   // Every collective runs over the per-(context, rank) HopSlot relays
   // (DESIGN.md §10). A call's hops are keyed by (generation, round): the

@@ -158,14 +158,15 @@ const std::unique_ptr<detail::HopSlot>* Fabric::hop_slots(std::uint64_t context)
 }
 
 // ---------------------------------------------------------------------------
-// Fault layer
+// Point-to-point delivery and the fault layer
 // ---------------------------------------------------------------------------
 
 namespace {
 
-bool recv_matches(int want_src, int want_tag, int src, int tag) {
-  return (want_src == any_source || want_src == src) &&
-         (want_tag == any_tag || want_tag == tag);
+Clock::time_point stamp_delay(double delay_us) {
+  return Clock::now() +
+         std::chrono::duration_cast<Clock::duration>(
+             std::chrono::duration<double, std::micro>(delay_us));
 }
 
 }  // namespace
@@ -187,8 +188,115 @@ void Fabric::maybe_stall(int world_rank) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(us));
 }
 
-void Fabric::route(std::uint64_t context, int dest,
-                   detail::ParkedMessage&& msg) {
+void Fabric::send(std::uint64_t context, int src, int dest, int tag,
+                  const void* data, std::size_t bytes,
+                  const std::shared_ptr<detail::ReqState>& sender) {
+  const bool faulty = fault_plan_.active();
+  if (faulty) {
+    // Sends drive fault-layer progress too, so a pure send phase still
+    // releases earlier held messages deterministically.
+    fault_poll();
+    maybe_stall(src);
+  }
+  const Clock::time_point deliver_at = stamp_delay(delay_us(src, bytes));
+  sender->src_world = src;
+  sender->dst_world = dest;
+  sender->seq = next_pair_seq(src, dest);
+
+  detail::ParkedMessage msg;
+  msg.src = src;
+  msg.tag = tag;
+  msg.deliver_at = deliver_at;
+  msg.src_world = src;
+  msg.dst_world = dest;
+  msg.seq = sender->seq;
+  const bool ack_at_match = bytes >= kRendezvousBytes;
+  if (ack_at_match) msg.ack = sender;
+  const std::span<const std::byte> payload(static_cast<const std::byte*>(data),
+                                           bytes);
+  if (!faulty) {
+    route(context, dest, std::move(msg), payload);
+  } else {
+    // Always a staged copy: the message may outlive this call in the hold
+    // queue or retry ledger.
+    if (bytes > 0) {
+      msg.payload = pool_.acquire(bytes);
+      std::memcpy(msg.payload.data(), data, bytes);
+    }
+    fault_send(context, dest, std::move(msg));
+  }
+  if (!ack_at_match) sender->matched.store(true, std::memory_order_release);
+}
+
+void Fabric::fault_send(std::uint64_t context, int dest,
+                        detail::ParkedMessage&& msg) {
+  // Dedupe stream position: contiguous per (context, source, destination
+  // mailbox), unlike the global pair sequence, which interleaves every
+  // context of the rank pair. The destination's DedupeWindow watermarks
+  // this stream; duplicates and retries reuse the value assigned here.
+  {
+    detail::Mailbox& mb = mailbox(context, dest);
+    std::scoped_lock lock(mb.mu);
+    msg.dseq = ++mb.dedupe_next[msg.src_world];
+  }
+  const int src = msg.src_world;
+  const std::uint64_t seq = msg.seq;
+  const FaultDecision d = fault_plan_.decide(src, dest, seq, 1);
+  switch (d.kind) {
+    case FaultKind::none:
+      route(context, dest, std::move(msg));
+      break;
+    case FaultKind::drop:
+      injected_drops_.fetch_add(1, std::memory_order_relaxed);
+      fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::drop, src,
+                            dest, seq, 0});
+      fault_lose(context, dest, std::move(msg));
+      break;
+    case FaultKind::delay:
+      injected_delays_.fetch_add(1, std::memory_order_relaxed);
+      fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::delay, src,
+                            dest, seq,
+                            static_cast<std::uint32_t>(d.delay_steps)});
+      fault_hold(context, dest, std::move(msg), d.delay_steps, false);
+      break;
+    case FaultKind::duplicate: {
+      injected_duplicates_.fetch_add(1, std::memory_order_relaxed);
+      fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::duplicate,
+                            src, dest, seq, 0});
+      detail::ParkedMessage clone;
+      clone.src = msg.src;
+      clone.tag = msg.tag;
+      clone.deliver_at = msg.deliver_at;
+      clone.src_world = msg.src_world;
+      clone.dst_world = msg.dst_world;
+      clone.seq = msg.seq;  // same identity: the dedupe filter's job
+      clone.dseq = msg.dseq;
+      if (!msg.payload.empty()) {
+        clone.payload = pool_.acquire(msg.payload.size());
+        std::memcpy(clone.payload.data(), msg.payload.data(), msg.payload.size());
+      }
+      route(context, dest, std::move(msg));
+      fault_hold(context, dest, std::move(clone), 1, false);
+      break;
+    }
+    case FaultKind::reorder:
+      injected_reorders_.fetch_add(1, std::memory_order_relaxed);
+      fire_fault(FaultEvent{FaultEvent::Type::injected, FaultKind::reorder,
+                            src, dest, seq, 0});
+      // Overtaken by the pair's next routed message, with a step-count
+      // fallback so the last message of a pair is never stranded.
+      fault_hold(context, dest, std::move(msg),
+                 fault_plan_.spec().max_delay_steps + 2, true);
+      break;
+    case FaultKind::stall:
+      break;  // decide() never returns stall; stalls come from maybe_stall()
+  }
+}
+
+void Fabric::route(std::uint64_t context, int dest, detail::ParkedMessage&& msg,
+                   std::span<const std::byte> borrowed) {
+  const std::span<const std::byte> data =
+      borrowed.empty() ? std::span<const std::byte>(msg.payload) : borrowed;
   std::shared_ptr<detail::ReqState> completed;
   std::shared_ptr<detail::ReqState> ack_sender;
   bool suppressed = false;
@@ -213,12 +321,11 @@ void Fabric::route(std::uint64_t context, int dest,
     }
     if (!suppressed) {
       for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-        if (recv_matches(it->src, it->tag, msg.src, msg.tag)) {
-          const std::size_t bytes = msg.payload.size();
-          CCAPERF_REQUIRE(bytes <= it->capacity,
+        if (detail::matches(it->src, it->tag, msg.src, msg.tag)) {
+          CCAPERF_REQUIRE(data.size() <= it->capacity,
                           "message truncation: receive buffer too small");
-          if (bytes > 0) std::memcpy(it->buffer, msg.payload.data(), bytes);
-          it->state->status = Status{msg.src, msg.tag, bytes};
+          if (!data.empty()) std::memcpy(it->buffer, data.data(), data.size());
+          it->state->status = Status{msg.src, msg.tag, data.size()};
           it->state->deliver_at = msg.deliver_at;
           it->state->src_world = msg.src_world;
           it->state->dst_world = msg.dst_world;
@@ -228,19 +335,23 @@ void Fabric::route(std::uint64_t context, int dest,
           break;
         }
       }
-      if (!completed) {
-        if (msg.rdv_send) {
-          // Reliable-class message parks with its sender attached so the
-          // eventual match acknowledges (completes) the send, and so a
-          // dropped Request handle can still cancel the parked entry.
+      if (completed) {
+        ack_sender = std::move(msg.ack);
+        if (ack_sender) ack_sender->deliver_at = msg.deliver_at;
+      } else {
+        if (!borrowed.empty()) {
+          msg.payload = pool_.acquire(borrowed.size());
+          std::memcpy(msg.payload.data(), borrowed.data(), borrowed.size());
+        }
+        if (msg.ack) {
+          // Parks with its sender attached so the eventual match
+          // acknowledges (completes) the send, and so a dropped Request
+          // handle can still cancel the parked entry.
           msg.park_id = mb.next_post_id++;
-          msg.rdv_send->mailbox = &mb;
-          msg.rdv_send->post_id = msg.park_id;
+          msg.ack->mailbox = &mb;
+          msg.ack->post_id = msg.park_id;
         }
         mb.unexpected.push_back(std::move(msg));
-      } else if (msg.rdv_send) {
-        ack_sender = msg.rdv_send;
-        ack_sender->deliver_at = msg.deliver_at;
       }
     }
   }
@@ -261,11 +372,10 @@ void Fabric::route(std::uint64_t context, int dest,
       ack_sender->matched.store(true, std::memory_order_release);
       ack_sender->signal->notify();
     }
-  } else {
-    signal(dest).notify();  // a blocked wait may now match
   }
   // Routing (matched *or* parked) is the "next message of the pair" trigger
-  // that releases reorder-held predecessors.
+  // that releases reorder-held predecessors. A park wakes nobody: no posted
+  // receive can match the message it just missed under the mailbox lock.
   flush_reorder(msg_src_world, msg_dst_world);
 }
 
@@ -394,7 +504,7 @@ void Fabric::fault_poll() {
         events.push_back(FaultEvent{FaultEvent::Type::retry_exhausted,
                                     FaultKind::drop, fm.msg.src_world,
                                     fm.msg.dst_world, fm.msg.seq, fm.attempt});
-        if (fm.msg.rdv_send) failed_senders.push_back(std::move(fm.msg.rdv_send));
+        if (fm.msg.ack) failed_senders.push_back(std::move(fm.msg.ack));
         // The message is permanently lost: tombstone its dedupe-stream
         // position so the destination's watermark can advance over it
         // instead of pinning the window open forever.

@@ -5,21 +5,23 @@
 //  * Ranks are threads. Each communicator context owns one `Mailbox` per
 //    rank, holding a queue of posted receives and a queue of
 //    unexpected messages (standard MPI matching structure).
-//  * Small sends are buffered-eager: the payload is copied at the send
-//    call into a slab from the fabric's BufferPool, a modeled delivery time
-//    is stamped (NetworkModel), and the send request completes immediately.
-//    Matching happens at send time if a receive is posted, otherwise the
-//    message parks in the unexpected queue; the matching receive returns
-//    the slab to the pool, so steady-state traffic allocates nothing.
-//  * Sends of kRendezvousBytes or more that find no posted receive take a
-//    rendezvous path instead: a zero-copy descriptor (pointer to the
-//    sender's buffer + the sender's request) parks in the unexpected queue
-//    and the send request stays incomplete until the matching receive
-//    copies once, sender buffer -> receive buffer. This halves the copy
-//    cost of large messages and bounds the staging memory.
-//  * Receive requests complete when (a) matched and (b) the modeled
-//    delivery time has passed; waits sleep until then, which is how network
-//    cost becomes visible wall-clock time in profiles.
+//  * Every point-to-point message enters through `Fabric::send` and is
+//    delivered by `route`, the one place a message meets the posted
+//    receives: a clean message borrows the sender's buffer and is copied
+//    once, into the matching posted receive or, if none is posted, into a
+//    slab from the fabric's BufferPool parked in the unexpected queue (the
+//    matching receive returns the slab, so steady-state traffic allocates
+//    nothing). Under a fault plan every message is staged first, since
+//    it may outlive the send call in the fault layer. A modeled delivery
+//    time is stamped (NetworkModel) on send.
+//  * Sends below kRendezvousBytes complete at the send call. Larger sends
+//    are staged the same way but acknowledged at match: the send request
+//    stays incomplete until a receive takes the message, and dropping its
+//    handle de-parks it.
+//  * Receive requests (and ack-at-match sends) complete when (a) matched
+//    and (b) the modeled delivery time has passed; waits sleep until
+//    then, which is how network cost becomes visible wall-clock time in
+//    profiles.
 //  * Matching preserves MPI's non-overtaking order per (source, tag).
 //  * Collectives run over per-(context, rank) `HopSlot` relays: O(log n)
 //    tree algorithms (dissemination barrier, binomial reduce + bcast for
@@ -37,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,8 +73,8 @@ class Mailbox;
 struct ReqState {
   enum class Kind { send, recv };
   Kind kind = Kind::send;
-  /// Set (release) once the message is matched and copied. For sends this
-  /// is set before the request is returned.
+  /// Set (release) once the message is matched and copied. Eager sends
+  /// set it before the request is returned, ack-at-match sends at match.
   std::atomic<bool> matched{false};
   /// Delivery time; completion is gated on Clock::now() >= deliver_at.
   Clock::time_point deliver_at{};
@@ -103,11 +106,10 @@ struct ReqState {
   }
 };
 
-/// A message parked in the unexpected queue. Two flavours share the slot:
-/// eager (payload holds a pooled copy of the data) and rendezvous
-/// (`rdv_send` is set; `rdv_data`/`rdv_bytes` point into the sender's
-/// still-live buffer and the sender's request completes only when a
-/// receive matches). Both flavours queue in send order, so matching stays
+/// A message parked in the unexpected queue (or held by the fault layer).
+/// Its payload is a pooled copy of the sender's data; `ack` is set for
+/// ack-at-match sends, whose request completes only when a receive takes
+/// the message. Messages queue in send order, so matching stays
 /// non-overtaking per (source, tag) regardless of message size.
 struct ParkedMessage {
   int src = 0;
@@ -122,15 +124,14 @@ struct ParkedMessage {
   /// retries carry the original's value, which is how the DedupeWindow
   /// recognizes them.
   std::uint64_t dseq = 0;
-  const std::byte* rdv_data = nullptr;
-  std::size_t rdv_bytes = 0;
-  std::shared_ptr<ReqState> rdv_send;
-  std::uint64_t park_id = 0;  ///< cancellation identity (rendezvous only)
+  std::shared_ptr<ReqState> ack;  ///< sender completed at match (ack-at-match)
+  std::uint64_t park_id = 0;      ///< cancellation identity (ack-at-match only)
 };
 
 /// Size-classed free list of message payload slabs (pow2 classes, 64 B up
-/// to the rendezvous cutoff). Thread-safe; a leaf lock — never held while
-/// taking another fabric lock.
+/// to kRendezvousBytes; larger slabs are allocated per park and freed on
+/// release). Thread-safe; a leaf lock — never held while taking another
+/// fabric lock.
 class BufferPool {
  public:
   struct Stats {
@@ -149,7 +150,7 @@ class BufferPool {
 
  private:
   static constexpr std::size_t kMinClassLog2 = 6;   // 64 B
-  static constexpr std::size_t kMaxClassLog2 = 16;  // 64 KiB: rendezvous cutoff
+  static constexpr std::size_t kMaxClassLog2 = 16;  // 64 KiB: ack-at-match cutoff
   static constexpr std::size_t kClasses = kMaxClassLog2 - kMinClassLog2 + 1;
   static constexpr std::size_t kMaxFreePerClass = 64;
 
@@ -160,6 +161,13 @@ class BufferPool {
   std::vector<std::vector<std::byte>> free_[kClasses];
   Stats stats_;
 };
+
+/// True when a receive for (want_src, want_tag), wildcards allowed,
+/// takes a message from `src` tagged `tag`.
+inline bool matches(int want_src, int want_tag, int src, int tag) {
+  return (want_src == any_source || want_src == src) &&
+         (want_tag == any_tag || want_tag == tag);
+}
 
 /// A receive posted before its message arrived.
 struct PostedRecv {
@@ -292,15 +300,15 @@ class Fabric {
     return net_.delay_us(bytes, rngs_[static_cast<std::size_t>(world_rank)]);
   }
 
-  /// Next per-(src,dst) point-to-point sequence number (1-based, send
-  /// order). Ranks are single threads, so sends for a given ordered pair
-  /// are already serialized; the atomic makes cross-pair access safe.
-  std::uint64_t next_pair_seq(int src_world, int dst_world) {
-    auto& c = pair_seq_[static_cast<std::size_t>(src_world) *
-                            static_cast<std::size_t>(world_size_) +
-                        static_cast<std::size_t>(dst_world)];
-    return c.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
+  /// The one point-to-point send entry. In order: fault-layer progress
+  /// and a stall probe (fault plan active only), the modeled delay draw,
+  /// the message identity stamped on `sender` (world ranks and the
+  /// per-(src,dst) sequence number), then `route` (clean) or the fault
+  /// plan's decision. Sends below kRendezvousBytes complete here; larger
+  /// ones when a receive takes them. `data` is read only during the call.
+  void send(std::uint64_t context, int src, int dest, int tag,
+            const void* data, std::size_t bytes,
+            const std::shared_ptr<detail::ReqState>& sender);
 
   /// Reserves a fresh context id (thread-safe).
   std::uint64_t allocate_context() {
@@ -359,24 +367,6 @@ class Fabric {
     return progress_step_.load(std::memory_order_acquire);
   }
 
-  /// Per-send stall probe: deterministically stalls the calling rank for
-  /// spec().stall_us when the plan says so.
-  void maybe_stall(int world_rank);
-
-  /// Routes a fault-layer message into `dest`'s mailbox: dedupe filter,
-  /// then match-or-park (the faulty-path twin of Comm::deliver's matching
-  /// block). Completes an attached reliable sender at match time.
-  void route(std::uint64_t context, int dest,
-             detail::ParkedMessage&& msg);
-  /// Holds `msg` for `steps` progress steps (delay/duplicate), or until the
-  /// pair's next message routes (reorder).
-  void fault_hold(std::uint64_t context, int dest,
-                  detail::ParkedMessage&& msg, int steps, bool release_on_next);
-  /// Drops `msg` into the retransmission ledger (first attempt already
-  /// counted as injected).
-  void fault_lose(std::uint64_t context, int dest,
-                  detail::ParkedMessage&& msg);
-
   /// Snapshot of fault/recovery counters plus delivery-state gauges (the
   /// dedupe fields walk the mailboxes, so this is a test/report call, not
   /// a hot-path one).
@@ -391,9 +381,9 @@ class Fabric {
   /// Context id of the world communicator.
   static constexpr std::uint64_t world_context = 0;
 
-  /// Unmatched sends of at least this many bytes take the rendezvous path
-  /// (single copy, send completes at match time) instead of the
-  /// buffered-eager path (pooled staging copy, send completes immediately).
+  /// Sends of at least this many bytes are acknowledged at match: the send
+  /// request completes when a receive takes the message (and fails if
+  /// the fault layer exhausts its retries), not at the send call.
   static constexpr std::size_t kRendezvousBytes = 64 * 1024;
 
  private:
@@ -402,6 +392,37 @@ class Fabric {
     std::vector<std::unique_ptr<detail::HopSlot>> hop_slots;
   };
 
+  /// Next per-(src,dst) point-to-point sequence number (1-based, send
+  /// order). Ranks are single threads, so sends for a given ordered pair
+  /// are already serialized; the atomic makes cross-pair access safe.
+  std::uint64_t next_pair_seq(int src_world, int dst_world) {
+    auto& c = pair_seq_[static_cast<std::size_t>(src_world) *
+                            static_cast<std::size_t>(world_size_) +
+                        static_cast<std::size_t>(dst_world)];
+    return c.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  /// Per-send stall probe: deterministically stalls the calling rank for
+  /// spec().stall_us when the plan says so.
+  void maybe_stall(int world_rank);
+  /// Match-or-park, the only code that matches a message against the
+  /// posted receives: dedupe filter (fault-layer messages), then copy into
+  /// the first matching posted receive, else park a pooled copy in the
+  /// unexpected queue. `borrowed`, when non-empty, is a clean message's
+  /// payload still in the sender's buffer (`msg.payload` is empty then).
+  /// An `ack` sender completes at match, at the message's deliver_at.
+  void route(std::uint64_t context, int dest, detail::ParkedMessage&& msg,
+             std::span<const std::byte> borrowed = {});
+  /// Applies the plan's first-attempt decision to a staged message:
+  /// route, drop into the retry ledger, hold, duplicate or reorder.
+  void fault_send(std::uint64_t context, int dest, detail::ParkedMessage&& msg);
+  /// Holds `msg` for `steps` progress steps (delay/duplicate), or until the
+  /// pair's next message routes (reorder).
+  void fault_hold(std::uint64_t context, int dest,
+                  detail::ParkedMessage&& msg, int steps, bool release_on_next);
+  /// Drops `msg` into the retransmission ledger (first attempt already
+  /// counted as injected).
+  void fault_lose(std::uint64_t context, int dest,
+                  detail::ParkedMessage&& msg);
   /// Releases reorder-held messages of (src, dst) after a later message of
   /// that pair routed.
   void flush_reorder(int src_world, int dst_world);
@@ -464,8 +485,6 @@ class Fabric {
   std::atomic<std::uint64_t> dedupe_span_peak_{0};
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> stale_fallbacks_{0};
-
-  friend class Comm;
 };
 
 }  // namespace mpp

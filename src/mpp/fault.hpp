@@ -16,7 +16,7 @@
 //
 // Recovery lives in Comm/Fabric (see DESIGN.md §8): dropped messages sit in
 // a retry ledger and are retransmitted with exponential backoff in steps;
-// duplicates are suppressed by a per-pair delivered-sequence filter; waits
+// duplicates are suppressed by a per-sender DedupeWindow watermark; waits
 // carry a configurable timeout plus an always-on no-progress bound, both of
 // which surface a typed CommError instead of hanging.
 

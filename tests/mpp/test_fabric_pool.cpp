@@ -1,7 +1,9 @@
-// Buffer pool + rendezvous protocol tests: small sends stage through the
-// fabric's size-classed slab pool (steady state allocates nothing), large
-// sends take the single-copy rendezvous path, and both flavours preserve
-// MPI's non-overtaking matching order per (source, tag).
+// Buffer pool + ack-at-match tests: a message that meets a posted receive
+// is copied once, straight from the sender's buffer; one that parks is
+// staged through the fabric's size-classed slab pool (steady state
+// allocates nothing). Sends of Fabric::kRendezvousBytes or more complete
+// only when a receive takes them, and every size preserves MPI's
+// non-overtaking matching order per (source, tag).
 
 #include <gtest/gtest.h>
 
@@ -74,9 +76,57 @@ TEST(BufferPool, UnexpectedTrafficReusesSlabs) {
   });
 }
 
-TEST(Rendezvous, LargeUnexpectedMessageArrivesIntactWithoutStaging) {
-  // A parked large message must not be staged through the pool (zero-copy
-  // descriptor) and must arrive bit-exact via the single rendezvous copy.
+TEST(BufferPool, PostedReceiveTakesCleanMessageWithoutStaging) {
+  // A clean message that meets a posted receive is copied straight from
+  // the sender's buffer into the receive buffer: no pool slab, any size.
+  Runtime::run(2, [](Comm& world) {
+    const std::size_t small_n = 16;
+    const std::size_t large_n = Fabric::kRendezvousBytes / sizeof(double) + 5;
+    if (world.rank() == 0) {
+      std::vector<double> small(small_n), large(large_n);
+      Request rs = world.irecv<double>(small, 1, 0);
+      Request rl = world.irecv<double>(large, 1, 1);
+      world.barrier();  // both receives posted before the sends start
+      rs.wait();
+      rl.wait();
+      EXPECT_DOUBLE_EQ(small.back(), 1.5);
+      EXPECT_DOUBLE_EQ(large.back(), 2.5);
+    } else {
+      std::vector<double> small(small_n, 1.5), large(large_n, 2.5);
+      world.barrier();
+      world.isend<double>(small, 0, 0).wait();
+      world.isend<double>(large, 0, 1).wait();
+    }
+    world.barrier();
+    EXPECT_EQ(world.pool_stats().acquires, 0u);
+  });
+}
+
+TEST(Rendezvous, LargeUnmatchedSendCompletesOnlyAtMatch) {
+  // A large clean send that finds no posted receive stays incomplete until
+  // the receiver takes it, then completes.
+  Runtime::run(2, [](Comm& world) {
+    const std::size_t n = Fabric::kRendezvousBytes / sizeof(double);
+    if (world.rank() == 0) {
+      std::vector<double> big(n, 4.0);
+      Request req = world.isend<double>(big, 1, 0);
+      EXPECT_FALSE(req.done());
+      world.barrier();  // receiver posts only after this
+      world.barrier();  // ...and has received before this
+      EXPECT_TRUE(req.done());
+      req.wait();
+    } else {
+      world.barrier();
+      std::vector<double> big(n);
+      world.irecv<double>(big, 0, 0).wait();
+      EXPECT_DOUBLE_EQ(big.back(), 4.0);
+      world.barrier();
+    }
+  });
+}
+
+TEST(Rendezvous, LargeUnexpectedMessageArrivesIntact) {
+  // A parked large message must arrive bit-exact.
   Runtime::run(2, [](Comm& world) {
     const std::size_t n = Fabric::kRendezvousBytes / sizeof(double) * 3;
     if (world.rank() == 0) {
@@ -92,13 +142,12 @@ TEST(Rendezvous, LargeUnexpectedMessageArrivesIntactWithoutStaging) {
       EXPECT_DOUBLE_EQ(big.front(), 0.5);
       EXPECT_DOUBLE_EQ(big.back(), static_cast<double>(n - 1) + 0.5);
     }
-    EXPECT_EQ(world.pool_stats().acquires, 0u);  // no staging slab allocated
   });
 }
 
 TEST(Rendezvous, MixedSizesStayNonOvertakingPerSourceAndTag) {
-  // Alternating eager/rendezvous messages on one (source, tag) must be
-  // received in send order even though they park via different mechanisms.
+  // Alternating eager and ack-at-match messages on one (source, tag) must
+  // be received in send order.
   Runtime::run(2, [](Comm& world) {
     constexpr int kMsgs = 12;
     const std::size_t small_n = 64;
@@ -128,7 +177,7 @@ TEST(Rendezvous, MixedSizesStayNonOvertakingPerSourceAndTag) {
 }
 
 TEST(Rendezvous, WaitsomeDrainsMixedEagerAndRendezvousRecvs) {
-  // The AMR pattern with a rendezvous-sized flow mixed in: irecvs posted
+  // The AMR pattern with an ack-at-match-sized flow mixed in: irecvs posted
   // up front, completed by repeated wait_some as sends trickle in.
   Runtime::run(3, [](Comm& world) {
     const std::size_t large_n = Fabric::kRendezvousBytes / sizeof(double) + 3;
@@ -159,16 +208,15 @@ TEST(Rendezvous, WaitsomeDrainsMixedEagerAndRendezvousRecvs) {
 }
 
 TEST(Rendezvous, CancelledSendIsRemovedFromTheUnexpectedQueue) {
-  // Dropping the handle of an unmatched rendezvous isend must de-park its
-  // descriptor: the receiver then sees only the replacement message.
+  // Dropping the handle of an unmatched ack-at-match isend must de-park
+  // its message: the receiver then sees only the replacement message.
   Runtime::run(2, [](Comm& world) {
     const std::size_t n = Fabric::kRendezvousBytes / sizeof(double) + 1;
     if (world.rank() == 0) {
       {
         std::vector<double> doomed(n, -1.0);
         Request req = world.isend<double>(doomed, 1, 3);
-        // req dropped here: the parked descriptor must be removed before
-        // `doomed` goes out of scope.
+        // req dropped here: the parked message must be removed.
       }
       std::vector<double> kept(n, 7.0);
       Request req = world.isend<double>(kept, 1, 3);
