@@ -9,7 +9,8 @@
 //              work with bit-identical counters (PR 3; still asserted);
 //   SIMD     — the raw path dispatches to AVX2/AVX-512 kernels selected at
 //              startup (CCAPERF_SIMD), bit-identical to the scalar
-//              reference, so the raw denominator itself speeds up.
+//              reference, so the raw denominator itself speeds up;
+//              traced sweeps always run the scalar kernel.
 //
 // This bench times the States sequential (X) sweep at Q ~ 1e5 under raw
 // (per compiled ISA), scalar-replay traced and batched traced, and
@@ -85,9 +86,9 @@ int main() {
 
   // Raw wall-clock per compiled-and-supported ISA level; the highest one
   // is the production raw configuration every slowdown is measured against.
-  // Traced configurations all go through the dispatched (top-ISA) kernels:
-  // the probe replay is scalar per face either way, so the counters stay
-  // comparable while the arithmetic runs at production speed.
+  // Traced configurations run the scalar kernel whatever the active ISA
+  // level (a cache-traced call never dispatches to a SIMD unit), so their
+  // cost is the scalar arithmetic plus the cache simulation.
   // The caches are the paper's 512 kB Xeon L2 — the one Figs. 4-5 model.
   hwc::NullProbe null_probe;
   hwc::CacheSim scalar_cache(512 * 1024, 64, 8);
@@ -106,7 +107,6 @@ int main() {
   }
   auto traced = [&](auto& probe) {
     return [&] {
-      simd::set_isa(top);
       euler::compute_states(u, shape.interior, euler::Dir::x, gas, l, r, probe);
     };
   };

@@ -103,6 +103,19 @@ if want tier1; then
     echo "${odr}" | c++filt >&2
     exit 1
   fi
+  echo "== probe guard: SIMD objects hold no cache-tracing code =="
+  # A cache-traced call runs the scalar level (src/euler/kernels.cpp); the
+  # per-ISA units take no probe. Probe code compiled under their -m flags
+  # would bring back the weak-symbol hazard above for the probes and the
+  # simulator.
+  probes=$(nm -C "${BUILD_DIR}/src/euler/libccaperf_euler.a" | awk '
+    /\.o:$/ { simd = $1 ~ /^kernels_avx(2|512)\.cpp\.o:$/; obj = $1; next }
+    simd && /hwc::(CacheSim|CacheProbe|ScalarReplayProbe)/ { print obj, $0 }')
+  if [ -n "${probes}" ]; then
+    echo "check_tier1.sh: SIMD objects reference cache-tracing code:" >&2
+    echo "${probes}" >&2
+    exit 1
+  fi
   ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
 fi
 

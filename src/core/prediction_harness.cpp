@@ -12,6 +12,7 @@
 #include "core/instrumented_app.hpp"
 #include "mpp/runtime.hpp"
 #include "support/error.hpp"
+#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 namespace core {
@@ -260,6 +261,17 @@ RunTimes run_plain(const components::AppConfig& cfg, int ranks, int threads,
 
 }  // namespace
 
+double marginal_step_us(std::size_t point, double best_lo_us,
+                        double best_hi_us, int dsteps) {
+  if (!(best_hi_us > best_lo_us))
+    ccaperf::raise("measure_fig01_points: point " + std::to_string(point) +
+                   ": best wall " + ccaperf::fmt_double(best_hi_us, 6) +
+                   " us at steps_hi is not above " +
+                   ccaperf::fmt_double(best_lo_us, 6) +
+                   " us at steps_lo, so its marginal step is not measurable");
+  return (best_hi_us - best_lo_us) / static_cast<double>(dsteps);
+}
+
 std::vector<double> measure_fig01_points(
     const std::vector<Fig01MeasureRequest>& points, int steps_lo,
     int steps_hi, int reps, std::vector<double>* busy_cores) {
@@ -281,10 +293,8 @@ std::vector<double> measure_fig01_points(
   std::vector<double> step_us(n);
   if (busy_cores != nullptr) busy_cores->assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const double marginal = (best_hi[i].wall_us - best_lo[i].wall_us) / dsteps;
-    // Scheduler noise can push the difference negative on degenerate tiny
-    // runs; clamp to a floor rather than returning nonsense.
-    step_us[i] = std::max(marginal, 1e-3);
+    step_us[i] = marginal_step_us(i, best_lo[i].wall_us, best_hi[i].wall_us,
+                                  steps_hi - steps_lo);
     if (busy_cores != nullptr) {
       const double cpu = (best_hi[i].cpu_us - best_lo[i].cpu_us) / dsteps;
       (*busy_cores)[i] = std::max(cpu, 0.0) / step_us[i];

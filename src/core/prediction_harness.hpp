@@ -94,6 +94,14 @@ void fit_workload_q_scaling(Fig01Workload& w, const Fig01Workload& probe);
 double measure_fig01_step_us(const components::AppConfig& cfg, int ranks,
                              int threads, int steps_lo, int steps_hi, int reps);
 
+/// Marginal per-step wall (us) of request `point` from its best walls at
+/// two step counts `dsteps` apart: (best_hi_us - best_lo_us) / dsteps.
+/// Raises ccaperf::Error naming the point and both walls when best_hi_us
+/// <= best_lo_us: host load swamped the extra steps, and no floor value
+/// would be a measurement.
+double marginal_step_us(std::size_t point, double best_lo_us,
+                        double best_hi_us, int dsteps);
+
 /// One configuration for an interleaved measurement round-robin.
 struct Fig01MeasureRequest {
   components::AppConfig cfg;
@@ -113,6 +121,9 @@ struct Fig01MeasureRequest {
 /// When `busy_cores` is given, it receives each point's marginal process
 /// CPU time per step over its marginal wall time per step (from the same
 /// min-wall runs): the host cores the point keeps busy on average.
+///
+/// Raises ccaperf::Error when a point's best wall at steps_hi is not
+/// above its best wall at steps_lo (marginal_step_us).
 std::vector<double> measure_fig01_points(
     const std::vector<Fig01MeasureRequest>& points, int steps_lo,
     int steps_hi, int reps, std::vector<double>* busy_cores = nullptr);

@@ -18,27 +18,30 @@ namespace {
 using detail::outer_extent;
 
 /// Range-level dispatch: every public entry point (serial and _mt)
-/// funnels through here, so the active ISA level applies uniformly. The
-/// SIMD TUs instantiate the vector kernels for every probe type this file
-/// instantiates.
+/// funnels through here, so the active ISA level applies uniformly to raw
+/// calls. A cache-traced call (Probe::kCounting) always runs the scalar
+/// level: the SIMD units take no probe, so traced counters and faces are
+/// the scalar kernel's at every ISA level.
 template <class Probe>
 KernelCounts states_range(const amr::PatchData<double>& U,
                           const amr::Box& interior, Dir dir,
                           const GasModel& gas, Array2& left, Array2& right,
                           Probe& probe, int o_begin, int o_end) {
-  switch (simd::active()) {
+  if constexpr (!Probe::kCounting) {
+    switch (simd::active()) {
 #if defined(CCAPERF_SIMD_AVX512)
-    case simd::Isa::avx512:
-      return detail::states_range_avx512(U, interior, dir, gas, left, right,
-                                         probe, o_begin, o_end);
+      case simd::Isa::avx512:
+        return detail::states_range_avx512(U, interior, dir, gas, left, right,
+                                           o_begin, o_end);
 #endif
 #if defined(CCAPERF_SIMD_AVX2)
-    case simd::Isa::avx2:
-      return detail::states_range_avx2(U, interior, dir, gas, left, right,
-                                       probe, o_begin, o_end);
+      case simd::Isa::avx2:
+        return detail::states_range_avx2(U, interior, dir, gas, left, right,
+                                         o_begin, o_end);
 #endif
-    default:
-      break;
+      default:
+        break;
+    }
   }
   return detail::states_range_lines<detail::ScalarStatesGroups>(
       U, interior, dir, gas, left, right, probe, o_begin, o_end);
@@ -48,19 +51,21 @@ template <class Probe>
 KernelCounts efm_range(const Array2& left, const Array2& right, Dir dir,
                        const GasModel& gas, Array2& flux, Probe& probe,
                        int o_begin, int o_end) {
-  switch (simd::active()) {
+  if constexpr (!Probe::kCounting) {
+    switch (simd::active()) {
 #if defined(CCAPERF_SIMD_AVX512)
-    case simd::Isa::avx512:
-      return detail::efm_range_avx512(left, right, dir, gas, flux, probe,
-                                      o_begin, o_end);
+      case simd::Isa::avx512:
+        return detail::efm_range_avx512(left, right, dir, gas, flux, o_begin,
+                                        o_end);
 #endif
 #if defined(CCAPERF_SIMD_AVX2)
-    case simd::Isa::avx2:
-      return detail::efm_range_avx2(left, right, dir, gas, flux, probe,
-                                    o_begin, o_end);
+      case simd::Isa::avx2:
+        return detail::efm_range_avx2(left, right, dir, gas, flux, o_begin,
+                                      o_end);
 #endif
-    default:
-      break;
+      default:
+        break;
+    }
   }
   return detail::efm_range_scalar(left, right, dir, gas, flux, probe, o_begin,
                                   o_end);
@@ -73,19 +78,21 @@ template <class Probe>
 KernelCounts godunov_range(const Array2& left, const Array2& right, Dir dir,
                            const GasModel& gas, Array2& flux, Probe& probe,
                            int o_begin, int o_end) {
-  switch (simd::active()) {
+  if constexpr (!Probe::kCounting) {
+    switch (simd::active()) {
 #if defined(CCAPERF_SIMD_AVX512)
-    case simd::Isa::avx512:
-      return detail::godunov_range_avx512(left, right, dir, gas, flux, probe,
-                                          o_begin, o_end);
+      case simd::Isa::avx512:
+        return detail::godunov_range_avx512(left, right, dir, gas, flux,
+                                            o_begin, o_end);
 #endif
 #if defined(CCAPERF_SIMD_AVX2)
-    case simd::Isa::avx2:
-      return detail::godunov_range_avx2(left, right, dir, gas, flux, probe,
-                                        o_begin, o_end);
+      case simd::Isa::avx2:
+        return detail::godunov_range_avx2(left, right, dir, gas, flux, o_begin,
+                                          o_end);
 #endif
-    default:
-      break;
+      default:
+        break;
+    }
   }
   return detail::godunov_range_scalar(left, right, dir, gas, flux, probe,
                                       o_begin, o_end);
@@ -344,9 +351,10 @@ void flux_divergence_mt(ccaperf::ThreadPool& pool, const Array2& fx,
   });
 }
 
-// Explicit instantiations: the production (NullProbe) and cache-traced
-// (CacheProbe) configurations, plus the scalar-replay reference
-// (ScalarReplayProbe) that benches compare the batched fast path against.
+// Explicit instantiations: the production (NullProbe) configuration,
+// dispatched to the active ISA level, and the cache-traced (CacheProbe)
+// one plus the scalar-replay reference (ScalarReplayProbe) that benches
+// compare the batched fast path against, both run at the scalar level.
 template KernelCounts compute_states<hwc::NullProbe>(const amr::PatchData<double>&,
                                                      const amr::Box&, Dir,
                                                      const GasModel&, Array2&,

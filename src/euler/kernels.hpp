@@ -19,7 +19,8 @@
 // States, EFM and Godunov sweeps (and the RK2 updates below) dispatch at
 // runtime to AVX2/AVX-512 vector bodies when the host supports them — see
 // simd.hpp for the CCAPERF_SIMD knob. Every ISA level produces
-// bit-identical faces, fluxes and traced cache counters.
+// bit-identical faces and fluxes. A cache-traced sweep always runs the
+// scalar level, so its counters do not depend on the active level.
 //
 // Godunov's reference is exact_riemann (riemann.hpp): faces whose two
 // states are bitwise identical return without iterating, and the

@@ -8,29 +8,25 @@
 
 namespace euler::detail {
 
-template <class Probe>
 KernelCounts states_range_avx512(const amr::PatchData<double>& U,
                                  const amr::Box& interior, Dir dir,
                                  const GasModel& gas, Array2& left,
-                                 Array2& right, Probe& probe, int o_begin,
-                                 int o_end) {
+                                 Array2& right, int o_begin, int o_end) {
+  hwc::NullProbe probe;
   return states_range_lines<VecStatesGroups<8>>(
       U, interior, dir, gas, left, right, probe, o_begin, o_end);
 }
 
-template <class Probe>
 KernelCounts efm_range_avx512(const Array2& left, const Array2& right, Dir dir,
-                              const GasModel& gas, Array2& flux, Probe& probe,
-                              int o_begin, int o_end) {
-  return efm_range_vec<8>(left, right, dir, gas, flux, probe, o_begin, o_end);
+                              const GasModel& gas, Array2& flux, int o_begin,
+                              int o_end) {
+  return efm_range_vec<8>(left, right, dir, gas, flux, o_begin, o_end);
 }
 
-template <class Probe>
 KernelCounts godunov_range_avx512(const Array2& left, const Array2& right,
                                   Dir dir, const GasModel& gas, Array2& flux,
-                                  Probe& probe, int o_begin, int o_end) {
-  return godunov_range_vec<8>(left, right, dir, gas, flux, probe, o_begin,
-                              o_end);
+                                  int o_begin, int o_end) {
+  return godunov_range_vec<8>(left, right, dir, gas, flux, o_begin, o_end);
 }
 
 void rk2_axpy_avx512(double* y, const double* x, double a, std::size_t n) {
@@ -41,33 +37,5 @@ void rk2_heun_avx512(double* u, const double* u_old, const double* dudt,
                      double dt, std::size_t n) {
   rk2_heun_vec<8>(u, u_old, dudt, dt, n);
 }
-
-template KernelCounts states_range_avx512<hwc::NullProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&,
-    Array2&, Array2&, hwc::NullProbe&, int, int);
-template KernelCounts states_range_avx512<hwc::CacheProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&,
-    Array2&, Array2&, hwc::CacheProbe&, int, int);
-template KernelCounts states_range_avx512<hwc::ScalarReplayProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&,
-    Array2&, Array2&, hwc::ScalarReplayProbe&, int, int);
-template KernelCounts efm_range_avx512<hwc::NullProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::NullProbe&, int, int);
-template KernelCounts efm_range_avx512<hwc::CacheProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::CacheProbe&, int, int);
-template KernelCounts efm_range_avx512<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&, int, int);
-template KernelCounts godunov_range_avx512<hwc::NullProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::NullProbe&, int, int);
-template KernelCounts godunov_range_avx512<hwc::CacheProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::CacheProbe&, int, int);
-template KernelCounts godunov_range_avx512<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&, int, int);
 
 }  // namespace euler::detail

@@ -4,9 +4,9 @@
 // the per-ISA SIMD translation units (which run these scalar bodies for
 // the cells and faces that do not fill a vector group). The expressions
 // here are the bit-exactness reference: the vector kernels must reproduce
-// them lane for lane, and must make the probe calls of one scalar face
-// at a time, in face order, so traced cache counters stay bit-identical
-// across ISA levels.
+// them lane for lane. Only the scalar level traces: kernels.cpp sends a
+// call with a counting probe here, never to a SIMD unit, so the SIMD
+// units instantiate these bodies for NullProbe alone.
 //
 // States converts each sweep line once: the cells the line's faces read
 // go through cons_to_prim into a strip of face-normal primitives on the
@@ -141,8 +141,9 @@ struct ScalarStatesGroups {
 /// its own four cells, so chunking changes no bit, and faces keep their
 /// order, so traced counters do not move either. `Groups` supplies the
 /// ISA's vector bodies for full groups of Groups::kWidth cells (`convert`)
-/// and faces (`faces`); the rest run the scalar bodies above. Shape checks
-/// are the caller's job.
+/// and faces (`faces`); the rest run the scalar bodies above. Vector
+/// groups make no probe calls, so only the scalar level may trace. Shape
+/// checks are the caller's job.
 template <class Groups, class Probe>
 KernelCounts states_range_lines(const amr::PatchData<double>& U,
                                 const amr::Box& interior, Dir dir,
@@ -178,13 +179,8 @@ KernelCounts states_range_lines(const amr::PatchData<double>& U,
 
       int f = 0;
       if constexpr (W > 1) {
-        for (; f + W <= nf; f += W) {
-          Groups::faces(line, f);
-          // Traced runs replay each face's probe sequence in scalar order
-          // (addresses only — the values are already written).
-          if constexpr (Probe::kCounting)
-            for (int l = 0; l < W; ++l) replay_states_face(line, f + l, probe);
-        }
+        static_assert(!Probe::kCounting, "traced sweeps run the scalar level");
+        for (; f + W <= nf; f += W) Groups::faces(line, f);
       }
       for (; f < nf; ++f) {
         states_face(line, f);

@@ -21,10 +21,10 @@
 //    become compare+blend, which selects between the identical candidate
 //    values; Godunov's Newton loop runs in lock-step, and a lane that has
 //    converged keeps its pressure and iteration count.
-// Probe replay: traced instantiations issue the probe calls of exactly one
-// scalar face at a time, in scalar face order, so CacheSim counters are
-// bit-identical to the scalar kernel. For NullProbe the replay loop
-// compiles away (kCounting is false).
+// These are the raw kernels only: they take no probe, and a cache-traced
+// call runs the scalar level (kernels.cpp), so traced counters come from
+// one face order at every ISA level. The scalar bodies they call for
+// group tails get a local NullProbe.
 
 #include <cmath>
 #include <cstring>
@@ -305,10 +305,10 @@ inline void vefm_half_flux(const PrimV<W>& w, Vec<W> gamma, double sign,
   f.phi_mass += w.phi * mass;
 }
 
-template <int W, class Probe>
+template <int W>
 KernelCounts efm_range_vec(const Array2& left, const Array2& right, Dir dir,
-                           const GasModel& gas, Array2& flux, Probe& probe,
-                           int o_begin, int o_end) {
+                           const GasModel& gas, Array2& flux, int o_begin,
+                           int o_end) {
   const int nx = left.nx(), ny = left.ny();
   const int inner = dir == Dir::x ? nx : ny;
   const int di = dir == Dir::x ? 1 : 0;
@@ -317,7 +317,7 @@ KernelCounts efm_range_vec(const Array2& left, const Array2& right, Dir dir,
   // lane loads are gathers in both directions (components are innermost).
   const std::ptrdiff_t face_lane =
       dir == Dir::x ? kNcomp : static_cast<std::ptrdiff_t>(nx) * kNcomp;
-  const std::ptrdiff_t face_comp = comp_stride_bytes(left);
+  hwc::NullProbe probe;
   KernelCounts counts;
 
   auto gather_prim = [&](const Array2& a, int fi0, int fj0) {
@@ -350,20 +350,6 @@ KernelCounts efm_range_vec(const Array2& left, const Array2& right, Dir dir,
         fp[2] = ff.mom_t[l2];
         fp[3] = ff.energy[l2];
         fp[4] = ff.phi_mass[l2];
-      }
-
-      // Per face: two state load runs + one flux store run.
-      if constexpr (Probe::kCounting) {
-        for (int l2 = 0; l2 < W; ++l2) {
-          const int fi = fi0 + l2 * di, fj = fj0 + l2 * dj;
-          probe.load_run(left.addr(fi, fj, 0), face_comp, kNcomp,
-                         sizeof(double));
-          probe.load_run(right.addr(fi, fj, 0), face_comp, kNcomp,
-                         sizeof(double));
-          probe.flops(kEfmFlopsPerFace);
-          probe.store_run(flux.addr(fi, fj, 0), face_comp, kNcomp,
-                          sizeof(double));
-        }
       }
       counts.faces += W;
     }
@@ -786,19 +772,18 @@ struct GodunovBatch {
 /// taken in scalar sweep order, flattened across lines (groups span line
 /// ends), and solved kGodunovGroups groups at a time. A group holding a
 /// non-physical face, and the last n mod W faces, go through
-/// godunov_one_face. Traced probes replay each face's scalar probe
-/// sequence in face order.
-template <int W, class Probe>
+/// godunov_one_face.
+template <int W>
 KernelCounts godunov_range_vec(const Array2& left, const Array2& right,
                                Dir dir, const GasModel& gas, Array2& flux,
-                               Probe& probe, int o_begin, int o_end) {
+                               int o_begin, int o_end) {
   const int nx = left.nx();
   const bool x = dir == Dir::x;
   const int inner = x ? nx : left.ny();
   const double* lbase = left.raw().data();
   const double* rbase = right.raw().data();
   double* fbase = flux.raw().data();
-  const std::ptrdiff_t face_comp = comp_stride_bytes(left);
+  hwc::NullProbe probe;
   KernelCounts counts;
 
   // Face cursor in sweep order: face f of line o.
@@ -835,16 +820,6 @@ KernelCounts godunov_range_vec(const Array2& left, const Array2& right,
         counts.riemann_iterations +=
             static_cast<std::uint64_t>(b.iters[g * W + k]);
       counts.faces += W;
-      // Per face: two state load runs, the flops, one flux store run.
-      if constexpr (Probe::kCounting) {
-        for (int k = 0; k < W; ++k) {
-          const std::ptrdiff_t at = b.off[g][k];
-          probe.load_run(lbase + at, face_comp, kNcomp, sizeof(double));
-          probe.load_run(rbase + at, face_comp, kNcomp, sizeof(double));
-          probe.flops(godunov_face_flops(b.iters[g * W + k]));
-          probe.store_run(fbase + at, face_comp, kNcomp, sizeof(double));
-        }
-      }
     }
     if (nonphysical) {
       // exact_riemann raises on the first non-physical face.

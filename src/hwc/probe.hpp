@@ -62,9 +62,9 @@ class CacheProbe {
     cache_->access(reinterpret_cast<std::uintptr_t>(p), bytes, true);
   }
   /// Batched: `count` loads of `elem_bytes`, the k-th at p + k*stride_bytes.
-  /// Forced inline, like access_run: the euler kernels call the run hooks
-  /// from TUs built with AVX flags, and an out-of-line copy would be a
-  /// weak symbol the linker could hand to every other caller.
+  /// Forced inline, like access_run, so that access_run inlines into the
+  /// kernels' call sites, where count and stride are constants it
+  /// specializes on.
   CCAPERF_FORCE_INLINE void load_run(const void* p,
                                      std::ptrdiff_t stride_bytes,
                                      std::size_t count,

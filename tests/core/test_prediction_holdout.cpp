@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/prediction_harness.hpp"
+#include "support/error.hpp"
+#include "support/table.hpp"
 
 namespace {
 
@@ -77,6 +80,25 @@ TEST(PredictionHoldout, SixteenRanksFourLanesWithinCeiling) {
   EXPECT_LT(rel_err, 0.5) << "predicted " << predicted_step_us
                           << " us vs measured " << measured_step_us << " us\n"
                           << cal.pattern.tree.describe();
+}
+
+// A point whose extra steps do not add wall time has no marginal step to
+// report: the holdout must not compare a prediction with a floor value.
+TEST(PredictionHoldout, MarginalStepRaisesUnlessHiWallExceedsLo) {
+  EXPECT_EQ(core::marginal_step_us(0, 100.0, 350.0, 4), 62.5);
+  EXPECT_EQ(core::marginal_step_us(0, 0.1, 0.4, 3), (0.4 - 0.1) / 3.0);
+  for (const double hi : {99.5, 100.0}) {
+    try {
+      core::marginal_step_us(6, 100.0, hi, 4);
+      ADD_FAILURE() << "no error for hi = " << hi;
+    } catch (const ccaperf::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("point 6"), std::string::npos) << what;
+      EXPECT_NE(what.find(ccaperf::fmt_double(hi, 6)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("100 us"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -283,8 +283,9 @@ TEST(SimdKernels, GodunovNonPhysicalFaceRaisesAtEveryIsa) {
 }
 
 TEST(SimdKernels, TracedCacheCountersBitIdenticalAcrossIsa) {
-  // The vector kernels replay each face's probe sequence in scalar order,
-  // so CacheSim totals — not just the numerics — must match exactly.
+  // A traced call runs the scalar kernel whatever the active ISA level,
+  // so at every level its CacheSim totals, probe counts, iterations and
+  // outputs must equal the scalar level's exactly.
   IsaGuard guard;
   const GasModel gas = two_gas();
   const Box interior{0, 0, 18, 7};

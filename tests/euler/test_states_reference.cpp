@@ -2,10 +2,12 @@
 // per-face reconstruction it replaced. The old kernel converted all four
 // stencil cells of every face to primitives; the current one converts
 // each sweep line once into a strip and reconstructs every face from it.
-// At every ISA level the host runs, the faces and the exact-mode traced
-// cache counters must equal the reference bit for bit — both directions,
-// lines shorter than a vector group, lines ending in every tail length,
-// nonzero patch origins, and the _mt split over pool lanes.
+// At every ISA level the host runs, the faces must equal the reference
+// bit for bit, and so must a traced call's faces and exact-mode cache
+// counters (a traced call runs the scalar level whatever level is
+// active) — both directions, lines shorter than a vector group, lines
+// ending in every tail length, nonzero patch origins, and the _mt split
+// over pool lanes.
 //
 // This file is compiled with -ffp-contract=off, like the euler library,
 // so the reference rounds exactly as the code it was copied from.
@@ -154,8 +156,8 @@ std::vector<Box> line_length_boxes() {
     const int i0 = (w % 3) - 1, j0 = 2 - (w % 4);
     boxes.push_back(Box{i0, j0, i0 + w - 1, j0 + h - 1});
   }
-  // One patch whose working set overflows the simulated 8 kB L1, so a
-  // replay out of face order shows in the miss counts, and two whose
+  // One patch whose working set overflows the simulated 8 kB L1, so
+  // probe calls out of face order show in the miss counts, and two whose
   // lines are too long for the on-stack strip.
   boxes.push_back(Box{0, 0, 47, 39});
   boxes.push_back(Box{-3, 0, 896, 1});
@@ -233,6 +235,8 @@ TEST(StatesReference, FacesAndTracedCountersMatchPerFaceReference) {
         EXPECT_TRUE(bit_equal(ref_l, l) && bit_equal(ref_r, r))
             << "raw faces differ under " << name << " at " << nx << "x" << ny;
 
+        // Traced under the same active level: the dispatch must keep it
+        // on the scalar kernel's faces and probe sequence.
         hwc::XeonHierarchy mem;
         hwc::CacheProbe probe(&mem.l1);
         euler::compute_states(u, interior, dir, gas, l, r, probe);
