@@ -429,9 +429,11 @@ if want tsan; then
   # lane-dispatched monitor, proxies resolving their monitor once from
   # pool lanes, multi-threaded kernels), the telemetry
   # hub (shard rings under concurrent publishers racing the drainer
-  # ServiceThread), States' per-thread line strip under pool lanes
-  # (StatesReference.*), the Godunov vector solve's stack batches under
-  # pool lanes (SimdKernels.Godunov*), the case study at 1-3 ranks with
+  # ServiceThread), prolongation's per-lane column and coarse-row
+  # scratch under pool lanes (MeshReference.*), States' per-thread line
+  # strip under pool lanes (StatesReference.*), the Godunov vector
+  # solve's stack batches under pool lanes (SimdKernels.Godunov*), the
+  # case study at 1-3 ranks with
   # regrids, whose field must stay bit-identical while the fine levels
   # are cut for balance differently at each rank count, and
   # InviscidFlux's per-thread face-array scratch under concurrent pool
@@ -442,7 +444,7 @@ if want tsan; then
              test_telemetry_hub test_components
   gtest_filtered "${TSAN_DIR}/tests/mpp/test_mpp" \
     'P2P.*:Request.*:MsgEvents.*:BufferPool.*:Rendezvous.*:*RandomExchange.*:FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*DeterministicReductions.*:*AbortInCollective.*'
-  gtest_filtered "${TSAN_DIR}/tests/amr/test_amr" 'ExchangeFaults.*'
+  gtest_filtered "${TSAN_DIR}/tests/amr/test_amr" 'ExchangeFaults.*:MeshReference.*'
   gtest_filtered "${TSAN_DIR}/tests/support/test_support" \
     'ThreadPool.*:ServiceThread.*'
   gtest_filtered "${TSAN_DIR}/tests/core/test_core" \

@@ -21,19 +21,16 @@ void FlagField::buffer(int n) {
 }
 
 void FlagField::clip_to(const std::vector<Box>& keep) {
-  for (int j = region_.lo().j; j <= region_.hi().j; ++j) {
-    for (int i = region_.lo().i; i <= region_.hi().i; ++i) {
-      if (!flags_[index({i, j})]) continue;
-      bool inside = false;
-      for (const Box& b : keep) {
-        if (b.contains(IntVect{i, j})) {
-          inside = true;
-          break;
-        }
-      }
-      if (!inside) flags_[index({i, j})] = 0;
-    }
+  // All-ones bytes under the kept boxes, so the AND leaves those flags as
+  // they are and clears every other one.
+  std::vector<char> mask(flags_.size(), 0);
+  for (const Box& b : keep) {
+    const Box clipped = b & region_;
+    for (int j = clipped.lo().j; j <= clipped.hi().j; ++j)
+      std::fill_n(&mask[index({clipped.lo().i, j})], clipped.width(),
+                  static_cast<char>(-1));
   }
+  for (std::size_t k = 0; k < flags_.size(); ++k) flags_[k] &= mask[k];
 }
 
 long FlagField::count() const {

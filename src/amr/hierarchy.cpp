@@ -149,29 +149,62 @@ std::map<int, PatchData<double>> Hierarchy::gather_coarse_halos(const Level& coa
 void Hierarchy::interpolate_patch(const PatchData<double>& coarse_halo,
                                   PatchData<double>& fine, const Box& target,
                                   int ratio) {
+  // Only fine cells whose coarse cell lies in the halo are written; the
+  // rest are outside the domain and get the physical BC later.
   const Box h = coarse_halo.interior();
-  const int ncomp = fine.ncomp();
-  for (int c = 0; c < ncomp; ++c) {
-    for (int j = target.lo().j; j <= target.hi().j; ++j) {
+  const Box t = target & h.refined(ratio);
+  if (t.empty()) return;
+
+  // Per fine column: its coarse column, relative to t's first one, and the
+  // sub-cell offset fx of the fine cell center within the coarse cell, in
+  // coarse-cell units, in [-0.5, 0.5). Per coarse cell of the current
+  // coarse row: its value and both limited slopes, shared by the r x r
+  // fine cells it covers. Both are kept per lane, so a call allocates
+  // nothing once the lane has seen its widest target.
+  struct Column {
+    int k;
+    double fx;
+  };
+  struct Coarse {
+    double center, sx, sy;
+  };
+  thread_local std::vector<Column> cols;
+  thread_local std::vector<Coarse> row;
+  const int I0 = floor_div(t.lo().i, ratio);
+  cols.resize(static_cast<std::size_t>(t.width()));
+  for (int i = t.lo().i; i <= t.hi().i; ++i) {
+    const int I = floor_div(i, ratio);
+    cols[static_cast<std::size_t>(i - t.lo().i)] =
+        Column{I - I0, (static_cast<double>(i - I * ratio) + 0.5) / ratio - 0.5};
+  }
+  row.resize(static_cast<std::size_t>(floor_div(t.hi().i, ratio) - I0 + 1));
+
+  const std::ptrdiff_t stride = coarse_halo.row_stride();
+  for (int c = 0; c < fine.ncomp(); ++c) {
+    int filled = floor_div(t.lo().j, ratio) - 1;  // coarse row held in `row`
+    for (int j = t.lo().j; j <= t.hi().j; ++j) {
       const int J = floor_div(j, ratio);
-      for (int i = target.lo().i; i <= target.hi().i; ++i) {
-        const int I = floor_div(i, ratio);
-        if (!h.contains(IntVect{I, J})) continue;  // outside domain: BC later
-        const double center = coarse_halo(I, J, c);
-        double sx = 0.0, sy = 0.0;
-        if (h.contains(IntVect{I - 1, J}) && h.contains(IntVect{I + 1, J}))
-          sx = minmod(coarse_halo(I + 1, J, c) - center,
-                      center - coarse_halo(I - 1, J, c));
-        if (h.contains(IntVect{I, J - 1}) && h.contains(IntVect{I, J + 1}))
-          sy = minmod(coarse_halo(I, J + 1, c) - center,
-                      center - coarse_halo(I, J - 1, c));
-        // Sub-cell offset of the fine cell center within the coarse cell,
-        // in coarse-cell units, in [-0.5, 0.5).
-        const double fx =
-            (static_cast<double>(i - I * ratio) + 0.5) / ratio - 0.5;
-        const double fy =
-            (static_cast<double>(j - J * ratio) + 0.5) / ratio - 0.5;
-        fine(i, j, c) = center + sx * fx + sy * fy;
+      if (J != filled) {
+        filled = J;
+        const bool yslope = J > h.lo().j && J < h.hi().j;
+        const double* mid = &coarse_halo(I0, J, c);
+        for (std::size_t m = 0; m < row.size(); ++m) {
+          const int I = I0 + static_cast<int>(m);
+          const auto k = static_cast<std::ptrdiff_t>(m);
+          const double center = mid[k];
+          double sx = 0.0, sy = 0.0;
+          if (I > h.lo().i && I < h.hi().i)
+            sx = minmod(mid[k + 1] - center, center - mid[k - 1]);
+          if (yslope)
+            sy = minmod(mid[k + stride] - center, center - mid[k - stride]);
+          row[m] = Coarse{center, sx, sy};
+        }
+      }
+      const double fy = (static_cast<double>(j - J * ratio) + 0.5) / ratio - 0.5;
+      double* out = &fine(t.lo().i, j, c);
+      for (const Column& col : cols) {
+        const Coarse& q = row[static_cast<std::size_t>(col.k)];
+        *out++ = q.center + q.sx * col.fx + q.sy * fy;
       }
     }
   }
@@ -236,15 +269,19 @@ void Hierarchy::restrict_level(int fine_l) {
     PatchData<double> avg(cbox, 0, cfg_.ncomp, 0.0);
     const PatchData<double>& src = fine.data(f.id);
     const double inv = 1.0 / (r * r);
+    const int n = cbox.width();
     for (int c = 0; c < cfg_.ncomp; ++c) {
       for (int J = cbox.lo().j; J <= cbox.hi().j; ++J) {
-        for (int I = cbox.lo().i; I <= cbox.hi().i; ++I) {
-          double sum = 0.0;
-          for (int jj = 0; jj < r; ++jj)
-            for (int ii = 0; ii < r; ++ii)
-              sum += src(I * r + ii, J * r + jj, c);
-          avg(I, J, c) = sum * inv;
+        // The zeroed average row is the accumulator. Each coarse cell
+        // adds its r x r children in (jj, ii) order; another order would
+        // round differently.
+        double* sum = &avg(cbox.lo().i, J, c);
+        for (int jj = 0; jj < r; ++jj) {
+          const double* row = &src(cbox.lo().i * r, J * r + jj, c);
+          for (int ii = 0; ii < r; ++ii)
+            for (int x = 0; x < n; ++x) sum[x] += row[x * r + ii];
         }
+        for (int x = 0; x < n; ++x) sum[x] *= inv;
       }
     }
     avgs[k].emplace(std::move(avg));

@@ -84,7 +84,8 @@ std::unique_ptr<CacheAwareModel> fit_cache_aware(
   // stable without visibly biasing resolvable coefficients.
   for (int r = 0; r < 3; ++r) xtx[static_cast<std::size_t>(r * 3 + r)] += 1e-9 * n;
 
-  const auto c_scaled = solve_linear_system(std::move(xtx), std::move(xty), 3);
+  const auto c_scaled = solve_linear_system(std::move(xtx), std::move(xty), 3,
+                                             "fit_cache_aware");
   auto model = std::make_unique<CacheAwareModel>(
       c_scaled[0] / scale[0], c_scaled[1] / scale[1], c_scaled[2] / scale[2],
       std::move(table));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -77,7 +78,8 @@ std::string ExponentialModel::formula() const {
 // ---------------------------------------------------------------------------
 
 std::vector<double> solve_linear_system(std::vector<double> a,
-                                        std::vector<double> b, std::size_t n) {
+                                        std::vector<double> b, std::size_t n,
+                                        const char* caller) {
   CCAPERF_REQUIRE(a.size() == n * n && b.size() == n,
                   "solve_linear_system: shape mismatch");
   for (std::size_t col = 0; col < n; ++col) {
@@ -86,7 +88,9 @@ std::vector<double> solve_linear_system(std::vector<double> a,
     for (std::size_t r = col + 1; r < n; ++r)
       if (std::abs(a[r * n + col]) > std::abs(a[pivot * n + col])) pivot = r;
     CCAPERF_REQUIRE(std::abs(a[pivot * n + col]) > 1e-300,
-                    "solve_linear_system: singular matrix");
+                    std::string("solve_linear_system: singular matrix in ") +
+                        caller + " (pivot column " + std::to_string(col) +
+                        " of " + std::to_string(n) + ")");
     if (pivot != col) {
       for (std::size_t c = 0; c < n; ++c) std::swap(a[col * n + c], a[pivot * n + c]);
       std::swap(b[col], b[pivot]);
@@ -130,7 +134,8 @@ std::unique_ptr<PolynomialModel> fit_polynomial(const std::vector<Sample>& pts,
       for (std::size_t c = 0; c < n; ++c) xtx[r * n + c] += pow_q[r] * pow_q[c];
     }
   }
-  std::vector<double> scaled = solve_linear_system(std::move(xtx), std::move(xty), n);
+  std::vector<double> scaled =
+      solve_linear_system(std::move(xtx), std::move(xty), n, "fit_polynomial");
   // Undo scaling: c_k = scaled_k / scale^k.
   std::vector<double> coeffs(n);
   double div = 1.0;
@@ -260,7 +265,9 @@ std::unique_ptr<PolynomialModel> StreamingPolyFit::fit_with_residual(
     xty[r] = sum_pow_t_[r] * inv_pow[r];
     for (std::size_t c = 0; c < nc; ++c) xtx[r * nc + c] = sum_pow_[r + c] * inv_pow[r + c];
   }
-  std::vector<double> scaled = solve_linear_system(std::move(xtx), std::move(xty), nc);
+  std::vector<double> scaled =
+      solve_linear_system(std::move(xtx), std::move(xty), nc,
+                          "StreamingPolyFit::fit_with_residual");
   std::vector<double> coeffs(nc);
   for (std::size_t k = 0; k < nc; ++k) coeffs[k] = scaled[k] * inv_pow[k];
   auto model = std::make_unique<PolynomialModel>(std::move(coeffs));

@@ -93,9 +93,11 @@ class ExponentialModel final : public PerfModel {
 };
 
 /// Dense linear solve (Gaussian elimination, partial pivoting). Exposed
-/// for tests; A is row-major n x n, overwritten. Throws on singularity.
+/// for tests; A is row-major n x n, overwritten. Throws on singularity,
+/// naming `caller` (the fit that built the system) and the pivot column.
 std::vector<double> solve_linear_system(std::vector<double> a,
-                                        std::vector<double> b, std::size_t n);
+                                        std::vector<double> b, std::size_t n,
+                                        const char* caller);
 
 /// Least-squares polynomial of `degree` through (q, t) points.
 std::unique_ptr<PolynomialModel> fit_polynomial(const std::vector<Sample>& pts,

@@ -358,7 +358,8 @@ PatternModel::CalibrationReport PatternModel::calibrate(
         }
       }
       const std::vector<double> sol =
-          solve_linear_system(std::move(xtx), std::move(xty), f);
+          solve_linear_system(std::move(xtx), std::move(xty), f,
+                              "PatternModel::calibrate");
       // Find the worst bound violation among the free coefficients.
       std::size_t worst = k;
       double worst_by = 0.0, worst_at = 0.0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/modeling.hpp"
 #include "support/error.hpp"
@@ -18,7 +19,7 @@ TEST(LinearSolve, Solves3x3) {
   // x = (1, -2, 3) for a well-conditioned system.
   std::vector<double> a{4, 1, 0, 1, 3, -1, 0, -1, 2};
   std::vector<double> b{4 * 1 + 1 * -2, 1 - 6 - 3, 2 + 6};
-  const auto x = core::solve_linear_system(a, b, 3);
+  const auto x = core::solve_linear_system(a, b, 3, "test");
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], -2.0, 1e-12);
   EXPECT_NEAR(x[2], 3.0, 1e-12);
@@ -27,7 +28,7 @@ TEST(LinearSolve, Solves3x3) {
 TEST(LinearSolve, PivotingHandlesZeroDiagonal) {
   std::vector<double> a{0, 1, 1, 0};
   std::vector<double> b{2, 3};
-  const auto x = core::solve_linear_system(a, b, 2);
+  const auto x = core::solve_linear_system(a, b, 2, "test");
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -35,7 +36,14 @@ TEST(LinearSolve, PivotingHandlesZeroDiagonal) {
 TEST(LinearSolve, SingularThrows) {
   std::vector<double> a{1, 2, 2, 4};
   std::vector<double> b{1, 2};
-  EXPECT_THROW(core::solve_linear_system(a, b, 2), ccaperf::Error);
+  try {
+    core::solve_linear_system(a, b, 2, "the caller");
+    FAIL() << "singular system solved";
+  } catch (const ccaperf::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("in the caller (pivot column 1 of 2)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 std::vector<Sample> sample_fn(double (*f)(double), double q0, double q1, int n) {
