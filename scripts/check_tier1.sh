@@ -337,6 +337,12 @@ PY
       --gtest_brief=1 | tee "${SMOKE_DIR}/godunov-${isa}.out"
     grep -q '^\[  PASSED  \] 1 test\.$' "${SMOKE_DIR}/godunov-${isa}.out"
   done
+  # Lanes reorder the work (RK2 runs a level's largest patch first, rows
+  # are shared between lanes) but must not move a bit of the field.
+  CCAPERF_THREADS=3 "${BUILD_DIR}/tests/components/test_components" \
+    --gtest_filter='App.CaseStudyDigestKnownAnswer' --gtest_brief=1 |
+    tee "${SMOKE_DIR}/known-answer-threads3.out"
+  grep -q '^\[  PASSED  \] 1 test\.$' "${SMOKE_DIR}/known-answer-threads3.out"
   echo "simd matrix: OK"
 fi
 
@@ -435,7 +441,8 @@ if want tsan; then
   # solve's stack batches under pool lanes (SimdKernels.Godunov*), the
   # case study at 1-3 ranks with
   # regrids, whose field must stay bit-identical while the fine levels
-  # are cut for balance differently at each rank count, and
+  # are cut for balance differently at each rank count, the case study
+  # at 1 and 3 lanes (largest patch first at 3), and
   # InviscidFlux's per-thread face-array scratch under concurrent pool
   # lanes.
   cmake -B "${TSAN_DIR}" -S . -DCCAPERF_SANITIZE=thread >/dev/null

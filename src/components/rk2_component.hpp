@@ -9,6 +9,7 @@
 // boundary data) rather than interpolating between coarse time levels —
 // standard simplification that does not change any measured quantity.
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,26 @@
 #include "support/thread_pool.hpp"
 
 namespace components {
+
+using PatchJobs = std::vector<std::pair<int, amr::PatchData<double>*>>;
+
+/// Snapshot of a level's local patches as an indexable job list, so a pool
+/// of `lanes` lanes can split it. At one lane the jobs keep the map's
+/// ascending id order, so a serial run calls the kernels in exactly the
+/// order of a per-map loop. With more lanes the largest patch (interior
+/// cells) comes first and equal sizes stay in id order (a stable sort):
+/// each lane starts from the front of its share, and a big patch started
+/// last would leave the other lanes only its nested rows to help with.
+inline PatchJobs patch_jobs(amr::Level& lvl, int lanes) {
+  PatchJobs jobs;
+  jobs.reserve(lvl.local_data().size());
+  for (auto& [id, data] : lvl.local_data()) jobs.emplace_back(id, &data);
+  if (lanes > 1)
+    std::stable_sort(jobs.begin(), jobs.end(), [](const auto& a, const auto& b) {
+      return a.second->interior().num_pts() > b.second->interior().num_pts();
+    });
+  return jobs;
+}
 
 class RK2Component final : public cca::Component, public IntegratorPort {
  public:
@@ -38,7 +59,7 @@ class RK2Component final : public cca::Component, public IntegratorPort {
       // exact for any lane count.
       std::vector<MaxSlot> lane_max(static_cast<std::size_t>(pool.size()),
                                     MaxSlot{1e-12});
-      const auto jobs = patch_jobs(h.level(l));
+      const PatchJobs jobs = patch_jobs(h.level(l), pool.size());
       pool.parallel_for(jobs.size(), [&](std::size_t k, int lane) {
         const amr::Box interior = h.level(l).patch(jobs[k].first).box;
         double& slot = lane_max[static_cast<std::size_t>(lane)].v;
@@ -61,17 +82,6 @@ class RK2Component final : public cca::Component, public IntegratorPort {
     double v;
   };
 
-  /// Snapshot of a level's local patches as an indexable job list, so the
-  /// pool can split it (map iteration order keeps ids sorted — the serial
-  /// one-lane walk is identical to the old per-map loop).
-  static std::vector<std::pair<int, amr::PatchData<double>*>> patch_jobs(
-      amr::Level& lvl) {
-    std::vector<std::pair<int, amr::PatchData<double>*>> jobs;
-    jobs.reserve(lvl.local_data().size());
-    for (auto& [id, data] : lvl.local_data()) jobs.emplace_back(id, &data);
-    return jobs;
-  }
-
   void advance_level(int l, double dt) {
     auto* mesh = svc_->get_port_as<MeshPort>("mesh");
     auto* invflux = svc_->get_port_as<FluxDivergencePort>("invflux");
@@ -87,7 +97,7 @@ class RK2Component final : public cca::Component, public IntegratorPort {
     // patch list out over the pool's lanes (comm stays on the rank thread,
     // between regions). Per-patch math is untouched, so any lane count
     // produces bit-identical fields.
-    const auto jobs = patch_jobs(lvl);
+    const PatchJobs jobs = patch_jobs(lvl, pool.size());
 
     // U for the Heun average lives in per-level buffers that keep their
     // storage from one advance of the level to the next, and dU/dt in one

@@ -263,6 +263,15 @@ void ThreadPool::help_until_done(std::uint64_t region, int lane) {
 void ThreadPool::worker_main(int lane) {
   std::uint64_t seen = 0;
   for (;;) {
+    // Spin for the next region before parking, as helping does for nested
+    // slots: the caller waits until every lane has passed through its
+    // region, so a parked worker costs each region a wake-up even when it
+    // has no item to run.
+    const auto parked_after = std::chrono::steady_clock::now() + spin_budget();
+    while (live_region_.load() == seen &&
+           !shutdown_.load(std::memory_order_relaxed) &&
+           std::chrono::steady_clock::now() < parked_after)
+      cpu_relax();
     Region* rgn = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);

@@ -26,8 +26,11 @@
 //    guided chunks (a share of what is left), so neighbouring rows stay on
 //    one lane. Idle lanes spin for at most 100 us, then park; a claim that
 //    leaves indices over wakes one parked lane, and the region's end wakes
-//    all. While the lanes of all live multi-lane pools outnumber the CPUs,
-//    idle lanes park without spinning.
+//    all. Between top-level regions a worker likewise spins up to 100 us
+//    for the next one before it parks on the pool's condition variable, so
+//    regions that follow closely start without a wake-up. While the lanes
+//    of all live multi-lane pools outnumber the CPUs, idle lanes and
+//    workers between regions park without spinning.
 //  - A parallel_for nested inside a nested call, or issued on a different
 //    pool than the enclosing region's, runs inline on the calling lane.
 //  - The first exception thrown by any task is rethrown on the caller
@@ -130,11 +133,12 @@ class ThreadPool {
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> workers_;
 
-  std::mutex mu_;  // guards region_/epoch_/shutdown_
+  std::mutex mu_;  // guards region_/epoch_, and writes of shutdown_
   std::condition_variable cv_work_;
   Region* region_ = nullptr;
   std::uint64_t epoch_ = 0;
-  bool shutdown_ = false;
+  // Atomic so that a worker spinning for the next region stops at once.
+  std::atomic<bool> shutdown_{false};
 
   // The region being run (its epoch) and how many of its lanes may still
   // start top-level items; the caller returns once busy_ reaches 0.

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "components/app_assembly.hpp"
+#include "components/rk2_component.hpp"
 #include "mpp/runtime.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -105,6 +107,9 @@ struct FieldDigest {
   std::uint64_t hash = 0;
   long cells = 0;
   std::vector<std::size_t> patches;  ///< per level
+  /// Some level's multi-lane job list (largest patch first) differs from
+  /// its id order in the final hierarchy.
+  bool size_order_differs = false;
 };
 
 std::uint64_t mix(std::uint64_t x) {
@@ -114,16 +119,21 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-FieldDigest field_digest(int nranks, const AppConfig& cfg) {
+/// `lanes` > 0 rebuilds each rank's pool with that many lanes first.
+FieldDigest field_digest(int nranks, const AppConfig& cfg, int lanes = 0) {
   std::vector<FieldDigest> per_rank(static_cast<std::size_t>(nranks));
   mpp::Runtime::run(nranks, [&](mpp::Comm& world) {
+    if (lanes > 0) ccaperf::set_rank_pool_threads(lanes);
     auto fw = components::assemble_app(world, cfg);
     ASSERT_EQ(fw->services("driver").provided_as<components::GoPort>("go")->go(), 0);
     auto* mesh = fw->services("driver").get_port_as<components::MeshPort>("mesh");
-    const amr::Hierarchy& h = mesh->hierarchy();
+    amr::Hierarchy& h = mesh->hierarchy();
     FieldDigest& d = per_rank[static_cast<std::size_t>(world.rank())];
     for (int l = 0; l < h.num_levels(); ++l) {
       d.patches.push_back(h.level(l).patches().size());
+      if (components::patch_jobs(h.level(l), 1) !=
+          components::patch_jobs(h.level(l), 3))
+        d.size_order_differs = true;
       for (const auto& [id, data] : h.level(l).local_data()) {
         const amr::Box box = h.level(l).patch(id).box;
         d.cells += box.num_pts();
@@ -166,6 +176,23 @@ TEST(App, FieldBitIdenticalAcrossRankCounts) {
         << "the layout should differ from the serial run's at " << nranks
         << " ranks";
   }
+}
+
+TEST(App, FieldBitIdenticalAcrossLaneCounts) {
+  // At 3 lanes RK2 runs a level's patches largest first and the pool
+  // splits kernel rows across lanes; the field must be bit-identical to
+  // the 1-lane run, which walks the patches in id order.
+  AppConfig cfg = AppConfig::case_study();
+  cfg.driver = components::DriverConfig{6, 0.4, 2};
+  const FieldDigest serial = field_digest(1, cfg, 1);
+  const FieldDigest lanes = field_digest(1, cfg, 3);
+  ccaperf::set_rank_pool_threads(ccaperf::configured_threads());
+  ASSERT_EQ(serial.patches.size(), 3u);
+  ASSERT_TRUE(lanes.size_order_differs)
+      << "no level's size order differs from its id order";
+  EXPECT_EQ(lanes.patches, serial.patches);
+  EXPECT_EQ(lanes.cells, serial.cells);
+  EXPECT_EQ(lanes.hash, serial.hash);
 }
 
 TEST(App, DeterministicAcrossRuns) {

@@ -2,7 +2,8 @@
 // exactly once regardless of lane count, stealing and nested helping,
 // exceptions surface on the caller, idle lanes help the nested calls of
 // busy ones without ever holding two top-level items, calls nested deeper
-// run inline, and the region-end hook fires at top level only.
+// run inline, the region-end hook fires at top level only, and regions
+// that follow each other closely or after long gaps all run clean.
 
 #include "support/thread_pool.hpp"
 
@@ -85,6 +86,49 @@ TEST(ThreadPool, FirstExceptionPropagatesAndPoolSurvives) {
     again.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(again.load(), 64);
+}
+
+TEST(ThreadPool, BackToBackRegionsRunEveryIndexOnce) {
+  // Workers spin for the next region before they park. Most regions here
+  // follow the last one at once or after a short busy gap, so they start
+  // while the workers still spin; every 500th gap sleeps far longer than
+  // the spin, so the workers park and the region must wake them. One
+  // region in the middle throws, and the pool must run the next one clean.
+  ccaperf::ThreadPool pool(3);
+  constexpr int kRegions = 3000;
+  constexpr int kThrowAt = kRegions / 2 + 4;  // a 17-index region
+  const std::size_t sizes[] = {1, 2, 3, 7, 17};
+  std::vector<std::atomic<int>> hits(17);
+  const std::uint64_t before = pool.regions();
+  for (int r = 0; r < kRegions; ++r) {
+    const std::size_t n = sizes[r % 5];
+    for (auto& h : hits) h.store(0);
+    if (r == kThrowAt) {
+      EXPECT_THROW(pool.parallel_for(n,
+                                     [&](std::size_t i, int) {
+                                       hits[i].fetch_add(1);
+                                       if (i + 1 == n)
+                                         throw std::runtime_error("last");
+                                     }),
+                   std::runtime_error);
+      for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_LE(hits[i].load(), i < n ? 1 : 0) << "region " << r;
+      continue;
+    }
+    pool.parallel_for(n, [&](std::size_t i, int) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), i < n ? 1 : 0)
+          << "region " << r << " n=" << n << " i=" << i;
+    if (r % 500 == 250) {
+      std::this_thread::sleep_for(std::chrono::microseconds(400));
+    } else if (r % 2 == 1) {
+      volatile double x = 1.0;
+      for (int k = 0; k < 200; ++k) x = x * 1.0000001;
+    }
+  }
+  EXPECT_EQ(pool.regions() - before, static_cast<std::uint64_t>(kRegions));
 }
 
 TEST(ThreadPool, ExceptionPropagatesFromInlinePool) {
