@@ -11,9 +11,8 @@
 //              telemetry every 16 records): the ungoverned cost;
 //   governed — the same stack with CCAPERF_OVERHEAD_PCT-style budget of
 //              2%: the controller must converge below 2.5% realized
-//              overhead while the streaming fit built from the sampled
-//              records stays within 5% of the full-rate fit's power-law
-//              exponent.
+//              overhead while the power-law fit of the sampled records
+//              stays within 5% of the full-rate fit's exponent.
 //
 // Rounds interleave raw/full/governed so drift hits all three equally.
 // Hard gates (abort on violation, so CI can run the binary directly):
@@ -127,11 +126,10 @@ double sweep_us(const Workload& w, int reps, std::vector<double>* cell_min,
 }
 
 double power_law_exponent(const core::Record& rec) {
-  core::StreamingPowerLawFit fit;
-  for (auto [q, t] : rec.samples("Q", core::Record::Metric::wall)) fit.add(q, t);
-  const auto model = fit.fit();
-  CCAPERF_REQUIRE(model != nullptr, "governor ablation: degenerate fit");
-  return model->exponent();
+  std::vector<core::Sample> pts;
+  for (auto [q, t] : rec.samples("Q", core::Record::Metric::wall))
+    pts.push_back(core::Sample{q, t});
+  return core::fit_power_law(pts)->exponent();
 }
 
 }  // namespace

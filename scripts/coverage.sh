@@ -26,13 +26,13 @@ cmake --build "${COV_DIR}" -j "${JOBS}"
 
 echo "== tier-1 suites under instrumentation =="
 find "${COV_DIR}" -name '*.gcda' -delete
-# --coverage forces -O0, which can trip the tightest timing-attribution
-# asserts (they are gated at full strictness by check_tier1.sh on the
-# regular build). The suites still execute, so the line-coverage data is
-# valid: warn and keep going.
+# --coverage forces -O0. check_tier1.sh gates the suites on the regular
+# build; here a failed suite still leaves valid line-coverage data, so
+# name the failed tests and keep going.
 if ! ctest --test-dir "${COV_DIR}" -L tier1 --output-on-failure -j "${JOBS}"; then
-  echo "WARNING: some suites failed under -O0 instrumentation (timing" \
-       "asserts); coverage data below still reflects the full run" >&2
+  echo "WARNING: tier-1 tests failed under -O0 instrumentation; coverage" \
+       "data below still reflects the full run. Failed:" >&2
+  sed 's/^[0-9]*:/  /' "${COV_DIR}/Testing/Temporary/LastTestsFailed.log" >&2 || true
 fi
 
 echo "== gcov aggregation =="

@@ -34,9 +34,9 @@ GovernorConfig GovernorConfig::from_env() {
 OverheadGovernor::Settings OverheadGovernor::settings_for(int level) {
   // The ladder trades information for cost in order of regret: stretching
   // the telemetry interval loses nothing but resolution, dropping trace
-  // verbosity loses post-hoc detail, and thinning monitor records slows
-  // (but, thanks to realized-fraction rescaling, never biases) the
-  // streaming fits.
+  // verbosity loses post-hoc detail, and thinning monitor records leaves
+  // the model fits fewer rows (realized_fraction() scales counts taken
+  // from them back to calls).
   static constexpr Settings kLadder[kMaxLevel + 1] = {
       /*0*/ {1, tau::TraceTier::full, 1},
       /*1*/ {2, tau::TraceTier::full, 1},

@@ -103,11 +103,6 @@ void Record::finish_row() {
   for (NamedColumn& c : params_) c.data.pad_to(n, kNaN);
   for (NamedColumn& c : counters_) c.data.pad_to(n, kNaN);
   in_row_ = false;
-  const std::size_t row = n - 1;
-  for (Stream& s : streams_) {
-    const double q = params_[s.param_col].data[row];
-    if (!std::isnan(q)) s.fit->add(q, metric_at(row, s.metric));
-  }
 }
 
 // --- Record: consumption -----------------------------------------------------
@@ -177,20 +172,6 @@ std::vector<std::pair<double, double>> Record::samples(
     out.emplace_back(q, v);
   }
   return out;
-}
-
-StreamingFitSet& Record::attach_stream(const std::string& param, Metric metric,
-                                       int max_poly_degree) {
-  Stream s;
-  s.param_col = ensure_param_column(param);
-  s.metric = metric;
-  s.fit = std::make_unique<StreamingFitSet>(max_poly_degree);
-  // Backfill completed rows so the stream always reflects the whole record.
-  const ChunkedColumn& qcol = params_[s.param_col].data;
-  for (std::size_t i = 0; i < count(); ++i)
-    if (!std::isnan(qcol[i])) s.fit->add(qcol[i], metric_at(i, metric));
-  streams_.push_back(std::move(s));
-  return *streams_.back().fit;
 }
 
 // --- MastermindComponent -----------------------------------------------------

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/governor.hpp"
-#include "core/modeling.hpp"
 #include "core/ports.hpp"
 #include "tau/shards.hpp"
 
@@ -96,8 +95,7 @@ class Record {
 
   // --- appending (one row = one invocation) ----------------------------------
   // add_times() opens row count()-1; set_param/set_counter fill optional
-  // columns of that row; finish_row() NaN-pads the rest and feeds any
-  // attached streaming fits.
+  // columns of that row; finish_row() NaN-pads the columns left unset.
 
   void add_times(double wall_us, double mpi_us, double compute_us);
   void set_param(std::size_t column, double value);
@@ -121,21 +119,10 @@ class Record {
   std::vector<std::pair<double, double>> samples(const std::string& param,
                                                  const std::string& metric_source) const;
 
-  /// Attaches a streaming model fit: existing rows are folded in once,
-  /// then every subsequent row updates the fit in O(1) (no re-scan at fit
-  /// time). Returns a reference stable for the Record's lifetime.
-  StreamingFitSet& attach_stream(const std::string& param, Metric metric,
-                                 int max_poly_degree = 2);
-
  private:
   struct NamedColumn {
     std::string name;
     ChunkedColumn data;
-  };
-  struct Stream {
-    std::size_t param_col;
-    Metric metric;
-    std::unique_ptr<StreamingFitSet> fit;
   };
 
   const NamedColumn* find_param(std::string_view name) const;
@@ -149,7 +136,6 @@ class Record {
   ChunkedColumn wall_, mpi_, compute_;
   std::vector<NamedColumn> params_;
   std::vector<NamedColumn> counters_;
-  std::vector<Stream> streams_;
   bool in_row_ = false;
 };
 
@@ -213,8 +199,9 @@ class MastermindComponent final : public cca::Component,
   void set_telemetry_session(std::string name);
 
   /// Monitored-call recording fraction for one method: rows recorded /
-  /// invocations seen (1.0 while unsampled). Streaming-fit consumers
-  /// rescale workload *counts* by its inverse (PR 7 discipline).
+  /// invocations seen (1.0 while unsampled). Counts taken from recorded
+  /// rows scale back to calls by its inverse. The governor bench reports
+  /// it beside its sampled-fit exponent gate; test_governor checks it.
   double realized_fraction(const std::string& method_key) const;
 
   /// Current governor-applied monitor sampling stride (1 = record all).

@@ -212,150 +212,6 @@ std::unique_ptr<PerfModel> fit_best(const std::vector<Sample>& pts,
   return std::move(*best);
 }
 
-// ---------------------------------------------------------------------------
-// Streaming fits
-// ---------------------------------------------------------------------------
-
-StreamingPolyFit::StreamingPolyFit(int degree) : degree_(degree) {
-  CCAPERF_REQUIRE(degree >= 0, "StreamingPolyFit: degree >= 0");
-  sum_pow_.assign(2 * static_cast<std::size_t>(degree) + 1, 0.0);
-  sum_pow_t_.assign(static_cast<std::size_t>(degree) + 1, 0.0);
-}
-
-void StreamingPolyFit::add(double q, double t) {
-  ++n_;
-  double p = 1.0;
-  for (std::size_t k = 0; k < sum_pow_.size(); ++k) {
-    sum_pow_[k] += p;
-    if (k < sum_pow_t_.size()) sum_pow_t_[k] += p * t;
-    p *= q;
-  }
-  sum_abs_q_ += std::abs(q);
-  sum_t2_ += t * t;
-}
-
-std::unique_ptr<PolynomialModel> StreamingPolyFit::fit() const {
-  return fit_with_residual(nullptr);
-}
-
-double StreamingPolyFit::residual_sum() const {
-  double ss_res = 0.0;
-  (void)fit_with_residual(&ss_res);
-  return ss_res;
-}
-
-double StreamingPolyFit::mean_sq_residual() const {
-  CCAPERF_REQUIRE(n_ > 0, "StreamingPolyFit: no points");
-  return residual_sum() / static_cast<double>(n_);
-}
-
-std::unique_ptr<PolynomialModel> StreamingPolyFit::fit_with_residual(
-    double* ss_res_out) const {
-  const auto nc = static_cast<std::size_t>(degree_) + 1;
-  CCAPERF_REQUIRE(n_ >= nc, "StreamingPolyFit: not enough points");
-
-  // The batch path scales powers by mean |q| before solving; dividing the
-  // raw power sums by scale^k reaches the same scaled normal equations.
-  const double scale = std::max(sum_abs_q_ / static_cast<double>(n_), 1e-30);
-  std::vector<double> inv_pow(sum_pow_.size(), 1.0);
-  for (std::size_t k = 1; k < inv_pow.size(); ++k) inv_pow[k] = inv_pow[k - 1] / scale;
-
-  std::vector<double> xtx(nc * nc), xty(nc);
-  for (std::size_t r = 0; r < nc; ++r) {
-    xty[r] = sum_pow_t_[r] * inv_pow[r];
-    for (std::size_t c = 0; c < nc; ++c) xtx[r * nc + c] = sum_pow_[r + c] * inv_pow[r + c];
-  }
-  std::vector<double> scaled =
-      solve_linear_system(std::move(xtx), std::move(xty), nc,
-                          "StreamingPolyFit::fit_with_residual");
-  std::vector<double> coeffs(nc);
-  for (std::size_t k = 0; k < nc; ++k) coeffs[k] = scaled[k] * inv_pow[k];
-  auto model = std::make_unique<PolynomialModel>(std::move(coeffs));
-
-  // Score from the sufficient statistics: for a least-squares polynomial,
-  // SS_res = sum t^2 - 2 c.(X^T y) + c.(X^T X).c with the raw moments.
-  const auto& c = model->coefficients();
-  double ct_xty = 0.0, ct_xtx_c = 0.0;
-  for (std::size_t k = 0; k < nc; ++k) {
-    ct_xty += c[k] * sum_pow_t_[k];
-    for (std::size_t l = 0; l < nc; ++l) ct_xtx_c += c[k] * c[l] * sum_pow_[k + l];
-  }
-  const double ss_res = std::max(0.0, sum_t2_ - 2.0 * ct_xty + ct_xtx_c);
-  if (ss_res_out != nullptr) *ss_res_out = ss_res;
-  const double mean_t = sum_pow_t_[0] / static_cast<double>(n_);
-  const double ss_tot = std::max(0.0, sum_t2_ - static_cast<double>(n_) * mean_t * mean_t);
-  model->r2 = ss_tot > 0.0 ? std::clamp(1.0 - ss_res / ss_tot, 0.0, 1.0)
-                           : (ss_res == 0.0 ? 1.0 : 0.0);
-  const auto n = static_cast<double>(n_);
-  const double p = static_cast<double>(nc);
-  model->adjusted_r2 = n - p - 1.0 > 0.0
-                           ? 1.0 - (1.0 - model->r2) * (n - 1.0) / (n - p - 1.0)
-                           : model->r2;
-  return model;
-}
-
-void StreamingPowerLawFit::add(double q, double t) {
-  if (q > 0.0 && t > 0.0) line_.add(std::log(q), std::log(t));
-}
-
-std::unique_ptr<PowerLawModel> StreamingPowerLawFit::fit() const {
-  CCAPERF_REQUIRE(line_.count() >= 2, "StreamingPowerLawFit: need >= 2 positive points");
-  const auto line = line_.fit();
-  const auto& c = line->coefficients();
-  auto model = std::make_unique<PowerLawModel>(c[1], c[0]);
-  model->r2 = line->r2;
-  model->adjusted_r2 = line->adjusted_r2;
-  return model;
-}
-
-void StreamingExpFit::add(double q, double t) {
-  if (t > 0.0) line_.add(q, std::log(t));
-}
-
-std::unique_ptr<ExponentialModel> StreamingExpFit::fit() const {
-  CCAPERF_REQUIRE(line_.count() >= 2, "StreamingExpFit: need >= 2 positive points");
-  const auto line = line_.fit();
-  const auto& c = line->coefficients();
-  auto model = std::make_unique<ExponentialModel>(c[0], c[1]);
-  model->r2 = line->r2;
-  model->adjusted_r2 = line->adjusted_r2;
-  return model;
-}
-
-StreamingFitSet::StreamingFitSet(int max_poly_degree) {
-  CCAPERF_REQUIRE(max_poly_degree >= 1, "StreamingFitSet: max_poly_degree >= 1");
-  for (int d = 1; d <= max_poly_degree; ++d) polys_.emplace_back(d);
-}
-
-void StreamingFitSet::add(double q, double t) {
-  ++n_;
-  all_positive_ &= (q > 0.0 && t > 0.0);
-  for (StreamingPolyFit& p : polys_) p.add(q, t);
-  if (all_positive_) {
-    power_.add(q, t);
-    exp_.add(q, t);
-  }
-}
-
-std::unique_ptr<PerfModel> StreamingFitSet::best() const {
-  CCAPERF_REQUIRE(n_ >= 3, "StreamingFitSet: need >= 3 points");
-  std::vector<std::unique_ptr<PerfModel>> candidates;
-  for (const StreamingPolyFit& p : polys_) {
-    if (n_ < static_cast<std::size_t>(p.degree()) + 2) break;
-    candidates.push_back(p.fit());
-  }
-  if (all_positive_) {
-    candidates.push_back(power_.fit());
-    candidates.push_back(exp_.fit());
-  }
-  CCAPERF_REQUIRE(!candidates.empty(), "StreamingFitSet: no candidate fits");
-  auto it = std::max_element(candidates.begin(), candidates.end(),
-                             [](const auto& a, const auto& b) {
-                               return a->adjusted_r2 < b->adjusted_r2;
-                             });
-  return std::move(*it);
-}
-
 MeanSigmaModels build_mean_sigma_models(const std::vector<Sample>& samples,
                                         int max_poly_degree) {
   MeanSigmaModels out;

@@ -116,106 +116,6 @@ std::unique_ptr<PerfModel> fit_best(const std::vector<Sample>& pts,
 /// Computes and stores r2/adjusted_r2 on `model` for the given points.
 void score_model(PerfModel& model, const std::vector<Sample>& pts, int nparams);
 
-// ---------------------------------------------------------------------------
-// Streaming fits (§5, online). The batch fitters above re-scan every stored
-// sample; the streaming accumulators below maintain the least-squares
-// sufficient statistics (running sums of Q^k, Q^k T, |Q|, T^2 — and their
-// log/semi-log images for the Eq. 1-2 power-law/exponential forms) so each
-// new invocation updates the fit in O(1) time and O(degree) space. fit()
-// solves the same scaled normal equations as the batch path, so streaming
-// coefficients match a batch re-fit up to floating-point noise (the
-// property test pins 1e-9 relative).
-// ---------------------------------------------------------------------------
-
-/// Online least-squares polynomial of fixed degree.
-class StreamingPolyFit {
- public:
-  explicit StreamingPolyFit(int degree);
-  void add(double q, double t);
-  std::size_t count() const { return n_; }
-  int degree() const { return degree_; }
-  /// Same normal equations + mean-|Q| scaling as fit_polynomial; r2 and
-  /// adjusted_r2 are computed from the sufficient statistics (clamped to
-  /// [0, 1] against rounding).
-  std::unique_ptr<PolynomialModel> fit() const;
-
-  /// Residual sum of squares of the current least-squares fit, from the
-  /// same sufficient statistics (matches a batch re-fit's SS_res to 1e-9
-  /// relative — the property test pins it). O(degree^2), no sample re-scan.
-  double residual_sum() const;
-  /// residual_sum() / n: the per-sample residual variance a PatternModel
-  /// leaf uses to weight uncertain fits (predict_interval).
-  double mean_sq_residual() const;
-
- private:
-  std::unique_ptr<PolynomialModel> fit_with_residual(double* ss_res_out) const;
-
-  int degree_;
-  std::size_t n_ = 0;
-  std::vector<double> sum_pow_;    ///< sum q^k, k = 0..2d
-  std::vector<double> sum_pow_t_;  ///< sum q^k t, k = 0..d
-  double sum_abs_q_ = 0.0;
-  double sum_t2_ = 0.0;
-};
-
-/// Online power law T = exp(a ln Q + b): a line fit in log-log space.
-/// Points with q <= 0 or t <= 0 are skipped, as in fit_power_law. r2 is
-/// scored in log space (the batch fitter scores in the original space,
-/// which a streaming accumulator cannot reconstruct) — coefficients are
-/// identical, the goodness-of-fit convention differs.
-class StreamingPowerLawFit {
- public:
-  StreamingPowerLawFit() : line_(1) {}
-  void add(double q, double t);
-  std::size_t count() const { return line_.count(); }
-  std::unique_ptr<PowerLawModel> fit() const;
-
-  /// Residual sum of squares in the fit's own (log-log) space, so leaves
-  /// can weight fit confidence; matches a batch line fit through the same
-  /// (ln Q, ln T) points to 1e-9 relative.
-  double log_residual_sum() const { return line_.residual_sum(); }
-  double mean_sq_log_residual() const { return line_.mean_sq_residual(); }
-
- private:
-  StreamingPolyFit line_;
-};
-
-/// Online exponential T = exp(a + b Q): a line fit in semi-log space.
-/// Points with t <= 0 are skipped; r2 scored in log space (see above).
-class StreamingExpFit {
- public:
-  StreamingExpFit() : line_(1) {}
-  void add(double q, double t);
-  std::size_t count() const { return line_.count(); }
-  std::unique_ptr<ExponentialModel> fit() const;
-
-  /// Residual sum of squares in semi-log space (see StreamingPowerLawFit).
-  double log_residual_sum() const { return line_.residual_sum(); }
-  double mean_sq_log_residual() const { return line_.mean_sq_residual(); }
-
- private:
-  StreamingPolyFit line_;
-};
-
-/// The fit_best candidate family as one O(1)-per-sample accumulator:
-/// polynomials of degree 1..max_poly_degree plus (when every sample is
-/// positive, mirroring fit_best) power-law and exponential. best() picks
-/// by adjusted R^2 among candidates with enough points.
-class StreamingFitSet {
- public:
-  explicit StreamingFitSet(int max_poly_degree = 2);
-  void add(double q, double t);
-  std::size_t count() const { return n_; }
-  std::unique_ptr<PerfModel> best() const;
-
- private:
-  std::vector<StreamingPolyFit> polys_;
-  StreamingPowerLawFit power_;
-  StreamingExpFit exp_;
-  std::size_t n_ = 0;
-  bool all_positive_ = true;
-};
-
 /// Convenience: mean-vs-Q and stddev-vs-Q models from raw samples, as the
 /// paper builds for States/GodunovFlux/EFMFlux (Figs. 6-8).
 struct MeanSigmaModels {

@@ -26,6 +26,20 @@ double pow_or_one(double base, double exp) {
   return std::pow(base, exp);
 }
 
+const char* kind_name(PatternModel::Kind kind) {
+  switch (kind) {
+    case PatternModel::Kind::leaf: return "leaf";
+    case PatternModel::Kind::serial: return "serial";
+    case PatternModel::Kind::pipeline: return "pipeline";
+    case PatternModel::Kind::map_parallel: return "map_parallel";
+    case PatternModel::Kind::rank_replicated: return "rank_replicated";
+    case PatternModel::Kind::scale: return "scale";
+    case PatternModel::Kind::constant: return "constant";
+    case PatternModel::Kind::fork_join: return "fork_join";
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 PatternModel::NodeId PatternModel::add(Node n) {
@@ -39,26 +53,23 @@ const PatternModel::Node& PatternModel::at(NodeId id) const {
 }
 
 PatternModel::NodeId PatternModel::leaf(const PerfModel* model, Workload workload,
-                                        LeafScaling scaling, double variance_us2) {
+                                        LeafScaling scaling) {
   CCAPERF_REQUIRE(model != nullptr, "PatternModel::leaf: null model");
   Node n;
   n.kind = Kind::leaf;
   n.model = model;
   n.workload = std::move(workload);
   n.scaling = scaling;
-  n.variance_us2 = variance_us2;
   return add(std::move(n));
 }
 
 PatternModel::NodeId PatternModel::slot_leaf(const PerfModel* default_model,
-                                             Workload workload, LeafScaling scaling,
-                                             double variance_us2) {
+                                             Workload workload, LeafScaling scaling) {
   Node n;
   n.kind = Kind::leaf;
   n.model = default_model;  // may be null: plain predict() then rejects
   n.workload = std::move(workload);
   n.scaling = scaling;
-  n.variance_us2 = variance_us2;
   n.slot = slots_.size();
   const NodeId id = add(std::move(n));
   slots_.push_back(id);
@@ -237,68 +248,6 @@ double PatternModel::slot_value(std::size_t slot, const PatternConfig& cfg,
   return leaf_value(at(slots_[slot]), cfg, model);
 }
 
-double PatternModel::eval_var(NodeId id, const PatternConfig& cfg) const {
-  const Node& n = at(id);
-  switch (n.kind) {
-    case Kind::leaf: {
-      // The fit residual at q_j is mostly *systematic* model error: every
-      // one of the n_j invocations is off by about the same amount, so the
-      // bin's total error scales with n_j and its variance with n_j^2
-      // (the conservative choice vs the independent-residual n_j rule).
-      const LeafScaling& s = n.scaling;
-      const double count_factor =
-          pow_or_one(cfg.q / s.ref_q, s.count_q_exp) *
-          pow_or_one(s.ref_ranks / static_cast<double>(cfg.ranks),
-                     s.count_ranks_exp);
-      double var = 0.0;
-      for (const auto& bin : n.workload) {
-        const double n_eff = bin.second * count_factor;
-        var += n_eff * n_eff * n.variance_us2;
-      }
-      return var;
-    }
-    case Kind::serial: {
-      double sum = 0.0;
-      for (NodeId c : n.children) sum += eval_var(c, cfg);
-      return sum;
-    }
-    case Kind::pipeline: {
-      // Variance of the argmax child (the stage that determines the max).
-      double best = -1.0, var = 0.0;
-      for (NodeId c : n.children) {
-        const double v = eval(c, cfg, nullptr);
-        if (v > best) {
-          best = v;
-          var = eval_var(c, cfg);
-        }
-      }
-      return var;
-    }
-    case Kind::map_parallel: {
-      const double lanes = static_cast<double>(cfg.threads);
-      const double f = (1.0 + n.coeff * (lanes - 1.0)) / lanes;
-      return f * f * eval_var(n.children[0], cfg);
-    }
-    case Kind::rank_replicated:
-      return eval_var(n.children[0], cfg);
-    case Kind::scale:
-      return n.coeff * n.coeff * eval_var(n.children[0], cfg);
-    case Kind::constant:
-    case Kind::fork_join:
-      return 0.0;
-  }
-  CCAPERF_REQUIRE(false, "PatternModel: unreachable kind");
-  return 0.0;
-}
-
-PatternModel::Interval PatternModel::predict_interval(const PatternConfig& cfg) const {
-  CCAPERF_REQUIRE(root_ != kNoNode, "PatternModel: no root set");
-  Interval out;
-  out.mean_us = eval(root_, cfg, nullptr);
-  out.stddev_us = std::sqrt(std::max(0.0, eval_var(root_, cfg)));
-  return out;
-}
-
 PatternModel::CalibrationReport PatternModel::calibrate(
     const std::vector<Observation>& obs, const std::vector<NodeId>& free_nodes) {
   const std::size_t k = free_nodes.size();
@@ -308,6 +257,9 @@ PatternModel::CalibrationReport PatternModel::calibrate(
   // Save the current coefficients; probing overwrites them.
   std::vector<double> saved(k);
   for (std::size_t j = 0; j < k; ++j) saved[j] = coefficient(free_nodes[j]);
+  const auto restore = [&] {
+    for (std::size_t j = 0; j < k; ++j) set_coefficient(free_nodes[j], saved[j]);
+  };
 
   // predict(cfg) = base(cfg) + sum_j col_j(cfg) * theta_j when jointly
   // affine: base probes all-zero, col_j probes unit theta_j.
@@ -320,6 +272,20 @@ PatternModel::CalibrationReport PatternModel::calibrate(
     for (std::size_t i = 0; i < m; ++i)
       cols[i * k + j] = predict(obs[i].cfg) - base[i];
     set_coefficient(free_nodes[j], 0.0);
+  }
+  // A coefficient that moves no observation cannot be identified (e.g. an
+  // imbalance alpha over a Scale probed at kappa = 0): name it rather than
+  // leave the solve to fail on a column of the reduced system.
+  for (std::size_t j = 0; j < k; ++j) {
+    bool moves = false;
+    for (std::size_t i = 0; i < m && !moves; ++i) moves = cols[i * k + j] != 0.0;
+    if (moves) continue;
+    restore();
+    CCAPERF_REQUIRE(false, "PatternModel::calibrate: free coefficient " +
+                               std::to_string(j) + " (" +
+                               kind_name(at(free_nodes[j]).kind) +
+                               ") changes no observation's prediction, so it "
+                               "cannot be identified");
   }
 
   // Bounded least squares by active set: pattern semantics require every
@@ -377,11 +343,10 @@ PatternModel::CalibrationReport PatternModel::calibrate(
       theta[worst] = worst_at;
     }
   } catch (...) {
-    // A degenerate free set (e.g. a coefficient whose probe column is all
-    // zeros because another free coefficient multiplies it — the nested
-    // Scale-under-MapParallel case) makes the system singular; restore
-    // the saved coefficients before letting the error out.
-    for (std::size_t j = 0; j < k; ++j) set_coefficient(free_nodes[j], saved[j]);
+    // A degenerate free set (e.g. two coefficients with proportional probe
+    // columns) makes the system singular; restore the saved coefficients
+    // before letting the error out.
+    restore();
     throw;
   }
   for (std::size_t j = 0; j < k; ++j) set_coefficient(free_nodes[j], theta[j]);
@@ -398,8 +363,7 @@ PatternModel::CalibrationReport PatternModel::calibrate(
     const double direct = predict(obs[i].cfg);
     const double scale_ref = std::max({std::abs(direct), std::abs(linear), 1e-9});
     if (std::abs(direct - linear) > 1e-6 * scale_ref) {
-      for (std::size_t j = 0; j < k; ++j)
-        set_coefficient(free_nodes[j], saved[j]);
+      restore();
       CCAPERF_REQUIRE(false,
                       "PatternModel::calibrate: predict is not jointly affine in "
                       "the free coefficients (calibrate in stages)");

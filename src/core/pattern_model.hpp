@@ -24,7 +24,7 @@
 //   Const(g)              = g                      fixed per-step overhead
 //   Leaf(model, workload) = sum_j n_j max(0, model(q_j))
 //
-// Leaves wrap fitted PerfModels (streaming or batch, PR 2) applied to a
+// Leaves wrap PerfModels fitted by modeling.hpp, applied to a
 // workload {(q_j, n_j)} captured from Mastermind records; LeafScaling
 // extrapolates the workload to unmeasured problem sizes and rank counts.
 // Slot leaves additionally register with the joint AssemblyOptimizer
@@ -98,17 +98,15 @@ class PatternModel {
   // Children must already exist (ids only grow), so trees build bottom-up
   // and cycles are unrepresentable.
 
-  /// Leaf over a fitted model. `variance_us2` is the per-invocation
-  /// residual variance of the fit (see StreamingPolyFit::mean_sq_residual),
-  /// composed bottom-up by predict_interval().
-  NodeId leaf(const PerfModel* model, Workload workload,
-              LeafScaling scaling = {}, double variance_us2 = 0.0);
+  /// Leaf over a fitted model: sum_j n_eff max(0, model(q_eff)), with the
+  /// workload moved to the prediction's configuration by `scaling`.
+  NodeId leaf(const PerfModel* model, Workload workload, LeafScaling scaling = {});
 
   /// Leaf whose model is substituted per candidate by the joint optimizer
   /// search. `default_model` serves plain predict() calls. Slot ordinals
   /// follow creation order (slot_count()).
   NodeId slot_leaf(const PerfModel* default_model, Workload workload,
-                   LeafScaling scaling = {}, double variance_us2 = 0.0);
+                   LeafScaling scaling = {});
 
   NodeId serial(std::vector<NodeId> children);
   NodeId pipeline(std::vector<NodeId> children);
@@ -158,16 +156,6 @@ class PatternModel {
   std::size_t slot_count() const { return slots_.size(); }
   NodeId slot_node(std::size_t slot) const { return slots_.at(slot); }
 
-  /// Mean prediction plus a one-sigma band from the leaves' fit-residual
-  /// variances: Serial sums variances, Pipeline takes the argmax child's,
-  /// MapParallel/Scale square their multipliers, Const/collective/fork-join
-  /// terms are exact. A leaf's workload multiplies its per-invocation variance
-  /// by sum n_j^2 (independent-residual assumption).
-  struct Interval {
-    double mean_us = 0.0;
-    double stddev_us = 0.0;
-  };
-  Interval predict_interval(const PatternConfig& cfg) const;
 
   // --- calibration -----------------------------------------------------------
 
@@ -208,7 +196,6 @@ class PatternModel {
     const PerfModel* model = nullptr;  // leaves
     Workload workload;                 // leaves
     LeafScaling scaling;               // leaves
-    double variance_us2 = 0.0;         // leaves: per-invocation residual var
     double coeff = 0.0;    // alpha | beta | kappa | const value | fork-join cost
     std::size_t slot = static_cast<std::size_t>(-1);  // slot leaves
   };
@@ -219,7 +206,6 @@ class PatternModel {
                     const PerfModel& model) const;
   double eval(NodeId id, const PatternConfig& cfg,
               const std::vector<double>* slot_values) const;
-  double eval_var(NodeId id, const PatternConfig& cfg) const;
 
   std::vector<Node> nodes_;
   std::vector<NodeId> slots_;

@@ -108,15 +108,6 @@ std::unique_ptr<PerfModel> fit_leaf_model(const std::vector<Sample>& pts) {
   return fit_best(pts, 2);
 }
 
-double fit_variance(const PerfModel& model, const std::vector<Sample>& pts) {
-  double ss = 0.0;
-  for (const Sample& s : pts) {
-    const double e = s.t - std::max(0.0, model.predict(s.q));
-    ss += e * e;
-  }
-  return ss / static_cast<double>(pts.size());
-}
-
 LeafCapture make_leaf(const std::string& method, const MethodAgg& lo,
                       const MethodAgg& hi, int steps_lo, int steps_hi) {
   LeafCapture leaf;
@@ -132,7 +123,6 @@ LeafCapture make_leaf(const std::string& method, const MethodAgg& lo,
   CCAPERF_REQUIRE(!leaf.per_step.empty(),
                   "collect_fig01_workload: no per-step work for " + method);
   leaf.model = fit_leaf_model(hi.samples);
-  leaf.variance_us2 = fit_variance(*leaf.model, hi.samples);
   return leaf;
 }
 
@@ -331,19 +321,17 @@ Fig01Pattern build_fig01_pattern(Fig01Workload workload) {
   std::vector<PatternModel::NodeId> leaves;
   const LeafScaling states_scaling = scaling_of(workload.states);
   const PerfModel* states_model = t.adopt(std::move(workload.states.model));
-  leaves.push_back(t.leaf(states_model, workload.states.per_step,
-                          states_scaling, workload.states.variance_us2));
+  leaves.push_back(t.leaf(states_model, workload.states.per_step, states_scaling));
   const LeafScaling flux_scaling = scaling_of(workload.flux);
   const PerfModel* flux_model = t.adopt(std::move(workload.flux.model));
   const PatternModel::NodeId flux_leaf =
-      t.slot_leaf(flux_model, workload.flux.per_step, flux_scaling,
-                  workload.flux.variance_us2);
+      t.slot_leaf(flux_model, workload.flux.per_step, flux_scaling);
   p.flux_slot = t.slot_count() - 1;
   leaves.push_back(flux_leaf);
   for (LeafCapture& op : workload.mesh_ops) {
     const LeafScaling op_scaling = scaling_of(op);
     const PerfModel* m = t.adopt(std::move(op.model));
-    leaves.push_back(t.leaf(m, op.per_step, op_scaling, op.variance_us2));
+    leaves.push_back(t.leaf(m, op.per_step, op_scaling));
   }
 
   const PatternModel::NodeId monitored = t.serial(std::move(leaves));

@@ -41,7 +41,6 @@ struct LeafCapture {
   std::string method;                ///< record key, e.g. "sc_proxy::compute()"
   PatternModel::Workload per_step;   ///< global per-step (q, invocations)
   std::unique_ptr<PerfModel> model;  ///< per-invocation time vs q
-  double variance_us2 = 0.0;         ///< mean squared fit residual
   /// Problem-size scaling exponents (LeafScaling::count_q_exp / q_q_exp).
   /// Defaults assume invocation counts scale linearly with the base grid
   /// (kernels) or per-invocation cells do (mesh ops); a second capture at

@@ -88,10 +88,46 @@ TEST(PowerLawFit, RecoversPaperStatesModel) {
   EXPECT_NE(model->formula().find("log(Q)"), std::string::npos);
 }
 
+TEST(PowerLawFit, SkipsNonPositivePoints) {
+  // Points with q <= 0 or t <= 0 have no logarithm; they are dropped before
+  // the log-log line fit, so the exact-data coefficients must not move.
+  auto pts = sample_fn(
+      [](double q) { return std::exp(1.19 * std::log(q) - 3.68); }, 500, 150000, 50);
+  for (const Sample& bad : {Sample{0.0, 5.0}, Sample{-300.0, 2.0}, Sample{800.0, 0.0},
+                            Sample{1200.0, -4.0}, Sample{-1.0, -1.0}})
+    pts.push_back(bad);
+  auto model = core::fit_power_law(pts);
+  EXPECT_NEAR(model->exponent(), 1.19, 1e-10);
+  EXPECT_NEAR(model->log_coeff(), -3.68, 1e-9);
+
+  // One positive point among the non-positive ones is too few for a line.
+  EXPECT_THROW(core::fit_power_law({{0.0, 1.0}, {5.0, -2.0}, {7.0, 3.0}}),
+               ccaperf::Error);
+}
+
 TEST(ExpFit, RecoversExponential) {
   auto pts = sample_fn([](double q) { return std::exp(0.5 + 2e-5 * q); }, 0, 100000, 30);
   auto model = core::fit_exponential(pts);
   for (const Sample& s : pts) EXPECT_NEAR(model->predict(s.q), s.t, 1e-9 * s.t);
+}
+
+TEST(ExpFit, SkipsNonPositivePoints) {
+  // The semi-log fit needs t > 0 only: q <= 0 with t > 0 is a valid point,
+  // while every t <= 0 point is dropped whatever its q.
+  const auto f = [](double q) { return std::exp(0.5 + 2e-5 * q); };
+  auto clean = sample_fn(f, 0, 100000, 30);
+  clean.push_back(Sample{-20000.0, f(-20000.0)});
+  auto pts = clean;
+  for (const Sample& bad : {Sample{3000.0, 0.0}, Sample{50000.0, -7.0},
+                            Sample{-500.0, -1.0}, Sample{0.0, 0.0}})
+    pts.push_back(bad);
+  auto model = core::fit_exponential(pts);
+  EXPECT_NEAR(model->a(), 0.5, 1e-9);
+  EXPECT_NEAR(model->b(), 2e-5, 1e-13);
+  for (const Sample& s : clean) EXPECT_NEAR(model->predict(s.q), s.t, 1e-9 * s.t);
+
+  EXPECT_THROW(core::fit_exponential({{1.0, 0.0}, {2.0, 3.0}, {3.0, -1.0}}),
+               ccaperf::Error);
 }
 
 TEST(FitBest, PicksLinearForLinearData) {
