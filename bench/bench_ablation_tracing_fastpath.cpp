@@ -5,16 +5,21 @@
 // "these instrumentation related overheads are small" (§4). Two layers
 // shape the traced-vs-raw gap, each gated against bench/baselines/:
 //
-//   batched  — access_run collapses strided element replay into per-line
-//              work with bit-identical counters (PR 3; still asserted);
+//   batched  — access_run collapses strided element runs into per-line
+//              work with counters bit-identical to an element-by-element
+//              `access` loop (tests/hwc/test_access_run.cpp). Traced
+//              sweeps always run the scalar kernel, so the raw scalar
+//              sweep is the uninstrumented reference: traced_over_raw_scalar
+//              (batched traced / raw scalar, lower is better) is the cost
+//              of the cache simulation itself, and a batching regression
+//              shows there;
 //   SIMD     — the raw path dispatches to AVX2/AVX-512 kernels selected at
 //              startup (CCAPERF_SIMD), bit-identical to the scalar
-//              reference, so the raw denominator itself speeds up;
-//              traced sweeps always run the scalar kernel.
+//              reference, so the raw denominator itself speeds up
+//              (simd_raw_speedup).
 //
-// This bench times the States sequential (X) sweep at Q ~ 1e5 under raw
-// (per compiled ISA), scalar-replay traced and batched traced, and
-// records the gated series in
+// This bench times the States sequential (X) sweep at Q ~ 1e5 raw (per
+// compiled ISA) and batched traced, and records the series in
 // bench_out/tracing_fastpath.json. Timing is best-of-5 blocks per
 // configuration with the blocks round-robin interleaved across
 // configurations (the bench_ablation_ranks minimum-of-blocks protocol,
@@ -89,12 +94,10 @@ int main() {
   // Traced configurations run the scalar kernel whatever the active ISA
   // level (a cache-traced call never dispatches to a SIMD unit), so their
   // cost is the scalar arithmetic plus the cache simulation.
-  // The caches are the paper's 512 kB Xeon L2 — the one Figs. 4-5 model.
+  // The cache is the paper's 512 kB Xeon L2 — the one Figs. 4-5 model.
   hwc::NullProbe null_probe;
-  hwc::CacheSim scalar_cache(512 * 1024, 64, 8);
-  hwc::ScalarReplayProbe scalar_probe(&scalar_cache);
-  hwc::CacheSim batched_cache(512 * 1024, 64, 8);
-  hwc::CacheProbe batched_probe(&batched_cache);
+  hwc::CacheSim cache(512 * 1024, 64, 8);
+  hwc::CacheProbe probe(&cache);
 
   std::vector<TimedConfig> cfgs;
   for (simd::Isa isa : {simd::Isa::scalar, simd::Isa::avx2, simd::Isa::avx512}) {
@@ -105,13 +108,10 @@ int main() {
                                             gas, l, r, null_probe);
                     }});
   }
-  auto traced = [&](auto& probe) {
-    return [&] {
-      euler::compute_states(u, shape.interior, euler::Dir::x, gas, l, r, probe);
-    };
-  };
-  cfgs.push_back({"scalar", traced(scalar_probe)});
-  cfgs.push_back({"batched", traced(batched_probe)});
+  cfgs.push_back({"batched", [&] {
+                    euler::compute_states(u, shape.interior, euler::Dir::x, gas,
+                                          l, r, probe);
+                  }});
   time_all(cfgs, blocks, reps);
   simd::set_isa(top);
 
@@ -124,55 +124,41 @@ int main() {
   const double raw_scalar_us = best("raw_scalar");
   const double raw_us = best(std::string("raw_") + simd::isa_name(top));
   const double simd_speedup = raw_scalar_us / raw_us;
-  const double scalar_us = best("scalar");
   const double batched_us = best("batched");
   std::vector<std::pair<std::string, double>> raw_by_isa;
   for (const auto& c : cfgs)
     if (c.name.rfind("raw_", 0) == 0)
       raw_by_isa.emplace_back(c.name.substr(4), c.best_us);
 
-  // The fast path is only a fast path if the counters are untouched.
-  const auto sc = scalar_cache.counters();
-  const auto bc = batched_cache.counters();
-  CCAPERF_REQUIRE(sc.accesses == bc.accesses && sc.hits == bc.hits &&
-                      sc.misses == bc.misses && sc.writebacks == bc.writebacks,
-                  "batched counters diverged from the scalar replay");
-
-  const double slowdown_scalar = scalar_us / raw_us;
   const double slowdown_batched = batched_us / raw_us;
-  const double speedup = scalar_us / batched_us;
+  const double traced_over_raw_scalar = batched_us / raw_scalar_us;
 
   ccaperf::TextTable t;
   t.set_header({"configuration", "us/sweep", "slowdown vs raw"});
   for (const auto& [name, us] : raw_by_isa)
     t.add_row({"raw (" + name + ")", ccaperf::fmt_double(us, 6),
                ccaperf::fmt_double(us / raw_us, 4)});
-  t.add_row({"traced, scalar replay", ccaperf::fmt_double(scalar_us, 6),
-             ccaperf::fmt_double(slowdown_scalar, 4)});
   t.add_row({"traced, batched runs", ccaperf::fmt_double(batched_us, 6),
              ccaperf::fmt_double(slowdown_batched, 4)});
   t.render(std::cout);
   std::cout << "\nraw SIMD speedup (" << simd::isa_name(top)
             << " vs scalar): " << ccaperf::fmt_double(simd_speedup, 4) << "x\n"
-            << "batched/scalar traced throughput: "
-            << ccaperf::fmt_double(speedup, 4) << "x\n";
+            << "batched traced / raw scalar: "
+            << ccaperf::fmt_double(traced_over_raw_scalar, 4) << "x\n";
 
   bench::print_comparison(
       "tracing overhead",
       {{"instrumentation overhead", "\"small\" (paper section 4)",
-        ccaperf::fmt_double(slowdown_batched, 3) + "x traced-vs-raw (was " +
-            ccaperf::fmt_double(slowdown_scalar, 3) + "x before batching)"}});
+        ccaperf::fmt_double(slowdown_batched, 3) + "x traced-vs-raw"}});
 
   std::vector<bench::JsonEntry> entries{
       {"tracing_fastpath", "q", static_cast<double>(shape.q)},
       {"tracing_fastpath", "raw_scalar_us_per_sweep", raw_scalar_us},
       {"tracing_fastpath", "raw_us_per_sweep", raw_us},
       {"tracing_fastpath", "simd_raw_speedup", simd_speedup},
-      {"tracing_fastpath", "scalar_traced_us_per_sweep", scalar_us},
       {"tracing_fastpath", "batched_traced_us_per_sweep", batched_us},
-      {"tracing_fastpath", "slowdown_scalar_vs_raw", slowdown_scalar},
       {"tracing_fastpath", "slowdown_batched_vs_raw", slowdown_batched},
-      {"tracing_fastpath", "batched_vs_scalar_speedup", speedup}};
+      {"tracing_fastpath", "traced_over_raw_scalar", traced_over_raw_scalar}};
   for (const auto& [name, us] : raw_by_isa)
     entries.push_back(
         {"tracing_fastpath", "raw_us_per_sweep_" + std::string(name), us});

@@ -110,7 +110,7 @@ if want tier1; then
   # simulator.
   probes=$(nm -C "${BUILD_DIR}/src/euler/libccaperf_euler.a" | awk '
     /\.o:$/ { simd = $1 ~ /^kernels_avx(2|512)\.cpp\.o:$/; obj = $1; next }
-    simd && /hwc::(CacheSim|CacheProbe|ScalarReplayProbe)/ { print obj, $0 }')
+    simd && /hwc::(CacheSim|CacheProbe)/ { print obj, $0 }')
   if [ -n "${probes}" ]; then
     echo "check_tier1.sh: SIMD objects reference cache-tracing code:" >&2
     echo "${probes}" >&2

@@ -71,32 +71,6 @@ std::vector<AssemblyChoice> AssemblyOptimizer::evaluate_all(
   return results;
 }
 
-AssemblyChoice AssemblyOptimizer::best_exhaustive(double accuracy_weight) const {
-  CCAPERF_REQUIRE(!slots_.empty(), "AssemblyOptimizer: no slots");
-  // Minimum cost; ties go to the lexicographically smallest pick vector
-  // (slot insertion order major, candidate index order minor) — the same
-  // visit order as the branch-and-bound DFS below.
-  std::vector<std::size_t> pick(slots_.size(), 0);
-  std::vector<std::size_t> best_pick;
-  double best_cost = 0.0;
-  for (;;) {
-    const AssemblyChoice choice = make_choice(pick, accuracy_weight);
-    if (best_pick.empty() || choice.cost < best_cost) {
-      best_cost = choice.cost;
-      best_pick = pick;
-    } else if (choice.cost == best_cost && pick < best_pick) {
-      best_pick = pick;
-    }
-    std::size_t s = slots_.size();
-    while (s-- > 0) {
-      if (++pick[s] < slots_[s].candidates.size()) break;
-      pick[s] = 0;
-    }
-    if (s == static_cast<std::size_t>(-1)) break;
-  }
-  return make_choice(best_pick, accuracy_weight);
-}
-
 AssemblyChoice AssemblyOptimizer::best(double accuracy_weight,
                                        SearchStats* stats) const {
   CCAPERF_REQUIRE(!slots_.empty(), "AssemblyOptimizer: no slots");

@@ -61,7 +61,9 @@ class AssemblyOptimizer {
 
   /// Exhaustively evaluates all prod(Ci) assemblies at the given QoS
   /// weight, best (lowest cost) first (stable: equal-cost assemblies keep
-  /// enumeration order).
+  /// enumeration order, which is lexicographic in the candidate indices
+  /// with slot 0 most significant — so front() is the reference `best`
+  /// is tested against).
   std::vector<AssemblyChoice> evaluate_all(double accuracy_weight = 0.0) const;
 
   /// Search effort counters for the branch-and-bound selection.
@@ -75,14 +77,10 @@ class AssemblyOptimizer {
   /// per-slot lower bound (remaining slots contribute at least their
   /// cheapest candidate's time; the QoS factor can only grow as more slots
   /// bind), pruning subtrees that cannot beat the incumbent. Exact — the
-  /// winner is identical to exhaustive enumeration, including tie-breaking
+  /// winner is identical to evaluate_all().front(), including tie-breaking
   /// (lowest candidate indices in slot insertion order win ties).
   AssemblyChoice best(double accuracy_weight = 0.0,
                       SearchStats* stats = nullptr) const;
-
-  /// Reference implementation: full enumeration with the same
-  /// deterministic tie-break. Kept for tests and ablations.
-  AssemblyChoice best_exhaustive(double accuracy_weight = 0.0) const;
 
   std::size_t assembly_count() const;
 

@@ -353,8 +353,7 @@ void flux_divergence_mt(ccaperf::ThreadPool& pool, const Array2& fx,
 
 // Explicit instantiations: the production (NullProbe) configuration,
 // dispatched to the active ISA level, and the cache-traced (CacheProbe)
-// one plus the scalar-replay reference (ScalarReplayProbe) that benches
-// compare the batched fast path against, both run at the scalar level.
+// one, which runs at the scalar level.
 template KernelCounts compute_states<hwc::NullProbe>(const amr::PatchData<double>&,
                                                      const amr::Box&, Dir,
                                                      const GasModel&, Array2&,
@@ -376,14 +375,5 @@ template KernelCounts godunov_flux_sweep<hwc::CacheProbe>(const Array2&,
                                                           const Array2&, Dir,
                                                           const GasModel&, Array2&,
                                                           hwc::CacheProbe&);
-template KernelCounts compute_states<hwc::ScalarReplayProbe>(
-    const amr::PatchData<double>&, const amr::Box&, Dir, const GasModel&, Array2&,
-    Array2&, hwc::ScalarReplayProbe&);
-template KernelCounts efm_flux_sweep<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&);
-template KernelCounts godunov_flux_sweep<hwc::ScalarReplayProbe>(
-    const Array2&, const Array2&, Dir, const GasModel&, Array2&,
-    hwc::ScalarReplayProbe&);
 
 }  // namespace euler

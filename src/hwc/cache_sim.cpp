@@ -96,82 +96,6 @@ CacheSim::Way* CacheSim::touch_way(std::uint64_t line_addr, bool is_write,
   return &row[victim];
 }
 
-std::uint64_t CacheSim::touch_line(std::uint64_t line_addr, bool is_write) {
-  std::uint64_t misses = 0;
-  touch_way(line_addr, is_write, misses);
-  return misses;
-}
-
-std::uint64_t CacheSim::access_prebatch(std::uintptr_t addr, std::size_t bytes,
-                                        bool is_write) {
-  // Preserved pre-fastpath element path (see the header comment): hit scan
-  // and victim scan are separate passes, the tag shift is recomputed per
-  // touch, and there is no MRU way hint — exactly the per-element cost the
-  // batched API replaced. Do not "fix" this; it is the ablation baseline.
-  if (bytes == 0) return 0;
-  const std::uint64_t first = static_cast<std::uint64_t>(addr) >> line_shift_;
-  const std::uint64_t last =
-      static_cast<std::uint64_t>(addr + bytes - 1) >> line_shift_;
-  std::uint64_t total_misses = 0;
-  for (std::uint64_t line_addr = first; line_addr <= last; ++line_addr) {
-    ++counters_.accesses;
-    const std::uint64_t set = line_addr & (sets_ - 1);
-    const std::uint64_t tag = line_addr >> log2u(sets_);
-    Way* row = &ways_[static_cast<std::size_t>(set) * assoc_];
-
-    // Hit? (Same packed-meta compare as touch_way — tag truncation must
-    // agree between the fill and every lookup path.)
-    const std::uint64_t want = pack_meta(tag, gen_, false);
-    bool hit = false;
-    for (std::size_t w = 0; w < assoc_; ++w) {
-      if ((row[w].meta & ~std::uint64_t{1}) == want) {
-        ++counters_.hits;
-        row[w].lru = ++stamp_;
-        row[w].meta |= static_cast<std::uint64_t>(is_write);
-        hit = true;
-        break;
-      }
-    }
-    if (hit) continue;
-
-    // Miss: forward to the lower level, then fill (write-allocate).
-    ++counters_.misses;
-    ++total_misses;
-    if (lower_ != nullptr)
-      lower_->access(line_addr << line_shift_, line_bytes_, is_write);
-
-    // Victim = invalid way if any, else LRU.
-    std::size_t victim = 0;
-    bool found_invalid = false;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::size_t w = 0; w < assoc_; ++w) {
-      if (!valid(row[w])) {
-        victim = w;
-        found_invalid = true;
-        break;
-      }
-      if (row[w].lru < oldest) {
-        oldest = row[w].lru;
-        victim = w;
-      }
-    }
-    if (!found_invalid) {
-      ++counters_.evictions;
-      if (way_dirty(row[victim])) {
-        ++counters_.writebacks;
-        // Dirty victim written back to the lower level.
-        if (lower_ != nullptr) {
-          const std::uint64_t victim_line =
-              (way_tag(row[victim]) << log2u(sets_)) | set;
-          lower_->access(victim_line << line_shift_, line_bytes_, true);
-        }
-      }
-    }
-    row[victim] = Way{pack_meta(tag, gen_, is_write), ++stamp_};
-  }
-  return total_misses;
-}
-
 std::uint64_t CacheSim::access(std::uintptr_t addr, std::size_t bytes, bool is_write) {
   if (bytes == 0) return 0;
   const std::uint64_t first = static_cast<std::uint64_t>(addr) >> line_shift_;
@@ -179,7 +103,7 @@ std::uint64_t CacheSim::access(std::uintptr_t addr, std::size_t bytes, bool is_w
       static_cast<std::uint64_t>(addr + bytes - 1) >> line_shift_;
   std::uint64_t misses = 0;
   for (std::uint64_t line = first; line <= last; ++line)
-    misses += touch_line(line, is_write);
+    touch_way(line, is_write, misses);
   return misses;
 }
 

@@ -14,8 +14,11 @@
 // Multi-level hierarchies are built by chaining: an access that misses one
 // level is forwarded to `lower()`.
 //
-// The simulator is on the tracing hot path (every probed load/store of a
-// traced kernel lands here), so it carries three fast-path mechanisms:
+// The simulator has two access paths: `access`, the element path (one
+// access of `bytes` at `addr`, the reference the batched path is tested
+// against), and `access_run`, the batched path the kernels' probes call.
+// It is on the tracing hot path (every probed load/store of a traced
+// kernel lands here), so it carries three fast-path mechanisms:
 //  * `access_run` batches a whole strided run of elements into one call,
 //    touching each cache line once via address arithmetic — elements that
 //    provably stay in the line just touched are accounted as hits without
@@ -84,15 +87,6 @@ class CacheSim {
                                                 std::size_t elem_bytes,
                                                 bool is_write);
 
-  /// The pre-fastpath element path, preserved verbatim (two set scans, no
-  /// MRU way hint, per-touch tag-shift recompute) so ablation benches can
-  /// measure the fast path against the cost profile that shipped before
-  /// it, not against today's accelerated scalar path. Counters and
-  /// replacement decisions are bit-identical to `access`
-  /// (tests/hwc/test_access_run.cpp asserts this); only the mru_ hint is
-  /// left stale, which can never change counters.
-  std::uint64_t access_prebatch(std::uintptr_t addr, std::size_t bytes, bool is_write);
-
   /// Invalidates all lines (O(1): bumps the line generation) and keeps
   /// counters.
   void flush();
@@ -141,9 +135,9 @@ class CacheSim {
   bool valid(const Way& w) const {
     return ((w.meta >> 1) & kGenMask) == (gen_ & kGenMask);
   }
-  std::uint64_t touch_line(std::uint64_t line_addr, bool is_write);
-  /// touch_line, but also hands back the way now holding the line (the
-  /// set's new MRU) so access_run can extend guaranteed-hit runs on it.
+  /// Touches one line (hit, or miss + fill), adds any miss to `misses`
+  /// and hands back the way now holding the line (the set's new MRU) so
+  /// access_run can extend guaranteed-hit runs on it.
   Way* touch_way(std::uint64_t line_addr, bool is_write, std::uint64_t& misses);
 
   std::size_t size_bytes_;
@@ -151,7 +145,7 @@ class CacheSim {
   std::size_t assoc_;
   std::size_t sets_;
   unsigned line_shift_;
-  unsigned tag_shift_;                 // log2(sets_), hoisted from touch_line
+  unsigned tag_shift_;                 // log2(sets_)
   std::vector<Way> ways_;              // sets_ x assoc_, row-major
   std::vector<std::uint32_t> mru_;     // per-set most-recently-used way hint
   std::uint64_t stamp_ = 0;

@@ -13,11 +13,11 @@
 //
 // Probes expose both scalar hooks (load/store, one element each) and
 // batched run hooks (load_run/store_run, a whole strided run per call).
-// CacheProbe routes runs through CacheSim::access_run, which amortizes the
-// per-element simulation cost over the run (touch each line once, MRU way
-// hint) while producing bit-identical counters. ScalarReplayProbe is the
-// pre-batching reference: it expands every run element by element — benches
-// use it to measure the fast path's gain, tests to assert equivalence.
+// CacheProbe maps them onto CacheSim's two paths: scalar hooks call
+// `access`, the element path; run hooks call `access_run`, which amortizes
+// the per-element simulation cost over the run (touch each line once, MRU
+// way hint) while producing counters bit-identical to an `access` loop
+// (tests/hwc/test_access_run.cpp).
 
 #include <cstdint>
 
@@ -88,65 +88,6 @@ class CacheProbe {
   void reset() { counts_ = ProbeCounts{}; }
 
  private:
-  CacheSim* cache_;
-  ProbeCounts counts_;
-};
-
-/// Pre-batching reference probe: identical event stream to CacheProbe but
-/// every run is replayed element by element through `access_prebatch`, the
-/// element path preserved verbatim from before the fast path existed (no
-/// batching, no MRU hint, per-touch tag-shift recompute). Exists so the
-/// batched fast path has an in-tree baseline with the original cost
-/// profile to be benchmarked (bench_ablation_tracing_fastpath) and
-/// property-tested against.
-class ScalarReplayProbe {
- public:
-  static constexpr bool kCounting = true;
-
-  explicit ScalarReplayProbe(CacheSim* top) : cache_(top) {
-    CCAPERF_REQUIRE(top != nullptr, "ScalarReplayProbe: null cache");
-  }
-
-  void load(const void* p, std::size_t bytes) {
-    ++counts_.loads;
-    cache_->access_prebatch(reinterpret_cast<std::uintptr_t>(p), bytes, false);
-  }
-  void store(const void* p, std::size_t bytes) {
-    ++counts_.stores;
-    cache_->access_prebatch(reinterpret_cast<std::uintptr_t>(p), bytes, true);
-  }
-  CCAPERF_FORCE_INLINE void load_run(const void* p,
-                                     std::ptrdiff_t stride_bytes,
-                                     std::size_t count,
-                                     std::size_t elem_bytes) {
-    replay(p, stride_bytes, count, elem_bytes, false);
-    counts_.loads += count;
-  }
-  CCAPERF_FORCE_INLINE void store_run(const void* p,
-                                      std::ptrdiff_t stride_bytes,
-                                      std::size_t count,
-                                      std::size_t elem_bytes) {
-    replay(p, stride_bytes, count, elem_bytes, true);
-    counts_.stores += count;
-  }
-  void flops(std::uint64_t n) { counts_.flops += n; }
-
-  const ProbeCounts& counts() const { return counts_; }
-  CacheSim* cache() const { return cache_; }
-  void reset() { counts_ = ProbeCounts{}; }
-
- private:
-  CCAPERF_FORCE_INLINE void replay(const void* p, std::ptrdiff_t stride_bytes,
-                                   std::size_t count, std::size_t elem_bytes,
-                                   bool is_write) {
-    auto addr = reinterpret_cast<std::uintptr_t>(p);
-    for (std::size_t k = 0; k < count; ++k)
-      cache_->access_prebatch(
-          addr + static_cast<std::uintptr_t>(static_cast<std::ptrdiff_t>(k) *
-                                             stride_bytes),
-          elem_bytes, is_write);
-  }
-
   CacheSim* cache_;
   ProbeCounts counts_;
 };

@@ -156,7 +156,7 @@ TEST(Optimizer, BnBMatchesExhaustiveOnRandomizedSlotSets) {
     const double w = weights[trial % 3];
     AssemblyOptimizer::SearchStats stats;
     const auto bnb = opt.best(w, &stats);
-    const auto exact = opt.best_exhaustive(w);
+    const auto exact = opt.evaluate_all(w).front();
     EXPECT_EQ(bnb.selection, exact.selection) << "trial " << trial;
     EXPECT_DOUBLE_EQ(bnb.cost, exact.cost) << "trial " << trial;
     EXPECT_LE(stats.leaves_evaluated, opt.assembly_count()) << "trial " << trial;
@@ -178,7 +178,7 @@ TEST(Optimizer, TieBreakPicksLowestCandidateIndices) {
   }
   for (const double w : {0.0, 2.0}) {
     const auto bnb = opt.best(w);
-    const auto exact = opt.best_exhaustive(w);
+    const auto exact = opt.evaluate_all(w).front();
     EXPECT_EQ(bnb.selection, exact.selection);
     for (int s = 0; s < 3; ++s)
       EXPECT_EQ(bnb.selection.at("F" + std::to_string(s)), "first");
@@ -198,7 +198,7 @@ TEST(Optimizer, ZeroAccuracyWeightIgnoresAccuracy) {
   const auto best = opt.best(0.0);
   EXPECT_EQ(best.selection.at("F"), "sloppy");
   EXPECT_DOUBLE_EQ(best.cost, best.predicted_time_us);  // factor is 1
-  EXPECT_EQ(opt.best_exhaustive(0.0).selection.at("F"), "sloppy");
+  EXPECT_EQ(opt.evaluate_all(0.0).front().selection.at("F"), "sloppy");
 }
 
 TEST(Optimizer, EmptyWorkloadSlotCostsNothing) {
@@ -219,7 +219,7 @@ TEST(Optimizer, EmptyWorkloadSlotCostsNothing) {
   EXPECT_EQ(best.selection.at("Idle"), "a");  // tie broken to index 0
   EXPECT_EQ(best.selection.at("Busy"), "x");
   EXPECT_DOUBLE_EQ(best.predicted_time_us, 2.0 * 5.0);
-  EXPECT_EQ(opt.best_exhaustive(0.0).selection, best.selection);
+  EXPECT_EQ(opt.evaluate_all(0.0).front().selection, best.selection);
 }
 
 TEST(Optimizer, BnBPrunesDominatedSubtrees) {

@@ -301,57 +301,44 @@ TEST(SimdKernels, TracedCacheCountersBitIdenticalAcrossIsa) {
     Array2 l(nx, ny, kNcomp), r(nx, ny, kNcomp), f(nx, ny, kNcomp),
         g(nx, ny, kNcomp);
 
-    // States, then EFM and Godunov on its faces; the default CacheProbe
-    // and the element-by-element ScalarReplayProbe.
-    auto traced = [&](Isa isa, bool replay, hwc::CacheCounters& l1,
-                      hwc::CacheCounters& l2, hwc::ProbeCounts& pc,
-                      std::uint64_t& iterations) {
+    // States, then EFM and Godunov on its faces, traced by a CacheProbe.
+    auto traced = [&](Isa isa, hwc::CacheCounters& l1, hwc::CacheCounters& l2,
+                      hwc::ProbeCounts& pc, std::uint64_t& iterations) {
       euler::simd::set_isa(isa);
       hwc::XeonHierarchy mem;
-      auto run = [&](auto& probe) {
-        euler::compute_states(u, interior, dir, gas, l, r, probe);
-        euler::efm_flux_sweep(l, r, dir, gas, f, probe);
-        iterations =
-            euler::godunov_flux_sweep(l, r, dir, gas, g, probe)
-                .riemann_iterations;
-        pc = probe.counts();
-      };
-      if (replay) {
-        hwc::ScalarReplayProbe probe(&mem.l1);
-        run(probe);
-      } else {
-        hwc::CacheProbe probe(&mem.l1);
-        run(probe);
-      }
+      hwc::CacheProbe probe(&mem.l1);
+      euler::compute_states(u, interior, dir, gas, l, r, probe);
+      euler::efm_flux_sweep(l, r, dir, gas, f, probe);
+      iterations =
+          euler::godunov_flux_sweep(l, r, dir, gas, g, probe).riemann_iterations;
+      pc = probe.counts();
       l1 = mem.l1.counters();
       l2 = mem.l2.counters();
     };
 
-    for (bool replay : {false, true}) {
-      hwc::CacheCounters ref_l1, ref_l2;
-      hwc::ProbeCounts ref_pc;
-      std::uint64_t ref_iters = 0;
-      traced(Isa::scalar, replay, ref_l1, ref_l2, ref_pc, ref_iters);
-      const std::vector<double> ref_flux = f.raw();
-      const std::vector<double> ref_godunov = g.raw();
+    hwc::CacheCounters ref_l1, ref_l2;
+    hwc::ProbeCounts ref_pc;
+    std::uint64_t ref_iters = 0;
+    traced(Isa::scalar, ref_l1, ref_l2, ref_pc, ref_iters);
+    const std::vector<double> ref_flux = f.raw();
+    const std::vector<double> ref_godunov = g.raw();
 
-      for (std::size_t k = 1; k < isas.size(); ++k) {
-        hwc::CacheCounters l1, l2;
-        hwc::ProbeCounts pc;
-        std::uint64_t iters = 0;
-        traced(isas[k], replay, l1, l2, pc, iters);
-        const char* name = euler::simd::isa_name(isas[k]);
-        EXPECT_EQ(ref_flux, f.raw()) << name;
-        EXPECT_EQ(ref_godunov, g.raw()) << name;
-        EXPECT_EQ(ref_iters, iters) << name;
-        EXPECT_EQ(ref_pc.loads, pc.loads) << name;
-        EXPECT_EQ(ref_pc.stores, pc.stores) << name;
-        EXPECT_EQ(ref_pc.flops, pc.flops) << name;
-        EXPECT_EQ(ref_l1.accesses, l1.accesses) << name;
-        EXPECT_EQ(ref_l1.misses, l1.misses) << name;
-        EXPECT_EQ(ref_l1.hits, l1.hits) << name;
-        EXPECT_EQ(ref_l2.misses, l2.misses) << name;
-      }
+    for (std::size_t k = 1; k < isas.size(); ++k) {
+      hwc::CacheCounters l1, l2;
+      hwc::ProbeCounts pc;
+      std::uint64_t iters = 0;
+      traced(isas[k], l1, l2, pc, iters);
+      const char* name = euler::simd::isa_name(isas[k]);
+      EXPECT_EQ(ref_flux, f.raw()) << name;
+      EXPECT_EQ(ref_godunov, g.raw()) << name;
+      EXPECT_EQ(ref_iters, iters) << name;
+      EXPECT_EQ(ref_pc.loads, pc.loads) << name;
+      EXPECT_EQ(ref_pc.stores, pc.stores) << name;
+      EXPECT_EQ(ref_pc.flops, pc.flops) << name;
+      EXPECT_EQ(ref_l1.accesses, l1.accesses) << name;
+      EXPECT_EQ(ref_l1.misses, l1.misses) << name;
+      EXPECT_EQ(ref_l1.hits, l1.hits) << name;
+      EXPECT_EQ(ref_l2.misses, l2.misses) << name;
     }
   }
 }

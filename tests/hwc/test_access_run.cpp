@@ -1,9 +1,7 @@
 // Property tests for the batched tracing fast path: CacheSim::access_run
 // must be *bit-identical* — in every counter at every hierarchy level, and
 // in all subsequent behaviour — to calling the scalar `access` once per
-// element, for arbitrary strides, element sizes and cache geometries. The
-// preserved pre-fastpath path `access_prebatch` (the ablation baseline) is
-// held to the same property.
+// element, for arbitrary strides, element sizes and cache geometries.
 
 #include <gtest/gtest.h>
 
@@ -27,18 +25,15 @@ void expect_equal_counters(const CacheCounters& a, const CacheCounters& b,
   EXPECT_EQ(a.writebacks, b.writebacks) << what;
 }
 
-/// Three two-level hierarchies with identical geometry: one driven by
-/// access_run, one by the equivalent scalar loop, one by the preserved
-/// pre-fastpath `access_prebatch` loop.
+/// Two two-level hierarchies with identical geometry: one driven by
+/// access_run, one by the equivalent scalar loop.
 struct Pair {
   Pair(std::size_t l1_bytes, std::size_t line, std::size_t l1_ways,
        std::size_t l2_bytes, std::size_t l2_ways)
       : batched_l1(l1_bytes, line, l1_ways), batched_l2(l2_bytes, line, l2_ways),
-        scalar_l1(l1_bytes, line, l1_ways), scalar_l2(l2_bytes, line, l2_ways),
-        prebatch_l1(l1_bytes, line, l1_ways), prebatch_l2(l2_bytes, line, l2_ways) {
+        scalar_l1(l1_bytes, line, l1_ways), scalar_l2(l2_bytes, line, l2_ways) {
     batched_l1.set_lower(&batched_l2);
     scalar_l1.set_lower(&scalar_l2);
-    prebatch_l1.set_lower(&prebatch_l2);
   }
 
   void run(std::uintptr_t addr, std::ptrdiff_t stride, std::size_t count,
@@ -46,27 +41,20 @@ struct Pair {
     const std::uint64_t m_batched =
         batched_l1.access_run(addr, stride, count, elem, is_write);
     std::uint64_t m_scalar = 0;
-    std::uint64_t m_prebatch = 0;
-    for (std::size_t k = 0; k < count; ++k) {
-      const auto a = addr + static_cast<std::uintptr_t>(
-                                static_cast<std::ptrdiff_t>(k) * stride);
-      m_scalar += scalar_l1.access(a, elem, is_write);
-      m_prebatch += prebatch_l1.access_prebatch(a, elem, is_write);
-    }
+    for (std::size_t k = 0; k < count; ++k)
+      m_scalar += scalar_l1.access(
+          addr + static_cast<std::uintptr_t>(static_cast<std::ptrdiff_t>(k) * stride),
+          elem, is_write);
     EXPECT_EQ(m_batched, m_scalar) << "returned miss count diverged";
-    EXPECT_EQ(m_batched, m_prebatch) << "prebatch miss count diverged";
   }
 
   void check(const char* what) {
     expect_equal_counters(batched_l1.counters(), scalar_l1.counters(), what);
     expect_equal_counters(batched_l2.counters(), scalar_l2.counters(), what);
-    expect_equal_counters(batched_l1.counters(), prebatch_l1.counters(), what);
-    expect_equal_counters(batched_l2.counters(), prebatch_l2.counters(), what);
   }
 
   CacheSim batched_l1, batched_l2;
   CacheSim scalar_l1, scalar_l2;
-  CacheSim prebatch_l1, prebatch_l2;
 };
 
 TEST(AccessRun, SequentialSweepMatchesScalar) {
@@ -106,7 +94,6 @@ TEST(AccessRun, FlushPreservesEquivalence) {
   p.run(0x10000, 8, 20000, 8, true);
   p.batched_l1.flush();
   p.scalar_l1.flush();
-  p.prebatch_l1.flush();
   // Post-flush behaviour must match: same misses, evictions, writebacks.
   p.run(0x10000, 8, 20000, 8, false);
   p.run(0x10000, 640, 2000, 8, true);
@@ -134,12 +121,10 @@ TEST(AccessRun, RandomizedScheduleMatchesScalar) {
       if (rng.uniform_int(0, 9) == 0) {
         p.batched_l1.flush();
         p.scalar_l1.flush();
-        p.prebatch_l1.flush();
       }
       if (rng.uniform_int(0, 9) == 0) {
         p.batched_l2.flush();
         p.scalar_l2.flush();
-        p.prebatch_l2.flush();
       }
     }
     p.check("randomized schedule");
