@@ -1,16 +1,20 @@
 // Ablation — load-balancing policy (DESIGN.md design-choice ablation).
 //
-// AMRMesh "results in load-balancing and domain (re-)decomposition". The
-// default policy cuts each new fine level's boxes to the per-rank share
+// AMRMesh "results in load-balancing and domain (re-)decomposition". It
+// cuts each new fine level's boxes to the per-rank share
 // (amr::split_for_balance) and places them by knapsack/LPT on cell
-// counts. This bench reports two views of the case-study decomposition on
+// counts, its only placement. This bench reports two views of the case-study decomposition on
 // 3 ranks, both deterministic (the mesh, the cutting and the min-heap
 // placement are), so scripts/bench_gate.py gates them via
 // bench/baselines/loadbalance.json: a placement change that worsens the
 // decomposition fails CI.
 //
-//  * Snapshot: knapsack vs round-robin placement of the hierarchy after 4
-//    steps, cell-count imbalance (max/mean per rank) per level.
+//  * Snapshot: the hierarchy after 4 steps, cell-count imbalance (max/mean
+//    per rank) per level, under the LPT owners the run installed and under
+//    round-robin owners (patch k on rank k mod 3) computed here over the
+//    same patch list. The patch set does not depend on the owners: the
+//    flags come from the physics, which is identical on any placement, and
+//    split_for_balance cuts for LPT.
 //  * Stepped: the load that sets the step. Every rank's subcycle-weighted
 //    cell updates (a level-l cell is advanced ratio^l times per coarse
 //    step) averaged over all steps of a 120-step run with regrids every 4
@@ -23,14 +27,24 @@
 
 namespace {
 
-/// Per-level imbalance after running the case study under a policy.
-std::vector<double> run_with_policy(amr::BalancePolicy policy) {
+/// Per-level imbalance of the case-study hierarchy after 4 steps: LPT (the
+/// owners AMRMesh installed) and round robin (patch k on rank k mod 3).
+struct Snapshot {
+  std::vector<double> knap, rr;
+};
+
+Snapshot snapshot_imbalances() {
   components::AppConfig cfg = components::AppConfig::case_study();
-  cfg.mesh.balance = policy;
   cfg.driver.nsteps = 4;
   cfg.driver.regrid_interval = 2;
 
-  std::vector<double> imbalances;
+  auto imbalance = [](const std::vector<long>& load) {
+    const long total = load[0] + load[1] + load[2];
+    const long peak = std::max({load[0], load[1], load[2]});
+    return total > 0 ? 3.0 * static_cast<double>(peak) / static_cast<double>(total)
+                     : 1.0;
+  };
+  Snapshot snap;
   mpp::Runtime::run(3, [&](mpp::Comm& world) {
     auto fw = components::assemble_app(world, cfg);
     fw->services("driver").provided_as<components::GoPort>("go")->go();
@@ -38,17 +52,17 @@ std::vector<double> run_with_policy(amr::BalancePolicy policy) {
     auto* mesh = fw->services("driver").get_port_as<components::MeshPort>("mesh");
     amr::Hierarchy& h = mesh->hierarchy();
     for (int l = 0; l < h.num_levels(); ++l) {
-      std::vector<long> load(3, 0);
-      for (const auto& p : h.level(l).patches())
-        load[static_cast<std::size_t>(p.owner)] += p.box.num_pts();
-      const long total = load[0] + load[1] + load[2];
-      const long peak = std::max({load[0], load[1], load[2]});
-      imbalances.push_back(total > 0 ? 3.0 * static_cast<double>(peak) /
-                                           static_cast<double>(total)
-                                     : 1.0);
+      std::vector<long> knap(3, 0), rr(3, 0);
+      const auto& patches = h.level(l).patches();
+      for (std::size_t k = 0; k < patches.size(); ++k) {
+        knap[static_cast<std::size_t>(patches[k].owner)] += patches[k].box.num_pts();
+        rr[k % 3] += patches[k].box.num_pts();
+      }
+      snap.knap.push_back(imbalance(knap));
+      snap.rr.push_back(imbalance(rr));
     }
   });
-  return imbalances;
+  return snap;
 }
 
 /// Per-rank subcycle-weighted cell updates, per level, averaged over
@@ -100,8 +114,7 @@ double imbalance_of(const std::vector<double>& load) {
 int main() {
   std::cout << "Ablation: load-balance policy on the case-study hierarchy "
                "(imbalance = max rank cells / mean rank cells; 1.0 is perfect)\n\n";
-  const auto knap = run_with_policy(amr::BalancePolicy::knapsack);
-  const auto rr = run_with_policy(amr::BalancePolicy::round_robin);
+  const auto [knap, rr] = snapshot_imbalances();
 
   ccaperf::TextTable t;
   t.set_header({"level", "knapsack (LPT)", "round robin"});

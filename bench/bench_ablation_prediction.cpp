@@ -71,7 +71,6 @@ int main() {
   const components::AppConfig base_cfg = tiny_config(48, 24);
 
   core::Fig01TrainSpec spec;  // ranks {2,4,8} x threads {1,2}
-  spec.reps = reps;
   spec.steps_hi = 14;  // longer differencing window: less scheduler noise
   // Second-size capture: measures how the AMR workload actually scales
   // with the base grid (the refined levels track the shock, not the

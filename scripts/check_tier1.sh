@@ -323,19 +323,16 @@ PY
   # Every level runs the same per-line States algorithm, so agreeing with
   # each other cannot catch a bug they share: pin each level to the
   # case study's known density digests as well. The Godunov vector solve
-  # is checked against exact_riemann face by face on seeded inputs that
-  # reach every wave pattern, at each forced level.
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_components test_euler
+  # needs no run per level here: SimdKernels.GodunovFluxBitIdenticalAcrossIsa
+  # already sets every level the host supports in-process (set_isa ignores
+  # CCAPERF_SIMD), and tier-1 runs it once.
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target test_components
   # The grep keeps a renamed test from passing as an empty selection.
   for isa in scalar avx2 native; do
     CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/components/test_components" \
       --gtest_filter='App.CaseStudyDigestKnownAnswer' --gtest_brief=1 |
       tee "${SMOKE_DIR}/known-answer-${isa}.out"
     grep -q '^\[  PASSED  \] 1 test\.$' "${SMOKE_DIR}/known-answer-${isa}.out"
-    CCAPERF_SIMD="${isa}" "${BUILD_DIR}/tests/euler/test_euler" \
-      --gtest_filter='SimdKernels.GodunovFluxBitIdenticalAcrossIsa' \
-      --gtest_brief=1 | tee "${SMOKE_DIR}/godunov-${isa}.out"
-    grep -q '^\[  PASSED  \] 1 test\.$' "${SMOKE_DIR}/godunov-${isa}.out"
   done
   # Lanes reorder the work (RK2 runs a level's largest patch first, rows
   # are shared between lanes) but must not move a bit of the field.

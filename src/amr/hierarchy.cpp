@@ -87,7 +87,7 @@ void Hierarchy::init_level0() {
       lvl.patches().push_back(PatchInfo{next_patch_id_++, Box{ilo, jlo, ihi, jhi}, 0});
     }
   }
-  balance_owners(lvl.patches(), nranks(), cfg_.balance);
+  balance_owners(lvl.patches(), nranks());
   allocate_local(lvl);
   levels_.push_back(std::move(lvl));
 }
@@ -364,7 +364,7 @@ void Hierarchy::regrid(const FlagFn& flag_fn, const BcSpec& bc) {
       if (b.empty()) continue;
       fresh.patches().push_back(PatchInfo{next_patch_id_++, b.refined(r), 0});
     }
-    balance_owners(fresh.patches(), nranks(), cfg_.balance);
+    balance_owners(fresh.patches(), nranks());
     allocate_local(fresh);
 
     if (fresh.patches().empty()) {
@@ -408,31 +408,6 @@ void Hierarchy::regrid(const FlagFn& flag_fn, const BcSpec& bc) {
     else
       levels_.push_back(std::move(fresh));
   }
-}
-
-double Hierarchy::rebalance() {
-  double worst = 1.0;
-  for (Level& lvl : levels_) {
-    std::vector<PatchInfo> rebal = lvl.patches();
-    const double imbalance = balance_owners(rebal, nranks(), cfg_.balance);
-    worst = std::max(worst, imbalance);
-
-    Level fresh(lvl.index(), lvl.domain(), lvl.ratio_to_coarser());
-    fresh.patches() = rebal;
-    allocate_local(fresh);
-
-    auto src_fn = [&lvl](int id) -> const PatchData<double>* {
-      return lvl.has_data(id) ? &lvl.data(id) : nullptr;
-    };
-    auto dst_fn = [&fresh](int id) -> PatchData<double>* {
-      return fresh.has_data(id) ? &fresh.data(id) : nullptr;
-    };
-    exchange_copy(comm_, lvl.patches(), src_fn, fresh.patches(), dst_fn,
-                  [](const PatchInfo& p) { return p.box; },
-                  /*skip_same_id=*/false, next_tag(1));
-    lvl = std::move(fresh);
-  }
-  return worst;
 }
 
 long Hierarchy::total_cells() const {

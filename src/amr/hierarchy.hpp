@@ -10,7 +10,8 @@
 // different grid densities" (paper §5).
 //
 // Responsibilities:
-//  * level-0 domain decomposition and load balancing;
+//  * level-0 domain decomposition and load balancing (greedy LPT,
+//    balance_owners; level 0 keeps this placement for the whole run);
 //  * ghost-cell updates (same-level exchange + coarse->fine prolongation +
 //    physical BC) — the paper's "ghost-cell updates on patches (gets data
 //    from abutting, but off-processor patches onto a patch)";
@@ -18,8 +19,9 @@
 //  * regridding: error flagging (caller-supplied estimator) -> flag
 //    buffering -> Berger-Rigoutsos clustering -> proper-nesting clip ->
 //    cutting boxes for balance (split_for_balance: the union, and so the
-//    refined region, is unchanged) -> load balancing -> data migration
-//    from the old hierarchy;
+//    refined region, is unchanged) -> load balancing (balance_owners on
+//    each new level, its one placement) -> data migration from the old
+//    hierarchy;
 //  * a monotone message-tag allocator so concurrent exchange plans never
 //    collide.
 //
@@ -54,7 +56,6 @@ struct HierarchyConfig {
   int level0_patch_size = 32;  ///< target tile edge for the base decomposition
   ClusterParams cluster{0.80, 8, 96};
   int flag_buffer = 2;         ///< dilation of error flags before clustering
-  BalancePolicy balance = BalancePolicy::knapsack;
   Geometry geom;
 };
 
@@ -114,11 +115,9 @@ class Hierarchy {
   /// flagged — estimators may read one ghost layer (newly created
   /// intermediate levels would otherwise expose uninitialized ghosts to
   /// the flagger, producing spurious refinement along patch seams).
+  /// Interiors of the rebuilt levels are valid on return; their ghosts are
+  /// not until the next prolong + exchange_and_bc (or fill_ghosts).
   void regrid(const FlagFn& flag_fn, const BcSpec& bc = BcSpec{});
-
-  /// Re-assigns owners on every level and migrates data. Returns the new
-  /// load imbalance (max/mean). Collective.
-  double rebalance();
 
   long total_cells() const;
 

@@ -46,32 +46,6 @@ void place_lpt(const std::vector<long>& weight, int nranks,
   }
 }
 
-/// Shared assignment core over precomputed weights. Fills `load` (one
-/// entry per rank) as a side effect.
-void assign_owners(std::vector<PatchInfo>& patches, int nranks,
-                   BalancePolicy policy, const std::vector<long>& weight,
-                   std::vector<long>& load) {
-  switch (policy) {
-    case BalancePolicy::round_robin: {
-      load.assign(static_cast<std::size_t>(nranks), 0);
-      int next = 0;
-      for (std::size_t k = 0; k < patches.size(); ++k) {
-        patches[k].owner = next;
-        load[static_cast<std::size_t>(next)] += weight[k];
-        next = (next + 1) % nranks;
-      }
-      break;
-    }
-    case BalancePolicy::knapsack: {
-      std::vector<int> owner;
-      place_lpt(weight, nranks, owner, load);
-      for (std::size_t k = 0; k < patches.size(); ++k)
-        patches[k].owner = owner[k];
-      break;
-    }
-  }
-}
-
 /// Cuts `b` into `n` slabs of near-equal width (widths differ by at most
 /// one cell) across its longer side, appended to `out` in index order.
 void cut_slabs(const Box& b, int n, std::vector<Box>& out) {
@@ -155,16 +129,17 @@ std::vector<Box> split_for_balance(std::vector<Box> boxes, int nranks,
   return boxes;
 }
 
-double balance_owners(std::vector<PatchInfo>& patches, int nranks,
-                      BalancePolicy policy) {
+double balance_owners(std::vector<PatchInfo>& patches, int nranks) {
   CCAPERF_REQUIRE(nranks >= 1, "balance_owners: nranks >= 1");
   // Weights are precomputed once so the sort comparator doesn't recompute
   // box areas.
   std::vector<long> weight(patches.size());
   for (std::size_t k = 0; k < patches.size(); ++k)
     weight[k] = patches[k].box.num_pts();
+  std::vector<int> owner;
   std::vector<long> load;
-  assign_owners(patches, nranks, policy, weight, load);
+  place_lpt(weight, nranks, owner, load);
+  for (std::size_t k = 0; k < patches.size(); ++k) patches[k].owner = owner[k];
   const long total = std::accumulate(load.begin(), load.end(), 0L);
   const long peak =
       load.empty() ? 0 : *std::max_element(load.begin(), load.end());

@@ -5,23 +5,18 @@
 //    box outweighs a rank's share, then bisects further while that lowers
 //    the placement's makespan (Berger-Rigoutsos leaves a few large boxes,
 //    often one, and a placement cannot divide a box);
-//  * balance_owners places the patches. The default policy is greedy
-//    longest-processing-time (a knapsack-style heuristic): heaviest patch
+//  * balance_owners places the patches by greedy longest-processing-time
+//    (a knapsack-style heuristic), the only placement: heaviest patch
 //    (most cells) first, each onto the currently least-loaded rank via a
 //    min-heap of rank loads (O(log ranks) per placement), ties to the
-//    lowest rank.
-// A round-robin policy is kept for the load-balance ablation bench.
+//    lowest rank. The result depends only on the boxes and the rank
+//    count, so placing a level twice gives the same owners.
 
 #include <vector>
 
 #include "amr/level.hpp"
 
 namespace amr {
-
-enum class BalancePolicy {
-  knapsack,     ///< greedy LPT on cell counts (default)
-  round_robin,  ///< ignore weights; cycle ranks in patch order
-};
 
 /// Cuts `boxes` for balance on `nranks` ranks; the returned pieces are
 /// disjoint and cover exactly the cells of `boxes`. First every box with
@@ -38,11 +33,11 @@ std::vector<Box> split_for_balance(std::vector<Box> boxes, int nranks,
 /// Heaviest rank's cell count when `boxes` are placed by greedy LPT.
 long lpt_makespan(const std::vector<Box>& boxes, int nranks);
 
-/// Assigns `owner` for every patch. Returns the load imbalance ratio
-/// max_rank_cells / mean_rank_cells (1.0 == perfect). Patch metadata is
-/// replicated, so every rank computes every weight and the identical
-/// assignment locally; balancing sends no messages.
-double balance_owners(std::vector<PatchInfo>& patches, int nranks,
-                      BalancePolicy policy = BalancePolicy::knapsack);
+/// Assigns `owner` for every patch by greedy LPT on cell counts. Returns
+/// the load imbalance ratio max_rank_cells / mean_rank_cells (1.0 ==
+/// perfect). Patch metadata is replicated, so every rank computes every
+/// weight and the identical assignment locally; balancing sends no
+/// messages.
+double balance_owners(std::vector<PatchInfo>& patches, int nranks);
 
 }  // namespace amr

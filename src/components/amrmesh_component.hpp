@@ -50,12 +50,7 @@ class AMRMeshComponent final : public cca::Component, public MeshPort {
     hierarchy_.restrict_level(fine_level);
   }
 
-  void regrid() override {
-    hierarchy_.regrid(problem_.flagger(), bc_);
-    hierarchy_.rebalance();
-    for (int l = 0; l < hierarchy_.num_levels(); ++l)
-      hierarchy_.fill_ghosts(l, bc_);
-  }
+  void regrid() override { hierarchy_.regrid(problem_.flagger(), bc_); }
 
   const amr::BcSpec& bc() const { return bc_; }
   const euler::ShockInterfaceProblem& problem() const { return problem_; }

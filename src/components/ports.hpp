@@ -70,8 +70,10 @@ class MeshPort : public cca::Port {
   virtual void prolong(int level) = 0;
   /// Conservative fine->coarse averaging.
   virtual void restrict_level(int fine_level) = 0;
-  /// Re-flag, re-cluster, re-balance, migrate (the paper's "load-balancing
-  /// and domain (re-)decomposition" method).
+  /// Re-flag, re-cluster, balance, migrate (the paper's "load-balancing
+  /// and domain (re-)decomposition" method). Leaves interiors valid; ghosts
+  /// are valid again only after the next prolong + ghost_update, which
+  /// RK2 always runs on a level before reading it.
   virtual void regrid() = 0;
 };
 

@@ -12,7 +12,8 @@ namespace components {
 struct DriverConfig {
   int nsteps = 8;
   double cfl = 0.4;
-  /// Regrid (and rebalance) every `regrid_interval` steps; 0 disables.
+  /// Regrid (which also load-balances the new levels) every
+  /// `regrid_interval` steps; 0 disables.
   int regrid_interval = 4;
 };
 

@@ -293,13 +293,6 @@ std::vector<double> measure_fig01_points(
   return step_us;
 }
 
-double measure_fig01_step_us(const components::AppConfig& cfg, int ranks,
-                             int threads, int steps_lo, int steps_hi, int reps) {
-  return measure_fig01_points({Fig01MeasureRequest{cfg, ranks, threads}},
-                              steps_lo, steps_hi, reps)
-      .front();
-}
-
 Fig01Pattern build_fig01_pattern(Fig01Workload workload) {
   Fig01Pattern p;
   PatternModel& t = p.tree;
@@ -346,24 +339,11 @@ Fig01Pattern build_fig01_pattern(Fig01Workload workload) {
   return p;
 }
 
-Fig01Calibration calibrate_fig01(const components::AppConfig& cfg,
-                                 const Fig01TrainSpec& spec) {
-  CCAPERF_REQUIRE(!spec.ranks.empty() && !spec.threads.empty(),
-                  "calibrate_fig01: empty training grid");
-  std::vector<Fig01MeasureRequest> grid;
-  for (int ranks : spec.ranks)
-    for (int threads : spec.threads)
-      grid.push_back(Fig01MeasureRequest{cfg, ranks, threads});
-  return calibrate_fig01_measured(
-      cfg, spec,
-      measure_fig01_points(grid, spec.steps_lo, spec.steps_hi, spec.reps));
-}
-
 Fig01Calibration calibrate_fig01_measured(
     const components::AppConfig& cfg, const Fig01TrainSpec& spec,
     const std::vector<double>& train_step_us) {
   CCAPERF_REQUIRE(!spec.ranks.empty() && !spec.threads.empty(),
-                  "calibrate_fig01: empty training grid");
+                  "calibrate_fig01_measured: empty training grid");
   CCAPERF_REQUIRE(
       train_step_us.size() == spec.ranks.size() * spec.threads.size(),
       "calibrate_fig01_measured: one wall time per training-grid point");
@@ -400,8 +380,9 @@ Fig01Calibration calibrate_fig01_measured(
     (pt.threads == 1 ? stage1 : stage2).push_back(o);
     all.push_back(o);
   }
-  CCAPERF_REQUIRE(stage1.size() >= 3,
-                  "calibrate_fig01: need >= 3 single-lane training points");
+  CCAPERF_REQUIRE(
+      stage1.size() >= 3,
+      "calibrate_fig01_measured: need >= 3 single-lane training points");
 
   // Stage 1 pins {kappa, gamma, beta} on the single-lane points (the
   // MapParallel factor is exactly 1 and the fork-join term 0 at L = 1);

@@ -87,12 +87,6 @@ Fig01Workload collect_fig01_workload(const components::AppConfig& cfg,
 /// upward extrapolation — bench_ablation_prediction quantifies both.
 void fit_workload_q_scaling(Fig01Workload& w, const Fig01Workload& probe);
 
-/// Marginal per-step wall time (us) of the plain (uninstrumented) app at
-/// (ranks, threads): min-over-reps wall at each step count, differenced.
-/// Each rank sets its own pool to `threads` lanes.
-double measure_fig01_step_us(const components::AppConfig& cfg, int ranks,
-                             int threads, int steps_lo, int steps_hi, int reps);
-
 /// Marginal per-step wall (us) of request `point` from its best walls at
 /// two step counts `dsteps` apart: (best_hi_us - best_lo_us) / dsteps.
 /// Raises ccaperf::Error naming the point and both walls when best_hi_us
@@ -155,14 +149,13 @@ struct Fig01Point {
   double step_us = 0.0;  ///< marginal per-step wall — what the tree predicts
 };
 
-/// Training-grid shape for calibrate_fig01().
+/// Training-grid shape for calibrate_fig01_measured().
 struct Fig01TrainSpec {
   std::vector<int> ranks = {2, 4, 8};
   std::vector<int> threads = {1, 2};
   int capture_ranks = 2;
   int steps_lo = 2;
   int steps_hi = 6;
-  int reps = 3;
   /// Extra instrumented captures at other problem sizes (the app config's
   /// domain scaled — size scaling is app-specific, so the caller builds
   /// them). When non-empty, the first is used to fit the leaves'
@@ -189,15 +182,11 @@ struct Fig01Calibration {
   PatternModel::CalibrationReport refit;
 };
 
-/// Capture + build + measure the training grid + two-stage calibration.
-Fig01Calibration calibrate_fig01(const components::AppConfig& cfg,
-                                 const Fig01TrainSpec& spec);
-
-/// As calibrate_fig01, but with the training-grid walls already measured
-/// — e.g. by a measure_fig01_points round-robin shared with the
-/// validation points, so train and holdout sample the same host-load
-/// eras. `train_step_us` must align with spec's grid in ranks-major,
-/// threads-minor order.
+/// Capture + build + two-stage calibration over training-grid walls
+/// already measured by measure_fig01_points — best in one round-robin
+/// shared with the validation points, so train and holdout sample the same
+/// host-load eras. `train_step_us` must align with spec's grid in
+/// ranks-major, threads-minor order.
 Fig01Calibration calibrate_fig01_measured(
     const components::AppConfig& cfg, const Fig01TrainSpec& spec,
     const std::vector<double>& train_step_us);

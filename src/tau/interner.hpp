@@ -1,11 +1,12 @@
 #pragma once
-// tau::NameInterner — the open-addressing string interner the Registry's
-// timer table pioneered (FNV-1a, power-of-two buckets holding id+1, linear
-// probing, load factor kept under 1/2), factored out so other dense-id
-// tables can reuse it instead of growing their own linear scans:
+// tau::NameInterner — an open-addressing string interner (FNV-1a,
+// power-of-two buckets holding id+1, linear probing, load factor kept
+// under 1/2) for every dense-id name table:
 //
+//  * Registry::timer() interns timer names to dense TimerIds (the MPI hook
+//    adapter looks a timer up by name on every hook);
 //  * Registry::trace_string() interns slice-argument names and instant
-//    labels (previously an O(strings) scan per call);
+//    labels;
 //  * core::TelemetryHub interns session names to dense SessionIds.
 //
 // The interner is deliberately *not* internally synchronized ("shard-safe"

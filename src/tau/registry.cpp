@@ -10,63 +10,24 @@ double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-/// FNV-1a over the name bytes — cheap, allocation-free, good enough for a
-/// table whose keys are a few dozen distinct method/timer names.
-std::uint64_t hash_name(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
-// --- name interner -----------------------------------------------------------
-
-std::size_t Registry::probe_name(std::string_view name) const {
-  // Returns the bucket holding `name`, or the empty bucket where it would
-  // be inserted. Callers guarantee the table is non-empty and not full.
-  const std::size_t mask = name_buckets_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(hash_name(name)) & mask;
-  while (true) {
-    const std::uint32_t v = name_buckets_[b];
-    if (v == 0 || timers_[v - 1].name == name) return b;
-    b = (b + 1) & mask;
-  }
-}
-
-void Registry::rehash_names(std::size_t capacity) {
-  name_buckets_.assign(capacity, 0);
-  for (TimerId id = 0; id < timers_.size(); ++id) {
-    const std::size_t b = probe_name(timers_[id].name);
-    name_buckets_[b] = static_cast<std::uint32_t>(id) + 1;
-  }
-}
+// --- timer names -------------------------------------------------------------
 
 TimerId Registry::timer(std::string_view name, std::string_view group) {
-  if (name_buckets_.empty()) rehash_names(64);
-  std::size_t b = probe_name(name);
-  if (name_buckets_[b] != 0) return name_buckets_[b] - 1;
-
-  const TimerId id = timers_.size();
+  // The interner hands out ids densely in first-sight order, so a name seen
+  // for the first time gets exactly the next timer slot.
+  const TimerId id = timer_names_.intern(name);
+  if (id < timers_.size()) return id;
   timers_.push_back(TimerStats{std::string(name), std::string(group), 0, 0.0, 0.0});
   active_depth_.push_back(0);
   timer_group_.push_back(intern_group(group));
   timer_gen_.push_back(0);
-  // Keep load factor under 1/2 so probes stay short.
-  if ((timers_.size() + 1) * 2 > name_buckets_.size()) {
-    rehash_names(name_buckets_.size() * 2);
-    b = probe_name(name);
-  }
-  name_buckets_[b] = static_cast<std::uint32_t>(id) + 1;
   return id;
 }
 
 bool Registry::has_timer(std::string_view name) const {
-  if (name_buckets_.empty()) return false;
-  return name_buckets_[probe_name(name)] != 0;
+  return timer_names_.contains(name);
 }
 
 // --- groups ------------------------------------------------------------------

@@ -222,16 +222,11 @@ class Registry {
   const Group* find_group(std::string_view group) const;
   void touch(TimerId id);
 
-  // Open-addressing interner over timer names: buckets hold id+1 (0 =
-  // empty); names live in timers_. Power-of-two capacity, linear probing.
-  std::size_t probe_name(std::string_view name) const;
-  void rehash_names(std::size_t capacity);
-
   std::vector<TimerStats> timers_;
   std::vector<std::uint64_t> active_depth_;  // per timer
   std::vector<GroupId> timer_group_;         // per timer
   std::vector<Generation> timer_gen_;        // per timer: last start/stop
-  std::vector<std::uint32_t> name_buckets_;  // interner table, id+1
+  NameInterner timer_names_;                 // timer name -> TimerId
   std::vector<Group> groups_;
   std::vector<Frame> stack_;
   std::map<std::string, AtomicEvent> events_;

@@ -1,6 +1,6 @@
 // GridHierarchy: level-0 tiling, ghost fills (exchange + prolongation +
-// BC), conservative restriction, regridding with proper nesting, and
-// rebalance data preservation — each checked on 1 and 3 ranks.
+// BC), conservative restriction and regridding with proper nesting —
+// each checked on 1 and 3 ranks.
 
 #include <gtest/gtest.h>
 
@@ -236,36 +236,6 @@ TEST(Hierarchy, RestrictionConservesLinearField) {
           }
       }
     }
-  });
-}
-
-TEST(Hierarchy, RebalancePreservesData) {
-  mpp::Runtime::run(3, [](mpp::Comm& world) {
-    auto cfg = small_config();
-    cfg.balance = amr::BalancePolicy::round_robin;
-    Hierarchy h(world, cfg);
-    h.init_level0();
-    fill_linear(h, 1.0, 2.0);
-    double before = 0.0;
-    for (auto& [id, data] : h.level(0).local_data()) {
-      const Box box = h.level(0).patch(id).box;
-      for (int j = box.lo().j; j <= box.hi().j; ++j)
-        for (int i = box.lo().i; i <= box.hi().i; ++i) before += data(i, j, 0);
-    }
-    before = world.allreduce_value<>(before);
-
-    // Flip the policy so owners actually change, then rebalance.
-    const double imbalance = h.rebalance();
-    EXPECT_GE(imbalance, 1.0);
-
-    double after = 0.0;
-    for (auto& [id, data] : h.level(0).local_data()) {
-      const Box box = h.level(0).patch(id).box;
-      for (int j = box.lo().j; j <= box.hi().j; ++j)
-        for (int i = box.lo().i; i <= box.hi().i; ++i) after += data(i, j, 0);
-    }
-    after = world.allreduce_value<>(after);
-    EXPECT_NEAR(before, after, 1e-9);
   });
 }
 

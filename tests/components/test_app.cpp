@@ -308,6 +308,43 @@ std::uint64_t density_digest(int nranks, const AppConfig& cfg) {
   return all;
 }
 
+TEST(App, RegridInstallsLptOwners) {
+  // AMRMesh places each level once: init_level0 and every regrid install
+  // greedy-LPT owners, so placing any level's patch list again must return
+  // exactly the owners already there. This is why regrid needs no
+  // rebalance pass afterwards.
+  for (int nranks = 1; nranks <= 4; ++nranks) {
+    AppConfig cfg = AppConfig::case_study();
+    constexpr int kSteps = 13;  // regrids after steps 4, 8 and 12
+    std::vector<int> regrids(static_cast<std::size_t>(nranks), 0);
+    mpp::Runtime::run(nranks, [&](mpp::Comm& world) {
+      auto fw = components::assemble_app(world, cfg);
+      cca::Services& driver = fw->services("driver");
+      auto* mesh = driver.get_port_as<components::MeshPort>("mesh");
+      auto* integrator =
+          driver.get_port_as<components::IntegratorPort>("integrator");
+      amr::Hierarchy& h = mesh->hierarchy();
+      mesh->initialize();
+      for (int step = 1; step <= kSteps; ++step) {
+        integrator->advance(integrator->stable_dt(cfg.driver.cfl));
+        if (step % cfg.driver.regrid_interval != 0) continue;
+        mesh->regrid();
+        ++regrids[static_cast<std::size_t>(world.rank())];
+        ASSERT_EQ(h.num_levels(), cfg.mesh.max_levels);
+        for (int l = 0; l < h.num_levels(); ++l) {
+          std::vector<amr::PatchInfo> placed = h.level(l).patches();
+          amr::balance_owners(placed, nranks);
+          for (std::size_t k = 0; k < placed.size(); ++k)
+            EXPECT_EQ(placed[k].owner, h.level(l).patches()[k].owner)
+                << nranks << " rank(s), step " << step << ", level " << l
+                << ", patch " << k;
+        }
+      }
+    });
+    for (const int n : regrids) EXPECT_EQ(n, 3) << nranks << " rank(s)";
+  }
+}
+
 TEST(App, CaseStudyDigestKnownAnswer) {
   // Known answers pinned across commits: every other bitwise check
   // compares two runs of one binary, so a change that moves the physics

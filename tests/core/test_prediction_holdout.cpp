@@ -39,7 +39,7 @@ TEST(PredictionHoldout, SixteenRanksFourLanesWithinCeiling) {
   spec.capture_ranks = 2;
   spec.steps_lo = 2;
   spec.steps_hi = 6;
-  spec.reps = 2;
+  constexpr int kReps = 2;
 
   // Held-out point: more ranks and more lanes than any training point.
   // Measured in the same interleaved round-robin as the training grid so
@@ -52,7 +52,7 @@ TEST(PredictionHoldout, SixteenRanksFourLanesWithinCeiling) {
   requests.push_back(core::Fig01MeasureRequest{cfg, ranks, threads});
   std::vector<double> busy;
   const std::vector<double> walls = core::measure_fig01_points(
-      requests, spec.steps_lo, spec.steps_hi, spec.reps, &busy);
+      requests, spec.steps_lo, spec.steps_hi, kReps, &busy);
   const std::vector<double> train_walls(walls.begin(), walls.end() - 1);
   // Every point spends CPU on its extra steps, whatever the host.
   ASSERT_EQ(busy.size(), requests.size());
