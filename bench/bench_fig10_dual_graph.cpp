@@ -122,8 +122,8 @@ int main() {
                ccaperf::fmt_double(choice.cost / 1000.0, 5)});
   t.render(std::cout);
 
-  const auto fast = opt.best(0.0);
-  const auto accurate = opt.best(10.0);
+  const auto fast = all.front();
+  const auto accurate = opt.evaluate_all(10.0).front();
 
   // Dynamic replacement: reconnect the live app's flux port to the winner.
   mpp::Runtime::run(1, [&](mpp::Comm& world) {

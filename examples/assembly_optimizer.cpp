@@ -50,7 +50,7 @@ int main() {
   std::string prev;
   double crossover = -1.0;
   for (double w = 0.0; w <= 8.0; w += 0.5) {
-    const auto best = opt.best(w);
+    const auto best = opt.evaluate_all(w).front();
     const std::string& pick = best.selection.at("euler.FluxPort");
     if (!prev.empty() && pick != prev && crossover < 0) crossover = w;
     prev = pick;
@@ -61,7 +61,7 @@ int main() {
   t.render(std::cout);
 
   std::cout << "\nperformance-only choice : "
-            << opt.best(0.0).selection.at("euler.FluxPort")
+            << opt.evaluate_all(0.0).front().selection.at("euler.FluxPort")
             << "  (the paper: \"from a performance point of view, EFMFlux has "
                "better characteristics\")\n";
   if (crossover >= 0)

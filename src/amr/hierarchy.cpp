@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "support/thread_pool.hpp"
@@ -113,32 +112,30 @@ ExchangeStats Hierarchy::exchange_and_bc(int l, const BcSpec& bc) {
   return stats;
 }
 
-std::map<int, PatchData<double>> Hierarchy::gather_coarse_halos(const Level& coarse,
-                                                                const Level& fine) {
+std::vector<PatchData<double>> Hierarchy::gather_coarse_halos(const Level& coarse,
+                                                              const Level& fine) {
   const int r = cfg_.ratio;
   const Box cdom = coarse.domain();
+  const std::vector<PatchInfo>& fp = fine.patches();
 
   // Identical synthetic destination set on every rank: one halo patch per
-  // fine patch, on coarse index space, owned by the fine patch's owner.
+  // fine patch, on coarse index space, owned by the fine patch's owner and
+  // identified by the fine patch's position in the list.
   std::vector<PatchInfo> halos_meta;
-  halos_meta.reserve(fine.patches().size());
-  for (const PatchInfo& f : fine.patches()) {
-    const Box halo = f.box.grown(cfg_.nghost).coarsened(r) & cdom;
-    halos_meta.push_back(PatchInfo{f.id, halo, f.owner});
-  }
-
-  std::map<int, PatchData<double>> halos;
-  for (const PatchInfo& h : halos_meta) {
-    if (h.owner != rank() || h.box.empty()) continue;
-    halos.emplace(h.id, PatchData<double>(h.box, 0, cfg_.ncomp, 0.0));
+  halos_meta.reserve(fp.size());
+  std::vector<PatchData<double>> halos(fp.size());
+  for (std::size_t k = 0; k < fp.size(); ++k) {
+    const Box halo = fp[k].box.grown(cfg_.nghost).coarsened(r) & cdom;
+    halos_meta.push_back(PatchInfo{static_cast<int>(k), halo, fp[k].owner});
+    if (fp[k].owner == rank() && !halo.empty())
+      halos[k] = PatchData<double>(halo, 0, cfg_.ncomp, 0.0);
   }
 
   auto src = [&coarse](int id) -> const PatchData<double>* {
     return coarse.has_data(id) ? &coarse.data(id) : nullptr;
   };
-  auto dst = [&halos](int id) -> PatchData<double>* {
-    auto it = halos.find(id);
-    return it == halos.end() ? nullptr : &it->second;
+  auto dst = [&halos](int k) -> PatchData<double>* {
+    return &halos[static_cast<std::size_t>(k)];
   };
   exchange_copy(comm_, coarse.patches(), src, halos_meta, dst,
                 [](const PatchInfo& p) { return p.box; },
@@ -210,13 +207,10 @@ void Hierarchy::interpolate_patch(const PatchData<double>& coarse_halo,
   }
 }
 
-void Hierarchy::prolong(int fine_l, bool ghosts_only) {
-  CCAPERF_REQUIRE(fine_l >= 1 && fine_l < num_levels(), "prolong: bad level");
-  Level& fine = level(fine_l);
-  const Level& coarse = level(fine_l - 1);
-  auto halos = gather_coarse_halos(coarse, fine);
+void Hierarchy::fill_from_coarse(const Level& coarse, Level& fine,
+                                 bool ghosts_only) {
+  const auto halos = gather_coarse_halos(coarse, fine);
 
-  const Box fdom = domain_at(fine_l);
   // Interpolation after the halo gather is patch-local: parallel over the
   // owned fine patches (the communication above stays on the rank thread).
   struct Job {
@@ -225,12 +219,12 @@ void Hierarchy::prolong(int fine_l, bool ghosts_only) {
     const PatchInfo* info;
   };
   std::vector<Job> jobs;
-  for (const PatchInfo& f : fine.patches()) {
-    if (f.owner != rank()) continue;
-    auto hit = halos.find(f.id);
-    if (hit == halos.end()) continue;
-    jobs.push_back(Job{&hit->second, &fine.data(f.id), &f});
+  for (std::size_t k = 0; k < halos.size(); ++k) {
+    if (halos[k].empty()) continue;
+    const PatchInfo& f = fine.patches()[k];
+    jobs.push_back(Job{&halos[k], &fine.data(f.id), &f});
   }
+  const Box fdom = fine.domain();
   ccaperf::rank_pool().parallel_for(jobs.size(), [&](std::size_t k, int) {
     const Job& job = jobs[k];
     if (ghosts_only) {
@@ -243,6 +237,11 @@ void Hierarchy::prolong(int fine_l, bool ghosts_only) {
   });
 }
 
+void Hierarchy::prolong(int fine_l, bool ghosts_only) {
+  CCAPERF_REQUIRE(fine_l >= 1 && fine_l < num_levels(), "prolong: bad level");
+  fill_from_coarse(level(fine_l - 1), level(fine_l), ghosts_only);
+}
+
 void Hierarchy::restrict_level(int fine_l) {
   CCAPERF_REQUIRE(fine_l >= 1 && fine_l < num_levels(), "restrict: bad level");
   const Level& fine = level(fine_l);
@@ -250,24 +249,27 @@ void Hierarchy::restrict_level(int fine_l) {
   const int r = cfg_.ratio;
 
   // Synthetic source set: per fine patch, its conservative average on the
-  // coarse index space, owned by the fine owner.
+  // coarse index space, owned by the fine owner and identified by the
+  // fine patch's position in the list.
+  const std::vector<PatchInfo>& fp = fine.patches();
   std::vector<PatchInfo> avg_meta;
-  avg_meta.reserve(fine.patches().size());
-  for (const PatchInfo& f : fine.patches())
-    avg_meta.push_back(PatchInfo{f.id, f.box.coarsened(r), f.owner});
+  avg_meta.reserve(fp.size());
+  std::vector<std::size_t> owned;
+  for (std::size_t k = 0; k < fp.size(); ++k) {
+    avg_meta.push_back(PatchInfo{static_cast<int>(k), fp[k].box.coarsened(r),
+                                 fp[k].owner});
+    if (fp[k].owner == rank()) owned.push_back(k);
+  }
 
-  // Conservative averages are patch-local: compute them in parallel into
-  // an indexed scratch array, then install into the map in patch order
-  // (deterministic, and map mutation stays on the rank thread).
-  std::vector<const PatchInfo*> owned;
-  for (const PatchInfo& f : fine.patches())
-    if (f.owner == rank()) owned.push_back(&f);
-  std::vector<std::optional<PatchData<double>>> avgs(owned.size());
-  ccaperf::rank_pool().parallel_for(owned.size(), [&](std::size_t k, int) {
-    const PatchInfo& f = *owned[k];
-    const Box cbox = f.box.coarsened(r);
-    PatchData<double> avg(cbox, 0, cfg_.ncomp, 0.0);
-    const PatchData<double>& src = fine.data(f.id);
+  // Conservative averages are patch-local: each is computed in parallel
+  // straight into its position's slot.
+  std::vector<PatchData<double>> avgs(fp.size());
+  ccaperf::rank_pool().parallel_for(owned.size(), [&](std::size_t i, int) {
+    const std::size_t k = owned[i];
+    const Box& cbox = avg_meta[k].box;
+    PatchData<double>& avg = avgs[k];
+    avg = PatchData<double>(cbox, 0, cfg_.ncomp, 0.0);
+    const PatchData<double>& src = fine.data(fp[k].id);
     const double inv = 1.0 / (r * r);
     const int n = cbox.width();
     for (int c = 0; c < cfg_.ncomp; ++c) {
@@ -284,15 +286,10 @@ void Hierarchy::restrict_level(int fine_l) {
         for (int x = 0; x < n; ++x) sum[x] *= inv;
       }
     }
-    avgs[k].emplace(std::move(avg));
   });
-  std::map<int, PatchData<double>> averaged;
-  for (std::size_t k = 0; k < owned.size(); ++k)
-    averaged.emplace(owned[k]->id, std::move(*avgs[k]));
 
-  auto src_fn = [&averaged](int id) -> const PatchData<double>* {
-    auto it = averaged.find(id);
-    return it == averaged.end() ? nullptr : &it->second;
+  auto src_fn = [&avgs](int k) -> const PatchData<double>* {
+    return &avgs[static_cast<std::size_t>(k)];
   };
   auto dst_fn = [&coarse](int id) -> PatchData<double>* {
     return coarse.has_data(id) ? &coarse.data(id) : nullptr;
@@ -375,20 +372,7 @@ void Hierarchy::regrid(const FlagFn& flag_fn, const BcSpec& bc) {
 
     // 6. Fill new patch interiors: prolong from level l, then overwrite
     // with old level l+1 data where it existed (exact values win).
-    {
-      auto halos = gather_coarse_halos(cur, fresh);
-      std::vector<std::pair<const PatchData<double>*, const PatchInfo*>> jobs;
-      for (const PatchInfo& f : fresh.patches()) {
-        if (f.owner != rank()) continue;
-        auto hit = halos.find(f.id);
-        if (hit == halos.end()) continue;
-        jobs.emplace_back(&hit->second, &f);
-      }
-      ccaperf::rank_pool().parallel_for(jobs.size(), [&](std::size_t k, int) {
-        interpolate_patch(*jobs[k].first, fresh.data(jobs[k].second->id),
-                          jobs[k].second->box, r);
-      });
-    }
+    fill_from_coarse(cur, fresh, /*ghosts_only=*/false);
     if (l + 1 < num_levels()) {
       Level& old = level(l + 1);
       auto src_fn = [&old](int id) -> const PatchData<double>* {

@@ -127,9 +127,15 @@ class Hierarchy {
  private:
   void allocate_local(Level& lvl);
   /// Gathers coarse donor data under the (grown) footprint of each fine
-  /// patch into per-patch halo buffers; returns halos for local patches.
-  std::map<int, PatchData<double>> gather_coarse_halos(const Level& coarse,
-                                                       const Level& fine);
+  /// patch into per-patch halo buffers, indexed by position in
+  /// fine.patches(); only this rank's patches with a non-empty footprint
+  /// get a (non-empty) buffer.
+  std::vector<PatchData<double>> gather_coarse_halos(const Level& coarse,
+                                                     const Level& fine);
+  /// Coarse->fine fill of `fine` from `coarse`: ghost cells only, or
+  /// interiors too. `fine` need not be installed yet (regrid fills a new
+  /// level before it replaces the old one).
+  void fill_from_coarse(const Level& coarse, Level& fine, bool ghosts_only);
   static void interpolate_patch(const PatchData<double>& coarse_halo,
                                 PatchData<double>& fine, const Box& target,
                                 int ratio);

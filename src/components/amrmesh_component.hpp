@@ -26,9 +26,9 @@ class AMRMeshComponent final : public cca::Component, public MeshPort {
 
   amr::Hierarchy& hierarchy() override { return hierarchy_; }
 
-  /// Builds level 0, iteratively deepens the hierarchy (each new level is
-  /// re-initialized from the exact ICs so refined regions start sharp),
-  /// and fills all ghosts.
+  /// Builds level 0 and iteratively deepens the hierarchy (each new level
+  /// is re-initialized from the exact ICs so refined regions start sharp).
+  /// Leaves interiors valid; RK2 fills a level's ghosts before reading it.
   void initialize() override {
     hierarchy_.init_level0();
     problem_.fill_hierarchy(hierarchy_);
@@ -36,8 +36,6 @@ class AMRMeshComponent final : public cca::Component, public MeshPort {
       hierarchy_.regrid(problem_.flagger(), bc_);
       problem_.fill_hierarchy(hierarchy_);
     }
-    for (int l = 0; l < hierarchy_.num_levels(); ++l)
-      hierarchy_.fill_ghosts(l, bc_);
   }
 
   amr::ExchangeStats ghost_update(int level) override {

@@ -61,8 +61,9 @@ class FluxDivergencePort : public cca::Port {
 class MeshPort : public cca::Port {
  public:
   virtual amr::Hierarchy& hierarchy() = 0;
-  /// Builds the initial hierarchy (level 0, refinement passes, IC fill,
-  /// ghost fill). Call once before stepping.
+  /// Builds the initial hierarchy (level 0, refinement passes, IC fill).
+  /// Call once before stepping. Leaves interiors valid; ghosts are valid
+  /// only after a level's first prolong + ghost_update.
   virtual void initialize() = 0;
   /// Same-level ghost-cell update + physical BCs (Isend/Irecv/Waitsome).
   virtual amr::ExchangeStats ghost_update(int level) = 0;

@@ -59,34 +59,16 @@ class AssemblyOptimizer {
 
   void add_slot(Slot slot);
 
-  /// Exhaustively evaluates all prod(Ci) assemblies at the given QoS
-  /// weight, best (lowest cost) first (stable: equal-cost assemblies keep
+  /// Evaluates all prod(Ci) assemblies at the given QoS weight, best
+  /// (lowest cost) first. The sort is stable: equal-cost assemblies keep
   /// enumeration order, which is lexicographic in the candidate indices
-  /// with slot 0 most significant — so front() is the reference `best`
-  /// is tested against).
+  /// with slot 0 most significant, so front() is the selection and ties
+  /// go to the lowest candidate indices in slot insertion order.
   std::vector<AssemblyChoice> evaluate_all(double accuracy_weight = 0.0) const;
 
-  /// Search effort counters for the branch-and-bound selection.
-  struct SearchStats {
-    std::size_t nodes_visited = 0;   ///< partial assignments expanded
-    std::size_t leaves_evaluated = 0;  ///< complete assemblies costed
-    std::size_t subtrees_pruned = 0;   ///< bound cuts
-  };
-
-  /// Best assembly by branch-and-bound: depth-first over slots with a
-  /// per-slot lower bound (remaining slots contribute at least their
-  /// cheapest candidate's time; the QoS factor can only grow as more slots
-  /// bind), pruning subtrees that cannot beat the incumbent. Exact — the
-  /// winner is identical to evaluate_all().front(), including tie-breaking
-  /// (lowest candidate indices in slot insertion order win ties).
-  AssemblyChoice best(double accuracy_weight = 0.0,
-                      SearchStats* stats = nullptr) const;
-
-  std::size_t assembly_count() const;
-
-  // --- joint assembly x ranks x threads search (DESIGN.md §13) ---------------
+  // --- joint assembly x ranks x threads selection (DESIGN.md §13) ------------
   // The per-slot time sum above cannot rank *configurations*: a rank or
-  // lane count changes every term at once. The joint search evaluates
+  // lane count changes every term at once. The joint selection evaluates
   // candidates through a composed PatternModel instead — slot i of the
   // optimizer binds to slot leaf i of the tree (creation order on both
   // sides), and a candidate substitutes its time model into that leaf.
@@ -102,31 +84,18 @@ class AssemblyOptimizer {
     double cost = 0.0;  ///< predicted_us * (1 + w * (1 - min_accuracy))
   };
 
-  /// Best (assembly, ranks, threads) by branch-and-bound: configurations
-  /// enumerate in grid order (ranks major, threads minor); within each, a
-  /// DFS over slots bounds partial assignments by completing unassigned
-  /// slot leaves with their cheapest candidate's value — a valid lower
-  /// bound because predict() is monotone non-decreasing in every slot
-  /// value. Exact: identical to best_joint_exhaustive, including the
-  /// tie-break (earliest grid point, then lowest candidate indices).
+  /// Best (assembly, ranks, threads) by enumerating every assembly at
+  /// every grid point: configurations in grid order (ranks major, threads
+  /// minor), assemblies within each in evaluate_all's order. Ties go to
+  /// the earliest grid point, then the lowest candidate indices.
   /// `base.q` supplies the problem size; base.ranks/threads are ignored.
   /// Requires tree.slot_count() == the number of added slots.
   JointChoice best_joint(const PatternModel& tree, const PatternConfig& base,
                          const std::vector<int>& ranks_grid,
                          const std::vector<int>& threads_grid,
-                         double accuracy_weight = 0.0,
-                         SearchStats* stats = nullptr) const;
-
-  /// Reference: full enumeration over the same grid with the same
-  /// deterministic tie-break. Kept for tests and ablations.
-  JointChoice best_joint_exhaustive(const PatternModel& tree,
-                                    const PatternConfig& base,
-                                    const std::vector<int>& ranks_grid,
-                                    const std::vector<int>& threads_grid,
-                                    double accuracy_weight = 0.0) const;
+                         double accuracy_weight = 0.0) const;
 
  private:
-  double slot_time(const Slot& slot, const Candidate& c) const;
   AssemblyChoice make_choice(const std::vector<std::size_t>& pick,
                              double accuracy_weight) const;
 

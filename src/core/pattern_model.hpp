@@ -38,8 +38,7 @@
 // MapParallel — calibrate such trees in stages).
 //
 // The tree is an arena (nodes are indices into one vector): no virtual
-// dispatch, cheap to copy, and the joint optimizer's branch-and-bound can
-// re-evaluate predict() thousands of times without allocation.
+// dispatch and cheap to copy.
 
 #include <cstddef>
 #include <memory>
@@ -142,9 +141,7 @@ class PatternModel {
   double predict(const PatternConfig& cfg) const;
 
   /// Same, with slot leaf i forced to the precomputed value
-  /// slot_values[i] (the joint optimizer's inner loop). predict() is
-  /// monotone non-decreasing in every slot value — the property the
-  /// branch-and-bound bound relies on.
+  /// slot_values[i] (the joint optimizer's inner loop).
   double predict_with_slot_values(const PatternConfig& cfg,
                                   const std::vector<double>& slot_values) const;
 

@@ -36,13 +36,7 @@ GroupId Registry::intern_group(std::string_view group) {
   // Handful of groups only (TAU_DEFAULT, MPI, PROXY, ...): linear scan.
   for (GroupId g = 0; g < groups_.size(); ++g)
     if (groups_[g].name == group) return g;
-  Group g;
-  g.name = std::string(group);
-  // Groups interned after a registry-wide tier change inherit it, so a
-  // throttled run cannot leak full-verbosity slices through late timers.
-  g.tier = trace_tier_;
-  g.slices_ok = trace_tier_ <= TraceTier::slices;
-  groups_.push_back(std::move(g));
+  groups_.push_back(Group{std::string(group)});
   return groups_.size() - 1;
 }
 
@@ -127,11 +121,10 @@ void Registry::start(TimerId id) {
   CCAPERF_REQUIRE(id < timers_.size(), "Registry::start: bad timer id");
   Frame f;
   f.id = id;
-  const Group& g = groups_[timer_group_[id]];
-  f.enabled = g.enabled;
+  f.enabled = groups_[timer_group_[id]].enabled;
   touch(id);
   f.start = Clock::now();
-  f.traced = tracing_ && f.enabled && g.slices_ok;
+  f.traced = tracing_ && f.enabled && slices_ok_;
   if (f.traced) {
     TraceRecord r;
     r.t_us = us_between(trace_epoch_, f.start);
@@ -258,13 +251,12 @@ double Registry::group_inclusive_us(std::string_view group) const {
 
 // --- snapshots & tracing -----------------------------------------------------
 
-void Registry::trace_push_open_frames(bool as_exit) {
+void Registry::trace_push_open_frames(bool as_exit, double t_us) {
   // Synthetic balance events for activations currently on the stack:
-  // enters (at the epoch, outermost first) when tracing starts mid-run,
-  // exits (at now, innermost first) when it stops mid-activation. The
-  // per-frame `traced` flag tracks which open activations currently have
-  // an unmatched enter in the buffer.
-  const double t = as_exit ? us_between(trace_epoch_, Clock::now()) : 0.0;
+  // enters (outermost first) when tracing starts or slices turn back on
+  // mid-run, exits (innermost first) when tracing stops or slices turn off
+  // mid-activation. The per-frame `traced` flag tracks which open
+  // activations currently have an unmatched enter in the buffer.
   const std::size_t n = stack_.size();
   for (std::size_t k = 0; k < n; ++k) {
     Frame& f = stack_[as_exit ? n - 1 - k : k];
@@ -272,11 +264,11 @@ void Registry::trace_push_open_frames(bool as_exit) {
       if (!f.traced) continue;
       f.traced = false;
     } else {
-      f.traced = f.enabled && groups_[timer_group_[f.id]].slices_ok;
+      f.traced = f.enabled && slices_ok_;
       if (!f.traced) continue;
     }
     TraceRecord r;
-    r.t_us = t;
+    r.t_us = t_us;
     r.id = static_cast<std::uint32_t>(f.id);
     r.kind = as_exit ? TraceKind::exit : TraceKind::enter;
     r.flags = TraceRecord::kSynthetic;
@@ -284,48 +276,14 @@ void Registry::trace_push_open_frames(bool as_exit) {
   }
 }
 
-void Registry::trace_rebalance_group(GroupId gid, bool enable) {
-  const double t = us_between(trace_epoch_, Clock::now());
-  const std::size_t n = stack_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    // Disable closes innermost-first, enable re-opens outermost-first, so
-    // the event stream stays properly nested either way.
-    Frame& f = stack_[enable ? k : n - 1 - k];
-    if (timer_group_[f.id] != gid) continue;
-    if (enable) {
-      if (f.traced || !f.enabled) continue;
-      f.traced = true;
-    } else {
-      if (!f.traced) continue;
-      f.traced = false;
-    }
-    TraceRecord r;
-    r.t_us = t;
-    r.id = static_cast<std::uint32_t>(f.id);
-    r.kind = enable ? TraceKind::enter : TraceKind::exit;
-    r.flags = TraceRecord::kSynthetic;
-    trace_.push(r);
-  }
-}
-
-void Registry::set_group_trace_tier(GroupId gid, TraceTier t) {
-  CCAPERF_REQUIRE(gid < groups_.size(), "Registry: bad group id");
-  Group& g = groups_[gid];
-  const bool want = t <= TraceTier::slices;
-  if (tracing_ && want != g.slices_ok) {
-    // Flip the cached gate before rebalancing so catch-up enters see the
-    // new state; exits only consult per-frame `traced` flags.
-    g.slices_ok = want;
-    trace_rebalance_group(gid, want);
-  }
-  g.tier = t;
-  g.slices_ok = want;
-}
-
 void Registry::set_trace_tier(TraceTier t) {
   trace_tier_ = t;
-  for (GroupId gid = 0; gid < groups_.size(); ++gid)
-    set_group_trace_tier(gid, t);
+  const bool slices_ok = t <= TraceTier::slices;
+  if (slices_ok == slices_ok_) return;
+  slices_ok_ = slices_ok;
+  if (tracing_)
+    trace_push_open_frames(/*as_exit=*/!slices_ok,
+                           us_between(trace_epoch_, Clock::now()));
 }
 
 const char* trace_tier_name(TraceTier t) {
@@ -348,11 +306,13 @@ void Registry::set_tracing(bool enabled) {
     trace_msgs_suppressed_ = 0;
     trace_epoch_ = Clock::now();
     tracing_ = true;
-    trace_push_open_frames(/*as_exit=*/false);
+    trace_push_open_frames(/*as_exit=*/false, 0.0);
   } else {
     // Close open activations so the retained trace stays balanced; keep
     // the events so the run can still be exported after tracing stops.
-    if (tracing_) trace_push_open_frames(/*as_exit=*/true);
+    if (tracing_)
+      trace_push_open_frames(/*as_exit=*/true,
+                             us_between(trace_epoch_, Clock::now()));
     tracing_ = false;
   }
 }
@@ -362,7 +322,7 @@ void Registry::set_tracing_from_epoch(Clock::time_point epoch) {
   trace_msgs_suppressed_ = 0;
   trace_epoch_ = epoch;
   tracing_ = true;
-  trace_push_open_frames(/*as_exit=*/false);
+  trace_push_open_frames(/*as_exit=*/false, 0.0);
 }
 
 void Registry::set_trace_capacity(std::size_t events) {

@@ -213,8 +213,6 @@ class Registry {
     std::string name;
     bool enabled = true;
     double inclusive_us = 0.0;  ///< completed outermost activations
-    TraceTier tier = TraceTier::full;
-    bool slices_ok = true;  ///< cached `tier <= slices` for the hot path
   };
 
   double now_partial_inclusive(TimerId id) const;
@@ -264,23 +262,19 @@ class Registry {
   void set_trace_capacity(std::size_t events);
 
   // --- trace tiers (governor actuation, DESIGN.md §12) -----------------------
-  // Verbosity can be throttled without toggling tracing itself: slices are
-  // gated per timer group (a mid-frame transition emits balanced synthetic
-  // exit/enter events so the stream never unbalances), while slice args,
-  // messages and counter samples are gated on the registry-wide tier.
-  // Instants always record while tracing — the governor's own audit marks
-  // must survive `off`. Defaults (`full`) reproduce historical behavior
-  // exactly.
+  // Verbosity can be throttled without toggling tracing itself. One
+  // registry-wide tier gates every record kind: slices, slice args,
+  // messages and counter samples. A change that turns slices off or on
+  // while frames are open emits balanced synthetic exits/enters, so the
+  // stream never unbalances. Instants always record while tracing — the
+  // governor's own audit marks must survive `off`. Defaults (`full`)
+  // reproduce historical behavior exactly.
 
-  /// Sets the registry-wide trace tier and every group's tier.
+  /// Sets the trace tier. Crossing the `slices` boundary while tracing
+  /// closes every open traced frame (innermost first) or re-opens every
+  /// open enabled frame (outermost first), stamped now.
   void set_trace_tier(TraceTier t);
-  /// Sets one group's slice tier (registry-wide gates are unaffected).
-  void set_group_trace_tier(GroupId gid, TraceTier t);
   TraceTier trace_tier() const { return trace_tier_; }
-  TraceTier group_trace_tier(GroupId gid) const {
-    CCAPERF_REQUIRE(gid < groups_.size(), "Registry: bad group id");
-    return groups_[gid].tier;
-  }
 
   const TraceBuffer& trace() const { return trace_; }
   /// Steady-clock instant of trace time 0 (cross-rank merge alignment).
@@ -328,14 +322,11 @@ class Registry {
   void dump_trace(std::ostream& os) const;
 
  private:
-  void trace_push_open_frames(bool as_exit);
-  /// Emits balanced synthetic events when a group's slice gating flips
-  /// mid-frame: closing exits (innermost first) on disable, catch-up enters
-  /// (outermost first, at the current trace time) on enable.
-  void trace_rebalance_group(GroupId gid, bool enable);
+  void trace_push_open_frames(bool as_exit, double t_us);
 
   bool tracing_ = false;
   TraceTier trace_tier_ = TraceTier::full;
+  bool slices_ok_ = true;  ///< cached `trace_tier_ <= slices` for the hot path
   std::uint64_t trace_msgs_suppressed_ = 0;
   Clock::time_point trace_epoch_{};
   TraceBuffer trace_;

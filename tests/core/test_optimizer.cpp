@@ -47,7 +47,6 @@ TEST(Optimizer, EnumeratesAllAssemblies) {
   AssemblyOptimizer opt;
   opt.add_slot(flux_slot(m));
   opt.add_slot(states_slot(m));
-  EXPECT_EQ(opt.assembly_count(), 4u);
   const auto all = opt.evaluate_all();
   EXPECT_EQ(all.size(), 4u);
   // Sorted by cost ascending.
@@ -60,7 +59,7 @@ TEST(Optimizer, PureTimeChoosesEfm) {
   Models m;
   AssemblyOptimizer opt;
   opt.add_slot(flux_slot(m));
-  const auto best = opt.best(0.0);
+  const auto best = opt.evaluate_all(0.0).front();
   EXPECT_EQ(best.selection.at("FluxPort"), "EFMFlux");
   // Predicted time equals the workload-weighted model sum.
   const double expected =
@@ -75,8 +74,8 @@ TEST(Optimizer, QosWeightFlipsToGodunov) {
   Models m;
   AssemblyOptimizer opt;
   opt.add_slot(flux_slot(m));
-  EXPECT_EQ(opt.best(0.0).selection.at("FluxPort"), "EFMFlux");
-  EXPECT_EQ(opt.best(10.0).selection.at("FluxPort"), "GodunovFlux");
+  EXPECT_EQ(opt.evaluate_all(0.0).front().selection.at("FluxPort"), "EFMFlux");
+  EXPECT_EQ(opt.evaluate_all(10.0).front().selection.at("FluxPort"), "GodunovFlux");
 }
 
 TEST(Optimizer, CrossoverWeightIsMonotone) {
@@ -86,7 +85,7 @@ TEST(Optimizer, CrossoverWeightIsMonotone) {
   bool flipped = false;
   std::string prev = "EFMFlux";
   for (double w = 0.0; w <= 10.0; w += 0.25) {
-    const std::string now = opt.best(w).selection.at("FluxPort");
+    const std::string now = opt.evaluate_all(w).front().selection.at("FluxPort");
     if (now != prev) {
       EXPECT_EQ(now, "GodunovFlux");
       EXPECT_FALSE(flipped) << "choice flipped twice";
@@ -102,7 +101,7 @@ TEST(Optimizer, IndependentSlotsOptimizedIndependently) {
   AssemblyOptimizer opt(1'000.0);  // fixed remainder of the dual
   opt.add_slot(flux_slot(m));
   opt.add_slot(states_slot(m));
-  const auto best = opt.best(0.0);
+  const auto best = opt.evaluate_all(0.0).front();
   EXPECT_EQ(best.selection.at("FluxPort"), "EFMFlux");
   // StatesAlt: 2 + 0.06*50000 = 3002/invocation vs 5 + 2500 = 2505: States wins.
   EXPECT_EQ(best.selection.at("StatesPort"), "States");
@@ -121,48 +120,6 @@ TEST(Optimizer, RejectsEmptyOrUnmodeledSlots) {
   EXPECT_THROW(opt.add_slot(unmodeled), ccaperf::Error);
 }
 
-TEST(Optimizer, BnBMatchesExhaustiveOnRandomizedSlotSets) {
-  // Property: branch-and-bound is exact — winner and cost identical to
-  // full enumeration, tie-break included — across randomized instances.
-  std::mt19937 rng(2024);
-  std::uniform_int_distribution<int> nslots_d(1, 4);
-  std::uniform_int_distribution<int> ncand_d(1, 4);
-  std::uniform_real_distribution<double> coeff_d(0.0, 1.0);
-  std::uniform_real_distribution<double> q_d(1'000.0, 100'000.0);
-  const double weights[] = {0.0, 0.5, 3.0};
-
-  for (int trial = 0; trial < 120; ++trial) {
-    std::vector<std::unique_ptr<core::PolynomialModel>> models;
-    AssemblyOptimizer opt(trial % 3 == 0 ? 500.0 : 0.0);
-    const int nslots = nslots_d(rng);
-    for (int s = 0; s < nslots; ++s) {
-      Slot slot;
-      slot.functionality = "F" + std::to_string(s);
-      const int ncand = ncand_d(rng);
-      for (int c = 0; c < ncand; ++c) {
-        models.push_back(std::make_unique<core::PolynomialModel>(
-            std::vector<double>{10.0 * coeff_d(rng), 0.01 * coeff_d(rng)}));
-        slot.candidates.push_back(
-            Candidate{"c" + std::to_string(c), models.back().get(), coeff_d(rng)});
-      }
-      // Some slots get an empty workload (slot cost 0 for every candidate:
-      // a pure tie the two searches must break identically).
-      if (trial % 5 != 0 || s % 2 == 0) {
-        const int nw = 1 + (trial % 3);
-        for (int w = 0; w < nw; ++w) slot.workload.emplace_back(q_d(rng), 10.0);
-      }
-      opt.add_slot(std::move(slot));
-    }
-    const double w = weights[trial % 3];
-    AssemblyOptimizer::SearchStats stats;
-    const auto bnb = opt.best(w, &stats);
-    const auto exact = opt.evaluate_all(w).front();
-    EXPECT_EQ(bnb.selection, exact.selection) << "trial " << trial;
-    EXPECT_DOUBLE_EQ(bnb.cost, exact.cost) << "trial " << trial;
-    EXPECT_LE(stats.leaves_evaluated, opt.assembly_count()) << "trial " << trial;
-  }
-}
-
 TEST(Optimizer, TieBreakPicksLowestCandidateIndices) {
   // Identical models everywhere: every assembly costs the same, so the
   // deterministic tie-break must select candidate 0 in each slot.
@@ -177,11 +134,9 @@ TEST(Optimizer, TieBreakPicksLowestCandidateIndices) {
     opt.add_slot(std::move(slot));
   }
   for (const double w : {0.0, 2.0}) {
-    const auto bnb = opt.best(w);
-    const auto exact = opt.evaluate_all(w).front();
-    EXPECT_EQ(bnb.selection, exact.selection);
+    const auto best = opt.evaluate_all(w).front();
     for (int s = 0; s < 3; ++s)
-      EXPECT_EQ(bnb.selection.at("F" + std::to_string(s)), "first");
+      EXPECT_EQ(best.selection.at("F" + std::to_string(s)), "first");
   }
 }
 
@@ -195,10 +150,9 @@ TEST(Optimizer, ZeroAccuracyWeightIgnoresAccuracy) {
   s.workload = {{10.0, 1.0}};
   AssemblyOptimizer opt;
   opt.add_slot(std::move(s));
-  const auto best = opt.best(0.0);
+  const auto best = opt.evaluate_all(0.0).front();
   EXPECT_EQ(best.selection.at("F"), "sloppy");
   EXPECT_DOUBLE_EQ(best.cost, best.predicted_time_us);  // factor is 1
-  EXPECT_EQ(opt.evaluate_all(0.0).front().selection.at("F"), "sloppy");
 }
 
 TEST(Optimizer, EmptyWorkloadSlotCostsNothing) {
@@ -215,38 +169,13 @@ TEST(Optimizer, EmptyWorkloadSlotCostsNothing) {
   AssemblyOptimizer opt;
   opt.add_slot(std::move(idle));
   opt.add_slot(std::move(busy));
-  const auto best = opt.best(0.0);
+  const auto best = opt.evaluate_all(0.0).front();
   EXPECT_EQ(best.selection.at("Idle"), "a");  // tie broken to index 0
   EXPECT_EQ(best.selection.at("Busy"), "x");
   EXPECT_DOUBLE_EQ(best.predicted_time_us, 2.0 * 5.0);
-  EXPECT_EQ(opt.evaluate_all(0.0).front().selection, best.selection);
 }
 
-TEST(Optimizer, BnBPrunesDominatedSubtrees) {
-  // One clearly-cheapest chain: the bound should cut most of the tree.
-  std::vector<std::unique_ptr<core::PolynomialModel>> models;
-  AssemblyOptimizer opt;
-  for (int s = 0; s < 6; ++s) {
-    Slot slot;
-    slot.functionality = "F" + std::to_string(s);
-    for (int c = 0; c < 4; ++c) {
-      models.push_back(std::make_unique<core::PolynomialModel>(
-          std::vector<double>{c == 0 ? 1.0 : 1'000.0, 0.0}));
-      slot.candidates.push_back(Candidate{"c" + std::to_string(c),
-                                          models.back().get(), 1.0});
-    }
-    slot.workload = {{100.0, 1.0}};
-    opt.add_slot(std::move(slot));
-  }
-  AssemblyOptimizer::SearchStats stats;
-  const auto best = opt.best(0.0, &stats);
-  for (int s = 0; s < 6; ++s)
-    EXPECT_EQ(best.selection.at("F" + std::to_string(s)), "c0");
-  EXPECT_GT(stats.subtrees_pruned, 0u);
-  EXPECT_LT(stats.leaves_evaluated, opt.assembly_count());
-}
-
-// --- joint assembly x ranks x threads search ---------------------------------
+// --- joint assembly x ranks x threads selection ------------------------------
 
 using core::PatternConfig;
 using core::PatternModel;
@@ -294,33 +223,6 @@ struct JointFixture {
   }
 };
 
-TEST(JointOptimizer, MatchesExhaustiveAcrossRandomInstances) {
-  std::mt19937 rng(0xc0ffee);
-  const std::vector<int> ranks_grid = {1, 2, 4, 8};
-  const std::vector<int> threads_grid = {1, 2, 4};
-  for (int trial = 0; trial < 12; ++trial) {
-    std::uniform_int_distribution<int> ns(1, 3), nc(1, 4);
-    JointFixture f(ns(rng), nc(rng), rng);
-    for (double w : {0.0, 0.5, 3.0}) {
-      AssemblyOptimizer::SearchStats stats;
-      const auto bb = f.opt.best_joint(f.tree, PatternConfig{150.0}, ranks_grid,
-                                       threads_grid, w, &stats);
-      const auto ex = f.opt.best_joint_exhaustive(f.tree, PatternConfig{150.0},
-                                                  ranks_grid, threads_grid, w);
-      EXPECT_EQ(bb.selection, ex.selection);
-      EXPECT_EQ(bb.ranks, ex.ranks);
-      EXPECT_EQ(bb.threads, ex.threads);
-      EXPECT_DOUBLE_EQ(bb.predicted_us, ex.predicted_us);
-      EXPECT_DOUBLE_EQ(bb.cost, ex.cost);
-      EXPECT_DOUBLE_EQ(bb.min_accuracy, ex.min_accuracy);
-      // Stats sanity: every configuration's DFS reaches at least one leaf,
-      // and pruning never exceeds visited nodes.
-      EXPECT_GE(stats.leaves_evaluated, 1u);
-      EXPECT_LE(stats.subtrees_pruned, stats.nodes_visited);
-    }
-  }
-}
-
 TEST(JointOptimizer, PrefersMoreRanksWhenCollectivesAreFree) {
   // With beta = gamma = 0 the per-rank time strictly shrinks with P, so
   // the largest rank count (and lane count) must win.
@@ -350,11 +252,6 @@ TEST(JointOptimizer, TieBreaksToEarliestGridPoint) {
   EXPECT_EQ(best.ranks, 4);  // grid order, not numeric order
   EXPECT_EQ(best.threads, 2);
   EXPECT_EQ(best.selection.at("F"), "a");
-  const auto ex =
-      opt.best_joint_exhaustive(t, PatternConfig{100.0}, {4, 2}, {2, 1});
-  EXPECT_EQ(ex.ranks, 4);
-  EXPECT_EQ(ex.threads, 2);
-  EXPECT_EQ(ex.selection.at("F"), "a");
 }
 
 TEST(JointOptimizer, SlotCountMismatchIsRejected) {
@@ -370,9 +267,6 @@ TEST(JointOptimizer, SlotCountMismatchIsRejected) {
   EXPECT_THROW(
       (void)opt.best_joint(t, PatternConfig{100.0}, {1}, {1}),
       ccaperf::Error);
-  EXPECT_THROW(
-      (void)opt.best_joint_exhaustive(t, PatternConfig{100.0}, {1}, {1}),
-      ccaperf::Error);
 }
 
 TEST(Optimizer, NegativeModelPredictionsClampToZero) {
@@ -385,7 +279,7 @@ TEST(Optimizer, NegativeModelPredictionsClampToZero) {
   s.workload = {{10.0, 100.0}};  // predict(10) < 0
   AssemblyOptimizer opt;
   opt.add_slot(s);
-  EXPECT_DOUBLE_EQ(opt.best().predicted_time_us, 0.0);
+  EXPECT_DOUBLE_EQ(opt.evaluate_all().front().predicted_time_us, 0.0);
 }
 
 }  // namespace

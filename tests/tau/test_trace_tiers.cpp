@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -162,23 +163,40 @@ TEST(TraceTiers, LateInternedGroupInheritsTier) {
   reg.start(t);
   reg.stop(t);
   EXPECT_TRUE(reg.trace().empty());
-  EXPECT_EQ(reg.group_trace_tier(reg.group_id("LATE")), TraceTier::counters);
 }
 
-TEST(TraceTiers, PerGroupTierOverride) {
+TEST(TraceTiers, TierChangeNestsFramesOfSeveralGroups) {
+  // Frames of different groups interleave on one stack: a tier change must
+  // close and re-open them as one nest, so every exit — synthetic or real —
+  // matches the innermost open enter.
   Registry reg;
   reg.set_tracing(true);
-  const auto app = reg.timer("work()");
-  const auto mpi = reg.timer("MPI_Send()", "MPI");
-  reg.set_group_trace_tier(reg.group_id("MPI"), TraceTier::counters);
-  reg.start(app);
-  reg.start(mpi);
-  reg.stop(mpi);
-  reg.stop(app);
-  const auto& tr = reg.trace();
-  ASSERT_EQ(tr.size(), 2u);
-  EXPECT_EQ(tr[0].id, app);
-  EXPECT_EQ(tr[1].id, app);
+  const auto a = reg.timer("a()");
+  const auto b = reg.timer("MPI_b()", "MPI");
+  const auto c = reg.timer("c()");
+  reg.start(a);
+  reg.start(b);
+  reg.start(c);
+  reg.set_trace_tier(TraceTier::counters);
+  reg.set_trace_tier(TraceTier::full);
+  reg.stop(c);
+  reg.stop(b);
+  reg.stop(a);
+
+  const auto tr = reg.snapshot_trace();
+  std::vector<std::uint32_t> open;
+  std::size_t exits = 0;
+  for (const TraceRecord& r : tr) {
+    if (r.is_enter()) open.push_back(r.id);
+    if (!r.is_exit()) continue;
+    ASSERT_FALSE(open.empty());
+    EXPECT_EQ(r.id, open.back()) << "exit #" << exits;
+    open.pop_back();
+    ++exits;
+  }
+  EXPECT_TRUE(open.empty());
+  // 3 enters, 3 synthetic exits, 3 synthetic enters, 3 real exits.
+  EXPECT_EQ(tr.size(), 12u);
 }
 
 TEST(TraceTiers, TierNamesAreStable) {
