@@ -128,9 +128,27 @@ if want trace-smoke; then
    CCAPERF_TRACE=trace.json CCAPERF_RANKS=2 CCAPERF_STEPS=2 "${FIG01}" >/dev/null)
   if command -v python3 >/dev/null; then
     python3 -m json.tool "${SMOKE_DIR}/trace.json" >/dev/null
-    python3 -c 'import json,sys
-for p in sys.argv[1:]:
-    [json.loads(l) for l in open(p)]' "${SMOKE_DIR}"/telemetry.rank*.jsonl
+    # The kernel proxies' first parameter is Q; the ring keeps each slice's
+    # argument beside its enter, so a misaligned ring hands a slice another
+    # event's fields or none. A dropped event would make the check vacuous.
+    python3 - "${SMOKE_DIR}" <<'PY'
+import glob, json, os, sys
+
+smoke = sys.argv[1]
+events = json.load(open(os.path.join(smoke, "trace.json")))["traceEvents"]
+slices = [e for e in events
+          if e.get("ph") == "B" and e.get("name", "").endswith("_proxy::compute()")]
+assert slices, "no monitored kernel-proxy slices in trace.json"
+for e in slices:
+    q = e.get("args", {}).get("Q")
+    assert isinstance(q, (int, float)) and q > 0, ("slice without a Q > 0", e)
+paths = sorted(glob.glob(os.path.join(smoke, "telemetry.rank*.jsonl")))
+assert paths, "no telemetry files"
+for p in paths:
+    lines = [json.loads(l) for l in open(p)]
+    assert lines and lines[-1]["trace"]["dropped"] == 0, (p, lines[-1:])
+print(f"trace smoke: {len(slices)} proxy slices carry Q, {len(paths)} ranks dropped 0")
+PY
   fi
   echo "trace smoke: OK"
 fi

@@ -78,15 +78,14 @@ double Record::counter_at(std::size_t i, std::string_view name) const {
 }
 
 double Record::metric_at(std::size_t i, Metric m) const {
-  return m == Metric::wall ? wall_[i] : m == Metric::compute ? compute_[i] : mpi_[i];
+  return m == Metric::wall ? wall_[i] : m == Metric::compute ? compute_us(i) : mpi_[i];
 }
 
 // --- Record: appending -------------------------------------------------------
 
-void Record::add_times(double wall_us, double mpi_us, double compute_us) {
+void Record::add_times(double wall_us, double mpi_us) {
   wall_.push_back(wall_us);
   mpi_.push_back(mpi_us);
-  compute_.push_back(compute_us);
   in_row_ = true;
 }
 
@@ -128,7 +127,7 @@ void Record::dump_csv(std::ostream& os) const {
   std::vector<std::string> row;
   for (std::size_t i = 0; i < count(); ++i) {
     row.assign({method_, ccaperf::fmt_double(wall_[i], 10),
-                ccaperf::fmt_double(mpi_[i], 10), ccaperf::fmt_double(compute_[i], 10)});
+                ccaperf::fmt_double(mpi_[i], 10), ccaperf::fmt_double(compute_us(i), 10)});
     for (const NamedColumn* c : pcols) {
       const double v = c->data[i];
       row.push_back(std::isnan(v) ? "" : ccaperf::fmt_double(v, 10));
@@ -349,7 +348,7 @@ void MastermindComponent::stop(MethodHandle method) {
   if (o.sampled) {
     Record& rec = *m.record;
     const double mpi_us = reg.group_inclusive_us(mpi_group_) - o.mpi_us_start;
-    rec.add_times(wall_us, mpi_us, wall_us - mpi_us);
+    rec.add_times(wall_us, mpi_us);
     for (std::size_t i = 0; i < o.n_params; ++i)
       rec.set_param(m.param_cols[i], o.param_vals[i]);
     if (threaded_) rec.set_param(m.thread_col, 0.0);
@@ -434,7 +433,7 @@ void MastermindComponent::stop_on_lane(MethodHandle method, int lane) {
 
   std::lock_guard<std::mutex> lk(mu_);
   Record& rec = *m.record;
-  rec.add_times(wall_us, 0.0, wall_us);  // compute == wall off the rank thread
+  rec.add_times(wall_us, 0.0);  // compute == wall off the rank thread
   for (std::size_t i = 0; i < o.n_params; ++i)
     rec.set_param(m.param_cols[i], o.param_vals[i]);
   rec.set_param(m.thread_col, static_cast<double>(lane));

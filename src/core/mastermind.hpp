@@ -78,7 +78,7 @@ class Record {
 
   double wall_us(std::size_t i) const { return wall_[i]; }
   double mpi_us(std::size_t i) const { return mpi_[i]; }
-  double compute_us(std::size_t i) const { return compute_[i]; }
+  double compute_us(std::size_t i) const { return wall_[i] - mpi_[i]; }
 
   /// Names of the parameter / counter columns, in creation order.
   std::vector<std::string> param_names() const;
@@ -97,7 +97,7 @@ class Record {
   // add_times() opens row count()-1; set_param/set_counter fill optional
   // columns of that row; finish_row() NaN-pads the columns left unset.
 
-  void add_times(double wall_us, double mpi_us, double compute_us);
+  void add_times(double wall_us, double mpi_us);
   void set_param(std::size_t column, double value);
   void set_counter(std::size_t column, double value);
   void finish_row();
@@ -133,7 +133,7 @@ class Record {
   std::size_t completed_rows() const { return in_row_ ? count() - 1 : count(); }
 
   std::string method_;
-  ChunkedColumn wall_, mpi_, compute_;
+  ChunkedColumn wall_, mpi_;  ///< compute is derived: wall - mpi
   std::vector<NamedColumn> params_;
   std::vector<NamedColumn> counters_;
   bool in_row_ = false;

@@ -362,11 +362,7 @@ void Registry::trace_counter_samples() {
 
 void Registry::trace_arg(std::uint32_t name_string, double value) {
   if (trace_tier_ != TraceTier::full) return;
-  TraceRecord* last = trace_.back();
-  if (last == nullptr || last->kind != TraceKind::enter) return;
-  last->tag = static_cast<std::int32_t>(name_string);
-  last->set_value(value);
-  last->flags |= TraceRecord::kHasArg;
+  trace_.attach_arg(name_string, value);
 }
 
 void Registry::trace_instant(std::uint32_t name_string) {
@@ -381,7 +377,7 @@ void Registry::trace_instant(std::uint32_t name_string) {
 std::vector<TraceRecord> Registry::snapshot_trace() const {
   std::vector<TraceRecord> out;
   out.reserve(trace_.size() + stack_.size());
-  for (std::size_t i = 0; i < trace_.size(); ++i) out.push_back(trace_[i]);
+  trace_.for_each([&out](const TraceRecord& r) { out.push_back(r); });
   if (tracing_) {
     const double t = us_between(trace_epoch_, Clock::now());
     for (std::size_t k = stack_.size(); k-- > 0;) {

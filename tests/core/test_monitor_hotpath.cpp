@@ -52,7 +52,7 @@ TEST(MonitorHotpath, HandlePathRecordsParamsAndTimes) {
   EXPECT_DOUBLE_EQ(rec->param_at(1, "mode"), 1.0);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_GE(rec->wall_us(i), 0.0);
-    EXPECT_NEAR(rec->compute_us(i), rec->wall_us(i) - rec->mpi_us(i), 1e-9);
+    EXPECT_EQ(rec->compute_us(i), rec->wall_us(i) - rec->mpi_us(i));
   }
   // The method key doubles as its PROXY-group TAU timer.
   tau::Registry& reg = rig.tau->registry();

@@ -137,18 +137,17 @@ TEST(MpiAdapter, TracedRunRecordsMessageEndpoints) {
     else
       world.irecv<double>(buf, 0, 9).wait();
 
-    const tau::TraceBuffer& tr = reg.trace();
     const tau::TraceKind want =
         world.rank() == 0 ? tau::TraceKind::msg_send : tau::TraceKind::msg_recv;
     std::size_t found = 0;
-    for (std::size_t i = 0; i < tr.size(); ++i) {
-      if (tr[i].kind != want) continue;
+    reg.trace().for_each([&](const tau::TraceRecord& r) {
+      if (r.kind != want) return;
       ++found;
-      EXPECT_EQ(tr[i].peer, 1 - world.rank());
-      EXPECT_EQ(tr[i].tag, 9);
-      EXPECT_EQ(tr[i].payload, 32 * sizeof(double));
-      EXPECT_EQ(tr[i].seq, 1u);
-    }
+      EXPECT_EQ(r.peer, 1 - world.rank());
+      EXPECT_EQ(r.tag, 9);
+      EXPECT_EQ(r.payload, 32 * sizeof(double));
+      EXPECT_EQ(r.seq, 1u);
+    });
     EXPECT_EQ(found, 1u);
     world.barrier();
   });
@@ -164,10 +163,9 @@ TEST(MpiAdapter, MessageTraceRespectsGroupAndTracingGates) {
 
     auto count_msgs = [&reg] {
       std::size_t n = 0;
-      for (std::size_t i = 0; i < reg.trace().size(); ++i) {
-        const tau::TraceKind k = reg.trace()[i].kind;
-        if (k == tau::TraceKind::msg_send || k == tau::TraceKind::msg_recv) ++n;
-      }
+      reg.trace().for_each([&n](const tau::TraceRecord& r) {
+        n += r.kind == tau::TraceKind::msg_send || r.kind == tau::TraceKind::msg_recv;
+      });
       return n;
     };
     auto exchange = [&world] {

@@ -21,8 +21,7 @@ using tau::TraceTier;
 
 std::size_t count_kind(const tau::TraceBuffer& tr, TraceKind k) {
   std::size_t n = 0;
-  for (std::size_t i = 0; i < tr.size(); ++i)
-    if (tr[i].kind == k) ++n;
+  tr.for_each([&n, k](const TraceRecord& r) { n += r.kind == k; });
   return n;
 }
 
@@ -46,7 +45,7 @@ TEST(TraceTiers, DefaultTierIsFullAndUnchanged) {
   reg.trace_arg(reg.trace_string("Q"), 64.0);
   reg.stop(t);
   reg.trace_message(true, 1, 0, 64, 1);
-  const auto& tr = reg.trace();
+  const auto tr = reg.snapshot_trace();
   ASSERT_EQ(tr.size(), 3u);
   EXPECT_TRUE(tr[0].is_enter());
   EXPECT_TRUE(tr[0].has_arg());
@@ -63,7 +62,7 @@ TEST(TraceTiers, SlicesDropsMessagesAndArgsKeepsSlices) {
   reg.trace_arg(reg.trace_string("Q"), 64.0);
   reg.stop(t);
   reg.trace_message(true, 1, 0, 64, 1);
-  const auto& tr = reg.trace();
+  const auto tr = reg.snapshot_trace();
   ASSERT_EQ(tr.size(), 2u);
   EXPECT_TRUE(tr[0].is_enter());
   EXPECT_FALSE(tr[0].has_arg());
@@ -98,7 +97,7 @@ TEST(TraceTiers, OffKeepsOnlyInstants) {
   reg.trace_counter_samples();
   reg.trace_message(true, 1, 0, 64, 1);
   reg.trace_instant(reg.trace_string("mark"));
-  const auto& tr = reg.trace();
+  const auto tr = reg.snapshot_trace();
   ASSERT_EQ(tr.size(), 1u);
   EXPECT_EQ(tr[0].kind, TraceKind::instant);
 }
