@@ -11,11 +11,13 @@
 //    (zero cross-session row leakage);
 //  * bounded memory — the hub's retained-byte peak stays under the
 //    configured budget while sessions churn;
-//  * exact accounting — published == drained + ring drops per session
-//    once a session closes (a separate flood phase overflows tiny rings
-//    and a tiny byte budget on purpose to exercise both drop paths);
+//  * exact accounting — retained == published - evicted per session (a
+//    separate flood phase overflows a tiny line cap and byte budget on
+//    purpose to exercise the eviction path);
 //  * throughput — sessions/sec and rows/sec at the top of the ramp,
-//    gated against bench/baselines/hub.json.
+//    gated against bench/baselines/hub.json;
+//  * publish cost — isolated publish ns/line with 1 producer and with 4
+//    producers on 4 sessions, and their ratio (reported, not gated).
 //
 // Environment:
 //   CCAPERF_HUB_SOAK_SESSIONS  top of the session ramp (default 64).
@@ -25,6 +27,7 @@
 // Prints "hub soak: OK" and exits 0 only if every gate holds — the CI
 // hub-soak stage greps for the marker.
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -80,13 +83,55 @@ std::vector<core::SessionScenario> scenario_mix() {
 
 core::TelemetryHub::Config soak_config() {
   core::TelemetryHub::Config cfg;
-  cfg.shards = 8;
-  cfg.shard_capacity = 4096;          // soak phase must not drop at the ring
-  cfg.session_line_cap = 8192;
+  cfg.session_line_cap = 8192;        // soak phase must not evict
   cfg.memory_budget_bytes = 16u << 20;
-  cfg.drain_interval = std::chrono::microseconds(2000);
-  cfg.aggregate_interval = std::chrono::milliseconds(10);
   return cfg;
+}
+
+/// Isolated publish cost: `producers` threads, one session each, publish
+/// kLines telemetry-shaped lines into a hub large enough to evict
+/// nothing. Returns the mean over producers of each one's ns per line,
+/// the minimum over kBlocks fresh hubs.
+double publish_ns_per_line(int producers) {
+  constexpr int kLines = 16384;
+  constexpr int kBlocks = 5;
+  // About the length of a Mastermind telemetry line, with overhead_pct
+  // near the end, where the Mastermind writes it.
+  const std::string line = "{\"t_us\":123456.7,\"records\":640,\"calls\":{" +
+                           std::string(300, 'c') +
+                           "},\"session\":\"pub\",\"overhead_pct\":2.345,"
+                           "\"self_us\":812.250}";
+  double best = 0.0;
+  for (int b = 0; b < kBlocks; ++b) {
+    core::TelemetryHub::Config cfg;
+    cfg.session_line_cap = kLines;
+    cfg.memory_budget_bytes = std::size_t{1} << 30;
+    core::TelemetryHub hub(cfg);
+    std::vector<core::SessionHandle> handles;
+    for (int p = 0; p < producers; ++p)
+      handles.push_back(hub.open_session("pub-" + std::to_string(p), "pub"));
+    std::vector<double> ns(static_cast<std::size_t>(producers), 0.0);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int p = 0; p < producers; ++p)
+      threads.emplace_back([&, p] {
+        core::SessionHandle& h = handles[static_cast<std::size_t>(p)];
+        ready.fetch_add(1);
+        while (ready.load() < producers) std::this_thread::yield();
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < kLines; ++i) h.publish(line);
+        ns[static_cast<std::size_t>(p)] =
+            std::chrono::duration<double, std::nano>(
+                std::chrono::steady_clock::now() - t0)
+                .count() /
+            kLines;
+      });
+    for (std::thread& t : threads) t.join();
+    double mean = 0.0;
+    for (const double v : ns) mean += v / producers;
+    best = b == 0 ? mean : std::min(best, mean);
+  }
+  return best;
 }
 
 struct Gate {
@@ -117,15 +162,14 @@ int main() {
   for (std::size_t i = 0; i < mix.size(); ++i) {
     core::TelemetryHub hub(soak_config());
     core::SessionHandle h =
-        hub.open_session("solo-" + std::to_string(i), mix[i].kind,
-                         mix[i].fault_plan);
+        hub.open_session("solo-" + std::to_string(i), mix[i].kind);
     solo[i] = core::run_session(h, mix[i]);
     h.close();
     const core::SessionStats st = hub.session_stats(hub.find_session(
         "solo-" + std::to_string(i)));
     gate.require(st.published == solo[i].telemetry_lines,
                  "solo published != telemetry lines");
-    gate.require(st.drained == st.published, "solo drained != published");
+    gate.require(st.retained == st.published, "solo session evicted lines");
     std::cout << "  " << mix[i].describe() << ": digest "
               << std::hex << solo[i].physics_digest << std::dec << ", "
               << solo[i].telemetry_lines << " lines\n";
@@ -151,18 +195,19 @@ int main() {
   std::vector<RampPoint> ramp;
   for (int n = std::max(2, max_sessions / 8); n <= max_sessions; n *= 2) {
     core::TelemetryHub hub(soak_config());
-    hub.set_aggregate_sink(&agg);
     std::vector<core::SessionHandle> handles;
     handles.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const core::SessionScenario& sc = mix[static_cast<std::size_t>(i) % mix.size()];
       handles.push_back(hub.open_session(
-          "soak" + std::to_string(n) + "-s" + std::to_string(i), sc.kind,
-          sc.fault_plan));
+          "soak" + std::to_string(n) + "-s" + std::to_string(i), sc.kind));
     }
     std::vector<core::SessionResult> results(static_cast<std::size_t>(n));
     const auto t0 = std::chrono::steady_clock::now();
     {
+      // The main thread writes the live aggregate stream every 10 ms
+      // while the sessions run, and once more after they finish.
+      std::atomic<int> running{n};
       std::vector<std::thread> threads;
       threads.reserve(static_cast<std::size_t>(n));
       for (int i = 0; i < n; ++i)
@@ -170,8 +215,14 @@ int main() {
           const std::size_t k = static_cast<std::size_t>(i);
           results[k] = core::run_session(handles[k], mix[k % mix.size()]);
           handles[k].close();
+          running.fetch_sub(1);
         });
+      while (running.load() > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        hub.emit_aggregate(agg);
+      }
       for (std::thread& t : threads) t.join();
+      hub.emit_aggregate(agg);
     }
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
@@ -196,9 +247,8 @@ int main() {
                          solo[k].telemetry_lines,
                      "telemetry line count diverged from solo: " + name);
       const core::SessionStats st = hub.session_stats(id);
-      gate.require(st.published == st.drained,
-                   "published != drained after close: " + name);
-      gate.require(st.dropped_ring == 0, "unexpected ring drop: " + name);
+      gate.require(st.retained == st.published,
+                   "soak session evicted lines: " + name);
       // Zero cross-session leakage: every retained line carries this
       // session's own marker (the Mastermind tags lines via
       // set_telemetry_session).
@@ -210,27 +260,22 @@ int main() {
     const core::HubStats hs = hub.stats();
     gate.require(hs.bytes_peak <= hub.config().memory_budget_bytes,
                  "retained bytes exceeded the budget");
-    gate.require(hs.dropped_ring == 0, "soak phase dropped at the ring");
-    ramp.push_back(RampPoint{n, n / wall_s, hs.drained / wall_s, hs.bytes_peak});
+    ramp.push_back(RampPoint{n, n / wall_s, hs.published / wall_s, hs.bytes_peak});
     std::cout << "ramp " << n << " sessions: "
               << ccaperf::fmt_double(n / wall_s, 2) << " sessions/s, "
-              << ccaperf::fmt_double(hs.drained / wall_s, 0) << " rows/s, peak "
+              << ccaperf::fmt_double(hs.published / wall_s, 0) << " rows/s, peak "
               << (hs.bytes_peak >> 10) << " KiB\n";
-    hub.set_aggregate_sink(nullptr);
   }
 
-  // --- flood phase: drop paths under deliberate starvation ------------------
-  // Tiny rings, tiny budget, slow drains: both the ring-reject and the
-  // eviction path must fire, and the accounting must stay exact.
+  // --- flood phase: the eviction path under deliberate overload ----------
+  // A tiny line cap and byte budget: evictions must fire, and the
+  // accounting must stay exact.
   {
     core::TelemetryHub::Config cfg;
-    cfg.shards = 2;
-    cfg.shard_capacity = 64;
     cfg.session_line_cap = 128;
-    // Smaller than what one full drain can deliver (2 shards x 64 slots x
-    // ~120 B ≈ 15 KiB), so the eviction path must fire.
+    // Smaller than the flooders' capped streams together (4 x 128 lines x
+    // 120 B = 60 KiB), so the budget, not only the cap, evicts.
     cfg.memory_budget_bytes = 4u << 10;
-    cfg.drain_interval = std::chrono::milliseconds(50);
     core::TelemetryHub hub(cfg);
     constexpr int kFlooders = 4;
     constexpr int kLines = 2000;
@@ -247,36 +292,39 @@ int main() {
         });
       for (std::thread& t : threads) t.join();
     }
-    std::uint64_t total_dropped = 0, total_evicted = 0;
+    std::uint64_t total_evicted = 0;
     for (int i = 0; i < kFlooders; ++i) {
-      handles[static_cast<std::size_t>(i)].close();  // drains
+      handles[static_cast<std::size_t>(i)].close();
       const core::SessionId id = hub.find_session("flood-" + std::to_string(i));
       const core::SessionStats st = hub.session_stats(id);
-      gate.require(st.published + st.dropped_ring == kLines,
-                   "flood accounting leak (published + dropped != attempts)");
-      gate.require(st.published == st.drained,
-                   "flood published != drained after close");
-      gate.require(st.retained == st.drained - st.dropped_evicted,
-                   "flood retained != drained - evicted");
-      total_dropped += st.dropped_ring;
+      gate.require(st.published == kLines,
+                   "flood accounting leak (published != attempts)");
+      gate.require(st.retained == st.published - st.dropped_evicted,
+                   "flood retained != published - evicted");
       total_evicted += st.dropped_evicted;
     }
     const core::HubStats hs = hub.stats();
-    gate.require(total_dropped > 0, "flood never overflowed a ring");
     gate.require(total_evicted > 0, "flood never evicted under the byte budget");
     gate.require(hs.bytes_retained <= cfg.memory_budget_bytes,
                  "flood exceeded the byte budget");
-    std::cout << "flood: " << total_dropped << " ring drops, " << total_evicted
-              << " evictions, retained " << (hs.bytes_retained >> 10)
-              << " KiB <= " << (cfg.memory_budget_bytes >> 10) << " KiB budget\n";
+    std::cout << "flood: " << total_evicted << " evictions, retained "
+              << (hs.bytes_retained >> 10) << " KiB <= "
+              << (cfg.memory_budget_bytes >> 10) << " KiB budget\n";
   }
+
+  // --- isolated publish cost ------------------------------------------------
+  const double pub_1p = publish_ns_per_line(1);
+  const double pub_4p = publish_ns_per_line(4);
+  std::cout << "publish: " << ccaperf::fmt_double(pub_1p) << " ns/line (1 producer), "
+            << ccaperf::fmt_double(pub_4p) << " ns/line (4 producers, 4 sessions), "
+            << ccaperf::fmt_double(pub_4p / pub_1p, 3) << "x\n";
 
   // --- per-session Perfetto export ------------------------------------------
   {
     core::TelemetryHub hub(soak_config());
     core::SessionScenario sc = mix[0];
     sc.trace = true;
-    core::SessionHandle h = hub.open_session("traced", sc.kind, sc.fault_plan);
+    core::SessionHandle h = hub.open_session("traced", sc.kind);
     core::run_session(h, sc);
     h.close();
     std::ofstream os(bench::fig_path("hub_traced_session.json"));
@@ -299,6 +347,9 @@ int main() {
           {"hub", "rows_per_s", top.rows_per_s},
           {"hub", "bytes_peak_kb", static_cast<double>(top.bytes_peak >> 10)},
           {"hub", "identity_ok", gate.ok ? 1.0 : 0.0},
+          {"hub", "publish_ns_per_line_1p", pub_1p},
+          {"hub", "publish_ns_per_line_4p", pub_4p},
+          {"hub", "publish_4p_over_1p", pub_4p / pub_1p},
       });
   std::cout << "aggregate stream: " << agg_path << '\n';
 

@@ -385,7 +385,7 @@ if want hub-soak; then
   # 64 concurrent AMR + LU sessions (mixed ranks/threads/fault plans), gate
   # zero cross-session row leakage (every retained line carries its own
   # session marker), per-session physics byte-identical to solo runs,
-  # bounded hub memory with exact drop accounting, and a parseable live
+  # bounded hub memory with exact eviction accounting, and a parseable live
   # aggregate stream; then gate the soak's throughput/identity series
   # against bench/baselines/hub.json.
   cmake -B "${BUILD_DIR}" -S . >/dev/null
@@ -402,16 +402,16 @@ path = os.path.join(hub, "bench_out", "hub_aggregate.jsonl")
 lines = [json.loads(l) for l in open(path)]
 assert lines, "hub aggregate stream is empty"
 for l in lines:
-    for key in ("t_us", "sessions_open", "drained", "dropped_ring",
+    for key in ("t_us", "sessions_open", "published",
                 "bytes_retained", "bytes_peak", "scenarios"):
         assert key in l, f"aggregate line missing {key}: {l}"
 last = lines[-1]
-assert last["drained"] >= last["dropped_evicted"], last
+assert last["published"] >= last["dropped_evicted"], last
 scen = [l["scenarios"] for l in lines if l["scenarios"]]
 assert any("amr" in s for s in scen), "no amr sessions in aggregate stream"
 assert any("lu" in s for s in scen), "no lu sessions in aggregate stream"
-print(f"hub aggregate: {len(lines)} lines parse; final drained "
-      f"{last['drained']}, peak {last['bytes_peak']} bytes")
+print(f"hub aggregate: {len(lines)} lines parse; final published "
+      f"{last['published']}, peak {last['bytes_peak']} bytes")
 PY
   python3 scripts/bench_gate.py --bench-dir "${HUB_DIR}/bench_out" \
     --only hub --out "${HUB_DIR}/BENCH_hub.json"
@@ -449,8 +449,8 @@ if want tsan; then
   # one-job and many-job outer regions; sharded registries,
   # lane-dispatched monitor, proxies resolving their monitor once from
   # pool lanes, multi-threaded kernels), the telemetry
-  # hub (shard rings under concurrent publishers racing the drainer
-  # ServiceThread), prolongation's per-lane column and coarse-row
+  # hub (concurrent publishers and a reader snapshotting its books under
+  # the one state mutex), prolongation's per-lane column and coarse-row
   # scratch under pool lanes (MeshReference.*), States' per-thread line
   # strip under pool lanes (StatesReference.*), the Godunov vector
   # solve's stack batches under pool lanes (SimdKernels.Godunov*), the
@@ -468,7 +468,7 @@ if want tsan; then
     'P2P.*:Request.*:MsgEvents.*:BufferPool.*:Rendezvous.*:*RandomExchange.*:FaultInjection.*:Recovery.*:*TreeCollectivesAtScale.*:DedupeAtScale.*:*CollectivesAtSize.*:CommMgmt.*:*DeterministicReductions.*:*AbortInCollective.*'
   gtest_filtered "${TSAN_DIR}/tests/amr/test_amr" 'ExchangeFaults.*:MeshReference.*'
   gtest_filtered "${TSAN_DIR}/tests/support/test_support" \
-    'ThreadPool.*:ServiceThread.*'
+    'ThreadPool.*'
   gtest_filtered "${TSAN_DIR}/tests/core/test_core" \
     'ThreadedMonitor.*:ThreadedGovernor.*:ProxyContract.*'
   "${TSAN_DIR}/tests/core/test_telemetry_hub"

@@ -160,7 +160,7 @@ SessionResult run_lu_session(SessionHandle& handle, const SessionScenario& sc) {
     }
     mm->set_telemetry_session(handle.name());
     auto* tport = fw.services("mm").provided_as<TelemetryPort>("telemetry");
-    tport->start_telemetry(handle.sink(), sc.telemetry_interval);
+    tport->start_telemetry(handle.make_sink(), sc.telemetry_interval);
 
     auto* lu = fw.services("lu_proxy").provided_as<components::LuPort>("lu");
     for (int rep = 0; rep < sc.lu_reps; ++rep) {

@@ -1,7 +1,7 @@
 #include "core/telemetry_hub.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <map>
 #include <utility>
 
@@ -11,30 +11,21 @@
 namespace core {
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 double us_since(std::chrono::steady_clock::time_point from,
                 std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
 /// Scrapes `"overhead_pct":<number>` out of a telemetry line. Returns
-/// false when the line carries no such field (governor events, aggregate
-/// lines, synthetic test payloads).
+/// false when the line carries no such field (aggregate lines, synthetic
+/// test payloads). Searches from the end, where the Mastermind's periodic
+/// lines carry the field: every publish pays for this scan.
 bool scrape_overhead_pct(const std::string& line, double* out) {
   static constexpr char kKey[] = "\"overhead_pct\":";
-  const std::size_t at = line.find(kKey);
+  const std::size_t at = line.rfind(kKey);
   if (at == std::string::npos) return false;
-  const char* start = line.c_str() + at + sizeof(kKey) - 1;
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
-  return true;
+  const char* start = line.data() + at + sizeof(kKey) - 1;
+  return std::from_chars(start, line.data() + line.size(), *out).ec == std::errc();
 }
 
 }  // namespace
@@ -104,14 +95,6 @@ SessionHandle& SessionHandle::operator=(SessionHandle&& o) noexcept {
   return *this;
 }
 
-std::ostream& SessionHandle::sink() {
-  std::lock_guard<std::mutex> lk(sinks_mu_);
-  CCAPERF_REQUIRE(hub_ != nullptr, "SessionHandle::sink on a closed handle");
-  if (sinks_.empty())
-    sinks_.push_back(std::make_unique<HubSinkStream>(hub_, id_, incarnation_));
-  return *sinks_.front();
-}
-
 std::ostream& SessionHandle::make_sink() {
   std::lock_guard<std::mutex> lk(sinks_mu_);
   CCAPERF_REQUIRE(hub_ != nullptr, "SessionHandle::make_sink on a closed handle");
@@ -148,26 +131,10 @@ void SessionHandle::close() {
 TelemetryHub::TelemetryHub() : TelemetryHub(Config{}) {}
 
 TelemetryHub::TelemetryHub(Config cfg) : cfg_(cfg) {
-  CCAPERF_REQUIRE(cfg_.shards > 0, "TelemetryHub: zero shards");
-  CCAPERF_REQUIRE(cfg_.shard_capacity > 0, "TelemetryHub: zero shard capacity");
-  cfg_.shards = round_up_pow2(cfg_.shards);
-  shard_mask_ = cfg_.shards - 1;
-  shards_.reserve(cfg_.shards);
-  for (std::size_t i = 0; i < cfg_.shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-  agg_epoch_ = agg_last_ = agg_due_ = std::chrono::steady_clock::now();
-  drainer_ = std::make_unique<ccaperf::ServiceThread>(
-      "hub-drainer", cfg_.drain_interval, [this] { drain_cycle(); });
+  agg_epoch_ = agg_last_ = std::chrono::steady_clock::now();
 }
 
-TelemetryHub::~TelemetryHub() {
-  drainer_->stop();  // final drain runs on this thread
-  std::lock_guard<std::mutex> lk(state_mu_);
-  if (aggregate_sink_ != nullptr) emit_aggregate_unlocked(*aggregate_sink_);
-}
-
-SessionHandle TelemetryHub::open_session(std::string name, std::string scenario,
-                                         std::string fault_plan) {
+SessionHandle TelemetryHub::open_session(std::string name, std::string scenario) {
   CCAPERF_REQUIRE(!name.empty(), "TelemetryHub: empty session name");
   std::lock_guard<std::mutex> lk(state_mu_);
   const SessionId id = names_.intern(name);
@@ -182,43 +149,46 @@ SessionHandle TelemetryHub::open_session(std::string name, std::string scenario,
   s = Session{};
   s.name = name;
   s.scenario = std::move(scenario);
-  s.fault_plan = std::move(fault_plan);
   s.incarnation = incarnation;
   s.open = true;
   ++sessions_opened_;
   return SessionHandle(this, id, incarnation, std::move(name), s.scenario);
 }
 
-void TelemetryHub::set_aggregate_sink(std::ostream* os) {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  aggregate_sink_ = os;
-}
-
 void TelemetryHub::publish(SessionId id, std::uint32_t incarnation,
                            std::string line) {
-  Shard& sh = shard_for(id);
-  bool nudge = false;
-  {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    if (sh.ring.empty()) sh.ring.resize(cfg_.shard_capacity);
-    auto& tally = sh.tally[{id, incarnation}];
-    if (sh.count == sh.ring.size()) {
-      // Backpressure: reject the new line, never stall the producer.
-      ++tally.dropped;
-      dropped_ring_.fetch_add(1, std::memory_order_relaxed);
-      nudge = true;
-    } else {
-      ShardItem& it = sh.ring[(sh.head + sh.count) % sh.ring.size()];
-      it.session = id;
-      it.incarnation = incarnation;
-      it.text = std::move(line);
-      ++sh.count;
-      ++tally.accepted;
-      published_.fetch_add(1, std::memory_order_relaxed);
-      nudge = sh.count * 2 >= sh.ring.size();  // high-water mark
-    }
+  double pct = 0.0;
+  const bool has_pct = scrape_overhead_pct(line, &pct);
+  const std::uint64_t size = line.size();
+  std::lock_guard<std::mutex> lk(state_mu_);
+  CCAPERF_REQUIRE(id < sessions_.size(), "TelemetryHub: unknown session");
+  Session& s = sessions_[id];
+  if (s.incarnation != incarnation) return;  // stale life, never misfiled
+  if (has_pct) {
+    s.agg_overhead_sum += pct;
+    ++s.agg_overhead_n;
   }
-  if (nudge && drainer_ != nullptr) drainer_->wake();
+  bytes_retained_ += size;
+  s.bytes += size;
+  s.lines.push_back(SessionLine{next_seq_++, std::move(line)});
+  ++s.published;
+  ++published_total_;
+
+  // Per-session line cap: a chatty session sheds its own oldest line.
+  if (s.lines.size() > cfg_.session_line_cap) evict_front_unlocked(s);
+  // Hub-wide byte budget: evict the globally oldest retained line until
+  // under budget. O(sessions) scan per eviction — sessions are dozens to
+  // hundreds, evictions amortize against the lines they free.
+  while (bytes_retained_ > cfg_.memory_budget_bytes) {
+    Session* oldest = nullptr;
+    for (Session& o : sessions_) {
+      if (o.lines.empty()) continue;
+      if (oldest == nullptr || o.lines.front().seq < oldest->lines.front().seq)
+        oldest = &o;
+    }
+    evict_front_unlocked(*oldest);  // non-null: bytes_retained_ > 0
+  }
+  bytes_peak_ = std::max(bytes_peak_, bytes_retained_);
 }
 
 void TelemetryHub::add_trace(SessionId id, std::uint32_t incarnation,
@@ -231,76 +201,12 @@ void TelemetryHub::add_trace(SessionId id, std::uint32_t incarnation,
 }
 
 void TelemetryHub::close_session(SessionId id, std::uint32_t incarnation) {
-  // Drain first so everything the session published is folded into its
-  // retained stream and accounting before the session reads as closed.
-  drain_now();
   std::lock_guard<std::mutex> lk(state_mu_);
   CCAPERF_REQUIRE(id < sessions_.size(), "TelemetryHub: unknown session");
   Session& s = sessions_[id];
   if (s.incarnation != incarnation || !s.open) return;
   s.open = false;
   ++sessions_closed_;
-}
-
-void TelemetryHub::drain_now() { drain_cycle(); }
-
-void TelemetryHub::drain_cycle() {
-  std::lock_guard<std::mutex> drain_lk(drain_mu_);
-  drain_shards_locked();
-  // Aggregate cadence: 0 means every drain cycle.
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lk(state_mu_);
-  ++drain_ticks_;
-  if (aggregate_sink_ != nullptr &&
-      (cfg_.aggregate_interval.count() == 0 || now >= agg_due_)) {
-    emit_aggregate_unlocked(*aggregate_sink_);
-    agg_due_ = now + cfg_.aggregate_interval;
-  }
-}
-
-void TelemetryHub::drain_shards_locked() {
-  // Phase 1: lift items and tallies out of every shard under only that
-  // shard's mutex, preserving per-shard FIFO order (= per-session order,
-  // since a session maps to exactly one shard).
-  std::vector<ShardItem> items;
-  std::vector<std::pair<SessionKey, ShardTally>> tallies;
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (std::size_t i = 0; i < sh.count; ++i)
-      items.push_back(std::move(sh.ring[(sh.head + i) % sh.ring.size()]));
-    sh.head = sh.count = 0;
-    for (auto& kv : sh.tally) tallies.emplace_back(kv.first, kv.second);
-    sh.tally.clear();
-  }
-
-  // Phase 2: fold into retained state under state_mu_.
-  std::lock_guard<std::mutex> lk(state_mu_);
-  for (auto& [key, tally] : tallies) {
-    const auto [id, incarnation] = key;
-    if (id >= sessions_.size()) continue;
-    Session& s = sessions_[id];
-    if (s.incarnation != incarnation) continue;  // a dead life's tallies
-    s.published += tally.accepted;
-    s.dropped_ring += tally.dropped;
-  }
-  for (ShardItem& it : items) {
-    if (it.session >= sessions_.size()) continue;
-    Session& s = sessions_[it.session];
-    if (s.incarnation != it.incarnation) continue;  // stale, never misfiled
-    double pct = 0.0;
-    if (scrape_overhead_pct(it.text, &pct)) {
-      s.agg_overhead_sum += pct;
-      ++s.agg_overhead_n;
-    }
-    bytes_retained_ += it.text.size();
-    s.bytes += it.text.size();
-    s.lines.push_back(SessionLine{next_seq_++, std::move(it.text)});
-    ++s.drained;
-    ++drained_total_;
-  }
-  enforce_bounds_unlocked();
-  bytes_peak_ = std::max(bytes_peak_, bytes_retained_);
 }
 
 void TelemetryHub::evict_front_unlocked(Session& s) {
@@ -310,25 +216,6 @@ void TelemetryHub::evict_front_unlocked(Session& s) {
   bytes_retained_ -= sz;
   ++s.dropped_evicted;
   ++dropped_evicted_total_;
-}
-
-void TelemetryHub::enforce_bounds_unlocked() {
-  // Per-session line cap: a chatty session sheds its own oldest lines.
-  for (Session& s : sessions_)
-    while (s.lines.size() > cfg_.session_line_cap) evict_front_unlocked(s);
-  // Hub-wide byte budget: evict the globally oldest retained line until
-  // under budget. O(sessions) scan per eviction — sessions are dozens to
-  // hundreds, evictions amortize against the lines they free.
-  while (bytes_retained_ > cfg_.memory_budget_bytes) {
-    Session* oldest = nullptr;
-    for (Session& s : sessions_) {
-      if (s.lines.empty()) continue;
-      if (oldest == nullptr || s.lines.front().seq < oldest->lines.front().seq)
-        oldest = &s;
-    }
-    if (oldest == nullptr) break;  // budget smaller than nothing retained
-    evict_front_unlocked(*oldest);
-  }
 }
 
 std::vector<SessionLine> TelemetryHub::session_lines(SessionId id) const {
@@ -357,8 +244,6 @@ SessionStats TelemetryHub::session_stats(SessionId id) const {
   const Session& s = sessions_[id];
   SessionStats st;
   st.published = s.published;
-  st.drained = s.drained;
-  st.dropped_ring = s.dropped_ring;
   st.dropped_evicted = s.dropped_evicted;
   st.retained = s.lines.size();
   st.retained_bytes = s.bytes;
@@ -370,12 +255,6 @@ SessionId TelemetryHub::find_session(std::string_view name) const {
   std::lock_guard<std::mutex> lk(state_mu_);
   const std::uint32_t id = names_.find(name);
   return id == tau::NameInterner::kNotFound ? kInvalidSession : id;
-}
-
-std::string TelemetryHub::session_fault_plan(SessionId id) const {
-  std::lock_guard<std::mutex> lk(state_mu_);
-  CCAPERF_REQUIRE(id < sessions_.size(), "TelemetryHub: unknown session");
-  return sessions_[id].fault_plan;
 }
 
 MergeStats TelemetryHub::export_session_trace(SessionId id,
@@ -395,27 +274,20 @@ HubStats TelemetryHub::stats() const {
   h.sessions_opened = sessions_opened_;
   h.sessions_closed = sessions_closed_;
   h.sessions_open = sessions_opened_ - sessions_closed_;
-  h.published = published_.load(std::memory_order_relaxed);
-  h.drained = drained_total_;
-  h.dropped_ring = dropped_ring_.load(std::memory_order_relaxed);
+  h.published = published_total_;
   h.dropped_evicted = dropped_evicted_total_;
   h.bytes_retained = bytes_retained_;
   h.bytes_peak = bytes_peak_;
-  h.drain_ticks = drain_ticks_;
   h.aggregate_lines = aggregate_lines_;
   return h;
 }
 
 void TelemetryHub::emit_aggregate(std::ostream& os) {
   std::lock_guard<std::mutex> lk(state_mu_);
-  emit_aggregate_unlocked(os);
-}
-
-void TelemetryHub::emit_aggregate_unlocked(std::ostream& os) {
   const auto now = std::chrono::steady_clock::now();
   const double dt_us = us_since(agg_last_, now);
   const double dt_s = dt_us > 0.0 ? dt_us * 1e-6 : 0.0;
-  const std::uint64_t d_rows = drained_total_ - agg_last_drained_;
+  const std::uint64_t d_rows = published_total_ - agg_last_published_;
   const std::uint64_t d_opened = sessions_opened_ - agg_last_opened_;
 
   os << "{\"t_us\":" << ccaperf::json_number(us_since(agg_epoch_, now), 1)
@@ -426,12 +298,10 @@ void TelemetryHub::emit_aggregate_unlocked(std::ostream& os) {
      << ccaperf::json_number(dt_s > 0.0 ? d_opened / dt_s : 0.0, 3)
      << ",\"rows_per_s\":"
      << ccaperf::json_number(dt_s > 0.0 ? d_rows / dt_s : 0.0, 3)
-     << ",\"published\":" << published_.load(std::memory_order_relaxed)
-     << ",\"drained\":" << drained_total_
-     << ",\"dropped_ring\":" << dropped_ring_.load(std::memory_order_relaxed)
+     << ",\"published\":" << published_total_
      << ",\"dropped_evicted\":" << dropped_evicted_total_
      << ",\"bytes_retained\":" << bytes_retained_
-     << ",\"bytes_peak\":" << bytes_peak_ << ",\"drain_ticks\":" << drain_ticks_;
+     << ",\"bytes_peak\":" << bytes_peak_;
 
   // Per-scenario breakdown: open-session counts and the overhead_pct
   // scraped from the sessions' own lines since the previous aggregate.
@@ -467,7 +337,7 @@ void TelemetryHub::emit_aggregate_unlocked(std::ostream& os) {
 
   ++aggregate_lines_;
   agg_last_ = now;
-  agg_last_drained_ = drained_total_;
+  agg_last_published_ = published_total_;
   agg_last_opened_ = sessions_opened_;
 }
 

@@ -1,5 +1,5 @@
 // core::TelemetryHub — the multi-tenant telemetry service (DESIGN.md §14):
-// session isolation, interned identity, exact drop accounting, memory
+// session isolation, interned identity, exact eviction accounting, memory
 // bounds, the HubProperty interleaved-equals-solo stream identity, and
 // the end-to-end AMR/LU session drivers.
 
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,31 +24,23 @@ using core::SessionLine;
 using core::SessionStats;
 using core::TelemetryHub;
 
-/// Drains only when the test says so: the cadence is far beyond any test.
-TelemetryHub::Config manual_config() {
-  TelemetryHub::Config cfg;
-  cfg.drain_interval = std::chrono::seconds(600);
-  return cfg;
-}
-
-TEST(TelemetryHub, PublishDrainQueryRoundTrip) {
-  TelemetryHub hub(manual_config());
+TEST(TelemetryHub, PublishQueryRoundTrip) {
+  TelemetryHub hub;
   SessionHandle a = hub.open_session("alpha", "amr");
-  SessionHandle b = hub.open_session("beta", "lu", "drop=0.1");
+  SessionHandle b = hub.open_session("beta", "lu");
   a.publish("a line 1");
   b.publish("b line 1");
   a.publish("a line 2");
-  hub.drain_now();
 
+  // A published line is retained by the time publish() returns.
   EXPECT_EQ(hub.session_text(a.id()), "a line 1\na line 2\n");
   EXPECT_EQ(hub.session_text(b.id()), "b line 1\n");
-  EXPECT_EQ(hub.session_fault_plan(b.id()), "drop=0.1");
   const SessionStats sa = hub.session_stats(a.id());
   EXPECT_EQ(sa.published, 2u);
-  EXPECT_EQ(sa.drained, 2u);
   EXPECT_EQ(sa.retained, 2u);
+  EXPECT_EQ(sa.dropped_ring, 0u);
   EXPECT_TRUE(sa.open);
-  // Per-session FIFO: drain sequence numbers are monotone within a session.
+  // Per-session FIFO: sequence numbers are monotone within a session.
   const std::vector<SessionLine> lines = hub.session_lines(a.id());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_LT(lines[0].seq, lines[1].seq);
@@ -59,7 +52,7 @@ TEST(TelemetryHub, PublishDrainQueryRoundTrip) {
 }
 
 TEST(TelemetryHub, InternedIdsSurviveReopen) {
-  TelemetryHub hub(manual_config());
+  TelemetryHub hub;
   SessionId first_id;
   {
     SessionHandle h = hub.open_session("recurring", "amr");
@@ -72,7 +65,6 @@ TEST(TelemetryHub, InternedIdsSurviveReopen) {
   EXPECT_EQ(again.id(), first_id);
   EXPECT_EQ(hub.session_text(first_id), "");
   again.publish("new life");
-  hub.drain_now();
   EXPECT_EQ(hub.session_text(first_id), "new life\n");
   const SessionStats st = hub.session_stats(first_id);
   EXPECT_EQ(st.published, 1u);  // old life's counters released
@@ -80,60 +72,91 @@ TEST(TelemetryHub, InternedIdsSurviveReopen) {
 }
 
 TEST(TelemetryHub, ReopeningAnOpenNameThrows) {
-  TelemetryHub hub(manual_config());
+  TelemetryHub hub;
   SessionHandle h = hub.open_session("solo", "amr");
   EXPECT_THROW(hub.open_session("solo", "amr"), ccaperf::Error);
 }
 
 TEST(TelemetryHub, SinkSplitsLinesAndFlushesTailOnClose) {
-  TelemetryHub hub(manual_config());
+  TelemetryHub hub;
   SessionHandle h = hub.open_session("sinky", "amr");
-  h.sink() << "one\ntwo\n";
-  h.sink() << "tail without newline";
+  std::ostream& sink = h.make_sink();
+  sink << "one\ntwo\n";
+  sink << "tail without newline";
   const SessionId id = h.id();
   h.close();  // destroys the sink: the tail publishes as its own line
   EXPECT_EQ(hub.session_text(id), "one\ntwo\ntail without newline\n");
 }
 
-TEST(TelemetryHub, RingDropAccountingIsExact) {
-  TelemetryHub::Config cfg = manual_config();
-  cfg.shards = 1;
-  cfg.shard_capacity = 8;
+// The books balance at every instant, not only at quiescence: while four
+// publishers flood four sessions past a small line cap and byte budget, a
+// reader's every snapshot sees retained == published - dropped_evicted
+// and the retained bytes within budget.
+TEST(TelemetryHub, ConcurrentAccountingBalancesAtEverySnapshot) {
+  constexpr int kPublishers = 4;
+  constexpr int kLines = 2000;
+  TelemetryHub::Config cfg;
+  cfg.session_line_cap = 32;
+  cfg.memory_budget_bytes = 4u << 10;
   TelemetryHub hub(cfg);
-  SessionHandle h = hub.open_session("flood", "flood");
-  {
-    // Hold drains off so the burst deterministically fills the ring —
-    // the high-water nudge would otherwise race a drain into the middle
-    // of the loop and accept more than one ring's worth.
-    const auto pause = hub.pause_draining();
-    for (int i = 0; i < 100; ++i) h.publish("x");
+  std::vector<SessionHandle> handles;
+  std::vector<SessionId> ids;
+  for (int p = 0; p < kPublishers; ++p) {
+    handles.push_back(hub.open_session("acct-" + std::to_string(p), "flood"));
+    ids.push_back(handles.back().id());
   }
-  hub.drain_now();
-  SessionStats st = hub.session_stats(h.id());
-  // Single-threaded, no drain in between: exactly the ring capacity was
-  // accepted, everything else rejected and counted.
-  EXPECT_EQ(st.published, 8u);
-  EXPECT_EQ(st.dropped_ring, 92u);
-  EXPECT_EQ(st.drained, 8u);
-  // The ring is empty again: the next burst is accepted.
-  for (int i = 0; i < 4; ++i) h.publish("y");
-  hub.drain_now();
-  st = hub.session_stats(h.id());
-  EXPECT_EQ(st.published, 12u);
-  EXPECT_EQ(st.drained, 12u);
+
+  std::atomic<int> running{kPublishers};
+  std::uint64_t snapshots = 0, unbalanced = 0, over_budget = 0;
+  std::thread reader([&] {
+    // One more sweep after the last publisher finishes.
+    for (bool last = false; !last;) {
+      last = running.load() == 0;
+      for (const SessionId id : ids) {
+        const SessionStats st = hub.session_stats(id);
+        ++snapshots;
+        if (st.retained != st.published - st.dropped_evicted) ++unbalanced;
+      }
+      const core::HubStats hs = hub.stats();
+      if (hs.bytes_retained > cfg.memory_budget_bytes ||
+          hs.bytes_peak > cfg.memory_budget_bytes)
+        ++over_budget;
+    }
+  });
+  std::vector<std::thread> publishers;
+  for (int p = 0; p < kPublishers; ++p)
+    publishers.emplace_back([&, p] {
+      for (int i = 0; i < kLines; ++i)
+        handles[static_cast<std::size_t>(p)].publish(
+            std::string(static_cast<std::size_t>(40 + (i + p) % 80), 'a' + p));
+      running.fetch_sub(1);
+    });
+  for (std::thread& t : publishers) t.join();
+  reader.join();
+
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(unbalanced, 0u);
+  EXPECT_EQ(over_budget, 0u);
+  std::uint64_t evicted = 0;
+  for (const SessionId id : ids) {
+    const SessionStats st = hub.session_stats(id);
+    EXPECT_EQ(st.published, static_cast<std::uint64_t>(kLines));
+    EXPECT_EQ(st.retained, st.published - st.dropped_evicted);
+    EXPECT_EQ(st.dropped_ring, 0u);
+    evicted += st.dropped_evicted;
+  }
+  EXPECT_GT(evicted, 0u);
   const core::HubStats hs = hub.stats();
-  EXPECT_EQ(hs.published, 12u);
-  EXPECT_EQ(hs.dropped_ring, 92u);
-  EXPECT_EQ(hs.drained, 12u);
+  EXPECT_EQ(hs.published, static_cast<std::uint64_t>(kPublishers * kLines));
+  EXPECT_EQ(hs.dropped_evicted, evicted);
 }
 
 TEST(TelemetryHub, SessionLineCapEvictsOwnOldest) {
-  TelemetryHub::Config cfg = manual_config();
+  TelemetryHub::Config cfg;
   cfg.session_line_cap = 4;
   TelemetryHub hub(cfg);
   SessionHandle h = hub.open_session("capped", "flood");
   for (int i = 0; i < 10; ++i) h.publish("line " + std::to_string(i));
-  hub.drain_now();
   const SessionStats st = hub.session_stats(h.id());
   EXPECT_EQ(st.retained, 4u);
   EXPECT_EQ(st.dropped_evicted, 6u);
@@ -141,7 +164,7 @@ TEST(TelemetryHub, SessionLineCapEvictsOwnOldest) {
 }
 
 TEST(TelemetryHub, ByteBudgetEvictsGloballyOldestFirst) {
-  TelemetryHub::Config cfg = manual_config();
+  TelemetryHub::Config cfg;
   const std::string line(100, 'x');  // 100 bytes retained per line
   cfg.memory_budget_bytes = 450;     // 4 lines fit, a 5th forces eviction
   TelemetryHub hub(cfg);
@@ -149,11 +172,9 @@ TEST(TelemetryHub, ByteBudgetEvictsGloballyOldestFirst) {
   SessionHandle new_s = hub.open_session("newer", "flood");
   old_s.publish(line);
   old_s.publish(line);
-  hub.drain_now();
   new_s.publish(line);
   new_s.publish(line);
   new_s.publish(line);
-  hub.drain_now();
   // 5 x 100 bytes against a 450-byte budget: exactly one eviction, and it
   // must hit the globally oldest line — "older"'s first — not the chatty
   // newcomer's.
@@ -177,15 +198,14 @@ TEST(HubProperty, InterleavedStreamsEqualSolo) {
   // Solo references: each session alone in its own hub.
   std::vector<std::string> solo_text(kSessions);
   for (int s = 0; s < kSessions; ++s) {
-    TelemetryHub hub;  // default config: drainer live, no-drop capacity
+    TelemetryHub hub;  // default config: no-eviction capacity
     SessionHandle h = hub.open_session("p" + std::to_string(s), "prop");
     for (int i = 0; i < kLines; ++i) h.publish(line_for(s, i));
     h.close();
     solo_text[static_cast<std::size_t>(s)] =
         hub.session_text(hub.find_session("p" + std::to_string(s)));
   }
-  // Interleaved: all sessions publish concurrently into one hub while the
-  // drainer races them.
+  // Interleaved: all sessions publish concurrently into one hub.
   TelemetryHub hub;
   std::vector<SessionHandle> handles;
   for (int s = 0; s < kSessions; ++s)
@@ -207,28 +227,26 @@ TEST(HubProperty, InterleavedStreamsEqualSolo) {
         << "session " << s;
     const SessionStats st = hub.session_stats(id);
     EXPECT_EQ(st.published, static_cast<std::uint64_t>(kLines));
-    EXPECT_EQ(st.drained, static_cast<std::uint64_t>(kLines));
-    EXPECT_EQ(st.dropped_ring, 0u);
+    EXPECT_EQ(st.retained, static_cast<std::uint64_t>(kLines));
     EXPECT_EQ(st.dropped_evicted, 0u);
   }
   const core::HubStats hs = hub.stats();
   EXPECT_EQ(hs.published, static_cast<std::uint64_t>(kSessions * kLines));
-  EXPECT_EQ(hs.drained, hs.published);
+  EXPECT_EQ(hs.dropped_evicted, 0u);
 }
 
 TEST(TelemetryHub, AggregateLineCarriesRatesAndScenarios) {
-  TelemetryHub hub(manual_config());
+  TelemetryHub hub;
   SessionHandle a = hub.open_session("agg-a", "amr");
   SessionHandle l = hub.open_session("agg-l", "lu");
   a.publish("{\"t_us\":1,\"overhead_pct\":2.500}");
   a.publish("{\"t_us\":2,\"overhead_pct\":3.500}");
   l.publish("{\"t_us\":1,\"overhead_pct\":1.000}");
-  hub.drain_now();
   std::ostringstream os;
   hub.emit_aggregate(os);
   const std::string line = os.str();
   EXPECT_NE(line.find("\"sessions_open\":2"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"drained\":3"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"published\":3"), std::string::npos) << line;
   // Scenario breakdown scraped from the sessions' own overhead_pct fields.
   EXPECT_NE(line.find("\"amr\":{\"sessions\":1,\"overhead_lines\":2,"
                       "\"overhead_pct_mean\":3.000}"),
@@ -247,7 +265,7 @@ TEST(HubSession, AmrSessionEndToEnd) {
   core::SessionScenario sc;  // amr 24x12, 2 ranks, 1 lane
   sc.steps = 1;
   sc.trace = true;
-  SessionHandle h = hub.open_session("amr-e2e", sc.kind, sc.fault_plan);
+  SessionHandle h = hub.open_session("amr-e2e", sc.kind);
   const core::SessionResult r1 = core::run_session(h, sc);
   h.close();
   EXPECT_NE(r1.physics_digest, 0u);
@@ -256,7 +274,7 @@ TEST(HubSession, AmrSessionEndToEnd) {
   const SessionId id = hub.find_session("amr-e2e");
   const SessionStats st = hub.session_stats(id);
   EXPECT_EQ(st.published, r1.telemetry_lines);
-  EXPECT_EQ(st.drained, st.published);
+  EXPECT_EQ(st.retained, st.published);
   // Every retained line is marked with this session's name — the leakage
   // invariant the soak gates on.
   for (const SessionLine& line : hub.session_lines(id))
@@ -269,7 +287,7 @@ TEST(HubSession, AmrSessionEndToEnd) {
 
   // Determinism: a rerun under a different session name reproduces the
   // digest exactly (the soak compares concurrent runs to solo ones).
-  SessionHandle h2 = hub.open_session("amr-e2e-2", sc.kind, sc.fault_plan);
+  SessionHandle h2 = hub.open_session("amr-e2e-2", sc.kind);
   core::SessionScenario sc2 = sc;
   sc2.trace = false;
   const core::SessionResult r2 = core::run_session(h2, sc2);
@@ -290,7 +308,7 @@ TEST(HubSession, LuSessionEndToEnd) {
   EXPECT_NE(r1.physics_digest, 0u);
   const SessionStats st = hub.session_stats(hub.find_session("lu-e2e"));
   EXPECT_EQ(st.published, r1.telemetry_lines);
-  EXPECT_EQ(st.drained, st.published);
+  EXPECT_EQ(st.retained, st.published);
 
   SessionHandle h2 = hub.open_session("lu-e2e-2", sc.kind);
   const core::SessionResult r2 = core::run_session(h2, sc);
